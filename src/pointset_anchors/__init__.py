@@ -43,6 +43,7 @@ from .assignment import (
     assign_arrays,
     assign_from_similarity,
     oks,
+    oks_lattice,
     oks_matrix,
     refine_pose_anchors,
     similarity_matrix,

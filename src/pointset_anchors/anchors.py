@@ -242,10 +242,13 @@ def _feature_shape(image_size, stride: float) -> tuple[int, int]:
     return math.ceil(height / stride), math.ceil(width / stride)
 
 
+def axis_centers(count: int, stride: float) -> np.ndarray:
+    """Location centres (i + 0.5) * stride along one feature-map axis."""
+    return (np.arange(count, dtype=float) + 0.5) * stride
+
+
 def _location_centers(rows: int, cols: int, stride: float) -> np.ndarray:
-    cx = (np.arange(cols, dtype=float) + 0.5) * stride
-    cy = (np.arange(rows, dtype=float) + 0.5) * stride
-    gx, gy = np.meshgrid(cx, cy)
+    gx, gy = np.meshgrid(axis_centers(cols, stride), axis_centers(rows, stride))
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
@@ -297,6 +300,7 @@ class PoseLevelGrid:
     rows: int
     cols: int
     joints: np.ndarray           # (rows * cols * slots, 17, 2)
+    variants: np.ndarray         # (slots, 17, 2), joint centroid at the origin
     slot_modes: np.ndarray       # (slots,)
     slot_scales: np.ndarray      # (slots,)
     slot_rotations: np.ndarray   # (slots,)
@@ -366,39 +370,6 @@ class AnchorGrid:
             object.__setattr__(self, "_joint_stack", cached)
         return cached
 
-    def joint_extents(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-anchor joint centroid (num_anchors, 2) and enclosing radius.
-
-        Cached; lets callers cheaply bound the distance from any point to an
-        anchor's joints without touching the full joint stack.
-        """
-        cached = self.__dict__.get("_joint_extents")
-        if cached is None:
-            joints = self.joint_stack()
-            centroids = joints.mean(axis=1)
-            radii = np.sqrt(
-                ((joints - centroids[:, None, :]) ** 2).sum(axis=2)
-            ).max(axis=1)
-            centroids.setflags(write=False)
-            radii.setflags(write=False)
-            cached = (centroids, radii)
-            object.__setattr__(self, "_joint_extents", cached)
-        return cached
-
-    def joint_square_norms(self) -> np.ndarray:
-        """Cached per-joint squared norms (num_anchors, 17).
-
-        Supports expanding pairwise squared distances as |c|^2 - 2 c.g + |g|^2
-        without materializing per-pair difference arrays.
-        """
-        cached = self.__dict__.get("_joint_square_norms")
-        if cached is None:
-            joints = self.joint_stack()
-            cached = (joints * joints).sum(axis=2)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_joint_square_norms", cached)
-        return cached
-
     def index_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(level, row, col, slot) per stacked anchor, aligned with the stacks."""
         levels, rows, cols, slots = [], [], [], []
@@ -466,7 +437,7 @@ def _pose_level(config: PyramidConfig, level: int, image_size, modes: np.ndarray
     joints = (centers[:, None, None, :] + variants[None, :, :, :]).reshape(-1, NUM_JOINTS, 2)
     return PoseLevelGrid(
         level=level, stride=stride, base_scale=base_scale, rows=rows, cols=cols,
-        joints=joints, slot_modes=slot_modes, slot_scales=slot_scales,
+        joints=joints, variants=variants, slot_modes=slot_modes, slot_scales=slot_scales,
         slot_rotations=slot_rotations,
     )
 

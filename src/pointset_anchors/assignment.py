@@ -5,6 +5,12 @@ object keypoint similarity (OKS) for pose anchors. An anchor is positive when
 its best similarity reaches ``hi`` (matched to its argmax gt), negative when
 it stays below ``lo``, and ignored in between. With ``force_nearest`` every gt
 additionally claims its single best anchor regardless of threshold.
+
+OKS has one term function and three entry points: ``oks`` for one pair,
+``oks_matrix`` for arbitrary candidates and ``oks_lattice`` for grids. A
+joint's term is flushed per axis, f(dx^2, d) * f(dy^2, d) with f = 0 past
+EXP_FLUSH, because only a per-axis rule keeps the term separable into an x
+part and a y part, and the lattice path is built on that split.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anchors import NUM_JOINTS, REFINED_MODE_ID, MaskAnchor, PoseAnchor
+from .anchors import NUM_JOINTS, REFINED_MODE_ID, MaskAnchor, PoseAnchor, axis_centers
 from .errors import (
     BadThresholdsError,
     JointCountMismatchError,
@@ -80,11 +86,48 @@ class OksParams:
 
 DEFAULT_OKS_PARAMS = OksParams()
 
-# Exponents beyond this flush to zero (exp(-40) < 5e-18, far below every
-# stated tolerance). Both the scalar and matrix paths apply the same rule, so
-# the matrix path can skip whole anchors whose distance bound already puts
-# every joint past the cutoff and still agree with the scalar path exactly.
+# Per-axis flush: an axis factor exp(-s/d) is exactly 0 once s/d > EXP_FLUSH
+# (exp(-40) < 5e-18, far below every stated tolerance). A cutoff on the summed
+# square dx^2 + dy^2 cannot be split into an x part and a y part; this one
+# can, and the lattice path is built on that split. Every OKS entry point
+# calls ``_flushed_exp``, so all of them flush at exactly the same spots.
 EXP_FLUSH = 40.0
+
+
+def _flushed_exp(delta, d):
+    """The OKS factor of one axis: exp(-delta^2 / d), or 0 once delta^2 / d > EXP_FLUSH."""
+    z = delta * delta
+    z /= -d
+    flushed = z < -EXP_FLUSH
+    # an underflowing exp takes a slow path, and flushed entries are zeroed anyway
+    np.maximum(z, -EXP_FLUSH, out=z)
+    np.exp(z, out=z)
+    np.putmask(z, flushed, 0.0)
+    return z
+
+
+def _oks_widths(gt_scales, gt_visibility, params: OksParams):
+    """Per gt and joint the Gaussian width d = 2 * scale * kappa^2, plus visibility.
+
+    Raises when a gt has no visible joint, or when a visible joint's width is
+    not finite and > 0 (a scale of 0 or below, not finite, or so small that
+    the product underflows), so no path ever divides 0 by 0.
+    """
+    visible = np.reshape(gt_visibility, (-1, NUM_JOINTS)) > 0
+    scales = np.asarray(gt_scales, dtype=float).reshape(len(visible))
+    has_visible = visible.any(axis=1)
+    if not has_visible.all():
+        raise NoVisibleJointsError(f"gt {np.argmin(has_visible)} has no visible joints")
+    with np.errstate(over="ignore"):
+        widths = 2.0 * scales[:, None] * params.kappas ** 2
+    valid = ((widths > 0.0) & (widths < np.inf)) | ~visible
+    if not valid.all():
+        g = np.argmin(valid.all(axis=1))
+        raise NonPositiveScaleError(
+            f"gt {g} has scale {scales[g]}; OKS needs 2 * scale * kappa^2 "
+            "finite and > 0 for every visible joint"
+        )
+    return widths, visible
 
 
 def oks(candidate, gt_joints, visibility, gt_scale: float,
@@ -93,7 +136,8 @@ def oks(candidate, gt_joints, visibility, gt_scale: float,
 
     Mean over visible joints of exp(-d_i^2 / (2 * gt_scale * kappa_i^2)),
     where d_i is the Euclidean distance between paired joints and gt_scale is
-    the gt's area in square pixels.
+    the gt's area in square pixels. Each term is flushed per axis (see
+    EXP_FLUSH).
     """
     candidate = np.asarray(candidate, dtype=float)
     gt_joints = np.asarray(gt_joints, dtype=float)
@@ -104,53 +148,60 @@ def oks(candidate, gt_joints, visibility, gt_scale: float,
         )
     if visibility.shape != (NUM_JOINTS,):
         raise JointCountMismatchError(f"expected ({NUM_JOINTS},) visibility, got {visibility.shape}")
-    if not (np.isfinite(gt_scale) and gt_scale > 0.0):
-        raise NonPositiveScaleError(f"gt_scale must be finite and > 0, got {gt_scale}")
-    visible = visibility > 0
-    if not visible.any():
-        raise NoVisibleJointsError("OKS is undefined with no visible joints")
-    d2 = ((candidate - gt_joints) ** 2).sum(axis=1)
-    z = d2 / (2.0 * gt_scale * params.kappas ** 2)
-    terms = np.where(z > EXP_FLUSH, 0.0, np.exp(-z))
-    return float(terms[visible].mean())
+    return float(oks_matrix(candidate[None], gt_joints[None], visibility[None],
+                            [gt_scale], params)[0, 0])
 
 
 def oks_matrix(candidates, gt_joints, gt_visibility, gt_scales,
                params: OksParams = DEFAULT_OKS_PARAMS) -> np.ndarray:
     """Pairwise OKS between (A, 17, 2) candidates and (G, 17, 2) ground truths.
 
-    Vectorized over candidates one gt at a time; matches ``oks`` exactly.
-    Candidates whose centroid is provably too far for any joint to survive
-    the flush cutoff are skipped wholesale.
+    The direct form, for candidates of any layout (such as the output of
+    ``refine_pose_anchors``); grids go through ``oks_lattice``.
     """
     candidates = np.asarray(candidates, dtype=float).reshape(-1, NUM_JOINTS, 2)
     gt_joints = np.asarray(gt_joints, dtype=float).reshape(-1, NUM_JOINTS, 2)
-    gt_visibility = np.asarray(gt_visibility).reshape(len(gt_joints), NUM_JOINTS)
-    gt_scales = np.asarray(gt_scales, dtype=float).reshape(len(gt_joints))
-    out = np.zeros((len(candidates), len(gt_joints)))
-    kappas2 = params.kappas ** 2
-    centroids = candidates.mean(axis=1)
-    radii = np.sqrt(((candidates - centroids[:, None, :]) ** 2).sum(axis=2)).max(axis=1)
+    widths, visible = _oks_widths(gt_scales, gt_visibility, params)
+    out = np.empty((len(candidates), len(gt_joints)))
     for g in range(len(gt_joints)):
-        visible = gt_visibility[g] > 0
-        if not visible.any():
-            raise NoVisibleJointsError(f"gt {g} has no visible joints")
-        if not gt_scales[g] > 0.0:
-            raise NonPositiveScaleError(f"gt {g} has non-positive scale {gt_scales[g]}")
-        gt_vis = gt_joints[g, visible, :]
-        gt_center = gt_vis.mean(axis=0)
-        gt_radius = np.sqrt(((gt_vis - gt_center) ** 2).sum(axis=1)).max()
-        # smallest possible joint distance for each candidate
-        gap = np.linalg.norm(centroids - gt_center, axis=1) - radii - gt_radius
-        gap = np.maximum(gap, 0.0)
-        cutoff2 = EXP_FLUSH * 2.0 * gt_scales[g] * kappas2[visible].max()
-        near = np.flatnonzero(gap * gap <= cutoff2)
-        if len(near) == 0:
-            continue
-        d2 = ((candidates[near][:, visible, :] - gt_vis) ** 2).sum(axis=2)
-        z = d2 / (2.0 * gt_scales[g] * kappas2[visible])
-        out[near, g] = np.where(z > EXP_FLUSH, 0.0, np.exp(-z)).mean(axis=1)
+        v = visible[g]
+        diff = candidates[:, v, :] - gt_joints[g, v, :]
+        terms = _flushed_exp(diff[..., 0], widths[g, v]) * _flushed_exp(diff[..., 1], widths[g, v])
+        out[:, g] = terms.mean(axis=1)
     return out
+
+
+def oks_lattice(levels, gt_joints, gt_visibility, gt_scales,
+                params: OksParams = DEFAULT_OKS_PARAMS) -> np.ndarray:
+    """OKS of every anchor of a pose grid's levels against every gt.
+
+    Rows follow the grid's stacking order (level, row, col, slot). The anchor
+    at (row, col, slot) has joints (x[col], y[row]) + variants[slot], so its
+    term for joint j factors into f over x, which depends only on
+    (slot, j, col), and f over y, which depends only on (slot, j, row). A gt
+    then costs 17 * (rows + cols) exponentials per slot, and the score maps of
+    all (gt, slot) pairs come from one batched matmul of (ey * weight)^T @ ex.
+    Joint coordinates are formed as centre + variant, exactly as
+    ``generate_grid`` forms them, so every factor, and every flush, is
+    bit-identical to ``oks_matrix`` on the stacked joints.
+    """
+    gt_joints = np.asarray(gt_joints, dtype=float).reshape(-1, NUM_JOINTS, 2)
+    widths, visible = _oks_widths(gt_scales, gt_visibility, params)
+    # Invisible joints get a harmless coordinate and width and a weight of 0,
+    # so their arbitrary (possibly non-finite) input never reaches the matmul.
+    gt = np.where(visible[..., None], gt_joints, 0.0)[:, None, :, :, None]   # (G, 1, 17, 2, 1)
+    widths = np.where(visible, widths, 1.0)[:, None, :, None]                 # (G, 1, 17, 1)
+    weights = (visible / visible.sum(axis=1, keepdims=True))[:, None, :, None]
+    blocks = []
+    for level in levels:
+        xs = axis_centers(level.cols, level.stride)
+        ys = axis_centers(level.rows, level.stride)
+        ex = _flushed_exp(xs + level.variants[:, :, 0, None] - gt[..., 0, :], widths)
+        ey = _flushed_exp(ys + level.variants[:, :, 1, None] - gt[..., 1, :], widths)
+        ey *= weights
+        scores = np.matmul(ey.transpose(0, 1, 3, 2), ex)                     # (G, K, rows, cols)
+        blocks.append(scores.transpose(2, 3, 1, 0).reshape(-1, len(gt_joints)))
+    return np.concatenate(blocks)
 
 
 LABEL_IGNORE = -1

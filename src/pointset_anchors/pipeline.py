@@ -28,7 +28,6 @@ from .anchors import (
 )
 from .assignment import (
     DEFAULT_OKS_PARAMS,
-    EXP_FLUSH,
     SCALE_FROM_SEGMENT_AREA,
     SIMILARITY_IOU,
     SIMILARITY_OKS,
@@ -36,6 +35,7 @@ from .assignment import (
     OksParams,
     assign_arrays,
     assign_from_similarity,
+    oks_lattice,
     threshold_preset,
 )
 from .datasets import InstanceRecord
@@ -160,43 +160,7 @@ def _image_similarity(grid: AnchorGrid, gts: list[InstanceRecord], task: str,
     joints = np.asarray([g.keypoints[:, :2] for g in gts])
     vis = np.asarray([g.keypoints[:, 2] for g in gts])
     scales = np.asarray([_gt_scale(g, oks_params) for g in gts])
-    # Same flush rule as oks_matrix, with two batching tricks: anchors whose
-    # joints provably sit past the flush cutoff are skipped via the grid's
-    # cached extents, and the squared distances expand as |c|^2 - 2 c.g + |g|^2
-    # against cached |c|^2 so no per-pair difference array is built. The
-    # expansion matches the direct form to ~1e-12; skipped anchors score an
-    # exact zero on both paths.
-    stacked = grid.joint_stack()
-    sqnorms = grid.joint_square_norms()
-    centroids, radii = grid.joint_extents()
-    kappas2 = oks_params.kappas ** 2
-    sim = np.zeros((grid.num_anchors, len(gts)))
-    for g in range(len(gts)):
-        visible = vis[g] > 0
-        gt_vis = joints[g, visible]
-        gt_center = gt_vis.mean(axis=0)
-        gt_radius = np.sqrt(((gt_vis - gt_center) ** 2).sum(axis=1)).max()
-        gap = np.linalg.norm(centroids - gt_center, axis=1) - radii - gt_radius
-        gap = np.maximum(gap, 0.0)
-        cutoff2 = EXP_FLUSH * 2.0 * scales[g] * kappas2[visible].max()
-        near = np.flatnonzero(gap * gap <= cutoff2)
-        if len(near) == 0:
-            continue
-        if len(near) > grid.num_anchors // 2:
-            cand, cand_sq = stacked, sqnorms
-        else:
-            cand, cand_sq = stacked[near], sqnorms[near]
-        dots = np.einsum("ajx,jx->aj", cand, joints[g])
-        d2 = cand_sq - 2.0 * dots + (joints[g] ** 2).sum(axis=1)
-        z = np.maximum(d2, 0.0) / (2.0 * scales[g] * kappas2)
-        terms = np.where(z > EXP_FLUSH, 0.0, np.exp(-z))
-        weights = np.where(visible, 1.0 / len(gt_vis), 0.0)
-        scores = terms @ weights
-        if cand is stacked:
-            sim[near, g] = scores[near]
-        else:
-            sim[near, g] = scores
-    return sim
+    return oks_lattice(grid.levels, joints, vis, scales, oks_params)
 
 
 def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) -> dict:

@@ -8,6 +8,8 @@ obvious.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -108,3 +110,42 @@ def brute_nms(boxes, scores, classes, iou_threshold: float,
         if ok:
             kept.append(i)
     return kept
+
+
+def brute_oks_grid(grid, gt_joints, gt_visibility, gt_scales, kappas,
+                   flush: float) -> np.ndarray:
+    """OKS of every anchor of a pose grid against every gt, one pair at a time.
+
+    Rows follow ``grid.iter_anchors()``. A visible joint scores
+    f(dx^2, d) * f(dy^2, d) with d = 2 * scale * kappa^2 and the per-axis
+    flush f(s, d) = 0 if s / d > flush else exp(-s / d); the OKS is the mean
+    over visible joints. The width is grouped as (2 * scale) * (kappa^2), as
+    the library groups it, so flush decisions at the edge land identically.
+    """
+    gts = list(zip(np.asarray(gt_joints, dtype=float).tolist(),
+                   np.asarray(gt_visibility).tolist(),
+                   np.asarray(gt_scales, dtype=float).tolist()))
+    kappas = np.asarray(kappas, dtype=float).tolist()
+
+    def f(s, d):
+        z = s / d
+        return 0.0 if z > flush else math.exp(-z)
+
+    rows = []
+    for _, _, _, _, anchor in grid.iter_anchors():
+        row = []
+        for joints, visibility, scale in gts:
+            total = 0.0
+            count = 0
+            for (ax, ay), (gx, gy), v, kappa in zip(anchor.joints.tolist(), joints,
+                                                    visibility, kappas):
+                if v <= 0:
+                    continue
+                d = 2.0 * scale * (kappa * kappa)
+                dx = ax - gx
+                dy = ay - gy
+                total += f(dx * dx, d) * f(dy * dy, d)
+                count += 1
+            row.append(total / count)
+        rows.append(row)
+    return np.asarray(rows).reshape(-1, len(gts))

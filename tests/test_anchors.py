@@ -212,17 +212,19 @@ class TestPoseGrid:
         assert REFINED_MODE_ID == -1
         assert (grid.levels[0].slot_modes >= 0).all()
 
-    def test_joint_stack_and_extents_consistent(self):
+    def test_joint_stack_is_centre_plus_variant(self):
         config = PyramidConfig(levels=((8.0, 32.0), (16.0, 64.0)))
-        grid = generate_grid(config, (32, 32), POSE_MODE, self._modes(2))
+        grid = generate_grid(config, (32, 40), POSE_MODE, self._modes(2))
         stacked = grid.joint_stack()
         assert stacked.shape == (grid.num_anchors, NUM_JOINTS, 2)
-        centroids, radii = grid.joint_extents()
-        assert np.allclose(centroids, stacked.mean(axis=1), atol=0.0)
-        dist = np.sqrt(((stacked - centroids[:, None, :]) ** 2).sum(axis=2))
-        assert np.allclose(radii, dist.max(axis=1), atol=0.0)
-        sqnorms = grid.joint_square_norms()
-        assert np.array_equal(sqnorms, (stacked ** 2).sum(axis=2))
+        by_level = {level.level: level for level in grid.levels}
+        for a, (lvl, row, col, slot, _) in enumerate(grid.iter_anchors()):
+            level = by_level[lvl]
+            assert level.variants.shape == (level.anchors_per_location, NUM_JOINTS, 2)
+            centre = np.asarray(level.location_center(row, col))
+            assert np.array_equal(stacked[a], centre + level.variants[slot])
+        for level in grid.levels:
+            assert np.allclose(level.variants.mean(axis=1), 0.0, atol=1e-12)
 
     def test_mode_stack_guards(self):
         mask_grid = generate_grid(PyramidConfig(levels=((8.0, 32.0),)), (8, 8), MASK_MODE)

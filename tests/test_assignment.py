@@ -91,6 +91,12 @@ class TestOks:
         with pytest.raises(NonPositiveScaleError):
             oks(gt, gt, visibility, gt_scale=0.0)
 
+    def test_underflowing_scale_rejected(self):
+        # 1e-323 passes a plain > 0 check, but 2 * scale * kappa^2 underflows to 0
+        gt, visibility, _ = _single_joint_case()
+        with pytest.raises(NonPositiveScaleError):
+            oks(gt, gt, visibility, gt_scale=1e-323)
+
     @given(
         offsets=hnp.arrays(
             float, (NUM_JOINTS, 2),
@@ -127,6 +133,11 @@ class TestOksMatrix:
         gt = np.zeros((1, NUM_JOINTS, 2))
         with pytest.raises(NoVisibleJointsError):
             oks_matrix(gt, gt, np.zeros((1, NUM_JOINTS)), [10.0])
+
+    def test_underflowing_scale_rejected(self):
+        gt, visibility, _ = _single_joint_case()
+        with pytest.raises(NonPositiveScaleError):
+            oks_matrix(gt[None], gt[None], visibility[None], [1e-323])
 
 
 class TestKappas:

@@ -1,26 +1,45 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from pointset_anchors.anchors import POSE_MODE, PyramidConfig, generate_grid
+from oracles import brute_oks_grid
+from pointset_anchors.anchors import (
+    NUM_JOINTS,
+    POSE_MODE,
+    POSE_ROTATIONS_FIVE,
+    POSE_SCALES_FIVE,
+    PyramidConfig,
+    generate_grid,
+)
 from pointset_anchors.assignment import (
+    EXP_FLUSH,
     OksParams,
     SIMILARITY_IOU,
     SIMILARITY_OKS,
+    oks,
     oks_matrix,
 )
+from pointset_anchors.datasets import InstanceRecord
 from pointset_anchors.errors import (
     MissingCanonicalPosesError,
     NoApplicableRecordsError,
+    NonPositiveScaleError,
     PointSetError,
 )
+from pointset_anchors.geometry import Box
 from pointset_anchors.matching import NEAREST_POINT
 from pointset_anchors.pipeline import (
     CoverageConfig,
     TASK_MASK,
     TASK_POSE_TARGETS,
     TargetConfig,
+    _gt_scale,
+    _image_similarity,
     coverage_report,
     coverage_to_dict,
     emit_targets,
@@ -62,6 +81,57 @@ def _modes(records):
         np.stack([(r.keypoints[:, :2] - r.keypoints[:, :2].mean(axis=0))
                   / max(r.bbox.width, r.bbox.height) for r in records])
     )[None]
+
+
+def _single_anchor_grid():
+    config = PyramidConfig(levels=((8.0, 32.0),), pose_scales=(1.0,), pose_rotations=(0.0,))
+    modes = np.random.default_rng(5).uniform(-0.5, 0.5, (1, NUM_JOINTS, 2))
+    return generate_grid(config, (8, 8), POSE_MODE, modes)
+
+
+def _pose_record(joints, visibility, scale, image_size=(8, 8)):
+    """A pose gt whose bbox area, and so OKS scale, is exactly ``scale``."""
+    keypoints = np.column_stack([joints, visibility]).astype(float)
+    return InstanceRecord(0, image_size, 1, Box(0.0, 0.0, scale, 1.0), keypoints=keypoints)
+
+
+@st.composite
+def _pose_grid_cases(draw):
+    """A small pose grid of 1-2 levels plus 1-3 gts, partly outside the image.
+
+    Invisible joints carry NaN coordinates. About half the gts take a scale
+    that puts one axis factor of one anchor joint at the flush edge, give or
+    take a couple of ulps.
+    """
+    levels = ((8.0, draw(st.floats(16.0, 48.0))), (16.0, draw(st.floats(32.0, 96.0))))
+    scales = st.lists(st.sampled_from(POSE_SCALES_FIVE), min_size=1, max_size=2, unique=True)
+    rotations = st.lists(st.sampled_from(POSE_ROTATIONS_FIVE), min_size=1, max_size=2, unique=True)
+    config = PyramidConfig(levels=levels[:draw(st.integers(1, 2))],
+                           pose_scales=draw(scales), pose_rotations=draw(rotations))
+    modes = draw(hnp.arrays(float, (draw(st.integers(1, 2)), NUM_JOINTS, 2),
+                            elements=st.floats(-0.5, 0.5)))
+    size = (draw(st.integers(8, 40)), draw(st.integers(8, 40)))
+    grid = generate_grid(config, size, POSE_MODE, modes)
+    stacked = grid.joint_stack()
+    kappas = OksParams().kappas
+    records = []
+    for _ in range(draw(st.integers(1, 3))):
+        joints = draw(hnp.arrays(float, (NUM_JOINTS, 2), elements=st.floats(-20.0, 60.0)))
+        visibility = draw(hnp.arrays(int, NUM_JOINTS, elements=st.sampled_from([0, 0, 1, 2])))
+        j = draw(st.integers(0, NUM_JOINTS - 1))
+        visibility[j] = 2
+        joints[visibility == 0] = np.nan
+        scale = draw(st.floats(1.0, 3000.0))
+        if draw(st.booleans()):
+            a, axis = draw(st.integers(0, len(stacked) - 1)), draw(st.integers(0, 1))
+            gap = stacked[a, j, axis] - joints[j, axis]
+            edge = gap * gap / (EXP_FLUSH * 2.0 * kappas[j] ** 2)
+            for _ in range(draw(st.integers(0, 2))):
+                edge = np.nextafter(edge, draw(st.sampled_from([0.0, np.inf])))
+            if np.isfinite(edge) and edge > 0.0:
+                scale = float(edge)
+        records.append(_pose_record(joints, visibility, scale, size))
+    return grid, records
 
 
 class TestTargetConfig:
@@ -173,10 +243,8 @@ class TestEmitTargets:
 
 class TestImageSimilarityRoutes:
     def test_pose_route_matches_plain_oks_matrix(self):
-        # the batched route (extent gating + norm expansion) must agree with
-        # the direct per-pair form, and flush to zero at exactly the same spots
-        from pointset_anchors.pipeline import _gt_scale, _image_similarity
-
+        # the lattice route (per-axis factors, one batched matmul) must agree
+        # with the direct per-pair form, and flush to zero at exactly the same spots
         records = _pose_corpus(count=10, seed=21, truncation=0.4, jitter=2.0)
         grid = generate_grid(SMALL_PYRAMID, (256, 256), POSE_MODE, _modes(records))
         params = OksParams()
@@ -192,6 +260,56 @@ class TestImageSimilarityRoutes:
         assert sim.shape == direct.shape
         assert np.allclose(sim, direct, atol=1e-12)
         assert np.array_equal(sim == 0.0, direct == 0.0)
+
+    @given(case=_pose_grid_cases())
+    def test_pose_route_matches_brute_force_oracle(self, case):
+        grid, records = case
+        params = OksParams()
+        sim = _image_similarity(grid, records, TASK_POSE_TARGETS, params)
+        expected = brute_oks_grid(
+            grid,
+            [r.keypoints[:, :2] for r in records],
+            [r.keypoints[:, 2] for r in records],
+            [_gt_scale(r, params) for r in records],
+            params.kappas,
+            EXP_FLUSH,
+        )
+        assert sim.shape == expected.shape
+        assert np.abs(sim - expected).max() <= 1e-12
+        assert np.array_equal(sim == 0.0, expected == 0.0)
+
+    def test_diagonal_offset_scores_past_the_summed_cutoff(self):
+        # one joint off by zx = zy = 30 on each axis: 60 > EXP_FLUSH in sum,
+        # but each axis factor is below the cutoff, so every path scores
+        # exp(-60) / n_vis; the other two visible joints are flushed
+        grid = _single_anchor_grid()
+        anchor = grid.joint_stack()[0]
+        params = OksParams()
+        scale = 100.0
+        offset = math.sqrt(30.0 * 2.0 * scale * params.kappas[0] ** 2)
+        gt = anchor.copy()
+        gt[0] += offset
+        gt[1:3] += 1e3
+        visibility = np.zeros(NUM_JOINTS)
+        visibility[:3] = 2
+        record = _pose_record(gt, visibility, scale)
+        expected = math.exp(-60.0) / 3
+        values = (
+            oks(anchor, gt, visibility, scale, params),
+            oks_matrix(anchor[None], gt[None], visibility[None], [scale], params)[0, 0],
+            _image_similarity(grid, [record], TASK_POSE_TARGETS, params)[0, 0],
+        )
+        for value in values:
+            assert value > 0.0
+            assert value == pytest.approx(expected, rel=1e-9)
+
+    def test_underflowing_scale_rejected(self):
+        # 2 * 1e-323 * kappa^2 underflows to 0: a named error, not 0 / 0
+        grid = _single_anchor_grid()
+        anchor = grid.joint_stack()[0]
+        record = _pose_record(anchor, np.full(NUM_JOINTS, 2.0), 1e-323)
+        with pytest.raises(NonPositiveScaleError):
+            _image_similarity(grid, [record], TASK_POSE_TARGETS, OksParams())
 
 
 class TestCoverageReport:
