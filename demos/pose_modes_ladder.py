@@ -48,7 +48,7 @@ ladder = [
     CoverageConfig("mean-pose", pyramid, "pose", mean.modes),
     CoverageConfig("kmeans-3", pyramid, "pose", modes.modes),
 ]
-reports = coverage_report(records, ladder, similarity="oks", threshold=0.5)
+reports = coverage_report(records, ladder, threshold=0.5)
 print()
 print(render_coverage_table(reports))
 

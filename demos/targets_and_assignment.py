@@ -16,7 +16,8 @@ import numpy as np
 from pointset_anchors import (
     PyramidConfig,
     TargetConfig,
-    assign,
+    assign_arrays,
+    box_iou_matrix,
     emit_targets,
     generate_grid,
     generate_synthetic_corpus,
@@ -33,17 +34,18 @@ grid = generate_grid(pyramid, (256, 256), mode="mask")
 
 hi, lo = threshold_preset("detection")
 first = [r for r in records if r.image_id == records[0].image_id]
-labels = assign(grid.box_stack(), [r.bbox for r in first],
-                hi=hi, lo=lo, force_nearest=True)
+# One row per anchor, one column per gt: the IoU of the anchor's implicit box.
+sim = box_iou_matrix(grid.box_stack(), np.asarray([r.bbox.as_array() for r in first]))
+labels, matched, best = assign_arrays(sim, hi=hi, lo=lo, force_nearest=True)
 print(f"\nimage {first[0].image_id}: {grid.num_anchors} anchors vs "
       f"{len(first)} gt at hi={hi} lo={lo}")
-print("  positives:", sum(a.is_positive for a in labels),
-      " negatives:", sum(a.is_negative for a in labels),
-      " ignored:", sum(a.is_ignore for a in labels))
+print("  positives:", np.count_nonzero(labels > 0),
+      " negatives:", np.count_nonzero(labels == 0),
+      " ignored:", np.count_nonzero(labels < 0))
 
 # force_nearest guarantees every gt owns at least its best anchor, so no
 # instance is silently dropped even when nothing clears hi.
-claimed = {a.matched_gt for a in labels if a.is_positive}
+claimed = set(matched[labels > 0].tolist())
 assert claimed == set(range(len(first)))
 
 # --- the file format ---------------------------------------------------------

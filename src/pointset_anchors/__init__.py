@@ -37,16 +37,12 @@ from .assignment import (
     SIMILARITY_IOU,
     SIMILARITY_OKS,
     THRESHOLD_PRESETS,
-    LabelAssignment,
     OksParams,
-    assign,
     assign_arrays,
-    assign_from_similarity,
     oks,
     oks_lattice,
     oks_matrix,
     refine_pose_anchors,
-    similarity_matrix,
     threshold_preset,
 )
 from .codec import (

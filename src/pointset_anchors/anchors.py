@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -139,9 +139,6 @@ class PoseAnchor:
     def centroid(self) -> Point2:
         c = self.joints.mean(axis=0)
         return Point2(float(c[0]), float(c[1]))
-
-
-PointSetAnchor = Union[MaskAnchor, PoseAnchor]
 
 
 @dataclass(frozen=True)
@@ -283,23 +280,20 @@ class MaskLevelGrid:
         points, corners = sample_box_perimeter(box, self.num_points)
         return MaskAnchor(self.location_center(row, col), box, points, corners)
 
-    def iter_anchors(self) -> Iterator[tuple[int, int, int, MaskAnchor]]:
-        for row in range(self.rows):
-            for col in range(self.cols):
-                for slot in range(self.anchors_per_location):
-                    yield row, col, slot, self.anchor(row, col, slot)
-
 
 @dataclass(frozen=True, eq=False)
 class PoseLevelGrid:
-    """Pose anchors of one pyramid level, stacked in (row, col, slot) order."""
+    """Pose anchors of one pyramid level, stacked in (row, col, slot) order.
+
+    The level keeps only its per-slot variants: anchor (row, col, slot) has
+    joints location_center(row, col) + variants[slot].
+    """
 
     level: int
     stride: float
     base_scale: float
     rows: int
     cols: int
-    joints: np.ndarray           # (rows * cols * slots, 17, 2)
     variants: np.ndarray         # (slots, 17, 2), joint centroid at the origin
     slot_modes: np.ndarray       # (slots,)
     slot_scales: np.ndarray      # (slots,)
@@ -311,26 +305,18 @@ class PoseLevelGrid:
 
     @property
     def num_anchors(self) -> int:
-        return len(self.joints)
+        return self.rows * self.cols * self.anchors_per_location
 
     def location_center(self, row: int, col: int) -> Point2:
         return Point2((col + 0.5) * self.stride, (row + 0.5) * self.stride)
 
     def anchor(self, row: int, col: int, slot: int) -> PoseAnchor:
-        k = self.anchors_per_location
-        idx = (row * self.cols + col) * k + slot
         return PoseAnchor(
-            self.joints[idx],
+            np.asarray(self.location_center(row, col)) + self.variants[slot],
             mode_id=int(self.slot_modes[slot]),
             scale=float(self.slot_scales[slot]),
             rotation=float(self.slot_rotations[slot]),
         )
-
-    def iter_anchors(self) -> Iterator[tuple[int, int, int, PoseAnchor]]:
-        for row in range(self.rows):
-            for col in range(self.cols):
-                for slot in range(self.anchors_per_location):
-                    yield row, col, slot, self.anchor(row, col, slot)
 
 
 LevelGrid = Union[MaskLevelGrid, PoseLevelGrid]
@@ -360,15 +346,18 @@ class AnchorGrid:
         return cached
 
     def joint_stack(self) -> np.ndarray:
-        """All pose joints, (num_anchors, 17, 2), in (level, row, col, slot) order."""
+        """All pose joints, (num_anchors, 17, 2), in (level, row, col, slot) order.
+
+        Formed on each call as location centre + variants[slot], as
+        ``PoseLevelGrid.anchor`` forms one anchor's joints.
+        """
         if self.mode != POSE_MODE:
             raise PointSetError("joint_stack is defined for pose grids")
-        cached = self.__dict__.get("_joint_stack")
-        if cached is None:
-            cached = np.concatenate([level.joints for level in self.levels], axis=0)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_joint_stack", cached)
-        return cached
+        return np.concatenate([
+            (_location_centers(level.rows, level.cols, level.stride)[:, None, None, :]
+             + level.variants).reshape(-1, NUM_JOINTS, 2)
+            for level in self.levels
+        ])
 
     def index_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(level, row, col, slot) per stacked anchor, aligned with the stacks."""
@@ -382,11 +371,6 @@ class AnchorGrid:
             cols.append(loc % level.cols)
             slots.append(np.arange(n) % k)
         return tuple(np.concatenate(part) for part in (levels, rows, cols, slots))
-
-    def iter_anchors(self) -> Iterator[tuple[int, int, int, int, PointSetAnchor]]:
-        for level in self.levels:
-            for row, col, slot, anchor in level.iter_anchors():
-                yield level.level, row, col, slot, anchor
 
 
 def _mask_level(config: PyramidConfig, level: int, image_size) -> MaskLevelGrid:
@@ -432,12 +416,10 @@ def _pose_variants(config: PyramidConfig, base_scale: float, modes: np.ndarray):
 def _pose_level(config: PyramidConfig, level: int, image_size, modes: np.ndarray) -> PoseLevelGrid:
     stride, base_scale = config.levels[level]
     rows, cols = _feature_shape(image_size, stride)
-    centers = _location_centers(rows, cols, stride)
     variants, slot_modes, slot_scales, slot_rotations = _pose_variants(config, base_scale, modes)
-    joints = (centers[:, None, None, :] + variants[None, :, :, :]).reshape(-1, NUM_JOINTS, 2)
     return PoseLevelGrid(
         level=level, stride=stride, base_scale=base_scale, rows=rows, cols=cols,
-        joints=joints, variants=variants, slot_modes=slot_modes, slot_scales=slot_scales,
+        variants=variants, slot_modes=slot_modes, slot_scales=slot_scales,
         slot_rotations=slot_rotations,
     )
 

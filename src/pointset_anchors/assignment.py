@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anchors import NUM_JOINTS, REFINED_MODE_ID, MaskAnchor, PoseAnchor, axis_centers
+from .anchors import NUM_JOINTS, REFINED_MODE_ID, PoseAnchor, axis_centers
 from .errors import (
     BadThresholdsError,
     JointCountMismatchError,
@@ -28,7 +28,6 @@ from .errors import (
     NoVisibleJointsError,
     PointSetError,
 )
-from .geometry import box_iou_matrix
 
 # Per-joint falloff widths kappa, index-aligned with the canonical 17-joint
 # order (nose, eyes, ears, shoulders, elbows, wrists, hips, knees, ankles).
@@ -208,38 +207,17 @@ LABEL_IGNORE = -1
 LABEL_NEGATIVE = 0
 
 
-@dataclass(frozen=True)
-class LabelAssignment:
-    """Outcome for one anchor: class label, matched gt index, similarity.
-
-    ``label`` is 0 for negative, -1 for ignore, or the positive class id;
-    ``matched_gt`` indexes the gt list for positives and is None otherwise.
-    """
-
-    label: int
-    matched_gt: int | None
-    similarity: float
-
-    @property
-    def is_positive(self) -> bool:
-        return self.label > 0
-
-    @property
-    def is_negative(self) -> bool:
-        return self.label == LABEL_NEGATIVE
-
-    @property
-    def is_ignore(self) -> bool:
-        return self.label == LABEL_IGNORE
-
-
 def assign_arrays(similarity, hi: float, lo: float, force_nearest: bool = False,
                   gt_class_ids=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array form of the assigner: (labels, matched_gt, best_similarity).
+    """Assign labels from an (anchors, gts) similarity matrix: (labels, matched_gt, best).
 
     ``labels`` holds 0 for negative, -1 for ignore, else the positive class
-    id; ``matched_gt`` holds the claimed gt index or -1. Kept free of
-    per-anchor objects so dense grids assign in bulk.
+    id; ``matched_gt`` holds the claimed gt index or -1; ``best`` is the
+    similarity to the claimed gt, or the best one for an unclaimed anchor.
+    Each anchor takes the gt with the highest similarity when several
+    qualify. With ``force_nearest``, each gt claims its argmax anchor even
+    below ``hi``; a contested anchor keeps the gt with the higher
+    similarity. With no gts (an (A, 0) matrix) every anchor is negative.
     """
     if not (0.0 <= lo <= hi <= 1.0):
         raise BadThresholdsError(f"thresholds must satisfy 0 <= lo <= hi <= 1, got lo={lo} hi={hi}")
@@ -275,61 +253,6 @@ def assign_arrays(similarity, hi: float, lo: float, force_nearest: bool = False,
     labels = np.where(matched >= 0, gt_class_ids[matched], LABEL_NEGATIVE)
     labels[(matched < 0) & (best >= lo)] = LABEL_IGNORE
     return labels, matched, best
-
-
-def assign_from_similarity(similarity, hi: float, lo: float,
-                           force_nearest: bool = False,
-                           gt_class_ids=None) -> list[LabelAssignment]:
-    """Assign labels from a precomputed (num_anchors, num_gts) similarity matrix.
-
-    Each anchor takes the gt with the highest similarity when several qualify.
-    With ``force_nearest``, each gt claims its argmax anchor even below ``hi``;
-    a contested anchor keeps the gt with the higher similarity.
-    """
-    labels, matched, best = assign_arrays(similarity, hi, lo, force_nearest,
-                                          gt_class_ids)
-    return [
-        LabelAssignment(int(label), int(m) if m >= 0 else None, float(b))
-        for label, m, b in zip(labels, matched, best)
-    ]
-
-
-def similarity_matrix(anchors, gts, similarity: str = SIMILARITY_IOU,
-                      oks_params: OksParams = DEFAULT_OKS_PARAMS) -> np.ndarray:
-    """Build the anchor-by-gt similarity matrix for ``assign``.
-
-    For IoU, ``anchors`` are MaskAnchors (or an (A, 4) box array) and ``gts``
-    are Boxes (or a (G, 4) array). For OKS, ``anchors`` are PoseAnchors (or an
-    (A, 17, 2) array) and ``gts`` are (joints, visibility, scale) triples.
-    """
-    if similarity == SIMILARITY_IOU:
-        boxes_a = np.asarray(
-            [a.implicit_box.as_array() if isinstance(a, MaskAnchor) else np.asarray(a, float)
-             for a in anchors]
-        ).reshape(-1, 4)
-        boxes_g = np.asarray(
-            [g.as_array() if hasattr(g, "as_array") else np.asarray(g, float) for g in gts]
-        ).reshape(-1, 4)
-        return box_iou_matrix(boxes_a, boxes_g)
-    if similarity == SIMILARITY_OKS:
-        joints_a = np.asarray(
-            [a.joints if isinstance(a, PoseAnchor) else np.asarray(a, float) for a in anchors]
-        ).reshape(-1, NUM_JOINTS, 2)
-        gt_joints = np.asarray([np.asarray(j, float) for j, _, _ in gts])
-        gt_vis = np.asarray([np.asarray(v) for _, v, _ in gts])
-        gt_scales = np.asarray([float(s) for _, _, s in gts])
-        return oks_matrix(joints_a, gt_joints, gt_vis, gt_scales, oks_params)
-    raise PointSetError(f"unknown similarity {similarity!r}")
-
-
-def assign(anchors, gts, hi: float, lo: float, force_nearest: bool = False,
-           similarity: str = SIMILARITY_IOU, gt_class_ids=None,
-           oks_params: OksParams = DEFAULT_OKS_PARAMS) -> list[LabelAssignment]:
-    """Assign every anchor a positive/negative/ignore label against the gts."""
-    if len(gts) == 0:
-        return [LabelAssignment(LABEL_NEGATIVE, None, 0.0)] * len(anchors)
-    sim = similarity_matrix(anchors, gts, similarity, oks_params)
-    return assign_from_similarity(sim, hi, lo, force_nearest, gt_class_ids)
 
 
 def refine_pose_anchors(stage1_predictions) -> list[PoseAnchor]:

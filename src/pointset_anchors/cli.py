@@ -164,8 +164,7 @@ def _cmd_coverage(args) -> int:
         if args.config:
             pyramid = TargetConfig.from_file(args.config).pyramid
         configs = [CoverageConfig("mask-anchors", pyramid, TASK_MASK)]
-    reports = coverage_report(result.records, configs, similarity=args.similarity,
-                              threshold=args.threshold)
+    reports = coverage_report(result.records, configs, threshold=args.threshold)
     Path(args.out).write_text(json.dumps(coverage_to_dict(reports), sort_keys=True) + "\n")
     print(render_coverage_table(reports), end="")
     return 0

@@ -28,13 +28,13 @@ from .anchors import (
 )
 from .assignment import (
     DEFAULT_OKS_PARAMS,
+    LABEL_IGNORE,
+    LABEL_NEGATIVE,
     SCALE_FROM_SEGMENT_AREA,
     SIMILARITY_IOU,
     SIMILARITY_OKS,
-    LabelAssignment,
     OksParams,
     assign_arrays,
-    assign_from_similarity,
     oks_lattice,
     threshold_preset,
 )
@@ -152,6 +152,13 @@ def _pose_eligible(records) -> list[InstanceRecord]:
     ]
 
 
+def _task_grids(task: str, pyramid: PyramidConfig, canonical_poses=None):
+    """(grid cache, gt eligibility filter) for a task."""
+    if task == TASK_POSE_TARGETS:
+        return _GridCache(pyramid, POSE_MODE, canonical_poses), _pose_eligible
+    return _GridCache(pyramid, MASK_MODE), _mask_eligible
+
+
 def _image_similarity(grid: AnchorGrid, gts: list[InstanceRecord], task: str,
                       oks_params: OksParams) -> np.ndarray:
     if task == TASK_MASK:
@@ -174,14 +181,9 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
 
     Returns a summary dict with anchor/label counts.
     """
-    if config.task == TASK_POSE_TARGETS:
-        if canonical_poses is None:
-            raise MissingCanonicalPosesError("pose target emission needs canonical_poses")
-        cache = _GridCache(config.pyramid, POSE_MODE, canonical_poses)
-        eligible = _pose_eligible
-    else:
-        cache = _GridCache(config.pyramid, MASK_MODE)
-        eligible = _mask_eligible
+    if config.task == TASK_POSE_TARGETS and canonical_poses is None:
+        raise MissingCanonicalPosesError("pose target emission needs canonical_poses")
+    cache, eligible = _task_grids(config.task, config.pyramid, canonical_poses)
 
     grouped = _group_by_image(records)
     summary = {"images": len(grouped), "anchors": 0, "positives": 0,
@@ -212,33 +214,35 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
             grid = cache.get(image_records[0].image_size)
             if gts:
                 sim = _image_similarity(grid, gts, config.task, config.oks_params)
-                labels = assign_from_similarity(
-                    sim, config.hi, config.lo, config.force_nearest,
-                    np.asarray([g.class_id for g in gts]),
-                )
             else:
-                labels = [LabelAssignment(0, None, 0.0)] * grid.num_anchors
+                sim = np.empty((grid.num_anchors, 0))
+            labels, matched, best = assign_arrays(
+                sim, config.hi, config.lo, config.force_nearest, [g.class_id for g in gts],
+            )
+            summary["positives"] += int(np.count_nonzero(labels > 0))
+            summary["negatives"] += int(np.count_nonzero(labels == LABEL_NEGATIVE))
+            summary["ignores"] += int(np.count_nonzero(labels == LABEL_IGNORE))
 
-            level_ids, rows, cols, slots = grid.index_columns()
             level_by_id = {level.level: level for level in grid.levels}
-            for a in range(grid.num_anchors):
-                assignment = labels[a]
+            columns = (*grid.index_columns(), labels, matched, best)
+            for level_id, row, col, slot, label, gt_index, similarity in zip(
+                    *(column.tolist() for column in columns)):
                 line = {
                     "image": image_id,
-                    "level": int(level_ids[a]),
-                    "row": int(rows[a]),
-                    "col": int(cols[a]),
-                    "slot": int(slots[a]),
-                    "label": assignment.label,
-                    "gt": assignment.matched_gt,
-                    "sim": assignment.similarity,
+                    "level": level_id,
+                    "row": row,
+                    "col": col,
+                    "slot": slot,
+                    "label": label,
+                    "gt": gt_index if gt_index >= 0 else None,
+                    "sim": similarity,
                     "valid": None,
                     "offsets": None,
                 }
-                if assignment.is_positive:
-                    level = level_by_id[int(level_ids[a])]
-                    gt = gts[assignment.matched_gt]
-                    anchor = level.anchor(int(rows[a]), int(cols[a]), int(slots[a]))
+                if label > 0:
+                    level = level_by_id[level_id]
+                    gt = gts[gt_index]
+                    anchor = level.anchor(row, col, slot)
                     if config.task == TASK_MASK:
                         result = matching.match(anchor, gt.largest_contour(), config.strategy)
                     else:
@@ -246,11 +250,6 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
                     scaled = result.offsets / level.stride
                     line["valid"] = [int(v) for v in result.valid]
                     line["offsets"] = [[float(dx), float(dy)] for dx, dy in scaled]
-                    summary["positives"] += 1
-                elif assignment.is_negative:
-                    summary["negatives"] += 1
-                else:
-                    summary["ignores"] += 1
                 out.write(json.dumps(line, sort_keys=True) + "\n")
             summary["anchors"] += grid.num_anchors
             summary["lines"] += grid.num_anchors
@@ -285,6 +284,10 @@ class CoverageConfig:
         if self.task == TASK_POSE_TARGETS and self.canonical_poses is None:
             raise MissingCanonicalPosesError(f"config {self.name!r} needs canonical_poses")
 
+    @property
+    def similarity(self) -> str:
+        return SIMILARITY_IOU if self.task == TASK_MASK else SIMILARITY_OKS
+
 
 @dataclass(frozen=True)
 class CoverageReport:
@@ -305,31 +308,24 @@ class CoverageReport:
     histogram: tuple[int, ...]   # best similarity per gt, 10 uniform bins on [0, 1]
 
 
-def coverage_report(records, configs, similarity: str = SIMILARITY_OKS,
-                    threshold: float = 0.5, lo: float | None = None,
+def coverage_report(records, configs, threshold: float = 0.5, lo: float | None = None,
                     oks_params: OksParams = DEFAULT_OKS_PARAMS) -> list[CoverageReport]:
     """Measure gt coverage of each anchor configuration over a corpus.
 
-    A gt counts as matched when its best anchor similarity reaches
-    ``threshold``. Positive/negative counts come from the assigner with
-    hi=threshold and force_nearest on (every gt claims its best anchor).
+    A gt counts as matched when its best anchor similarity (IoU for a mask
+    configuration, OKS for a pose one) reaches ``threshold``.
+    Positive/negative counts come from the assigner with hi=threshold and
+    force_nearest on (every gt claims its best anchor).
     """
     if not 0.0 < threshold <= 1.0:
         raise PointSetError(f"threshold must be in (0, 1], got {threshold}")
     if lo is None:
         lo = min(0.4, threshold)
+    grouped = _group_by_image(records)
     reports = []
     for config in configs:
         task = config.task
-        eligible = _pose_eligible if task == TASK_POSE_TARGETS else _mask_eligible
-        if task == TASK_POSE_TARGETS:
-            cache = _GridCache(config.pyramid, POSE_MODE, config.canonical_poses)
-        else:
-            cache = _GridCache(config.pyramid, MASK_MODE)
-        if similarity == SIMILARITY_IOU and task == TASK_POSE_TARGETS:
-            raise PointSetError("IoU coverage needs a mask-task configuration")
-
-        grouped = _group_by_image(records)
+        cache, eligible = _task_grids(task, config.pyramid, config.canonical_poses)
         best_sims: list[float] = []
         anchor_count = positive = negative = ignore = 0
         for image_id, image_records in grouped.items():
@@ -355,7 +351,7 @@ def coverage_report(records, configs, similarity: str = SIMILARITY_OKS,
         ratio = positive / negative if negative else float("inf")
         reports.append(CoverageReport(
             name=config.name,
-            similarity=similarity,
+            similarity=config.similarity,
             threshold=threshold,
             gt_count=len(best),
             matched_gt_count=matched,

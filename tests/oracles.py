@@ -116,7 +116,8 @@ def brute_oks_grid(grid, gt_joints, gt_visibility, gt_scales, kappas,
                    flush: float) -> np.ndarray:
     """OKS of every anchor of a pose grid against every gt, one pair at a time.
 
-    Rows follow ``grid.iter_anchors()``. A visible joint scores
+    Rows follow ``grid.index_columns()``, and each row's joints come from
+    ``level.anchor(row, col, slot)``. A visible joint scores
     f(dx^2, d) * f(dy^2, d) with d = 2 * scale * kappa^2 and the per-axis
     flush f(s, d) = 0 if s / d > flush else exp(-s / d); the OKS is the mean
     over visible joints. The width is grouped as (2 * scale) * (kappa^2), as
@@ -131,9 +132,11 @@ def brute_oks_grid(grid, gt_joints, gt_visibility, gt_scales, kappas,
         z = s / d
         return 0.0 if z > flush else math.exp(-z)
 
+    by_level = {level.level: level for level in grid.levels}
     rows = []
-    for _, _, _, _, anchor in grid.iter_anchors():
-        row = []
+    for lvl, row, col, slot in zip(*(column.tolist() for column in grid.index_columns())):
+        anchor = by_level[lvl].anchor(row, col, slot)
+        scores = []
         for joints, visibility, scale in gts:
             total = 0.0
             count = 0
@@ -146,6 +149,6 @@ def brute_oks_grid(grid, gt_joints, gt_visibility, gt_scales, kappas,
                 dy = ay - gy
                 total += f(dx * dx, d) * f(dy * dy, d)
                 count += 1
-            row.append(total / count)
-        rows.append(row)
+            scores.append(total / count)
+        rows.append(scores)
     return np.asarray(rows).reshape(-1, len(gts))

@@ -28,6 +28,15 @@ from pointset_anchors.errors import (
 from pointset_anchors.geometry import Box, transform_points
 
 
+def _indexed_anchors(grid):
+    """(stack row, level grid, row, col, slot, anchor) per anchor, via index_columns."""
+    by_level = {level.level: level for level in grid.levels}
+    columns = zip(*(column.tolist() for column in grid.index_columns()))
+    for a, (lvl, row, col, slot) in enumerate(columns):
+        level = by_level[lvl]
+        yield a, level, row, col, slot, level.anchor(row, col, slot)
+
+
 class TestSampleBoxPerimeter:
     def test_n8_reference_points(self):
         points, corners = sample_box_perimeter(Box(0.0, 0.0, 4.0, 4.0), 8)
@@ -148,11 +157,9 @@ class TestMaskGrid:
         grid = generate_grid(config, (32, 32), MASK_MODE)
         stack = grid.box_stack()
         assert stack.shape == (grid.num_anchors, 4)
-        i = 0
-        for _, row, col, slot, anchor in grid.iter_anchors():
-            assert np.array_equal(stack[i], anchor.implicit_box.as_array())
-            i += 1
-        assert i == grid.num_anchors
+        for a, level, row, col, slot, anchor in _indexed_anchors(grid):
+            assert np.array_equal(stack[a], anchor.implicit_box.as_array())
+            assert anchor.center == level.location_center(row, col)
 
     def test_slot_enumerates_octaves_and_aspects(self):
         config = PyramidConfig(levels=((8.0, 32.0),))
@@ -217,12 +224,11 @@ class TestPoseGrid:
         grid = generate_grid(config, (32, 40), POSE_MODE, self._modes(2))
         stacked = grid.joint_stack()
         assert stacked.shape == (grid.num_anchors, NUM_JOINTS, 2)
-        by_level = {level.level: level for level in grid.levels}
-        for a, (lvl, row, col, slot, _) in enumerate(grid.iter_anchors()):
-            level = by_level[lvl]
+        for a, level, row, col, slot, anchor in _indexed_anchors(grid):
             assert level.variants.shape == (level.anchors_per_location, NUM_JOINTS, 2)
-            centre = np.asarray(level.location_center(row, col))
-            assert np.array_equal(stacked[a], centre + level.variants[slot])
+            expected = np.asarray(level.location_center(row, col)) + level.variants[slot]
+            assert np.array_equal(stacked[a], expected)
+            assert np.array_equal(anchor.joints, expected)
         for level in grid.levels:
             assert np.allclose(level.variants.mean(axis=1), 0.0, atol=1e-12)
 
@@ -238,10 +244,20 @@ class TestPoseGrid:
 
 class TestIndexColumns:
     def test_alignment_with_iteration(self):
+        # stack row a is (level, row, col, slot) in nested loop order, and
+        # level.anchor() resolves every one of them
         config = PyramidConfig(levels=((8.0, 32.0), (16.0, 64.0)))
-        grid = generate_grid(config, (32, 32), MASK_MODE)
-        levels, rows, cols, slots = grid.index_columns()
-        seen = list(grid.iter_anchors())
-        assert len(seen) == len(levels) == grid.num_anchors
-        for i, (lvl, row, col, slot, _) in enumerate(seen):
-            assert (levels[i], rows[i], cols[i], slots[i]) == (lvl, row, col, slot)
+        modes = np.random.default_rng(7).uniform(-0.5, 0.5, (2, NUM_JOINTS, 2))
+        for grid in (generate_grid(config, (32, 24), MASK_MODE),
+                     generate_grid(config, (32, 24), POSE_MODE, modes)):
+            expected = [
+                (level.level, row, col, slot)
+                for level in grid.levels
+                for row in range(level.rows)
+                for col in range(level.cols)
+                for slot in range(level.anchors_per_location)
+            ]
+            seen = [(level.level, row, col, slot)
+                    for _, level, row, col, slot, _ in _indexed_anchors(grid)]
+            assert len(seen) == grid.num_anchors
+            assert seen == expected

@@ -13,11 +13,8 @@ from pointset_anchors.assignment import (
     EXP_FLUSH,
     LABEL_IGNORE,
     LABEL_NEGATIVE,
-    LabelAssignment,
     OksParams,
-    assign,
     assign_arrays,
-    assign_from_similarity,
     oks,
     oks_matrix,
     refine_pose_anchors,
@@ -225,29 +222,6 @@ class TestAssign:
     def test_similarity_must_be_2d(self):
         with pytest.raises(LengthMismatchError):
             assign_arrays(np.ones(4), 0.6, 0.4)
-
-    def test_object_form_wraps_array_form(self, rng):
-        sim = rng.random((40, 3))
-        gt_class_ids = [2, 5, 9]
-        labels, matched, best = assign_arrays(sim, 0.6, 0.4, True, gt_class_ids)
-        objects = assign_from_similarity(sim, 0.6, 0.4, True, gt_class_ids)
-        assert len(objects) == 40
-        for i, a in enumerate(objects):
-            assert a.label == labels[i]
-            assert a.matched_gt == (int(matched[i]) if matched[i] >= 0 else None)
-            assert a.similarity == best[i]
-            assert a.is_positive == (labels[i] > 0)
-
-    def test_assign_end_to_end_no_gts(self):
-        out = assign(np.zeros((2, 4)), [], hi=0.6, lo=0.4)
-        assert all(a.is_negative and a.matched_gt is None for a in out)
-
-
-class TestLabelAssignment:
-    def test_predicates(self):
-        assert LabelAssignment(3, 0, 0.9).is_positive
-        assert LabelAssignment(LABEL_NEGATIVE, None, 0.1).is_negative
-        assert LabelAssignment(LABEL_IGNORE, None, 0.5).is_ignore
 
 
 class TestRefinePoseAnchors:

@@ -316,8 +316,7 @@ class TestCoverageReport:
     def test_mask_coverage_semantics(self):
         records = _contour_corpus(count=10)
         config = CoverageConfig(name="boxes", pyramid=PyramidConfig(), task=TASK_MASK)
-        [report] = coverage_report(records, [config],
-                                   similarity=SIMILARITY_IOU, threshold=0.5)
+        [report] = coverage_report(records, [config], threshold=0.5)
         assert report.name == "boxes"
         assert report.gt_count == 10
         assert 0.0 <= report.matched_gt_fraction <= 1.0
@@ -331,20 +330,25 @@ class TestCoverageReport:
     def test_default_pyramid_covers_synthetic_boxes(self):
         records = _contour_corpus(count=20)
         config = CoverageConfig(name="full", pyramid=PyramidConfig(), task=TASK_MASK)
-        [report] = coverage_report(records, [config],
-                                   similarity=SIMILARITY_IOU, threshold=0.5)
+        [report] = coverage_report(records, [config], threshold=0.5)
         assert report.matched_gt_fraction >= 0.9
 
     def test_pose_config_requires_modes(self):
         with pytest.raises(MissingCanonicalPosesError):
             CoverageConfig(name="pose", task=TASK_POSE_TARGETS)
 
-    def test_iou_coverage_rejects_pose_task(self):
+    def test_report_similarity_follows_task(self):
+        # the label names the similarity the report computed, taken from the task
+        mask = CoverageConfig(name="mask", pyramid=SMALL_PYRAMID, task=TASK_MASK)
+        assert mask.similarity == SIMILARITY_IOU
+        [report] = coverage_report(_contour_corpus(count=4), [mask])
+        assert report.similarity == SIMILARITY_IOU
         records = _pose_corpus()
-        config = CoverageConfig(name="pose", pyramid=SMALL_PYRAMID,
-                                task=TASK_POSE_TARGETS, canonical_poses=_modes(records))
-        with pytest.raises(PointSetError, match="IoU coverage"):
-            coverage_report(records, [config], similarity=SIMILARITY_IOU)
+        pose = CoverageConfig(name="pose", pyramid=SMALL_PYRAMID,
+                              task=TASK_POSE_TARGETS, canonical_poses=_modes(records))
+        assert pose.similarity == SIMILARITY_OKS
+        [report] = coverage_report(records, [pose])
+        assert report.similarity == SIMILARITY_OKS
 
     def test_threshold_validated(self):
         with pytest.raises(PointSetError, match="threshold"):
@@ -354,7 +358,7 @@ class TestCoverageReport:
         records = _pose_corpus(count=3)   # no contours
         config = CoverageConfig(name="m", pyramid=SMALL_PYRAMID, task=TASK_MASK)
         with pytest.raises(NoApplicableRecordsError):
-            coverage_report(records, [config], similarity=SIMILARITY_IOU)
+            coverage_report(records, [config])
 
     def test_report_order_follows_configs(self):
         records = _contour_corpus(count=6)
@@ -362,7 +366,7 @@ class TestCoverageReport:
             CoverageConfig(name="a", pyramid=SMALL_PYRAMID, task=TASK_MASK),
             CoverageConfig(name="b", pyramid=PyramidConfig(), task=TASK_MASK),
         ]
-        reports = coverage_report(records, configs, similarity=SIMILARITY_IOU)
+        reports = coverage_report(records, configs)
         assert [r.name for r in reports] == ["a", "b"]
 
 
@@ -370,7 +374,7 @@ class TestCoverageRendering:
     def _reports(self):
         records = _contour_corpus(count=6)
         config = CoverageConfig(name="mask-small", pyramid=SMALL_PYRAMID, task=TASK_MASK)
-        return coverage_report(records, [config], similarity=SIMILARITY_IOU)
+        return coverage_report(records, [config])
 
     def test_table_layout(self):
         table = render_coverage_table(self._reports())
