@@ -7,129 +7,87 @@ and a small dataset/CLI layer on top.
 """
 
 from .anchors import (
-    DEFAULT_ASPECT_RATIOS,
-    DEFAULT_LEVELS,
-    DEFAULT_OCTAVE_SCALES,
-    DEFAULT_POSE_ROTATIONS,
-    DEFAULT_POSE_SCALES,
-    MASK_MODE,
-    NUM_JOINTS,
-    POSE_MODE,
-    POSE_ROTATIONS_FIVE,
-    POSE_SCALES_FIVE,
-    REFINED_MODE_ID,
-    AnchorGrid,
-    MaskAnchor,
-    PoseAnchor,
-    PyramidConfig,
-    build_mask_anchor,
-    generate_grid,
-    load_config_document,
+    DEFAULT_ASPECT_RATIOS, DEFAULT_LEVELS, DEFAULT_OCTAVE_SCALES,
+    DEFAULT_POSE_ROTATIONS, DEFAULT_POSE_SCALES, MASK_MODE, NUM_JOINTS, POSE_MODE,
+    POSE_ROTATIONS_FIVE, POSE_SCALES_FIVE, REFINED_MODE_ID, AnchorGrid, MaskAnchor,
+    PoseAnchor, PyramidConfig, build_mask_anchor, generate_grid, load_config_document,
     sample_box_perimeter,
 )
 from .assignment import (
-    COCO_KAPPAS,
-    COCO_SIGMAS,
-    LABEL_IGNORE,
-    LABEL_NEGATIVE,
-    SCALE_FROM_BBOX_AREA,
-    SCALE_FROM_SEGMENT_AREA,
-    SIMILARITY_IOU,
-    SIMILARITY_OKS,
-    THRESHOLD_PRESETS,
-    OksParams,
-    assign_arrays,
-    oks,
-    oks_lattice,
-    oks_matrix,
-    refine_pose_anchors,
+    COCO_KAPPAS, COCO_SIGMAS, LABEL_IGNORE, LABEL_NEGATIVE, SCALE_FROM_BBOX_AREA,
+    SCALE_FROM_SEGMENT_AREA, SIMILARITY_IOU, SIMILARITY_OKS, THRESHOLD_PRESETS,
+    OksParams, assign_arrays, oks, oks_lattice, oks_matrix, refine_pose_anchors,
     threshold_preset,
 )
 from .codec import (
-    DEFAULT_NMS_THRESHOLD,
-    DEFAULT_TOPK,
-    Detection,
-    construct_mask,
-    decode_points,
-    enclosing_box,
-    nms,
-    topk_per_level,
+    DEFAULT_NMS_THRESHOLD, DEFAULT_TOPK, Detection, construct_mask, decode_points,
+    enclosing_box, nms, topk_per_level,
 )
 from .datasets import InstanceRecord, ParseResult, ParseStats, parse_annotations
 from .errors import PointSetError
 from .features import FeatureGrid, bilinear_sample, shape_indexed_coords
 from .geometry import (
-    Box,
-    Contour,
-    Point2,
-    box_iou,
-    box_iou_matrix,
-    points_in_polygon,
-    project_point_to_segment,
-    rasterized_mask_iou,
-    signed_area,
-    transform_points,
+    Box, Contour, Point2, box_iou, box_iou_matrix, points_in_polygon,
+    project_point_to_segment, rasterized_mask_iou, signed_area, transform_points,
 )
 from .losses import (
-    FOCAL_ALPHA,
-    FOCAL_GAMMA,
-    LAMBDA_POSE,
-    LAMBDA_SEGMENTATION,
-    TASK_POSE,
-    TASK_SEGMENTATION,
-    LossBreakdown,
-    LossInputs,
-    balance_for_task,
-    focal_loss,
-    head_output_dims,
-    total_loss,
+    FOCAL_ALPHA, FOCAL_GAMMA, LAMBDA_POSE, LAMBDA_SEGMENTATION, TASK_POSE,
+    TASK_SEGMENTATION, LossBreakdown, LossInputs, balance_for_task, focal_loss,
+    head_output_dims, total_loss,
 )
 from .matching import (
-    CORNER_PROJECTION,
-    NEAREST_LINE,
-    NEAREST_POINT,
-    STRATEGIES,
-    MatchResult,
-    encode_box_targets,
-    match,
-    match_corner_projection,
-    match_nearest_line,
-    match_nearest_point,
-    match_pose,
+    CORNER_PROJECTION, NEAREST_LINE, NEAREST_POINT, STRATEGIES, MatchResult,
+    encode_box_targets, match, match_corner_projection, match_nearest_line,
+    match_nearest_point, match_pose,
 )
 from .pipeline import (
-    TASK_MASK,
-    TASK_POSE_TARGETS,
-    CoverageConfig,
-    CoverageReport,
-    TargetConfig,
-    coverage_report,
-    coverage_to_dict,
-    emit_targets,
-    render_coverage_table,
+    TASK_MASK, TASK_POSE_TARGETS, CoverageConfig, CoverageReport, TargetConfig,
+    coverage_report, coverage_to_dict, emit_targets, render_coverage_table,
 )
 from .pose_modes import (
-    NormalizedPose,
-    PoseModes,
-    center_point_shape,
-    kmeans_poses,
-    load_pose_modes,
-    mean_pose,
-    normalize_pose,
-    rectangle_shape,
-    save_pose_modes,
+    NormalizedPose, PoseModes, center_point_shape, kmeans_poses, load_pose_modes,
+    mean_pose, normalize_pose, rectangle_shape, save_pose_modes,
 )
 from .synthetic import (
-    CORPUS_CONTOURS,
-    CORPUS_POSES,
-    POSE_PROTOTYPES,
-    corpus_to_coco,
-    generate_synthetic_corpus,
-    random_convex_polygon,
-    random_star_polygon,
-    save_corpus,
+    CORPUS_CONTOURS, CORPUS_POSES, POSE_PROTOTYPES, corpus_to_coco,
+    generate_synthetic_corpus, random_convex_polygon, random_star_polygon, save_corpus,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names bound above, by module; submodules stay reachable as attributes.
+__all__ = [
+    "DEFAULT_ASPECT_RATIOS", "DEFAULT_LEVELS", "DEFAULT_OCTAVE_SCALES",
+    "DEFAULT_POSE_ROTATIONS", "DEFAULT_POSE_SCALES", "MASK_MODE", "NUM_JOINTS",
+    "POSE_MODE", "POSE_ROTATIONS_FIVE", "POSE_SCALES_FIVE", "REFINED_MODE_ID",
+    "AnchorGrid", "MaskAnchor", "PoseAnchor", "PyramidConfig", "build_mask_anchor",
+    "generate_grid", "load_config_document", "sample_box_perimeter",
+    "COCO_KAPPAS", "COCO_SIGMAS", "LABEL_IGNORE", "LABEL_NEGATIVE",
+    "SCALE_FROM_BBOX_AREA", "SCALE_FROM_SEGMENT_AREA", "SIMILARITY_IOU",
+    "SIMILARITY_OKS", "THRESHOLD_PRESETS", "OksParams", "assign_arrays", "oks",
+    "oks_lattice", "oks_matrix", "refine_pose_anchors", "threshold_preset",
+    "DEFAULT_NMS_THRESHOLD", "DEFAULT_TOPK", "Detection", "construct_mask",
+    "decode_points", "enclosing_box", "nms", "topk_per_level",
+    "InstanceRecord", "ParseResult", "ParseStats", "parse_annotations",
+    "PointSetError",
+    "FeatureGrid", "bilinear_sample", "shape_indexed_coords",
+    "Box", "Contour", "Point2", "box_iou", "box_iou_matrix", "points_in_polygon",
+    "project_point_to_segment", "rasterized_mask_iou", "signed_area",
+    "transform_points",
+    "FOCAL_ALPHA", "FOCAL_GAMMA", "LAMBDA_POSE", "LAMBDA_SEGMENTATION", "TASK_POSE",
+    "TASK_SEGMENTATION", "LossBreakdown", "LossInputs", "balance_for_task",
+    "focal_loss", "head_output_dims", "total_loss",
+    "CORNER_PROJECTION", "NEAREST_LINE", "NEAREST_POINT", "STRATEGIES", "MatchResult",
+    "encode_box_targets", "match", "match_corner_projection", "match_nearest_line",
+    "match_nearest_point", "match_pose",
+    "TASK_MASK", "TASK_POSE_TARGETS", "CoverageConfig", "CoverageReport",
+    "TargetConfig", "coverage_report", "coverage_to_dict", "emit_targets",
+    "render_coverage_table",
+    "NormalizedPose", "PoseModes", "center_point_shape", "kmeans_poses",
+    "load_pose_modes", "mean_pose", "normalize_pose", "rectangle_shape",
+    "save_pose_modes",
+    "CORPUS_CONTOURS", "CORPUS_POSES", "POSE_PROTOTYPES", "corpus_to_coco",
+    "generate_synthetic_corpus", "random_convex_polygon", "random_star_polygon",
+    "save_corpus",
+    "__version__",
+]

@@ -14,7 +14,7 @@ from .errors import (
     PointSetError,
     TooFewValidPointsError,
 )
-from .geometry import Box, Contour
+from .geometry import Box, Contour, box_iou_matrix
 
 DEFAULT_NMS_THRESHOLD = 0.5
 DEFAULT_TOPK = 1000
@@ -138,20 +138,12 @@ def nms(detections: Sequence[Detection], iou_threshold: float = DEFAULT_NMS_THRE
     boxes = np.asarray([det.bounding_box().as_array() for det in detections])
     classes = np.asarray([det.class_id for det in detections])
     scores = [det.score for det in detections]
-    areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
     order = sorted(range(len(detections)), key=lambda i: (-scores[i], i))
 
     # Pairwise IoU once, then walk in score order suppressing forward. A
     # candidate is dropped iff it overlaps an already-kept same-class one,
     # exactly as if each were checked against the kept list in turn.
-    iw = (np.minimum(boxes[:, None, 2], boxes[None, :, 2])
-          - np.maximum(boxes[:, None, 0], boxes[None, :, 0]))
-    ih = (np.minimum(boxes[:, None, 3], boxes[None, :, 3])
-          - np.maximum(boxes[:, None, 1], boxes[None, :, 1]))
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    union = areas[:, None] + areas[None, :] - inter
-    iou = np.zeros_like(inter)
-    np.divide(inter, union, out=iou, where=union > 0.0)
+    iou = box_iou_matrix(boxes, boxes)
 
     kept: list[int] = []
     suppressed = np.zeros(len(detections), dtype=bool)

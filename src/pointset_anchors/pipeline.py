@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +180,13 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
     the anchor's level stride. Keys within a line are sorted; floats use
     repr, so a fixed corpus and config reproduce the file byte for byte.
 
+    Each image's lines are rendered from its columns through one fixed
+    template, ``_TARGET_LINE``, and streamed with ``writelines``, never joined
+    per image. Only positives are matched, and only their offsets and flags
+    go through ``json.dumps``. ``sim`` is always finite, and ``%r`` of a
+    finite float is json's own text, so the bytes equal one
+    ``json.dumps(line, sort_keys=True)`` per anchor.
+
     Returns a summary dict with anchor/label counts.
     """
     if config.task == TASK_POSE_TARGETS and canonical_poses is None:
@@ -225,35 +233,50 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
 
             level_by_id = {level.level: level for level in grid.levels}
             columns = (*grid.index_columns(), labels, matched, best)
-            for level_id, row, col, slot, label, gt_index, similarity in zip(
-                    *(column.tolist() for column in columns)):
-                line = {
-                    "image": image_id,
-                    "level": level_id,
-                    "row": row,
-                    "col": col,
-                    "slot": slot,
-                    "label": label,
-                    "gt": gt_index if gt_index >= 0 else None,
-                    "sim": similarity,
-                    "valid": None,
-                    "offsets": None,
-                }
-                if label > 0:
-                    level = level_by_id[level_id]
-                    gt = gts[gt_index]
-                    anchor = level.anchor(row, col, slot)
-                    if config.task == TASK_MASK:
-                        result = matching.match(anchor, gt.largest_contour(), config.strategy)
-                    else:
-                        result = matching.match_pose(anchor, gt.keypoints[:, :2], gt.keypoints[:, 2])
-                    scaled = result.offsets / level.stride
-                    line["valid"] = [int(v) for v in result.valid]
-                    line["offsets"] = [[float(dx), float(dy)] for dx, dy in scaled]
-                out.write(json.dumps(line, sort_keys=True) + "\n")
+            positives = {}
+            pos = np.flatnonzero(labels > 0)
+            for i, level_id, row, col, slot, _, gt_index, _ in zip(
+                    pos.tolist(), *(column[pos].tolist() for column in columns)):
+                level = level_by_id[level_id]
+                gt = gts[gt_index]
+                anchor = level.anchor(row, col, slot)
+                if config.task == TASK_MASK:
+                    result = matching.match(anchor, gt.largest_contour(), config.strategy)
+                else:
+                    result = matching.match_pose(anchor, gt.keypoints[:, :2], gt.keypoints[:, 2])
+                positives[i] = (result.offsets / level.stride, result.valid)
+            out.writelines(_image_lines(image_id, columns, positives, len(gts)))
             summary["anchors"] += grid.num_anchors
             summary["lines"] += grid.num_anchors
     return summary
+
+
+# One anchor's line, keys in json.dumps(sort_keys=True) order. ``sim`` goes
+# through %r, which is json's own text for the finite floats it always holds.
+_TARGET_LINE = ('{"col": %d, "gt": %s, "image": %s, "label": %d, "level": %d, '
+                '"offsets": %s, "row": %d, "sim": %r, "slot": %d, "valid": %s}\n')
+
+
+def _image_lines(image_id, columns, positives, gt_count):
+    """Render one image's lines, lazily, from its per-anchor columns.
+
+    ``columns`` holds (level, row, col, slot, label, matched gt, best sim)
+    arrays, each turned into a list here, once; the lists live only as long
+    as the returned iterator. ``positives`` maps a line index to its
+    (stride-scaled offsets, valid flags) arrays. Every other line carries
+    null for both keys.
+    """
+    levels, rows, cols, slots, labels, matched, best = (column.tolist() for column in columns)
+    offsets = ["null"] * len(levels)
+    valid = list(offsets)
+    for i, (scaled, flags) in positives.items():
+        offsets[i] = json.dumps(scaled.tolist())
+        valid[i] = json.dumps(flags.astype(int).tolist())
+    gt_tokens = [*map(str, range(gt_count)), "null"]   # matched -1 picks "null"
+    return map(_TARGET_LINE.__mod__, zip(
+        cols, map(gt_tokens.__getitem__, matched), repeat(json.dumps(image_id)),
+        labels, levels, offsets, rows, best, slots, valid,
+    ))
 
 
 def _header_dims(config: TargetConfig, canonical_poses) -> dict:

@@ -8,6 +8,7 @@ obvious.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -152,3 +153,29 @@ def brute_oks_grid(grid, gt_joints, gt_visibility, gt_scales, kappas,
             scores.append(total / count)
         rows.append(scores)
     return np.asarray(rows).reshape(-1, len(gts))
+
+
+def brute_target_line(image, level, row, col, slot, label, gt, sim,
+                      scaled=None, valid=None) -> str:
+    """One targets line as the dict-per-anchor emitter wrote it.
+
+    A dict per anchor, serialized with ``json.dumps(sort_keys=True)``; a
+    positive (label > 0) also carries its stride-scaled offsets and valid
+    flags, converted one point at a time.
+    """
+    line = {
+        "image": image,
+        "level": level,
+        "row": row,
+        "col": col,
+        "slot": slot,
+        "label": label,
+        "gt": gt if gt >= 0 else None,
+        "sim": sim,
+        "valid": None,
+        "offsets": None,
+    }
+    if label > 0:
+        line["valid"] = [int(v) for v in valid]
+        line["offsets"] = [[float(dx), float(dy)] for dx, dy in scaled]
+    return json.dumps(line, sort_keys=True) + "\n"

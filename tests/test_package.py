@@ -1,0 +1,28 @@
+import types
+
+import pointset_anchors
+
+
+def test_every_exported_name_resolves():
+    assert len(pointset_anchors.__all__) == len(set(pointset_anchors.__all__))
+    for name in pointset_anchors.__all__:
+        assert hasattr(pointset_anchors, name), name
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from pointset_anchors import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(pointset_anchors.__all__)
+
+
+def test_all_lists_every_public_name_but_submodules():
+    public = {
+        name for name in dir(pointset_anchors)
+        if not name.startswith("_")
+        and not isinstance(getattr(pointset_anchors, name), types.ModuleType)
+    }
+    assert public == set(pointset_anchors.__all__) - {"__version__"}
+    # Submodules are not exported by name but stay reachable as attributes.
+    assert isinstance(pointset_anchors.pipeline, types.ModuleType)
+    assert pointset_anchors.pipeline.emit_targets is pointset_anchors.emit_targets

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -7,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import brute_oks_grid
+from oracles import brute_oks_grid, brute_target_line
 from pointset_anchors.anchors import (
     NUM_JOINTS,
     POSE_MODE,
@@ -32,20 +34,21 @@ from pointset_anchors.errors import (
     PointSetError,
 )
 from pointset_anchors.geometry import Box
-from pointset_anchors.matching import NEAREST_POINT
+from pointset_anchors.matching import NEAREST_LINE, NEAREST_POINT
 from pointset_anchors.pipeline import (
     CoverageConfig,
     TASK_MASK,
     TASK_POSE_TARGETS,
     TargetConfig,
     _gt_scale,
+    _image_lines,
     _image_similarity,
     coverage_report,
     coverage_to_dict,
     emit_targets,
     render_coverage_table,
 )
-from pointset_anchors.pose_modes import mean_pose
+from pointset_anchors.pose_modes import kmeans_poses, mean_pose, normalize_pose
 from pointset_anchors.synthetic import (
     CORPUS_CONTOURS,
     CORPUS_POSES,
@@ -82,6 +85,29 @@ def _modes(records):
                   / max(r.bbox.width, r.bbox.height) for r in records])
     )[None]
 
+
+
+def _pinned_case(name):
+    """(records, config, canonical poses) of one pinned-bytes case."""
+    if name == "pose-kmeans2-force":
+        records = _pose_corpus(count=12)
+        poses = [normalize_pose(r.keypoints[:, :2], r.keypoints[:, 2], r.bbox) for r in records]
+        config = TargetConfig(task=TASK_POSE_TARGETS, pyramid=SMALL_PYRAMID, force_nearest=True)
+        return records, config, kmeans_poses(poses, 2, seed=0).modes
+    if name == "mask-nearest-line-force":
+        # 12 gts an image, so two-digit gt indices reach the file.
+        records = generate_synthetic_corpus(
+            CORPUS_CONTOURS, 24, seed=5, image_size=(192, 192),
+            instances_per_image=12, radius_range=(10.0, 30.0),
+        )
+        config = TargetConfig(pyramid=SMALL_PYRAMID, strategy=NEAREST_LINE,
+                              force_nearest=True, num_classes=3)
+        return records, config, None
+    records = _contour_corpus()
+    if name == "mask-image-without-gt":
+        # Image 99 holds keypoint-only records: no gt is eligible for masks.
+        records = records + [dataclasses.replace(r, image_id=99) for r in _pose_corpus(count=2)]
+    return records, TargetConfig(pyramid=SMALL_PYRAMID), None
 
 def _single_anchor_grid():
     config = PyramidConfig(levels=((8.0, 32.0),), pose_scales=(1.0,), pose_rotations=(0.0,))
@@ -133,6 +159,33 @@ def _pose_grid_cases(draw):
         records.append(_pose_record(joints, visibility, scale, size))
     return grid, records
 
+
+
+_SPECIAL_SIMS = (0.0, -0.0, 5e-324, 2.2e-308, 1.0 / 3.0, 0.1 + 0.2, 1.0)
+_SPECIAL_OFFSETS = (0.0, -0.0, 5e-324, -2.2e-308, 1e-300, 1.7e308, -1e22, 0.1 + 0.2)
+
+
+@st.composite
+def _target_rows(draw):
+    """Field values of one targets line, positives with their offsets and flags."""
+    label = draw(st.integers(-1, 4))
+    row = {
+        "image": draw(st.integers(0, 10 ** 12)),
+        "level": draw(st.integers(0, 7)),
+        "row": draw(st.integers(0, 300)),
+        "col": draw(st.integers(0, 300)),
+        "slot": draw(st.integers(0, 80)),
+        "label": label,
+        "gt": draw(st.integers(-1, 12)),
+        "sim": draw(st.sampled_from(_SPECIAL_SIMS) | st.floats(0.0, 1.0)),
+    }
+    if label > 0:
+        points = draw(st.integers(1, 6))
+        coords = st.sampled_from(_SPECIAL_OFFSETS) | st.floats(allow_nan=False,
+                                                              allow_infinity=False)
+        row["scaled"] = draw(hnp.arrays(float, (points, 2), elements=coords))
+        row["valid"] = draw(hnp.arrays(bool, points))
+    return row
 
 class TestTargetConfig:
     def test_mask_defaults(self):
@@ -240,6 +293,35 @@ class TestEmitTargets:
         # anchors still emitted, all negative
         assert summary["negatives"] == summary["anchors"]
 
+
+    # sha256 of the file each case wrote before the line renderer replaced
+    # one dict and one json.dumps per anchor; the bytes must not move.
+    PINNED_DIGESTS = {
+        "mask-corner-projection":
+            "1fe431d399e3cb68817cc53d6218561ce002e281ba33b6a39c65d395b41ac982",
+        "mask-nearest-line-force":
+            "73536ddb9266dc60ce68b38a840c0cc9898286b13b608b893450d5fe691a6ccf",
+        "pose-kmeans2-force":
+            "13c741aac092fdccca39c1c8d71d629e6af05e614878f906b3f465c1a5eb9ab7",
+        "mask-image-without-gt":
+            "be290c1a557b79d034764ffbd709b6ec3f36845734de398baf74ad5e89dfa24e",
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED_DIGESTS))
+    def test_pinned_bytes(self, case, tmp_path):
+        records, config, modes = _pinned_case(case)
+        out = tmp_path / "targets.jsonl"
+        summary = emit_targets(records, config, out, canonical_poses=modes)
+        assert summary["positives"] > 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_DIGESTS[case]
+
+    @given(_target_rows())
+    def test_line_renderer_matches_dict_oracle(self, row):
+        positives = {0: (row["scaled"], row["valid"])} if row["label"] > 0 else {}
+        columns = [np.array([row[key]]) for key in
+                   ("level", "row", "col", "slot", "label", "gt", "sim")]
+        (line,) = _image_lines(row["image"], columns, positives, 13)
+        assert line == brute_target_line(**row)
 
 class TestImageSimilarityRoutes:
     def test_pose_route_matches_plain_oks_matrix(self):
