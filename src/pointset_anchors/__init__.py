@@ -36,9 +36,9 @@ from .losses import (
     head_output_dims, total_loss,
 )
 from .matching import (
-    CORNER_PROJECTION, NEAREST_LINE, NEAREST_POINT, STRATEGIES, MatchResult,
-    encode_box_targets, match, match_corner_projection, match_nearest_line,
-    match_nearest_point, match_pose,
+    CORNER_PROJECTION, NEAREST_LINE, NEAREST_POINT, STRATEGIES, MatchResult, match,
+    match_corner_projection, match_nearest_line, match_nearest_point, match_points,
+    match_pose,
 )
 from .pipeline import (
     TASK_MASK, TASK_POSE_TARGETS, CoverageConfig, CoverageReport, TargetConfig,
@@ -78,8 +78,8 @@ __all__ = [
     "TASK_SEGMENTATION", "LossBreakdown", "LossInputs", "balance_for_task",
     "focal_loss", "head_output_dims", "total_loss",
     "CORNER_PROJECTION", "NEAREST_LINE", "NEAREST_POINT", "STRATEGIES", "MatchResult",
-    "encode_box_targets", "match", "match_corner_projection", "match_nearest_line",
-    "match_nearest_point", "match_pose",
+    "match", "match_corner_projection", "match_nearest_line", "match_nearest_point",
+    "match_points", "match_pose",
     "TASK_MASK", "TASK_POSE_TARGETS", "CoverageConfig", "CoverageReport",
     "TargetConfig", "coverage_report", "coverage_to_dict", "emit_targets",
     "render_coverage_table",

@@ -58,15 +58,23 @@ def sample_box_perimeter(box: Box, n: int) -> tuple[np.ndarray, tuple[int, int, 
         raise BadPointCountError(f"point count must be a positive multiple of 4, got {n}")
     if box.width <= 0.0 or box.height <= 0.0:
         raise DegenerateBoxError(f"cannot sample the perimeter of a degenerate box: {box}")
+    points, corners = sample_box_perimeters(box.as_array()[None], n)
+    return points[0], corners
+
+
+def sample_box_perimeters(boxes, n: int) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+    """``sample_box_perimeter`` of each (x_min, y_min, x_max, y_max) row, unchecked.
+
+    Returns (points, corner_indices) with points of shape (len(boxes), n, 2).
+    Every row's points equal the single-box samples bit for bit.
+    """
     per_side = n // 4
     t = np.arange(per_side, dtype=float) / per_side
-    x0, y0, x1, y1 = box.x_min, box.y_min, box.x_max, box.y_max
-    top = np.column_stack([x0 + t * (x1 - x0), np.full(per_side, y0)])
-    right = np.column_stack([np.full(per_side, x1), y0 + t * (y1 - y0)])
-    bottom = np.column_stack([x1 - t * (x1 - x0), np.full(per_side, y1)])
-    left = np.column_stack([np.full(per_side, x0), y1 - t * (y1 - y0)])
-    points = np.concatenate([top, right, bottom, left], axis=0)
-    return points, (0, per_side, 2 * per_side, 3 * per_side)
+    x0, y0, x1, y1 = (boxes[:, i, None] for i in range(4))
+    run_x, run_y = t * (x1 - x0), t * (y1 - y0)
+    x = np.concatenate(np.broadcast_arrays(x0 + run_x, x1, x1 - run_x, x0), axis=1)
+    y = np.concatenate(np.broadcast_arrays(y0, y0 + run_y, y1, y1 - run_y), axis=1)
+    return np.stack([x, y], axis=-1), (0, per_side, 2 * per_side, 3 * per_side)
 
 
 @dataclass(frozen=True)
@@ -134,11 +142,6 @@ class PoseAnchor:
             raise PointSetError("pose anchor joints must be finite")
         joints.setflags(write=False)
         object.__setattr__(self, "joints", joints)
-
-    @property
-    def centroid(self) -> Point2:
-        c = self.joints.mean(axis=0)
-        return Point2(float(c[0]), float(c[1]))
 
 
 @dataclass(frozen=True)
@@ -244,11 +247,6 @@ def axis_centers(count: int, stride: float) -> np.ndarray:
     return (np.arange(count, dtype=float) + 0.5) * stride
 
 
-def _location_centers(rows: int, cols: int, stride: float) -> np.ndarray:
-    gx, gy = np.meshgrid(axis_centers(cols, stride), axis_centers(rows, stride))
-    return np.column_stack([gx.ravel(), gy.ravel()])
-
-
 @dataclass(frozen=True, eq=False)
 class MaskLevelGrid:
     """Mask anchors of one pyramid level, stacked in (row, col, slot) order."""
@@ -345,19 +343,18 @@ class AnchorGrid:
             object.__setattr__(self, "_box_stack", cached)
         return cached
 
-    def joint_stack(self) -> np.ndarray:
-        """All pose joints, (num_anchors, 17, 2), in (level, row, col, slot) order.
+    def joint_stack(self, index=None) -> np.ndarray:
+        """Pose joints of the stacked anchors at ``index`` (all when None), (len, 17, 2).
 
-        Formed on each call as location centre + variants[slot], as
-        ``PoseLevelGrid.anchor`` forms one anchor's joints.
+        Each is location centre + variants[slot], as ``PoseLevelGrid.anchor`` forms it.
         """
         if self.mode != POSE_MODE:
             raise PointSetError("joint_stack is defined for pose grids")
-        return np.concatenate([
-            (_location_centers(level.rows, level.cols, level.stride)[:, None, None, :]
-             + level.variants).reshape(-1, NUM_JOINTS, 2)
-            for level in self.levels
-        ])
+        level, row, col, slot = (column if index is None else column[index]
+                                 for column in self.index_columns())
+        stride = np.asarray([lv.stride for lv in self.levels])[level]
+        centre = np.stack([(col + 0.5) * stride, (row + 0.5) * stride], axis=-1)
+        return centre[:, None, :] + np.stack([lv.variants for lv in self.levels])[level, slot]
 
     def index_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(level, row, col, slot) per stacked anchor, aligned with the stacks."""
@@ -376,7 +373,8 @@ class AnchorGrid:
 def _mask_level(config: PyramidConfig, level: int, image_size) -> MaskLevelGrid:
     stride, base_scale = config.levels[level]
     rows, cols = _feature_shape(image_size, stride)
-    centers = _location_centers(rows, cols, stride)
+    gx, gy = np.meshgrid(axis_centers(cols, stride), axis_centers(rows, stride))
+    centers = np.column_stack([gx.ravel(), gy.ravel()])
     octaves, aspects = [], []
     half = np.empty((config.mask_anchors_per_location, 2))
     for i, octave in enumerate(config.octave_scales):

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import NUM_JOINTS, MaskAnchor, PoseAnchor
-from .errors import JointCountMismatchError, LengthMismatchError, PointSetError
-from .geometry import Box, Contour
+from .errors import JointCountMismatchError, PointSetError
+from .geometry import Contour
 
 NEAREST_POINT = "nearest-point"
 NEAREST_LINE = "nearest-line"
@@ -45,38 +45,143 @@ class MatchResult:
     offsets: np.ndarray
     strategy: str
 
-    def __post_init__(self):
-        targets = np.ascontiguousarray(np.asarray(self.targets, dtype=float))
-        offsets = np.ascontiguousarray(np.asarray(self.offsets, dtype=float))
-        valid = np.ascontiguousarray(np.asarray(self.valid, dtype=bool))
-        if targets.ndim != 2 or targets.shape[1] != 2:
-            raise LengthMismatchError(f"targets must be (n, 2), got {targets.shape}")
-        if not (len(targets) == len(offsets) == len(valid)):
-            raise LengthMismatchError(
-                f"targets/offsets/valid lengths differ: "
-                f"{len(targets)}/{len(offsets)}/{len(valid)}"
-            )
-        for arr in (targets, offsets, valid):
-            arr.setflags(write=False)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "valid", valid)
-
     @property
     def num_valid(self) -> int:
         return int(np.count_nonzero(self.valid))
 
 
-def _anchor_points(anchor) -> np.ndarray:
-    if isinstance(anchor, MaskAnchor):
-        return anchor.points
-    return np.asarray(anchor, dtype=float)
+# The most anchors x points x vertices one matching step holds; a larger
+# batch is matched in slices of anchors, so the working set stays bounded.
+BATCH_ELEMENTS = 2 ** 15
+
+
+def point_offsets(points: np.ndarray, targets: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Target minus anchor point where valid and 0 elsewhere, for any leading shape."""
+    return np.where(valid[..., None], targets - points, 0.0)
 
 
 def _result(points: np.ndarray, targets: np.ndarray, valid: np.ndarray, strategy: str) -> MatchResult:
-    offsets = np.where(valid[:, None], targets - points, 0.0)
-    targets = np.where(valid[:, None], targets, 0.0)
-    return MatchResult(targets=targets, valid=valid, offsets=offsets, strategy=strategy)
+    arrays = (np.where(valid[:, None], targets, 0.0), np.array(valid),
+              point_offsets(points, targets, valid))
+    for array in arrays:
+        array.setflags(write=False)
+    return MatchResult(*arrays, strategy)
+
+
+def _nearest_vertex(points: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """Index of each point's L1-nearest vertex, the lowest index on ties."""
+    dist = np.abs(points[..., None, :] - verts)
+    return (dist[..., 0] + dist[..., 1]).argmin(axis=-1)     # .sum(-1)'s bits: no -0.0
+
+
+def _nearest_point(points, corner_indices, verts):
+    return verts[_nearest_vertex(points, verts)], np.ones(points.shape[:2], dtype=bool)
+
+
+def _nearest_line(points, corner_indices, verts):
+    ab = np.roll(verts, -1, axis=0) - verts
+    denom = (ab * ab).sum(axis=1)
+    t = ((points[:, :, None, :] - verts) * ab).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(denom > 0.0, t / denom, 0.0)
+    proj = verts + np.clip(t, 0.0, 1.0)[..., None] * ab
+    seg = ((points[:, :, None, :] - proj) ** 2).sum(axis=-1).argmin(axis=-1)
+    targets = np.take_along_axis(proj, seg[..., None, None], axis=2)[:, :, 0]
+    return targets, np.ones(points.shape[:2], dtype=bool)
+
+
+def _corner_projection(points, corner_indices, verts):
+    count, n, _ = points.shape
+    m = len(verts)
+    ci = list(corner_indices)
+    if not 0 <= ci[0] < ci[1] < ci[2] < ci[3] < n:
+        raise PointSetError(f"corner indices must increase within {n} points, got {ci}")
+    corner_vertex = _nearest_vertex(points[:, ci], verts)          # (P, 4)
+    targets = np.zeros(points.shape)
+    valid = np.zeros((count, n), dtype=bool)
+    targets[:, ci] = verts[corner_vertex]
+    valid[:, ci] = True
+    # Side s holds anchor points ci[s]+1 .. ci[s+1]-1 (the last side runs to
+    # the end) and the contour part from vertex corner_vertex[s] to
+    # corner_vertex[s+1]. Top and bottom points (s = 0, 2) cast vertical
+    # lines, right and left ones horizontal lines.
+    side = np.repeat(np.arange(4), np.diff(ci + [n]) - 1)
+    index = np.delete(np.arange(ci[0] + 1, n), np.subtract(ci[1:], ci[0] + 1))
+    axis = np.tile(side % 2, count)                                 # per (anchor, point)
+    span = ((corner_vertex[:, (side + 1) % 4] - corner_vertex[:, side]) % m).ravel()
+    line, at = points[:, index, side % 2].ravel(), points[:, index, 1 - side % 2].ravel()
+    # ``coords`` is x, y, y, x along the contour twice over: vertex v has the
+    # coordinate a line fixes at axis * 2m + v, its free one 4m on. Segment j
+    # of a part joins its vertices j and j + 1, and parts are padded to the
+    # longest by repeating their last vertex, so a single-vertex part is the
+    # segment from that vertex to itself.
+    coords = np.tile(verts.T[[0, 1, 1, 0]], 2).ravel()
+    width = max(int(span.max(initial=0)), 1)
+    part = (corner_vertex[:, side].ravel() + axis * 2 * m)[:, None] + np.minimum(
+        np.arange(width + 1), span[:, None])
+    above, below = coords[part] > line[:, None], coords[part] < line[:, None]
+    # A segment meets the line unless both ends lie strictly on one side,
+    # which comparisons decide; the product of the distances can underflow.
+    meets = ~(above[:, :-1] & above[:, 1:] | below[:, :-1] & below[:, 1:])
+    point, seg = np.divmod(np.flatnonzero(meets), width)
+    keep = seg < np.maximum(span[point], 1)                         # not padding
+    point, seg = point[keep], seg[keep]
+    ia, ib, c = part[point, seg], part[point, seg + 1], line[point]
+    s1, s2 = coords[ia] - c, coords[ib] - c
+    a_free, b_free = coords[ia + 4 * m], coords[ib + 4 * m]
+    # A segment lying on the line offers both ends, any other its crossing.
+    # The nearest candidate wins and, the sort being stable, the first in
+    # traversal order on ties, as a scan keeping only strictly nearer ones.
+    on = (s1 == 0.0) & (s2 == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = np.where(on, a_free, a_free + s1 / (s1 - s2) * (b_free - a_free))
+    owner = np.repeat(point, 2)
+    fixed = np.column_stack([np.where(on, coords[ia], c), coords[ib]]).ravel()
+    free = np.column_stack([cross, b_free]).ravel()
+    d2 = np.where(np.column_stack([np.ones_like(on), on]).ravel(), (free - at[owner]) ** 2, np.inf)
+    order = np.lexsort((d2, owner))
+    first = order[np.diff(owner[order], prepend=-1) != 0]
+    first = first[d2[first] < np.inf]
+    anchor, k = np.divmod(owner[first], len(index))
+    targets[anchor, index[k], axis[owner[first]]] = fixed[first]
+    targets[anchor, index[k], 1 - axis[owner[first]]] = free[first]
+    valid[anchor, index[k]] = True
+    return targets, valid
+
+
+_KERNELS = dict(zip(STRATEGIES, (_nearest_point, _nearest_line, _corner_projection)))
+
+
+def match_points(points, corner_indices, vertices, strategy: str) -> tuple[np.ndarray, np.ndarray]:
+    """Match P mask anchors, (P, n, 2) points sharing ``corner_indices``, to one contour.
+
+    ``vertices`` is the contour's (m, 2) vertex array. Returns targets
+    (P, n, 2), zero where not valid, and valid (P, n); each anchor's rows
+    equal its match alone. At most ``BATCH_ELEMENTS`` of P x n x m are worked
+    on at once.
+    """
+    kernel = _KERNELS.get(strategy)
+    if kernel is None:
+        raise PointSetError(f"unknown matching strategy {strategy!r}; expected one of {STRATEGIES}")
+    points = np.asarray(points, dtype=float)
+    verts = np.asarray(vertices, dtype=float)
+    count, n, _ = points.shape
+    step = max(1, BATCH_ELEMENTS // max(n * len(verts), 1))
+    targets = np.empty(points.shape)
+    valid = np.empty((count, n), dtype=bool)
+    for i in range(0, count, step):
+        targets[i:i + step], valid[i:i + step] = kernel(points[i:i + step], corner_indices, verts)
+    return targets, valid
+
+
+def match(anchor: MaskAnchor, gt: Contour, strategy: str) -> MatchResult:
+    """Match one anchor, as a batch of one; nearest point and line also take (n, 2) points."""
+    if strategy == CORNER_PROJECTION and not isinstance(anchor, MaskAnchor):
+        raise PointSetError("corner projection requires a MaskAnchor with corner indices")
+    points = anchor.points if isinstance(anchor, MaskAnchor) else np.asarray(anchor, dtype=float)
+    corners = getattr(anchor, "corner_indices", None)
+    targets, valid = match_points(points[None], corners, gt.vertices, strategy)
+    return _result(points, targets[0], valid[0], strategy)
 
 
 def match_nearest_point(anchor: MaskAnchor, gt: Contour) -> MatchResult:
@@ -85,13 +190,7 @@ def match_nearest_point(anchor: MaskAnchor, gt: Contour) -> MatchResult:
     Exact distance ties resolve to the lowest vertex index. Every point is
     valid under this strategy.
     """
-    points = _anchor_points(anchor)
-    verts = gt.vertices
-    dist = np.abs(points[:, None, :] - verts[None, :, :]).sum(axis=-1)
-    idx = dist.argmin(axis=1)
-    targets = verts[idx]
-    valid = np.ones(len(points), dtype=bool)
-    return _result(points, targets, valid, NEAREST_POINT)
+    return match(anchor, gt, NEAREST_POINT)
 
 
 def match_nearest_line(anchor: MaskAnchor, gt: Contour) -> MatchResult:
@@ -101,42 +200,7 @@ def match_nearest_line(anchor: MaskAnchor, gt: Contour) -> MatchResult:
     to the clamped projection; exact ties resolve to the lowest segment index.
     Every point is valid under this strategy.
     """
-    points = _anchor_points(anchor)
-    a = gt.vertices
-    b = np.roll(a, -1, axis=0)
-    ab = b - a
-    denom = (ab * ab).sum(axis=1)
-    rel = points[:, None, :] - a[None, :, :]
-    t = (rel * ab[None, :, :]).sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(denom > 0.0, t / denom, 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-    d2 = ((points[:, None, :] - proj) ** 2).sum(axis=-1)
-    seg = d2.argmin(axis=1)
-    targets = proj[np.arange(len(points)), seg]
-    valid = np.ones(len(points), dtype=bool)
-    return _result(points, targets, valid, NEAREST_LINE)
-
-
-def _axis_intersections(coord: float, axis: int, p1: np.ndarray, p2: np.ndarray) -> list[np.ndarray]:
-    """Intersections of the line {axis coordinate == coord} with segment p1-p2.
-
-    The constrained coordinate of a returned point is pinned to ``coord``
-    exactly. A segment lying entirely on the line contributes both endpoints.
-    """
-    s1 = p1[axis] - coord
-    s2 = p2[axis] - coord
-    if s1 == 0.0 and s2 == 0.0:
-        return [p1, p2]
-    if s1 * s2 > 0.0:
-        return []
-    t = s1 / (s1 - s2)
-    free = 1 - axis
-    point = np.empty(2)
-    point[axis] = coord
-    point[free] = p1[free] + t * (p2[free] - p1[free])
-    return [point]
+    return match(anchor, gt, NEAREST_LINE)
 
 
 def match_corner_projection(anchor: MaskAnchor, gt: Contour) -> MatchResult:
@@ -152,66 +216,13 @@ def match_corner_projection(anchor: MaskAnchor, gt: Contour) -> MatchResult:
     points are always valid. A part whose two corner targets coincide is a
     single vertex and matches only when the cast line passes through it.
     """
-    if not isinstance(anchor, MaskAnchor):
-        raise PointSetError("corner projection requires a MaskAnchor with corner indices")
-    points = anchor.points
-    n = len(points)
-    verts = gt.vertices
-    m = len(verts)
-    ci = anchor.corner_indices
-
-    corner_dist = np.abs(points[list(ci), None, :] - verts[None, :, :]).sum(axis=-1)
-    corner_vertex = corner_dist.argmin(axis=1)
-
-    targets = np.zeros((n, 2))
-    valid = np.zeros(n, dtype=bool)
-    for corner_pos, vertex_idx in zip(ci, corner_vertex):
-        targets[corner_pos] = verts[vertex_idx]
-        valid[corner_pos] = True
-
-    # side s spans anchor indices ci[s]+1 .. ci[s+1]-1 and runs between the
-    # matched vertices corner_vertex[s] -> corner_vertex[s+1] (wrapping);
-    # vertical cast lines on top/bottom sides (s = 0, 2), horizontal on
-    # right/left (s = 1, 3).
-    for side in range(4):
-        start_vertex = int(corner_vertex[side])
-        end_vertex = int(corner_vertex[(side + 1) % 4])
-        axis = 0 if side % 2 == 0 else 1
-        span = (end_vertex - start_vertex) % m
-        part = [verts[(start_vertex + j) % m] for j in range(span + 1)]
-
-        first = ci[side] + 1
-        last = ci[(side + 1) % 4] if side < 3 else n
-        for i in range(first, last):
-            p = points[i]
-            best = None
-            best_d2 = np.inf
-            if len(part) == 1:
-                if part[0][axis] == p[axis]:
-                    best = part[0].copy()
-                    best_d2 = 0.0
-            else:
-                for j in range(len(part) - 1):
-                    for cand in _axis_intersections(p[axis], axis, part[j], part[j + 1]):
-                        d2 = float(((cand - p) ** 2).sum())
-                        if d2 < best_d2:
-                            best = cand
-                            best_d2 = d2
-            if best is not None:
-                targets[i] = best
-                valid[i] = True
-    return _result(points, targets, valid, CORNER_PROJECTION)
+    return match(anchor, gt, CORNER_PROJECTION)
 
 
-def match(anchor: MaskAnchor, gt: Contour, strategy: str) -> MatchResult:
-    """Dispatch to one of the three mask matching strategies by tag."""
-    if strategy == NEAREST_POINT:
-        return match_nearest_point(anchor, gt)
-    if strategy == NEAREST_LINE:
-        return match_nearest_line(anchor, gt)
-    if strategy == CORNER_PROJECTION:
-        return match_corner_projection(anchor, gt)
-    raise PointSetError(f"unknown matching strategy {strategy!r}; expected one of {STRATEGIES}")
+def match_pose_points(joints, gt_joints, visibility) -> tuple[np.ndarray, np.ndarray]:
+    """``match_pose`` of (P, 17, 2) joints: targets (P, 17, 2) and valid (P, 17)."""
+    valid = np.broadcast_to(np.asarray(visibility) > 0, np.shape(joints)[:2])
+    return np.where(valid[..., None], np.asarray(gt_joints, dtype=float), 0.0), valid
 
 
 def match_pose(anchor, gt_joints, visibility) -> MatchResult:
@@ -231,21 +242,5 @@ def match_pose(anchor, gt_joints, visibility) -> MatchResult:
         raise JointCountMismatchError(
             f"expected ({NUM_JOINTS},) visibility, got {visibility.shape}"
         )
-    valid = visibility > 0
-    return _result(joints, gt_joints, valid, POSE)
-
-
-def encode_box_targets(anchor: MaskAnchor, gt_box: Box) -> np.ndarray:
-    """Box regression targets: gt corners minus the anchor's own corner points.
-
-    Returns (dx_min, dy_min, dx_max, dy_max) relative to the anchor's
-    top-left and bottom-right perimeter points.
-    """
-    tl = anchor.points[anchor.corner_indices[0]]
-    br = anchor.points[anchor.corner_indices[2]]
-    return np.array([
-        gt_box.x_min - tl[0],
-        gt_box.y_min - tl[1],
-        gt_box.x_max - br[0],
-        gt_box.y_max - br[1],
-    ])
+    targets, valid = match_pose_points(joints[None], gt_joints, visibility)
+    return _result(joints, targets[0], valid[0], POSE)

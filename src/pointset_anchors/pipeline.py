@@ -26,6 +26,7 @@ from .anchors import (
     PyramidConfig,
     generate_grid,
     load_config_document,
+    sample_box_perimeters,
 )
 from .assignment import (
     DEFAULT_OKS_PARAMS,
@@ -231,20 +232,25 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
             summary["negatives"] += int(np.count_nonzero(labels == LABEL_NEGATIVE))
             summary["ignores"] += int(np.count_nonzero(labels == LABEL_IGNORE))
 
-            level_by_id = {level.level: level for level in grid.levels}
             columns = (*grid.index_columns(), labels, matched, best)
             positives = {}
             pos = np.flatnonzero(labels > 0)
-            for i, level_id, row, col, slot, _, gt_index, _ in zip(
-                    pos.tolist(), *(column[pos].tolist() for column in columns)):
-                level = level_by_id[level_id]
-                gt = gts[gt_index]
-                anchor = level.anchor(row, col, slot)
+            stride = np.asarray([lv.stride for lv in grid.levels])[columns[0][pos], None, None]
+            for g, gt in enumerate(gts):         # a gt's positives are matched as one batch
+                mine = matched[pos] == g
+                if not mine.any():
+                    continue
                 if config.task == TASK_MASK:
-                    result = matching.match(anchor, gt.largest_contour(), config.strategy)
+                    points, corners = sample_box_perimeters(grid.box_stack()[pos[mine]],
+                                                            config.pyramid.num_points)
+                    targets, valid = matching.match_points(
+                        points, corners, gt.largest_contour().vertices, config.strategy)
                 else:
-                    result = matching.match_pose(anchor, gt.keypoints[:, :2], gt.keypoints[:, 2])
-                positives[i] = (result.offsets / level.stride, result.valid)
+                    points = grid.joint_stack(pos[mine])
+                    targets, valid = matching.match_pose_points(
+                        points, gt.keypoints[:, :2], gt.keypoints[:, 2])
+                scaled = matching.point_offsets(points, targets, valid) / stride[mine]
+                positives.update(zip(pos[mine].tolist(), zip(scaled, valid)))
             out.writelines(_image_lines(image_id, columns, positives, len(gts)))
             summary["anchors"] += grid.num_anchors
             summary["lines"] += grid.num_anchors

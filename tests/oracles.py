@@ -179,3 +179,69 @@ def brute_target_line(image, level, row, col, slot, label, gt, sim,
         line["valid"] = [int(v) for v in valid]
         line["offsets"] = [[float(dx), float(dy)] for dx, dy in scaled]
     return json.dumps(line, sort_keys=True) + "\n"
+
+
+def brute_corner_projection(points, corner_indices, vertices):
+    """Corner point with projection, one anchor point and one segment at a time.
+
+    Returns (targets, valid); invalid rows are zero. Corners take their
+    L1-nearest vertex (lowest index on ties) and split the contour into four
+    parts in traversal order. Every other point casts an axis-aligned line
+    (vertical on the top and bottom sides, horizontal on the right and left)
+    and keeps the first intersection with its part at the smallest squared
+    distance (strict <). A segment lying on the line offers both endpoints;
+    any other segment crosses the line unless both its ends lie strictly on
+    one side, decided by signs. A single-vertex part matches only a line
+    through its vertex.
+    """
+    points = np.asarray(points, dtype=float)
+    verts = np.asarray(vertices, dtype=float)
+    n = len(points)
+    m = len(verts)
+    ci = corner_indices
+
+    def intersections(coord, axis, p1, p2):
+        s1 = p1[axis] - coord
+        s2 = p2[axis] - coord
+        if s1 == 0.0 and s2 == 0.0:
+            return [p1, p2]
+        if (s1 > 0.0 and s2 > 0.0) or (s1 < 0.0 and s2 < 0.0):
+            return []
+        t = s1 / (s1 - s2)
+        point = np.empty(2)
+        point[axis] = coord
+        point[1 - axis] = p1[1 - axis] + t * (p2[1 - axis] - p1[1 - axis])
+        return [point]
+
+    corner_vertex, _ = brute_nearest_point(points[list(ci)], verts)
+    targets = np.zeros((n, 2))
+    valid = np.zeros(n, dtype=bool)
+    for corner_pos, vertex_idx in zip(ci, corner_vertex):
+        targets[corner_pos] = verts[vertex_idx]
+        valid[corner_pos] = True
+    for side in range(4):
+        start_vertex = int(corner_vertex[side])
+        end_vertex = int(corner_vertex[(side + 1) % 4])
+        axis = 0 if side % 2 == 0 else 1
+        span = (end_vertex - start_vertex) % m
+        part = [verts[(start_vertex + j) % m] for j in range(span + 1)]
+        last = ci[side + 1] if side < 3 else n
+        for i in range(ci[side] + 1, last):
+            p = points[i]
+            best = None
+            best_d2 = np.inf
+            if len(part) == 1:
+                if part[0][axis] == p[axis]:
+                    best = part[0].copy()
+                    best_d2 = 0.0
+            else:
+                for j in range(len(part) - 1):
+                    for cand in intersections(p[axis], axis, part[j], part[j + 1]):
+                        d2 = float(((cand - p) ** 2).sum())
+                        if d2 < best_d2:
+                            best = cand
+                            best_d2 = d2
+            if best is not None:
+                targets[i] = best
+                valid[i] = True
+    return targets, valid

@@ -17,6 +17,7 @@ from pointset_anchors.anchors import (
     generate_grid,
     load_config_document,
     sample_box_perimeter,
+    sample_box_perimeters,
 )
 from pointset_anchors.errors import (
     BadPointCountError,
@@ -58,6 +59,16 @@ class TestSampleBoxPerimeter:
             assert tuple(points[br]) == (10.0, 9.0)
             assert tuple(points[bl]) == (3.0, 9.0)
             assert len(points) == n
+
+    def test_side_arithmetic_is_pinned(self):
+        # targets bytes depend on these exact roundings: x0 + t * (x1 - x0)
+        # with t = i / (n / 4) along the top, and likewise on the other sides
+        x0, y0, x1, y1 = 0.1, 0.2, 1.3, 0.9
+        points, _ = sample_box_perimeter(Box(x0, y0, x1, y1), 12)
+        t = [i / 3 for i in range(3)]
+        expected = ([(x0 + u * (x1 - x0), y0) for u in t] + [(x1, y0 + u * (y1 - y0)) for u in t]
+                    + [(x1 - u * (x1 - x0), y1) for u in t] + [(x0, y1 - u * (y1 - y0)) for u in t])
+        assert points.tobytes() == np.array(expected).tobytes()
 
     def test_count_must_be_multiple_of_four(self):
         box = Box(0.0, 0.0, 1.0, 1.0)
@@ -161,6 +172,15 @@ class TestMaskGrid:
             assert np.array_equal(stack[a], anchor.implicit_box.as_array())
             assert anchor.center == level.location_center(row, col)
 
+    def test_batched_perimeters_match_anchor_points(self):
+        config = PyramidConfig(levels=((8.0, 32.0), (16.0, 64.0)), num_points=12)
+        grid = generate_grid(config, (24, 40), MASK_MODE)
+        points, corners = sample_box_perimeters(grid.box_stack(), 12)
+        assert points.shape == (grid.num_anchors, 12, 2)
+        for a, _, _, _, _, anchor in _indexed_anchors(grid):
+            assert points[a].tobytes() == anchor.points.tobytes()
+            assert corners == anchor.corner_indices
+
     def test_slot_enumerates_octaves_and_aspects(self):
         config = PyramidConfig(levels=((8.0, 32.0),))
         level = generate_grid(config, (8, 8), MASK_MODE).levels[0]
@@ -224,6 +244,8 @@ class TestPoseGrid:
         grid = generate_grid(config, (32, 40), POSE_MODE, self._modes(2))
         stacked = grid.joint_stack()
         assert stacked.shape == (grid.num_anchors, NUM_JOINTS, 2)
+        picks = np.array([grid.num_anchors - 1, 0, 7, 7, grid.levels[0].num_anchors])
+        assert grid.joint_stack(picks).tobytes() == stacked[picks].tobytes()
         for a, level, row, col, slot, anchor in _indexed_anchors(grid):
             assert level.variants.shape == (level.anchors_per_location, NUM_JOINTS, 2)
             expected = np.asarray(level.location_center(row, col)) + level.variants[slot]

@@ -34,6 +34,7 @@ from pointset_anchors.errors import (
     PointSetError,
 )
 from pointset_anchors.geometry import Box
+from pointset_anchors import matching
 from pointset_anchors.matching import NEAREST_LINE, NEAREST_POINT
 from pointset_anchors.pipeline import (
     CoverageConfig,
@@ -104,6 +105,8 @@ def _pinned_case(name):
                               force_nearest=True, num_classes=3)
         return records, config, None
     records = _contour_corpus()
+    if name == "mask-nearest-point":
+        return records, TargetConfig(pyramid=SMALL_PYRAMID, strategy=NEAREST_POINT), None
     if name == "mask-image-without-gt":
         # Image 99 holds keypoint-only records: no gt is eligible for masks.
         records = records + [dataclasses.replace(r, image_id=99) for r in _pose_corpus(count=2)]
@@ -294,13 +297,16 @@ class TestEmitTargets:
         assert summary["negatives"] == summary["anchors"]
 
 
-    # sha256 of the file each case wrote before the line renderer replaced
-    # one dict and one json.dumps per anchor; the bytes must not move.
+    # sha256 of each case's file as written with one dict and one json.dumps
+    # per anchor, or (mask-nearest-point) with one match() call per positive;
+    # the bytes must not move.
     PINNED_DIGESTS = {
         "mask-corner-projection":
             "1fe431d399e3cb68817cc53d6218561ce002e281ba33b6a39c65d395b41ac982",
         "mask-nearest-line-force":
             "73536ddb9266dc60ce68b38a840c0cc9898286b13b608b893450d5fe691a6ccf",
+        "mask-nearest-point":
+            "80af44804529f5900a7f3a3df12c26a2a972e930a724402f4bcbfb95812daa43",
         "pose-kmeans2-force":
             "13c741aac092fdccca39c1c8d71d629e6af05e614878f906b3f465c1a5eb9ab7",
         "mask-image-without-gt":
@@ -313,6 +319,15 @@ class TestEmitTargets:
         out = tmp_path / "targets.jsonl"
         summary = emit_targets(records, config, out, canonical_poses=modes)
         assert summary["positives"] > 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", ["mask-corner-projection", "mask-nearest-line-force"])
+    def test_pinned_bytes_one_anchor_a_batch(self, case, tmp_path, monkeypatch):
+        # every gt's positives are matched one anchor at a time
+        monkeypatch.setattr(matching, "BATCH_ELEMENTS", 1)
+        records, config, modes = _pinned_case(case)
+        out = tmp_path / "targets.jsonl"
+        emit_targets(records, config, out, canonical_poses=modes)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_DIGESTS[case]
 
     @given(_target_rows())
