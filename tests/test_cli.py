@@ -1,9 +1,17 @@
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from pointset_anchors.cli import main
 from pointset_anchors.pose_modes import load_pose_modes
+from pointset_anchors.synthetic import (
+    CORPUS_CONTOURS,
+    CORPUS_POSES,
+    generate_synthetic_corpus,
+    save_corpus,
+)
 
 SMALL_CONFIG = {
     "pyramid": {
@@ -182,6 +190,34 @@ class TestCoverage:
                      "--threshold", "1.5", "--out", str(tmp_path / "c.json")])
         assert code == 1
         assert "threshold" in capsys.readouterr().err
+
+    # sha256 of the coverage JSON of each case; the bytes must not move.
+    PINNED_DIGESTS = {
+        "oks-ladder":
+            "7cc26278be06fe0bc959fc9bf0e973a79dc118b517d3df2cdab5fd58c2d27c1f",
+        "iou":
+            "4f8e93348f6cdb8dea1644ea22db6f976495b9650f2f25f98a5b755e227b85df",
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED_DIGESTS))
+    def test_pinned_bytes(self, case, tmp_path):
+        poses = generate_synthetic_corpus(CORPUS_POSES, 10, seed=5, jitter=2.0,
+                                          truncation=0.3)
+        contours = generate_synthetic_corpus(CORPUS_CONTOURS, 6, seed=3,
+                                             image_size=(192, 192))
+        if case == "iou":
+            # category 0: coverage uses no class ids, so the record still counts
+            contours[0] = dataclasses.replace(contours[0], class_id=0)
+            records, other, flags = contours, poses, ["--similarity", "iou"]
+        else:
+            records, other, flags = poses, contours, ["--k", "2"]
+        # Image 99 holds records of the other kind: no gt of it is eligible.
+        records = records + [dataclasses.replace(r, image_id=99) for r in other[:2]]
+        ann = tmp_path / "corpus.json"
+        save_corpus(records, ann)
+        out = tmp_path / "coverage.json"
+        assert main(["coverage", "--annotations", str(ann), *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_DIGESTS[case]
 
 
 class TestParser:
