@@ -27,8 +27,8 @@ from .datasets import InstanceRecord, ParseResult, ParseStats, parse_annotations
 from .errors import PointSetError
 from .features import FeatureGrid, bilinear_sample, shape_indexed_coords
 from .geometry import (
-    Box, Contour, Point2, box_iou, box_iou_matrix, points_in_polygon,
-    project_point_to_segment, rasterized_mask_iou, signed_area, transform_points,
+    Box, Contour, Point2, box_iou_matrix, points_in_polygon, rasterized_mask_iou,
+    signed_area, transform_points,
 )
 from .losses import (
     FOCAL_ALPHA, FOCAL_GAMMA, LAMBDA_POSE, LAMBDA_SEGMENTATION, TASK_POSE,
@@ -46,7 +46,7 @@ from .pipeline import (
 )
 from .pose_modes import (
     NormalizedPose, PoseModes, center_point_shape, kmeans_poses, load_pose_modes,
-    mean_pose, normalize_pose, rectangle_shape, save_pose_modes,
+    normalize_pose, rectangle_shape, save_pose_modes,
 )
 from .synthetic import (
     CORPUS_CONTOURS, CORPUS_POSES, POSE_PROTOTYPES, corpus_to_coco,
@@ -71,9 +71,8 @@ __all__ = [
     "InstanceRecord", "ParseResult", "ParseStats", "parse_annotations",
     "PointSetError",
     "FeatureGrid", "bilinear_sample", "shape_indexed_coords",
-    "Box", "Contour", "Point2", "box_iou", "box_iou_matrix", "points_in_polygon",
-    "project_point_to_segment", "rasterized_mask_iou", "signed_area",
-    "transform_points",
+    "Box", "Contour", "Point2", "box_iou_matrix", "points_in_polygon",
+    "rasterized_mask_iou", "signed_area", "transform_points",
     "FOCAL_ALPHA", "FOCAL_GAMMA", "LAMBDA_POSE", "LAMBDA_SEGMENTATION", "TASK_POSE",
     "TASK_SEGMENTATION", "LossBreakdown", "LossInputs", "balance_for_task",
     "focal_loss", "head_output_dims", "total_loss",
@@ -84,8 +83,7 @@ __all__ = [
     "TargetConfig", "coverage_report", "coverage_to_dict", "emit_targets",
     "render_coverage_table",
     "NormalizedPose", "PoseModes", "center_point_shape", "kmeans_poses",
-    "load_pose_modes", "mean_pose", "normalize_pose", "rectangle_shape",
-    "save_pose_modes",
+    "load_pose_modes", "normalize_pose", "rectangle_shape", "save_pose_modes",
     "CORPUS_CONTOURS", "CORPUS_POSES", "POSE_PROTOTYPES", "corpus_to_coco",
     "generate_synthetic_corpus", "random_convex_polygon", "random_star_polygon",
     "save_corpus",

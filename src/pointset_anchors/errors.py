@@ -5,10 +5,6 @@ class PointSetError(ValueError):
     """Base class for all errors raised by this library."""
 
 
-class DegenerateSegmentError(PointSetError):
-    """Segment endpoints coincide where a direction is required."""
-
-
 class DegenerateBoxError(PointSetError):
     """Box is malformed (non-finite, min > max) or has no usable extent."""
 

@@ -1,7 +1,7 @@
 """Planar primitives shared across the library.
 
-Points, axis-aligned boxes, closed contours, segment projection, box IoU and
-a rasterized mask IoU. Coordinates follow the image convention: x grows to
+Points, axis-aligned boxes, closed contours, pairwise box IoU and a
+rasterized mask IoU. Coordinates follow the image convention: x grows to
 the right, y grows downward, and orientation is defined by the shoelace sign
 (positive signed area is the stored "counter-clockwise" form).
 """
@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     DegenerateBoxError,
     DegenerateContourError,
-    DegenerateSegmentError,
     NonPositiveScaleError,
     PointSetError,
     TooFewVerticesError,
@@ -147,37 +146,6 @@ def signed_area(contour) -> float:
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
         raise TooFewVerticesError(f"expected an (n >= 3, 2) vertex array, got shape {arr.shape}")
     return _shoelace(arr)
-
-
-def project_point_to_segment(p, a, b) -> Point2:
-    """Closest point to ``p`` on the closed segment ``a``-``b``."""
-    px, py = as_point(p)
-    ax, ay = as_point(a)
-    bx, by = as_point(b)
-    dx = bx - ax
-    dy = by - ay
-    if dx == 0.0 and dy == 0.0:
-        raise DegenerateSegmentError(f"segment endpoints coincide at ({ax}, {ay})")
-    # Scale the direction to unit max-norm so the squared length cannot
-    # underflow to zero for tiny (but distinct) endpoints; t may overflow to
-    # +-inf, which the clamp maps to an endpoint.
-    s = max(abs(dx), abs(dy))
-    ux = dx / s
-    uy = dy / s
-    t = ((px - ax) * ux + (py - ay) * uy) / (s * (ux * ux + uy * uy))
-    t = min(1.0, max(0.0, t))
-    return Point2(ax + t * dx, ay + t * dy)
-
-
-def box_iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes; 0 when the union has no area."""
-    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    inter = max(iw, 0.0) * max(ih, 0.0)
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
 
 
 def box_iou_matrix(a, b) -> np.ndarray:

@@ -12,7 +12,6 @@ loop.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,10 +50,17 @@ def focal_loss(p: float, is_positive: bool, alpha: float = FOCAL_ALPHA,
     """
     if not (0.0 <= p <= 1.0):
         raise PointSetError(f"probability must be in [0, 1], got {p}")
-    p = min(max(p, EPSILON), 1.0 - EPSILON)
-    if is_positive:
-        return -alpha * (1.0 - p) ** gamma * math.log(p)
-    return -(1.0 - alpha) * p ** gamma * math.log(1.0 - p)
+    return float(_focal_terms(p, is_positive, alpha, gamma))
+
+
+def _focal_terms(probs, positive, alpha: float, gamma: float) -> np.ndarray:
+    """Per-entry focal loss of ``focal_loss``, elementwise over arrays."""
+    probs = np.clip(probs, EPSILON, 1.0 - EPSILON)
+    return np.where(
+        positive,
+        -alpha * (1.0 - probs) ** gamma * np.log(probs),
+        -(1.0 - alpha) * probs ** gamma * np.log(1.0 - probs),
+    )
 
 
 class LossBreakdown(NamedTuple):
@@ -131,18 +137,12 @@ def total_loss(inputs: LossInputs) -> LossBreakdown:
     """
     targets = inputs.class_targets
     counted = targets >= 0
-    probs = np.clip(inputs.class_probs[counted], EPSILON, 1.0 - EPSILON)
+    probs = inputs.class_probs[counted]
     labels = targets[counted]
-    a, c = probs.shape
-    positive = np.zeros((a, c), dtype=bool)
+    positive = np.zeros(probs.shape, dtype=bool)
     rows = np.nonzero(labels > 0)[0]
     positive[rows, labels[rows] - 1] = True
-    alpha, gamma = inputs.focal_alpha, inputs.focal_gamma
-    per_entry = np.where(
-        positive,
-        -alpha * (1.0 - probs) ** gamma * np.log(probs),
-        -(1.0 - alpha) * probs ** gamma * np.log(1.0 - probs),
-    )
+    per_entry = _focal_terms(probs, positive, inputs.focal_alpha, inputs.focal_gamma)
     denom = max(inputs.num_positives, 1)
     loss_cls = float(per_entry.sum()) / denom
 

@@ -56,8 +56,20 @@ TASK_MASK = "mask"
 TASK_POSE_TARGETS = "pose"
 
 
+class _TaskConfig:
+    """The task check and the task -> similarity rule of both configurations."""
+
+    def _check_task(self):
+        if self.task not in (TASK_MASK, TASK_POSE_TARGETS):
+            raise PointSetError(f"unknown task {self.task!r}")
+
+    @property
+    def similarity(self) -> str:
+        return SIMILARITY_IOU if self.task == TASK_MASK else SIMILARITY_OKS
+
+
 @dataclass(frozen=True)
-class TargetConfig:
+class TargetConfig(_TaskConfig):
     """Everything emit_targets needs besides the records themselves."""
 
     pyramid: PyramidConfig = field(default_factory=PyramidConfig)
@@ -70,8 +82,7 @@ class TargetConfig:
     oks_params: OksParams = field(default_factory=OksParams)
 
     def __post_init__(self):
-        if self.task not in (TASK_MASK, TASK_POSE_TARGETS):
-            raise PointSetError(f"unknown task {self.task!r}")
+        self._check_task()
         if self.task == TASK_MASK and self.strategy not in matching.STRATEGIES:
             raise PointSetError(f"unknown strategy {self.strategy!r}")
         if self.num_classes < 1:
@@ -81,10 +92,6 @@ class TargetConfig:
             object.__setattr__(self, "hi", preset[0])
         if self.lo is None:
             object.__setattr__(self, "lo", preset[1])
-
-    @property
-    def similarity(self) -> str:
-        return SIMILARITY_IOU if self.task == TASK_MASK else SIMILARITY_OKS
 
     def to_dict(self) -> dict:
         return {
@@ -126,39 +133,10 @@ def _gt_scale(record: InstanceRecord, params: OksParams) -> float:
     return record.bbox.area
 
 
-class _GridCache:
-    """One AnchorGrid per distinct image size for a fixed configuration."""
-
-    def __init__(self, pyramid: PyramidConfig, mode: str, canonical_poses=None):
-        self.pyramid = pyramid
-        self.mode = mode
-        self.canonical_poses = canonical_poses
-        self._grids: dict[tuple[int, int], AnchorGrid] = {}
-
-    def get(self, image_size: tuple[int, int]) -> AnchorGrid:
-        if image_size not in self._grids:
-            self._grids[image_size] = generate_grid(
-                self.pyramid, image_size, self.mode, self.canonical_poses
-            )
-        return self._grids[image_size]
-
-
-def _mask_eligible(records) -> list[InstanceRecord]:
-    return [r for r in records if r.contours and r.bbox.area > 0.0]
-
-
-def _pose_eligible(records) -> list[InstanceRecord]:
-    return [
-        r for r in records
-        if r.has_keypoints and r.bbox.area > 0.0 and r.visible_mask().any()
-    ]
-
-
-def _task_grids(task: str, pyramid: PyramidConfig, canonical_poses=None):
-    """(grid cache, gt eligibility filter) for a task."""
-    if task == TASK_POSE_TARGETS:
-        return _GridCache(pyramid, POSE_MODE, canonical_poses), _pose_eligible
-    return _GridCache(pyramid, MASK_MODE), _mask_eligible
+def _eligible(record: InstanceRecord, task: str) -> bool:
+    """A gt of a task: a box of positive area plus contours, or visible joints."""
+    annotated = record.contours if task == TASK_MASK else record.has_keypoints
+    return bool(annotated) and record.bbox.area > 0.0
 
 
 def _image_similarity(grid: AnchorGrid, gts: list[InstanceRecord], task: str,
@@ -170,6 +148,30 @@ def _image_similarity(grid: AnchorGrid, gts: list[InstanceRecord], task: str,
     vis = np.asarray([g.keypoints[:, 2] for g in gts])
     scales = np.asarray([_gt_scale(g, oks_params) for g in gts])
     return oks_lattice(grid.levels, joints, vis, scales, oks_params)
+
+
+def _scored_images(grouped, task: str, pyramid: PyramidConfig, canonical_poses,
+                   oks_params: OksParams):
+    """Score every image's anchors against its eligible gts, in image-id order.
+
+    Yields ``(image_id, image_records, gts, grid, sim)``. One grid is built
+    per distinct image size; ``sim`` is the (anchors, gts) IoU or OKS matrix,
+    ``(A, 0)`` for an image with no eligible gt, whose anchors the assigner
+    then labels all negative.
+    """
+    mode = MASK_MODE if task == TASK_MASK else POSE_MODE
+    grids: dict[tuple[int, int], AnchorGrid] = {}
+    for image_id, image_records in grouped.items():
+        gts = [r for r in image_records if _eligible(r, task)]
+        size = image_records[0].image_size
+        if size not in grids:
+            grids[size] = generate_grid(pyramid, size, mode, canonical_poses)
+        grid = grids[size]
+        if gts:
+            sim = _image_similarity(grid, gts, task, oks_params)
+        else:
+            sim = np.empty((grid.num_anchors, 0))
+        yield image_id, image_records, gts, grid, sim
 
 
 def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) -> dict:
@@ -188,11 +190,18 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
     finite float is json's own text, so the bytes equal one
     ``json.dumps(line, sort_keys=True)`` per anchor.
 
+    A gt's class id is its label, so an eligible gt with ``category_id`` < 1
+    is rejected, naming its image, before ``out_path`` is opened.
+
     Returns a summary dict with anchor/label counts.
     """
     if config.task == TASK_POSE_TARGETS and canonical_poses is None:
         raise MissingCanonicalPosesError("pose target emission needs canonical_poses")
-    cache, eligible = _task_grids(config.task, config.pyramid, canonical_poses)
+    records = list(records)
+    for record in records:
+        if record.class_id < 1 and _eligible(record, config.task):
+            raise PointSetError(f"image {record.image_id}: a gt has category_id "
+                                f"{record.class_id}; target labels need ids >= 1")
 
     grouped = _group_by_image(records)
     summary = {"images": len(grouped), "anchors": 0, "positives": 0,
@@ -201,30 +210,20 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
     out_path = Path(out_path)
     with out_path.open("w") as out:
         header = {
+            **config.to_dict(),
             "format": TARGET_FORMAT,
             "version": TARGET_VERSION,
-            "task": config.task,
             "strategy": config.strategy if config.task == TASK_MASK else "pose",
             "similarity": config.similarity,
-            "hi": config.hi,
-            "lo": config.lo,
-            "force_nearest": config.force_nearest,
-            "num_classes": config.num_classes,
-            "pyramid": config.pyramid.to_dict(),
             "head_dims": _header_dims(config, canonical_poses),
             "images": sorted(grouped),
         }
         out.write(json.dumps(header, sort_keys=True) + "\n")
         summary["lines"] += 1
 
-        for image_id, image_records in grouped.items():
-            gts = eligible(image_records)
+        for image_id, image_records, gts, grid, sim in _scored_images(
+                grouped, config.task, config.pyramid, canonical_poses, config.oks_params):
             summary["skipped_records"] += len(image_records) - len(gts)
-            grid = cache.get(image_records[0].image_size)
-            if gts:
-                sim = _image_similarity(grid, gts, config.task, config.oks_params)
-            else:
-                sim = np.empty((grid.num_anchors, 0))
             labels, matched, best = assign_arrays(
                 sim, config.hi, config.lo, config.force_nearest, [g.class_id for g in gts],
             )
@@ -299,7 +298,7 @@ def _header_dims(config: TargetConfig, canonical_poses) -> dict:
 
 
 @dataclass(frozen=True)
-class CoverageConfig:
+class CoverageConfig(_TaskConfig):
     """One named anchor configuration to measure coverage for."""
 
     name: str
@@ -308,14 +307,9 @@ class CoverageConfig:
     canonical_poses: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.task not in (TASK_MASK, TASK_POSE_TARGETS):
-            raise PointSetError(f"unknown task {self.task!r}")
+        self._check_task()
         if self.task == TASK_POSE_TARGETS and self.canonical_poses is None:
             raise MissingCanonicalPosesError(f"config {self.name!r} needs canonical_poses")
-
-    @property
-    def similarity(self) -> str:
-        return SIMILARITY_IOU if self.task == TASK_MASK else SIMILARITY_OKS
 
 
 @dataclass(frozen=True)
@@ -353,18 +347,11 @@ def coverage_report(records, configs, threshold: float = 0.5, lo: float | None =
     grouped = _group_by_image(records)
     reports = []
     for config in configs:
-        task = config.task
-        cache, eligible = _task_grids(task, config.pyramid, config.canonical_poses)
         best_sims: list[float] = []
         anchor_count = positive = negative = ignore = 0
-        for image_id, image_records in grouped.items():
-            gts = eligible(image_records)
-            grid = cache.get(image_records[0].image_size)
+        for _, _, _, grid, sim in _scored_images(
+                grouped, config.task, config.pyramid, config.canonical_poses, oks_params):
             anchor_count += grid.num_anchors
-            if not gts:
-                negative += grid.num_anchors
-                continue
-            sim = _image_similarity(grid, gts, task, oks_params)
             best_sims.extend(sim.max(axis=0).tolist())
             labels, _, _ = assign_arrays(sim, threshold, lo, force_nearest=True)
             positive += int(np.count_nonzero(labels > 0))

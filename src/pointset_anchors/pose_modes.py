@@ -187,14 +187,6 @@ def kmeans_poses(poses, k: int, seed: int = 0, max_iters: int = 100) -> PoseMode
     )
 
 
-def mean_pose(poses) -> np.ndarray:
-    """Coordinate-wise mean over fully visible poses, as a (17, 2) array."""
-    x = _admissible_matrix(poses)
-    if len(x) == 0:
-        raise TooFewPosesError("mean pose needs at least one fully visible pose")
-    return x.mean(axis=0).reshape(NUM_JOINTS, 2)
-
-
 def center_point_shape() -> np.ndarray:
     """Degenerate canonical shape: all 17 joints at the frame origin."""
     return np.zeros((NUM_JOINTS, 2))

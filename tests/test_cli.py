@@ -137,6 +137,17 @@ class TestTargets:
         summary = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert summary["positives"] > 0
 
+    def test_category_zero_rejected_before_out_is_opened(self, tmp_path, capsys):
+        records = generate_synthetic_corpus(CORPUS_CONTOURS, 6, seed=3, image_size=(192, 192))
+        records[4] = dataclasses.replace(records[4], class_id=0)
+        ann = tmp_path / "corpus.json"
+        save_corpus(records, ann)
+        out = tmp_path / "targets.jsonl"
+        code = main(["targets", "--annotations", str(ann), "--out", str(out)])
+        assert code == 1
+        assert f"image {records[4].image_id}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_runs(self, tmp_path):
         ann = _synth(tmp_path, "c.json")
         config = _config_file(tmp_path)

@@ -15,7 +15,7 @@ from pointset_anchors.errors import (
     PointSetError,
     TooFewValidPointsError,
 )
-from pointset_anchors.geometry import Box, Contour, box_iou
+from pointset_anchors.geometry import Box, Contour, box_iou_matrix
 from pointset_anchors.matching import match
 from pointset_anchors.matching import STRATEGIES
 
@@ -122,9 +122,10 @@ class TestNms:
         a = Box(0.0, 0.0, 10.0, 10.0)
         b = Box(2.5, 0.0, 12.5, 10.0)
         c = Box(5.0, 0.0, 15.0, 10.0)
-        assert box_iou(a, b) == 0.6
-        assert box_iou(b, c) == 0.6
-        assert box_iou(a, c) == 1.0 / 3.0
+        iou = box_iou_matrix([a.as_array(), b.as_array()], [b.as_array(), c.as_array()])
+        assert iou[0, 0] == 0.6
+        assert iou[1, 1] == 0.6
+        assert iou[0, 1] == 1.0 / 3.0
         detections = [_box_det(a, 0.9), _box_det(b, 0.8), _box_det(c, 0.7)]
         assert nms(detections, iou_threshold=0.5) == [0, 2]
 

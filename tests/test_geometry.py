@@ -1,31 +1,26 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from pointset_anchors.errors import (
     DegenerateBoxError,
     DegenerateContourError,
-    DegenerateSegmentError,
     NonPositiveScaleError,
     TooFewVerticesError,
 )
 from pointset_anchors.geometry import (
     Box,
     Contour,
-    box_iou,
     box_iou_matrix,
     points_in_polygon,
-    project_point_to_segment,
     rasterized_mask_iou,
     signed_area,
     transform_points,
 )
 
+from oracles import _iou as brute_iou
 from util import random_polygon
-
-
-finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
 class TestBox:
@@ -103,48 +98,23 @@ class TestSignedArea:
         assert signed_area(verts[::-1]) == -signed_area(verts)
 
 
-class TestProjection:
-    def test_reference_value(self):
-        # foot of (0,2) on the diagonal (0,0)-(2,2) is the midpoint (1,1)
-        assert project_point_to_segment((0.0, 2.0), (0.0, 0.0), (2.0, 2.0)) == (1.0, 1.0)
-
-    def test_clamps_to_endpoints(self):
-        assert project_point_to_segment((-5.0, 0.0), (0.0, 0.0), (2.0, 0.0)) == (0.0, 0.0)
-        assert project_point_to_segment((9.0, 9.0), (0.0, 0.0), (2.0, 0.0)) == (2.0, 0.0)
-
-    def test_degenerate_segment_raises(self):
-        with pytest.raises(DegenerateSegmentError):
-            project_point_to_segment((0.0, 0.0), (1.0, 1.0), (1.0, 1.0))
-
-    @given(
-        px=finite_coord, py=finite_coord,
-        ax=finite_coord, ay=finite_coord,
-        bx=finite_coord, by=finite_coord,
-    )
-    # distinct endpoints whose squared length underflows to 0.0
-    @example(px=0.0, py=0.0, ax=0.0, ay=0.0, bx=0.0, by=7.5903110673379955e-298)
-    def test_projection_is_no_farther_than_endpoints(self, px, py, ax, ay, bx, by):
-        if (ax, ay) == (bx, by):
-            return
-        foot = project_point_to_segment((px, py), (ax, ay), (bx, by))
-        d_foot = np.hypot(px - foot.x, py - foot.y)
-        d_ends = min(np.hypot(px - ax, py - ay), np.hypot(px - bx, py - by))
-        assert d_foot <= d_ends + 1e-6 * max(1.0, d_ends)
+def _iou(a: Box, b: Box) -> float:
+    return float(box_iou_matrix(a.as_array(), b.as_array())[0, 0])
 
 
 class TestBoxIou:
     def test_reference_value(self):
         # 1x1 overlap, union 7 -> exactly 1/7
-        assert box_iou(Box(0, 0, 2, 2), Box(1, 1, 3, 3)) == 1.0 / 7.0
+        assert _iou(Box(0, 0, 2, 2), Box(1, 1, 3, 3)) == 1.0 / 7.0
 
     def test_disjoint_is_zero(self):
-        assert box_iou(Box(0, 0, 1, 1), Box(5, 5, 6, 6)) == 0.0
+        assert _iou(Box(0, 0, 1, 1), Box(5, 5, 6, 6)) == 0.0
 
     def test_identical_is_one(self):
-        assert box_iou(Box(0, 0, 3, 2), Box(0, 0, 3, 2)) == 1.0
+        assert _iou(Box(0, 0, 3, 2), Box(0, 0, 3, 2)) == 1.0
 
     def test_zero_union_is_zero(self):
-        assert box_iou(Box(1, 1, 1, 1), Box(1, 1, 1, 1)) == 0.0
+        assert _iou(Box(1, 1, 1, 1), Box(1, 1, 1, 1)) == 0.0
 
     def test_matrix_matches_scalar(self, rng):
         from util import random_box
@@ -157,13 +127,13 @@ class TestBoxIou:
         )
         for i, a in enumerate(boxes_a):
             for j, b in enumerate(boxes_b):
-                assert mat[i, j] == box_iou(a, b)
+                assert mat[i, j] == brute_iou(a.as_array().tolist(), b.as_array().tolist())
 
     @given(shift=st.floats(min_value=0.0, max_value=2.0, allow_nan=False))
     def test_iou_symmetric(self, shift):
         a = Box(0.0, 0.0, 2.0, 2.0)
         b = Box(shift, 0.0, shift + 2.0, 2.0)
-        assert box_iou(a, b) == box_iou(b, a)
+        assert _iou(a, b) == _iou(b, a)
 
 
 class TestPointsInPolygon:

@@ -49,7 +49,7 @@ from pointset_anchors.pipeline import (
     emit_targets,
     render_coverage_table,
 )
-from pointset_anchors.pose_modes import kmeans_poses, mean_pose, normalize_pose
+from pointset_anchors.pose_modes import kmeans_poses, normalize_pose
 from pointset_anchors.synthetic import (
     CORPUS_CONTOURS,
     CORPUS_POSES,
@@ -81,10 +81,9 @@ def _pose_corpus(count=8, seed=3, **kw):
 
 
 def _modes(records):
-    return mean_pose(
-        np.stack([(r.keypoints[:, :2] - r.keypoints[:, :2].mean(axis=0))
-                  / max(r.bbox.width, r.bbox.height) for r in records])
-    )[None]
+    # one mode: the mean of the records' centred, size-normalised poses
+    return np.stack([(r.keypoints[:, :2] - r.keypoints[:, :2].mean(axis=0))
+                     / max(r.bbox.width, r.bbox.height) for r in records]).mean(axis=0)[None]
 
 
 
@@ -286,6 +285,14 @@ class TestEmitTargets:
         header = json.loads(out.read_text().splitlines()[0])
         assert header["head_dims"]["shape_regression"] == [1, 34]
         assert header["head_dims"]["box_regression"] is None
+
+    def test_ineligible_record_class_id_not_checked(self, tmp_path):
+        # a keypoint-only record is no mask gt, so its class id is never a label
+        pose = dataclasses.replace(_pose_corpus(count=1)[0], image_id=99, class_id=0)
+        out = tmp_path / "t.jsonl"
+        summary = emit_targets(_contour_corpus(count=4) + [pose],
+                               TargetConfig(pyramid=SMALL_PYRAMID), out)
+        assert summary["skipped_records"] == 1
 
     def test_records_without_contours_skipped(self, tmp_path):
         records = _pose_corpus(count=4)   # keypoints only, no contours

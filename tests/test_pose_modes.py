@@ -16,7 +16,6 @@ from pointset_anchors.pose_modes import (
     center_point_shape,
     kmeans_poses,
     load_pose_modes,
-    mean_pose,
     normalize_pose,
     rectangle_shape,
     save_pose_modes,
@@ -67,7 +66,6 @@ class TestKmeans:
         modes = kmeans_poses(poses, k=1, seed=3)
         assert modes.k == 1
         assert np.allclose(modes.modes[0], poses.mean(axis=0), atol=1e-9)
-        assert np.allclose(modes.modes[0], mean_pose(poses), atol=1e-9)
 
     def test_inertia_history_non_increasing(self, rng):
         poses = np.concatenate(
