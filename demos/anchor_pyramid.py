@@ -13,7 +13,6 @@ from pointset_anchors import (
     Box,
     PyramidConfig,
     generate_grid,
-    build_mask_anchor,
     sample_box_perimeter,
     rectangle_shape,
 )
@@ -27,12 +26,14 @@ print("corner indices:", corners)
 for idx in corners:
     print(f"  point[{idx:2d}] = ({points[idx, 0]:6.1f}, {points[idx, 1]:6.1f})")
 
-# The same thing via the (scale, octave, aspect) parametrization the grid
-# uses internally. aspect < 1 means taller than wide.
-anchor = build_mask_anchor(center=(80.0, 60.0), base_scale=64.0, octave=1.0,
-                           aspect=0.5, n=16)
-print("\nanchor box for aspect 0.5:", anchor.implicit_box)
-print("width / height =", anchor.implicit_box.width / anchor.implicit_box.height)
+# The grid states each box by (base scale, octave, aspect) instead: a level
+# of stride 160 over a 160 x 160 image has one location, centred at (80, 80),
+# and with one octave and one aspect it holds one box. aspect < 1 means
+# taller than wide.
+one_slot = PyramidConfig(levels=((160.0, 64.0),), octave_scales=(1.0,), aspect_ratios=(0.5,))
+anchor_box = Box(*generate_grid(one_slot, (160, 160), "mask").box_stack()[0].tolist())
+print("\nanchor box for aspect 0.5:", anchor_box)
+print("width / height =", anchor_box.width / anchor_box.height)
 
 # --- the full pyramid ------------------------------------------------------
 

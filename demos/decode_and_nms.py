@@ -9,15 +9,17 @@ and NMS keeps one per object.
 import numpy as np
 
 from pointset_anchors import (
+    Box,
     Contour,
     Detection,
-    build_mask_anchor,
     construct_mask,
     decode_points,
-    match,
+    match_points,
     nms,
+    point_offsets,
     random_convex_polygon,
     rasterized_mask_iou,
+    sample_box_perimeter,
     topk_per_level,
 )
 
@@ -35,13 +37,13 @@ for gt_index, gt in enumerate(gts):
     # offsets, scored by how little noise they carry.
     for trial in range(5):
         shift = rng.normal(0.0, 6.0, size=2)
-        anchor = build_mask_anchor((bounds.center.x + shift[0],
-                                    bounds.center.y + shift[1]),
-                                   side, n=24)
-        result = match(anchor, gt, "corner-projection")
-        noise = rng.normal(0.0, 0.5 + 2.0 * trial, size=result.offsets.shape)
-        decoded, valid = decode_points(anchor.points, result.offsets + noise,
-                                       result.valid)
+        box = Box.from_center((bounds.center.x + shift[0], bounds.center.y + shift[1]),
+                              side, side)
+        points, corners = sample_box_perimeter(box, 24)
+        targets, valid = match_points(points[None], corners, gt.vertices, "corner-projection")
+        offsets = point_offsets(points, targets[0], valid[0])
+        noise = rng.normal(0.0, 0.5 + 2.0 * trial, size=offsets.shape)
+        decoded, valid = decode_points(points, offsets + noise, valid[0])
         shape = construct_mask(decoded, valid, "corner-projection")
         score = float(np.clip(0.95 - 0.12 * trial + rng.normal(0, 0.02), 0.05, 1.0))
         candidates.append(Detection(score=score, class_id=1, shape=shape,

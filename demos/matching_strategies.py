@@ -17,12 +17,13 @@ import numpy as np
 from pointset_anchors import (
     Contour,
     STRATEGIES,
-    build_mask_anchor,
     construct_mask,
     decode_points,
-    match,
+    match_points,
+    point_offsets,
     random_star_polygon,
     rasterized_mask_iou,
+    sample_box_perimeter,
 )
 
 rng = np.random.default_rng(42)
@@ -32,22 +33,27 @@ bounds = gt.bounds()
 print(f"ground truth: {len(gt.vertices)}-gon, bounds {bounds}")
 
 # The anchor whose implicit box is the gt bounding box, 40 points around it.
-side = float(np.sqrt(bounds.width * bounds.height))
-anchor = build_mask_anchor(bounds.center, side, octave=1.0,
-                           aspect=bounds.width / bounds.height, n=40)
+points, corners = sample_box_perimeter(bounds, 40)
+
+
+def match_one(strategy):
+    """(targets, valid, offsets) of the one anchor: a batch of one."""
+    targets, valid = match_points(points[None], corners, gt.vertices, strategy)
+    return targets[0], valid[0], point_offsets(points, targets[0], valid[0])
+
 
 print(f"\n{'strategy':>18} {'valid':>5} {'mean |offset|':>13} {'round-trip IoU':>14}")
 for strategy in STRATEGIES:
-    result = match(anchor, gt, strategy)
-    decoded, valid = decode_points(anchor.points, result.offsets, result.valid)
-    recovered = construct_mask(decoded, valid, strategy)
+    _, valid, offsets = match_one(strategy)
+    decoded, flags = decode_points(points, offsets, valid)
+    recovered = construct_mask(decoded, flags, strategy)
     iou = rasterized_mask_iou(gt, recovered)
-    norms = np.linalg.norm(result.offsets[result.valid], axis=1)
-    print(f"{strategy:>18} {result.num_valid:>3}/40 {norms.mean():>13.2f} {iou:>14.4f}")
+    norms = np.linalg.norm(offsets[valid], axis=1)
+    print(f"{strategy:>18} {valid.sum():>3}/40 {norms.mean():>13.2f} {iou:>14.4f}")
 
 # Offsets are literal per-point displacements, so decoding is just addition;
 # check one strategy end to end.
-result = match(anchor, gt, "corner-projection")
-decoded, _ = decode_points(anchor.points, result.offsets, result.valid)
-assert np.allclose(decoded, anchor.points + result.offsets)
+_, valid, offsets = match_one("corner-projection")
+decoded, _ = decode_points(points, offsets, valid)
+assert np.allclose(decoded, points + offsets)
 print("\ndecoded points == anchor points + offsets: ok")

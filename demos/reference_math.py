@@ -8,14 +8,15 @@ expected value is known in closed form.
 import numpy as np
 
 from pointset_anchors import (
+    Box,
     FeatureGrid,
     LossInputs,
     OksParams,
     balance_for_task,
     bilinear_sample,
-    build_mask_anchor,
     focal_loss,
     oks,
+    sample_box_perimeter,
     shape_indexed_coords,
     total_loss,
 )
@@ -72,8 +73,8 @@ h, w = 12, 16
 ys, xs = np.mgrid[0:h, 0:w]
 grid = FeatureGrid(values=(2.0 * xs - 0.5 * ys + 3.0), stride=8.0)
 
-anchor = build_mask_anchor((60.0, 44.0), 30.0, n=8)
-coords = shape_indexed_coords(anchor, stride=8.0)
+anchor_points, _ = sample_box_perimeter(Box.from_center((60.0, 44.0), 30.0, 30.0), 8)
+coords = shape_indexed_coords(anchor_points, stride=8.0)
 sampled = bilinear_sample(grid, coords)[:, 0]
 exact = 2.0 * coords[:, 0] - 0.5 * coords[:, 1] + 3.0
 print(f"\nbilinear sampling at {len(coords)} anchor points, "

@@ -9,9 +9,8 @@ and a small dataset/CLI layer on top.
 from .anchors import (
     DEFAULT_ASPECT_RATIOS, DEFAULT_LEVELS, DEFAULT_OCTAVE_SCALES,
     DEFAULT_POSE_ROTATIONS, DEFAULT_POSE_SCALES, MASK_MODE, NUM_JOINTS, POSE_MODE,
-    POSE_ROTATIONS_FIVE, POSE_SCALES_FIVE, REFINED_MODE_ID, AnchorGrid, MaskAnchor,
-    PoseAnchor, PyramidConfig, build_mask_anchor, generate_grid, load_config_document,
-    sample_box_perimeter,
+    POSE_ROTATIONS_FIVE, POSE_SCALES_FIVE, AnchorGrid, PyramidConfig, generate_grid,
+    load_config_document, sample_box_perimeter,
 )
 from .assignment import (
     COCO_KAPPAS, COCO_SIGMAS, LABEL_IGNORE, LABEL_NEGATIVE, SCALE_FROM_BBOX_AREA,
@@ -36,9 +35,8 @@ from .losses import (
     head_output_dims, total_loss,
 )
 from .matching import (
-    CORNER_PROJECTION, NEAREST_LINE, NEAREST_POINT, STRATEGIES, MatchResult, match,
-    match_corner_projection, match_nearest_line, match_nearest_point, match_points,
-    match_pose,
+    CORNER_PROJECTION, NEAREST_LINE, NEAREST_POINT, STRATEGIES, match_points,
+    match_pose_points, point_offsets,
 )
 from .pipeline import (
     TASK_MASK, TASK_POSE_TARGETS, CoverageConfig, CoverageReport, TargetConfig,
@@ -59,9 +57,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_ASPECT_RATIOS", "DEFAULT_LEVELS", "DEFAULT_OCTAVE_SCALES",
     "DEFAULT_POSE_ROTATIONS", "DEFAULT_POSE_SCALES", "MASK_MODE", "NUM_JOINTS",
-    "POSE_MODE", "POSE_ROTATIONS_FIVE", "POSE_SCALES_FIVE", "REFINED_MODE_ID",
-    "AnchorGrid", "MaskAnchor", "PoseAnchor", "PyramidConfig", "build_mask_anchor",
-    "generate_grid", "load_config_document", "sample_box_perimeter",
+    "POSE_MODE", "POSE_ROTATIONS_FIVE", "POSE_SCALES_FIVE", "AnchorGrid",
+    "PyramidConfig", "generate_grid", "load_config_document", "sample_box_perimeter",
     "COCO_KAPPAS", "COCO_SIGMAS", "LABEL_IGNORE", "LABEL_NEGATIVE",
     "SCALE_FROM_BBOX_AREA", "SCALE_FROM_SEGMENT_AREA", "SIMILARITY_IOU",
     "SIMILARITY_OKS", "THRESHOLD_PRESETS", "OksParams", "assign_arrays", "oks",
@@ -76,9 +73,8 @@ __all__ = [
     "FOCAL_ALPHA", "FOCAL_GAMMA", "LAMBDA_POSE", "LAMBDA_SEGMENTATION", "TASK_POSE",
     "TASK_SEGMENTATION", "LossBreakdown", "LossInputs", "balance_for_task",
     "focal_loss", "head_output_dims", "total_loss",
-    "CORNER_PROJECTION", "NEAREST_LINE", "NEAREST_POINT", "STRATEGIES", "MatchResult",
-    "match", "match_corner_projection", "match_nearest_line", "match_nearest_point",
-    "match_points", "match_pose",
+    "CORNER_PROJECTION", "NEAREST_LINE", "NEAREST_POINT", "STRATEGIES", "match_points",
+    "match_pose_points", "point_offsets",
     "TASK_MASK", "TASK_POSE_TARGETS", "CoverageConfig", "CoverageReport",
     "TargetConfig", "coverage_report", "coverage_to_dict", "emit_targets",
     "render_coverage_table",

@@ -5,7 +5,8 @@ implicit box (n divisible by 4, traversal clockwise in image coordinates from
 the top-left corner). A pose anchor is an ordered set of 17 joints obtained by
 placing a canonical pose at a location and applying a scale/rotation variant
 about its joint centroid. ``generate_grid`` tiles either kind over a feature
-pyramid: one anchor set per (level, row, col, slot).
+pyramid: one anchor set per (level, row, col, slot). Anchors are held only as
+arrays: a mask level's implicit boxes and a pose level's per-slot variants.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     NonPositiveScaleError,
     PointSetError,
 )
-from .geometry import Box, Point2, as_point, transform_points
+from .geometry import Box, transform_points
 
 NUM_JOINTS = 17
 
@@ -75,73 +76,6 @@ def sample_box_perimeters(boxes, n: int) -> tuple[np.ndarray, tuple[int, int, in
     x = np.concatenate(np.broadcast_arrays(x0 + run_x, x1, x1 - run_x, x0), axis=1)
     y = np.concatenate(np.broadcast_arrays(y0, y0 + run_y, y1, y1 - run_y), axis=1)
     return np.stack([x, y], axis=-1), (0, per_side, 2 * per_side, 3 * per_side)
-
-
-@dataclass(frozen=True)
-class MaskAnchor:
-    """Ordered perimeter samples of an implicit box."""
-
-    center: Point2
-    implicit_box: Box
-    points: np.ndarray
-    corner_indices: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4 or pts.shape[0] % 4:
-            raise BadPointCountError(f"anchor points must be (4k, 2), got shape {pts.shape}")
-        if not np.isfinite(pts).all():
-            raise PointSetError("anchor points must be finite")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "center", as_point(self.center))
-        object.__setattr__(self, "corner_indices", tuple(int(i) for i in self.corner_indices))
-
-    @property
-    def num_points(self) -> int:
-        return len(self.points)
-
-
-def build_mask_anchor(center, base_scale: float, octave: float = 1.0,
-                      aspect: float = 1.0, n: int = 36) -> MaskAnchor:
-    """Build a mask anchor for one (scale, octave, aspect) combination.
-
-    The implicit box has area (base_scale * octave)**2 and width/height ratio
-    ``aspect``, centered at ``center``.
-    """
-    for name, value in (("base_scale", base_scale), ("octave", octave), ("aspect", aspect)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise NonPositiveScaleError(f"{name} must be finite and > 0, got {value}")
-    side = base_scale * octave
-    width = side * math.sqrt(aspect)
-    height = side / math.sqrt(aspect)
-    box = Box.from_center(center, width, height)
-    points, corners = sample_box_perimeter(box, n)
-    return MaskAnchor(as_point(center), box, points, corners)
-
-
-REFINED_MODE_ID = -1
-
-
-@dataclass(frozen=True)
-class PoseAnchor:
-    """Ordered 17-joint point set plus the variant that produced it."""
-
-    joints: np.ndarray
-    mode_id: int
-    scale: float
-    rotation: float
-
-    def __post_init__(self):
-        joints = np.ascontiguousarray(np.asarray(self.joints, dtype=float))
-        if joints.shape != (NUM_JOINTS, 2):
-            raise JointCountMismatchError(
-                f"pose anchors carry exactly {NUM_JOINTS} joints, got shape {joints.shape}"
-            )
-        if not np.isfinite(joints).all():
-            raise PointSetError("pose anchor joints must be finite")
-        joints.setflags(write=False)
-        object.__setattr__(self, "joints", joints)
 
 
 @dataclass(frozen=True)
@@ -253,10 +187,8 @@ class MaskLevelGrid:
 
     level: int
     stride: float
-    base_scale: float
     rows: int
     cols: int
-    num_points: int
     boxes: np.ndarray            # (rows * cols * slots, 4)
     slot_octaves: np.ndarray     # (slots,)
     slot_aspects: np.ndarray     # (slots,)
@@ -269,27 +201,17 @@ class MaskLevelGrid:
     def num_anchors(self) -> int:
         return len(self.boxes)
 
-    def location_center(self, row: int, col: int) -> Point2:
-        return Point2((col + 0.5) * self.stride, (row + 0.5) * self.stride)
-
-    def anchor(self, row: int, col: int, slot: int) -> MaskAnchor:
-        k = self.anchors_per_location
-        box = Box(*self.boxes[(row * self.cols + col) * k + slot])
-        points, corners = sample_box_perimeter(box, self.num_points)
-        return MaskAnchor(self.location_center(row, col), box, points, corners)
-
 
 @dataclass(frozen=True, eq=False)
 class PoseLevelGrid:
     """Pose anchors of one pyramid level, stacked in (row, col, slot) order.
 
     The level keeps only its per-slot variants: anchor (row, col, slot) has
-    joints location_center(row, col) + variants[slot].
+    joints ((col + 0.5) * stride, (row + 0.5) * stride) + variants[slot].
     """
 
     level: int
     stride: float
-    base_scale: float
     rows: int
     cols: int
     variants: np.ndarray         # (slots, 17, 2), joint centroid at the origin
@@ -304,17 +226,6 @@ class PoseLevelGrid:
     @property
     def num_anchors(self) -> int:
         return self.rows * self.cols * self.anchors_per_location
-
-    def location_center(self, row: int, col: int) -> Point2:
-        return Point2((col + 0.5) * self.stride, (row + 0.5) * self.stride)
-
-    def anchor(self, row: int, col: int, slot: int) -> PoseAnchor:
-        return PoseAnchor(
-            np.asarray(self.location_center(row, col)) + self.variants[slot],
-            mode_id=int(self.slot_modes[slot]),
-            scale=float(self.slot_scales[slot]),
-            rotation=float(self.slot_rotations[slot]),
-        )
 
 
 LevelGrid = Union[MaskLevelGrid, PoseLevelGrid]
@@ -346,7 +257,7 @@ class AnchorGrid:
     def joint_stack(self, index=None) -> np.ndarray:
         """Pose joints of the stacked anchors at ``index`` (all when None), (len, 17, 2).
 
-        Each is location centre + variants[slot], as ``PoseLevelGrid.anchor`` forms it.
+        Each is its location centre + variants[slot].
         """
         if self.mode != POSE_MODE:
             raise PointSetError("joint_stack is defined for pose grids")
@@ -389,8 +300,7 @@ def _mask_level(config: PyramidConfig, level: int, image_size) -> MaskLevelGrid:
     offsets = np.concatenate([-half, half], axis=1)          # (slots, 4)
     boxes = (np.tile(centers, 2)[:, None, :] + offsets[None, :, :]).reshape(-1, 4)
     return MaskLevelGrid(
-        level=level, stride=stride, base_scale=base_scale, rows=rows, cols=cols,
-        num_points=config.num_points, boxes=boxes,
+        level=level, stride=stride, rows=rows, cols=cols, boxes=boxes,
         slot_octaves=np.asarray(octaves), slot_aspects=np.asarray(aspects),
     )
 
@@ -416,9 +326,8 @@ def _pose_level(config: PyramidConfig, level: int, image_size, modes: np.ndarray
     rows, cols = _feature_shape(image_size, stride)
     variants, slot_modes, slot_scales, slot_rotations = _pose_variants(config, base_scale, modes)
     return PoseLevelGrid(
-        level=level, stride=stride, base_scale=base_scale, rows=rows, cols=cols,
-        variants=variants, slot_modes=slot_modes, slot_scales=slot_scales,
-        slot_rotations=slot_rotations,
+        level=level, stride=stride, rows=rows, cols=cols, variants=variants,
+        slot_modes=slot_modes, slot_scales=slot_scales, slot_rotations=slot_rotations,
     )
 
 

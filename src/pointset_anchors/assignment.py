@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anchors import NUM_JOINTS, REFINED_MODE_ID, PoseAnchor, axis_centers
+from .anchors import NUM_JOINTS, axis_centers
 from .errors import (
     BadThresholdsError,
     JointCountMismatchError,
@@ -255,10 +255,11 @@ def assign_arrays(similarity, hi: float, lo: float, force_nearest: bool = False,
     return labels, matched, best
 
 
-def refine_pose_anchors(stage1_predictions) -> list[PoseAnchor]:
-    """Wrap stage-1 joint predictions as anchors for a second assignment round.
+def refine_pose_anchors(stage1_predictions) -> np.ndarray:
+    """Stage-1 joint predictions as (P, 17, 2) anchors for a second assignment round.
 
-    Refined anchors carry mode_id REFINED_MODE_ID (-1), scale 1, rotation 0.
+    A single (17, 2) prediction becomes a batch of one. The result goes
+    straight into ``oks`` or ``oks_matrix``.
     """
     preds = np.asarray(stage1_predictions, dtype=float)
     if preds.ndim == 2:
@@ -267,4 +268,4 @@ def refine_pose_anchors(stage1_predictions) -> list[PoseAnchor]:
         raise JointCountMismatchError(
             f"predictions must be (P, {NUM_JOINTS}, 2), got {preds.shape}"
         )
-    return [PoseAnchor(p, mode_id=REFINED_MODE_ID, scale=1.0, rotation=0.0) for p in preds]
+    return preds

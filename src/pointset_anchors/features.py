@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anchors import MaskAnchor, PoseAnchor
 from .errors import LengthMismatchError, NonPositiveScaleError, PointSetError
 
 
@@ -42,20 +41,15 @@ class FeatureGrid:
         return self.values.shape[2]
 
 
-def shape_indexed_coords(anchor, stride: float) -> np.ndarray:
-    """Map anchor points from pixel space to feature-grid coordinates.
+def shape_indexed_coords(points, stride: float) -> np.ndarray:
+    """Map (n, 2) anchor points or joints from pixel space to feature-grid coordinates.
 
     A pixel point p sits at grid coordinate p / stride - 0.5, so the center
     of feature cell (row, col) maps back to exactly (col, row).
     """
     if not stride > 0.0:
         raise NonPositiveScaleError(f"stride must be > 0, got {stride}")
-    if isinstance(anchor, MaskAnchor):
-        points = anchor.points
-    elif isinstance(anchor, PoseAnchor):
-        points = anchor.joints
-    else:
-        points = np.asarray(anchor, dtype=float)
+    points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
         raise LengthMismatchError(f"expected (n, 2) points, got shape {points.shape}")
     return points / stride - 0.5

@@ -17,38 +17,15 @@ joints by index and uses visibility as validity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .anchors import NUM_JOINTS, MaskAnchor, PoseAnchor
+from .anchors import NUM_JOINTS
 from .errors import JointCountMismatchError, PointSetError
-from .geometry import Contour
 
 NEAREST_POINT = "nearest-point"
 NEAREST_LINE = "nearest-line"
 CORNER_PROJECTION = "corner-projection"
-POSE = "pose"
 STRATEGIES = (NEAREST_POINT, NEAREST_LINE, CORNER_PROJECTION)
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """Matched targets per anchor point.
-
-    ``offsets[i] == targets[i] - anchor_points[i]`` wherever ``valid[i]``;
-    rows with ``valid[i] == False`` carry zeros and no meaning.
-    """
-
-    targets: np.ndarray
-    valid: np.ndarray
-    offsets: np.ndarray
-    strategy: str
-
-    @property
-    def num_valid(self) -> int:
-        return int(np.count_nonzero(self.valid))
-
 
 # The most anchors x points x vertices one matching step holds; a larger
 # batch is matched in slices of anchors, so the working set stays bounded.
@@ -58,14 +35,6 @@ BATCH_ELEMENTS = 2 ** 15
 def point_offsets(points: np.ndarray, targets: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Target minus anchor point where valid and 0 elsewhere, for any leading shape."""
     return np.where(valid[..., None], targets - points, 0.0)
-
-
-def _result(points: np.ndarray, targets: np.ndarray, valid: np.ndarray, strategy: str) -> MatchResult:
-    arrays = (np.where(valid[:, None], targets, 0.0), np.array(valid),
-              point_offsets(points, targets, valid))
-    for array in arrays:
-        array.setflags(write=False)
-    return MatchResult(*arrays, strategy)
 
 
 def _nearest_vertex(points: np.ndarray, verts: np.ndarray) -> np.ndarray:
@@ -159,12 +128,31 @@ def match_points(points, corner_indices, vertices, strategy: str) -> tuple[np.nd
     (P, n, 2), zero where not valid, and valid (P, n); each anchor's rows
     equal its match alone. At most ``BATCH_ELEMENTS`` of P x n x m are worked
     on at once.
+
+    * Nearest point: exact L1 distance ties go to the lowest vertex index.
+      Every point is valid.
+    * Nearest line: segments are the closed edges (v_i, v_{i+1 mod m}), the
+      distance is Euclidean to the clamped projection, and exact ties go to
+      the lowest segment index. Every point is valid.
+    * Corner projection needs the four increasing ``corner_indices``
+      (top-left, top-right, bottom-right, bottom-left, the stored
+      orientation); the nearest strategies ignore them. The corners' nearest
+      vertices split the contour into four parts by traversal order. A
+      non-corner point takes the intersection of its cast line with its part
+      nearest to it, ties going to the first in traversal order; it is
+      invalid when the line misses the part. Corner points are always valid.
+      A part whose two corner targets coincide is a single vertex and matches
+      only a line through it.
     """
     kernel = _KERNELS.get(strategy)
     if kernel is None:
         raise PointSetError(f"unknown matching strategy {strategy!r}; expected one of {STRATEGIES}")
     points = np.asarray(points, dtype=float)
     verts = np.asarray(vertices, dtype=float)
+    if points.ndim != 3 or points.shape[2] != 2:
+        raise PointSetError(f"expected (P, n, 2) anchor points, got shape {points.shape}")
+    if strategy == CORNER_PROJECTION and np.shape(corner_indices) != (4,):
+        raise PointSetError(f"corner projection needs 4 corner indices, got {corner_indices}")
     count, n, _ = points.shape
     step = max(1, BATCH_ELEMENTS // max(n * len(verts), 1))
     targets = np.empty(points.shape)
@@ -174,73 +162,21 @@ def match_points(points, corner_indices, vertices, strategy: str) -> tuple[np.nd
     return targets, valid
 
 
-def match(anchor: MaskAnchor, gt: Contour, strategy: str) -> MatchResult:
-    """Match one anchor, as a batch of one; nearest point and line also take (n, 2) points."""
-    if strategy == CORNER_PROJECTION and not isinstance(anchor, MaskAnchor):
-        raise PointSetError("corner projection requires a MaskAnchor with corner indices")
-    points = anchor.points if isinstance(anchor, MaskAnchor) else np.asarray(anchor, dtype=float)
-    corners = getattr(anchor, "corner_indices", None)
-    targets, valid = match_points(points[None], corners, gt.vertices, strategy)
-    return _result(points, targets[0], valid[0], strategy)
-
-
-def match_nearest_point(anchor: MaskAnchor, gt: Contour) -> MatchResult:
-    """Match each anchor point to the L1-nearest contour vertex.
-
-    Exact distance ties resolve to the lowest vertex index. Every point is
-    valid under this strategy.
-    """
-    return match(anchor, gt, NEAREST_POINT)
-
-
-def match_nearest_line(anchor: MaskAnchor, gt: Contour) -> MatchResult:
-    """Match each anchor point to its projection on the nearest contour segment.
-
-    Segments are the closed edges (v_i, v_{i+1 mod m}); distance is Euclidean
-    to the clamped projection; exact ties resolve to the lowest segment index.
-    Every point is valid under this strategy.
-    """
-    return match(anchor, gt, NEAREST_LINE)
-
-
-def match_corner_projection(anchor: MaskAnchor, gt: Contour) -> MatchResult:
-    """Corner point with projection matching.
-
-    The four corner anchor points are matched to contour vertices by the
-    nearest-point rule, splitting the contour into four parts by traversal
-    order (top-left -> top-right -> bottom-right -> bottom-left, the stored
-    orientation). Non-corner anchor points cast a vertical line (top/bottom
-    sides) or a horizontal line (right/left sides) and take the intersection
-    with their part nearest to the anchor point, ties going to the first in
-    traversal order. Points whose line misses their part are invalid; corner
-    points are always valid. A part whose two corner targets coincide is a
-    single vertex and matches only when the cast line passes through it.
-    """
-    return match(anchor, gt, CORNER_PROJECTION)
-
-
 def match_pose_points(joints, gt_joints, visibility) -> tuple[np.ndarray, np.ndarray]:
-    """``match_pose`` of (P, 17, 2) joints: targets (P, 17, 2) and valid (P, 17)."""
-    valid = np.broadcast_to(np.asarray(visibility) > 0, np.shape(joints)[:2])
-    return np.where(valid[..., None], np.asarray(gt_joints, dtype=float), 0.0), valid
+    """Pair (P, 17, 2) anchor joints with one gt's (17, 2) joints by index.
 
-
-def match_pose(anchor, gt_joints, visibility) -> MatchResult:
-    """Pair anchor joints with ground-truth joints by index.
-
-    Validity is visibility > 0. Targets for invisible joints are zeroed and
-    carry no offset.
+    Returns targets (P, 17, 2) and valid (P, 17). Validity is visibility > 0;
+    the targets of invisible joints are zeroed and carry no offset.
     """
-    joints = anchor.joints if isinstance(anchor, PoseAnchor) else np.asarray(anchor, dtype=float)
+    shape = np.shape(joints)
     gt_joints = np.asarray(gt_joints, dtype=float)
     visibility = np.asarray(visibility)
-    if joints.shape != (NUM_JOINTS, 2) or gt_joints.shape != (NUM_JOINTS, 2):
-        raise JointCountMismatchError(
-            f"expected ({NUM_JOINTS}, 2) joint arrays, got {joints.shape} and {gt_joints.shape}"
-        )
+    if len(shape) != 3 or shape[1:] != (NUM_JOINTS, 2) or gt_joints.shape != (NUM_JOINTS, 2):
+        raise JointCountMismatchError(f"expected (P, {NUM_JOINTS}, 2) and ({NUM_JOINTS}, 2) "
+                                      f"joint arrays, got {shape} and {gt_joints.shape}")
     if visibility.shape != (NUM_JOINTS,):
         raise JointCountMismatchError(
             f"expected ({NUM_JOINTS},) visibility, got {visibility.shape}"
         )
-    targets, valid = match_pose_points(joints[None], gt_joints, visibility)
-    return _result(joints, targets[0], valid[0], POSE)
+    valid = np.broadcast_to(visibility > 0, shape[:2])
+    return np.where(valid[..., None], gt_joints, 0.0), valid

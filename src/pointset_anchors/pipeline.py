@@ -190,8 +190,9 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
     finite float is json's own text, so the bytes equal one
     ``json.dumps(line, sort_keys=True)`` per anchor.
 
-    A gt's class id is its label, so an eligible gt with ``category_id`` < 1
-    is rejected, naming its image, before ``out_path`` is opened.
+    A gt's class id is its label, so an eligible gt with a ``category_id``
+    outside 1 .. ``config.num_classes`` is rejected, naming its image, before
+    ``out_path`` is opened.
 
     Returns a summary dict with anchor/label counts.
     """
@@ -199,9 +200,9 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
         raise MissingCanonicalPosesError("pose target emission needs canonical_poses")
     records = list(records)
     for record in records:
-        if record.class_id < 1 and _eligible(record, config.task):
-            raise PointSetError(f"image {record.image_id}: a gt has category_id "
-                                f"{record.class_id}; target labels need ids >= 1")
+        if not 1 <= record.class_id <= config.num_classes and _eligible(record, config.task):
+            raise PointSetError(f"image {record.image_id}: a gt has category_id {record.class_id};"
+                                f" target labels need ids in 1..{config.num_classes}")
 
     grouped = _group_by_image(records)
     summary = {"images": len(grouped), "anchors": 0, "positives": 0,

@@ -117,8 +117,9 @@ def brute_oks_grid(grid, gt_joints, gt_visibility, gt_scales, kappas,
                    flush: float) -> np.ndarray:
     """OKS of every anchor of a pose grid against every gt, one pair at a time.
 
-    Rows follow ``grid.index_columns()``, and each row's joints come from
-    ``level.anchor(row, col, slot)``. A visible joint scores
+    Rows follow ``grid.index_columns()``, and each row's joints are formed
+    here as ((col + 0.5) * stride, (row + 0.5) * stride) + variants[slot].
+    A visible joint scores
     f(dx^2, d) * f(dy^2, d) with d = 2 * scale * kappa^2 and the per-axis
     flush f(s, d) = 0 if s / d > flush else exp(-s / d); the OKS is the mean
     over visible joints. The width is grouped as (2 * scale) * (kappa^2), as
@@ -136,13 +137,14 @@ def brute_oks_grid(grid, gt_joints, gt_visibility, gt_scales, kappas,
     by_level = {level.level: level for level in grid.levels}
     rows = []
     for lvl, row, col, slot in zip(*(column.tolist() for column in grid.index_columns())):
-        anchor = by_level[lvl].anchor(row, col, slot)
+        level = by_level[lvl]
+        centre = ((col + 0.5) * level.stride, (row + 0.5) * level.stride)
+        anchor_joints = (centre + level.variants[slot]).tolist()
         scores = []
         for joints, visibility, scale in gts:
             total = 0.0
             count = 0
-            for (ax, ay), (gx, gy), v, kappa in zip(anchor.joints.tolist(), joints,
-                                                    visibility, kappas):
+            for (ax, ay), (gx, gy), v, kappa in zip(anchor_joints, joints, visibility, kappas):
                 if v <= 0:
                     continue
                 d = 2.0 * scale * (kappa * kappa)

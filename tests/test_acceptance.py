@@ -59,9 +59,10 @@ from util import anchor_from_box, random_box, random_polygon
 
 
 def _round_trip_iou(contour: Contour, strategy: str, n: int) -> float:
-    anchor = anchor_from_box(contour.bounds(), n)
-    result = matching.match(anchor, contour, strategy)
-    points, valid = decode_points(anchor.points, result.offsets, result.valid)
+    anchor, corners = anchor_from_box(contour.bounds(), n)
+    targets, valid = matching.match_points(anchor[None], corners, contour.vertices, strategy)
+    offsets = matching.point_offsets(anchor, targets[0], valid[0])
+    points, valid = decode_points(anchor, offsets, valid[0])
     rebuilt = construct_mask(points, valid, strategy=strategy)
     return rasterized_mask_iou(contour, rebuilt, resolution=512)
 
@@ -87,13 +88,14 @@ def test_02_matching_idempotence():
     start = time.perf_counter()
     rng = np.random.default_rng(7)
     for _ in range(1000):
-        anchor = anchor_from_box(random_box(rng), 16)
-        contour = Contour(anchor.points)
+        points, corners = anchor_from_box(random_box(rng), 16)
+        contour = Contour(points)
         for strategy in matching.STRATEGIES:
-            result = matching.match(anchor, contour, strategy)
-            assert np.abs(result.offsets).max() <= 1e-9
+            targets, valid = matching.match_points(points[None], corners, contour.vertices,
+                                                   strategy)
+            assert np.abs(matching.point_offsets(points, targets, valid)).max() <= 1e-9
             if strategy == matching.CORNER_PROJECTION:
-                assert result.valid.all()
+                assert valid.all()
     assert time.perf_counter() - start < 5.0
 
 
@@ -104,19 +106,21 @@ def test_03_matching_matches_brute_force():
     for trial in range(500):
         n_vertices = int(rng.integers(3, 41))
         contour = random_polygon(rng, n_vertices, convex=bool(trial % 2))
-        anchor = anchor_from_box(random_box(rng), 16)
+        points, corners = anchor_from_box(random_box(rng), 16)
 
-        point_result = matching.match_nearest_point(anchor, contour)
-        indices, targets = brute_nearest_point(anchor.points, contour.vertices)
-        assert np.array_equal(point_result.targets, targets)
-        assert np.array_equal(point_result.targets, contour.vertices[indices])
-        assert point_result.valid.all()
+        point_targets, point_valid = matching.match_points(
+            points[None], corners, contour.vertices, matching.NEAREST_POINT)
+        indices, targets = brute_nearest_point(points, contour.vertices)
+        assert np.array_equal(point_targets[0], targets)
+        assert np.array_equal(point_targets[0], contour.vertices[indices])
+        assert point_valid.all()
 
-        line_result = matching.match_nearest_line(anchor, contour)
-        segments, targets = brute_nearest_line(anchor.points, contour.vertices)
-        assert np.array_equal(line_result.targets, targets)
+        line_targets, line_valid = matching.match_points(
+            points[None], corners, contour.vertices, matching.NEAREST_LINE)
+        segments, targets = brute_nearest_line(points, contour.vertices)
+        assert np.array_equal(line_targets[0], targets)
         assert segments.min() >= 0 and segments.max() < n_vertices
-        assert line_result.valid.all()
+        assert line_valid.all()
     assert time.perf_counter() - start < 30.0
 
 
@@ -324,7 +328,7 @@ def test_11_refinement_coverage_gain():
         assert np.linalg.norm(noise, axis=1).mean() < anchor_error
 
         [refined] = refine_pose_anchors((gt + noise)[None])
-        score = oks(refined.joints, gt, record.keypoints[:, 2],
+        score = oks(refined, gt, record.keypoints[:, 2],
                     _gt_scale(record, DEFAULT_OKS_PARAMS), DEFAULT_OKS_PARAMS)
         if score >= 0.99:
             matched += 1

@@ -11,9 +11,7 @@ from pointset_anchors.anchors import (
     POSE_MODE,
     POSE_ROTATIONS_FIVE,
     POSE_SCALES_FIVE,
-    REFINED_MODE_ID,
     PyramidConfig,
-    build_mask_anchor,
     generate_grid,
     load_config_document,
     sample_box_perimeter,
@@ -30,12 +28,20 @@ from pointset_anchors.geometry import Box, transform_points
 
 
 def _indexed_anchors(grid):
-    """(stack row, level grid, row, col, slot, anchor) per anchor, via index_columns."""
+    """(stack row, level grid, row, col, slot, location centre) per anchor, via index_columns."""
     by_level = {level.level: level for level in grid.levels}
     columns = zip(*(column.tolist() for column in grid.index_columns()))
     for a, (lvl, row, col, slot) in enumerate(columns):
         level = by_level[lvl]
-        yield a, level, row, col, slot, level.anchor(row, col, slot)
+        centre = np.array([(col + 0.5) * level.stride, (row + 0.5) * level.stride])
+        yield a, level, row, col, slot, centre
+
+
+def _slot_box(base_scale, octave=1.0, aspect=1.0):
+    """The implicit box of a one-slot grid's one location, centred at (4, 4)."""
+    config = PyramidConfig(levels=((8.0, base_scale),), octave_scales=(octave,),
+                           aspect_ratios=(aspect,))
+    return Box(*generate_grid(config, (8, 8), MASK_MODE).box_stack()[0])
 
 
 class TestSampleBoxPerimeter:
@@ -81,27 +87,30 @@ class TestSampleBoxPerimeter:
             sample_box_perimeter(Box(0.0, 0.0, 0.0, 1.0), 8)
 
 
-class TestBuildMaskAnchor:
+class TestSlotBox:
     def test_aspect_two_dimensions(self):
-        anchor = build_mask_anchor((0.0, 0.0), 32.0, aspect=2.0)
-        assert anchor.implicit_box.width == pytest.approx(45.2548, abs=1e-4)
-        assert anchor.implicit_box.height == pytest.approx(22.6274, abs=1e-4)
+        box = _slot_box(32.0, aspect=2.0)
+        assert box.width == pytest.approx(45.2548, abs=1e-4)
+        assert box.height == pytest.approx(22.6274, abs=1e-4)
         # area is scale^2 regardless of aspect
-        assert anchor.implicit_box.area == pytest.approx(1024.0, rel=1e-12)
+        assert box.area == pytest.approx(1024.0, rel=1e-12)
+        assert box.center == (4.0, 4.0)
 
     def test_octave_scaling(self):
-        anchor = build_mask_anchor((0.0, 0.0), 32.0, octave=2.0 ** (1.0 / 3.0))
-        assert anchor.implicit_box.width == pytest.approx(40.3175, abs=1e-4)
+        box = _slot_box(32.0, octave=2.0 ** (1.0 / 3.0))
+        assert box.width == pytest.approx(40.3175, abs=1e-4)
 
     def test_point_count_default(self):
-        anchor = build_mask_anchor((5.0, 5.0), 16.0)
-        assert anchor.num_points == 36
+        assert PyramidConfig().num_points == 36
+        points, _ = sample_box_perimeters(_slot_box(16.0).as_array()[None],
+                                          PyramidConfig().num_points)
+        assert points.shape == (1, 36, 2)
 
     def test_invalid_parameters(self):
-        for kwargs in ({"base_scale": 0.0}, {"base_scale": 16.0, "octave": -1.0},
-                       {"base_scale": 16.0, "aspect": 0.0}):
+        for kwargs in ({"levels": ((8.0, 0.0),)}, {"octave_scales": (-1.0,)},
+                       {"aspect_ratios": (0.0,)}):
             with pytest.raises(NonPositiveScaleError):
-                build_mask_anchor((0.0, 0.0), **kwargs)
+                PyramidConfig(**kwargs)
 
 
 class TestPyramidConfig:
@@ -157,29 +166,32 @@ class TestMaskGrid:
         assert level.anchors_per_location == 9
         assert grid.num_anchors == 36
 
-    def test_location_centers(self):
+    def test_boxes_centred_on_cells(self):
         config = PyramidConfig(levels=((8.0, 32.0),))
-        level = generate_grid(config, (16, 16), MASK_MODE).levels[0]
-        assert level.location_center(0, 0) == (4.0, 4.0)
-        assert level.location_center(1, 1) == (12.0, 12.0)
+        boxes = generate_grid(config, (16, 16), MASK_MODE).box_stack().reshape(4, 9, 4)
+        centres = (boxes[..., :2] + boxes[..., 2:]) / 2.0
+        expected = np.array([[4.0, 4.0], [12.0, 4.0], [4.0, 12.0], [12.0, 12.0]])
+        assert np.allclose(centres, expected[:, None, :], atol=1e-12)
 
     def test_box_stack_matches_anchor_lookup(self):
         config = PyramidConfig(levels=((8.0, 32.0), (16.0, 64.0)))
         grid = generate_grid(config, (32, 32), MASK_MODE)
         stack = grid.box_stack()
         assert stack.shape == (grid.num_anchors, 4)
-        for a, level, row, col, slot, anchor in _indexed_anchors(grid):
-            assert np.array_equal(stack[a], anchor.implicit_box.as_array())
-            assert anchor.center == level.location_center(row, col)
+        for a, level, row, col, slot, centre in _indexed_anchors(grid):
+            k = level.anchors_per_location
+            assert np.array_equal(stack[a], level.boxes[(row * level.cols + col) * k + slot])
+            assert np.allclose(Box(*stack[a]).center, centre, atol=1e-12)
 
     def test_batched_perimeters_match_anchor_points(self):
         config = PyramidConfig(levels=((8.0, 32.0), (16.0, 64.0)), num_points=12)
         grid = generate_grid(config, (24, 40), MASK_MODE)
         points, corners = sample_box_perimeters(grid.box_stack(), 12)
         assert points.shape == (grid.num_anchors, 12, 2)
-        for a, _, _, _, _, anchor in _indexed_anchors(grid):
-            assert points[a].tobytes() == anchor.points.tobytes()
-            assert corners == anchor.corner_indices
+        for a, box in enumerate(grid.box_stack()):
+            one, one_corners = sample_box_perimeter(Box(*box), 12)
+            assert points[a].tobytes() == one.tobytes()
+            assert corners == one_corners
 
     def test_slot_enumerates_octaves_and_aspects(self):
         config = PyramidConfig(levels=((8.0, 32.0),))
@@ -207,6 +219,7 @@ class TestPoseGrid:
         combos = set(zip(level.slot_modes.tolist(), level.slot_scales.tolist(),
                          level.slot_rotations.tolist()))
         assert len(combos) == 27
+        assert set(level.slot_modes.tolist()) == {0, 1, 2}
 
     def test_variant_transform_about_centroid(self):
         modes = self._modes(1)
@@ -215,15 +228,15 @@ class TestPoseGrid:
         level = grid.levels[0]
         base = modes[0] * 32.0
         centered = base - base.mean(axis=0)
-        center = np.asarray(level.location_center(0, 0))
+        center = np.array([4.0, 4.0])      # location (0, 0) at stride 8
         for slot in range(level.anchors_per_location):
-            anchor = level.anchor(0, 0, slot)
+            joints = center + level.variants[slot]
             expected = transform_points(
-                centered, (0.0, 0.0), anchor.rotation, anchor.scale
+                centered, (0.0, 0.0), level.slot_rotations[slot], level.slot_scales[slot]
             ) + center
-            assert np.allclose(anchor.joints, expected, atol=1e-9)
+            assert np.allclose(joints, expected, atol=1e-9)
             # the pivot is the joint centroid: it never moves under the variant
-            assert np.allclose(anchor.joints.mean(axis=0), center, atol=1e-9)
+            assert np.allclose(joints.mean(axis=0), center, atol=1e-9)
 
     def test_missing_modes_raises(self):
         with pytest.raises(MissingCanonicalPosesError):
@@ -233,12 +246,6 @@ class TestPoseGrid:
         with pytest.raises(PointSetError):
             generate_grid(PyramidConfig(), (64, 64), POSE_MODE, np.zeros((1, 5, 2)))
 
-    def test_refined_mode_id_reserved(self):
-        grid = generate_grid(PyramidConfig(levels=((8.0, 32.0),)), (8, 8),
-                             POSE_MODE, self._modes(2))
-        assert REFINED_MODE_ID == -1
-        assert (grid.levels[0].slot_modes >= 0).all()
-
     def test_joint_stack_is_centre_plus_variant(self):
         config = PyramidConfig(levels=((8.0, 32.0), (16.0, 64.0)))
         grid = generate_grid(config, (32, 40), POSE_MODE, self._modes(2))
@@ -246,11 +253,9 @@ class TestPoseGrid:
         assert stacked.shape == (grid.num_anchors, NUM_JOINTS, 2)
         picks = np.array([grid.num_anchors - 1, 0, 7, 7, grid.levels[0].num_anchors])
         assert grid.joint_stack(picks).tobytes() == stacked[picks].tobytes()
-        for a, level, row, col, slot, anchor in _indexed_anchors(grid):
+        for a, level, row, col, slot, centre in _indexed_anchors(grid):
             assert level.variants.shape == (level.anchors_per_location, NUM_JOINTS, 2)
-            expected = np.asarray(level.location_center(row, col)) + level.variants[slot]
-            assert np.array_equal(stacked[a], expected)
-            assert np.array_equal(anchor.joints, expected)
+            assert np.array_equal(stacked[a], centre + level.variants[slot])
         for level in grid.levels:
             assert np.allclose(level.variants.mean(axis=1), 0.0, atol=1e-12)
 
@@ -266,8 +271,7 @@ class TestPoseGrid:
 
 class TestIndexColumns:
     def test_alignment_with_iteration(self):
-        # stack row a is (level, row, col, slot) in nested loop order, and
-        # level.anchor() resolves every one of them
+        # stack row a is (level, row, col, slot) in nested loop order
         config = PyramidConfig(levels=((8.0, 32.0), (16.0, 64.0)))
         modes = np.random.default_rng(7).uniform(-0.5, 0.5, (2, NUM_JOINTS, 2))
         for grid in (generate_grid(config, (32, 24), MASK_MODE),

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pointset_anchors.anchors import NUM_JOINTS, REFINED_MODE_ID
+from pointset_anchors.anchors import NUM_JOINTS
 from pointset_anchors.assignment import (
     COCO_KAPPAS,
     COCO_SIGMAS,
@@ -224,19 +224,16 @@ class TestAssign:
             assign_arrays(np.ones(4), 0.6, 0.4)
 
 
-class TestRefinePoseAnchors:
+class TestRefinePoses:
     def test_single_prediction(self, rng):
         joints = rng.uniform(0.0, 50.0, (NUM_JOINTS, 2))
         anchors = refine_pose_anchors(joints)
-        assert len(anchors) == 1
-        assert anchors[0].mode_id == REFINED_MODE_ID
-        assert anchors[0].scale == 1.0
-        assert anchors[0].rotation == 0.0
-        assert np.array_equal(anchors[0].joints, joints)
+        assert anchors.shape == (1, NUM_JOINTS, 2)
+        assert np.array_equal(anchors[0], joints)
 
     def test_batch_predictions(self, rng):
         preds = rng.uniform(0.0, 50.0, (5, NUM_JOINTS, 2))
-        assert len(refine_pose_anchors(preds)) == 5
+        assert np.array_equal(refine_pose_anchors(preds), preds)
 
     def test_bad_shape(self):
         with pytest.raises(JointCountMismatchError):

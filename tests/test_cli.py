@@ -148,6 +148,22 @@ class TestTargets:
         assert f"image {records[4].image_id}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_category_above_num_classes_rejected_before_out_is_opened(self, tmp_path, capsys):
+        # the header's classification head has num_classes (1) columns, so
+        # label 7 would name a column that does not exist
+        records = generate_synthetic_corpus(CORPUS_CONTOURS, 6, seed=3, image_size=(192, 192))
+        records[2] = dataclasses.replace(records[2], class_id=7)
+        ann = tmp_path / "corpus.json"
+        save_corpus(records, ann)
+        out = tmp_path / "targets.jsonl"
+        code = main(["targets", "--annotations", str(ann), "--out", str(out)])
+        assert code == 1
+        assert f"image {records[2].image_id}" in capsys.readouterr().err
+        assert not out.exists()
+        # coverage uses no class ids and keeps accepting the corpus
+        assert main(["coverage", "--annotations", str(ann), "--similarity", "iou",
+                     "--out", str(tmp_path / "coverage.json")]) == 0
+
     def test_byte_identical_runs(self, tmp_path):
         ann = _synth(tmp_path, "c.json")
         config = _config_file(tmp_path)

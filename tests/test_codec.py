@@ -16,8 +16,7 @@ from pointset_anchors.errors import (
     TooFewValidPointsError,
 )
 from pointset_anchors.geometry import Box, Contour, box_iou_matrix
-from pointset_anchors.matching import match
-from pointset_anchors.matching import STRATEGIES
+from pointset_anchors.matching import STRATEGIES, match_points, point_offsets
 
 from oracles import brute_nms
 from util import anchor_from_box, random_box, random_polygon
@@ -40,11 +39,12 @@ class TestDecodePoints:
 
     def test_inverts_matching(self, rng):
         contour = random_polygon(rng, 11, convex=True)
-        anchor = anchor_from_box(contour.bounds(), 24)
+        points, corners = anchor_from_box(contour.bounds(), 24)
         for strategy in STRATEGIES:
-            result = match(anchor, contour, strategy)
-            decoded, flags = decode_points(anchor.points, result.offsets, result.valid)
-            assert np.array_equal(decoded[flags], result.targets[flags]), strategy
+            targets, valid = match_points(points[None], corners, contour.vertices, strategy)
+            offsets = point_offsets(points, targets[0], valid[0])
+            decoded, flags = decode_points(points, offsets, valid[0])
+            assert np.array_equal(decoded[flags], targets[0][flags]), strategy
 
     def test_shape_mismatch(self):
         with pytest.raises(LengthMismatchError):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pointset_anchors.anchors import PoseAnchor, REFINED_MODE_ID
 from pointset_anchors.geometry import Box
 
 from util import anchor_from_box
@@ -48,15 +47,14 @@ class TestShapeIndexedCoords:
         assert coords.tolist() == [[2.0, 1.0]]
 
     def test_mask_anchor_points_used(self):
-        anchor = anchor_from_box(Box(0.0, 0.0, 16.0, 16.0), n=4)
-        coords = shape_indexed_coords(anchor, stride=16.0)
-        assert np.array_equal(coords, anchor.points / 16.0 - 0.5)
+        points, _ = anchor_from_box(Box(0.0, 0.0, 16.0, 16.0), n=4)
+        coords = shape_indexed_coords(points, stride=16.0)
+        assert np.array_equal(coords, points / 16.0 - 0.5)
         assert coords[0].tolist() == [-0.5, -0.5]
 
     def test_pose_anchor_joints_used(self):
         joints = np.tile([[32.0, 16.0]], (17, 1))
-        anchor = PoseAnchor(joints=joints, mode_id=REFINED_MODE_ID, scale=1.0, rotation=0.0)
-        coords = shape_indexed_coords(anchor, stride=32.0)
+        coords = shape_indexed_coords(joints, stride=32.0)
         assert coords.shape == (17, 2)
         assert np.all(coords == [0.5, 0.0])
 

@@ -11,12 +11,9 @@ from pointset_anchors.matching import (
     NEAREST_LINE,
     NEAREST_POINT,
     STRATEGIES,
-    match,
-    match_corner_projection,
-    match_nearest_line,
-    match_nearest_point,
     match_points,
-    match_pose,
+    match_pose_points,
+    point_offsets,
 )
 from pointset_anchors.synthetic import random_convex_polygon, random_star_polygon
 
@@ -47,6 +44,12 @@ TIE_CASES = [
               (0.0, 2.5), (-1.0, 2.5), (-2.0, 2.0)]), (0.0, -2.1000000000000014)),
 ]
 BOX_8 = np.array([[-2.0, -2.0, 2.0, 2.0]])
+
+
+def _match_one(points, corners, contour, strategy):
+    """(targets, valid, offsets) of one anchor's (n, 2) points, matched as a batch of one."""
+    targets, valid = match_points(points[None], corners, contour.vertices, strategy)
+    return targets[0], valid[0], point_offsets(points, targets[0], valid[0])
 
 
 @st.composite
@@ -81,116 +84,118 @@ def _batch_cases(draw):
 
 class TestNearestPoint:
     def test_snaps_to_vertices_with_lowest_index_ties(self):
-        anchor = anchor_from_box(Box(0.0, 0.0, 4.0, 4.0), 8)
-        result = match_nearest_point(anchor, UNIT_SQUARE_4)
+        points, corners = anchor_from_box(Box(0.0, 0.0, 4.0, 4.0), 8)
+        targets, valid, offsets = _match_one(points, corners, UNIT_SQUARE_4, NEAREST_POINT)
         # midpoint (2, 0) is L1-equidistant from (0,0) and (4,0); the lower
         # vertex index wins
-        assert tuple(result.targets[1]) == (0.0, 0.0)
-        assert result.valid.all()
-        assert result.offsets[1].tolist() == [-2.0, 0.0]
+        assert tuple(targets[1]) == (0.0, 0.0)
+        assert valid.all()
+        assert offsets[1].tolist() == [-2.0, 0.0]
 
     def test_agrees_with_brute_force(self, rng):
         for trial in range(30):
             n_vertices = int(rng.integers(3, 41))
             contour = random_polygon(rng, n_vertices, convex=bool(trial % 2))
-            anchor = anchor_from_box(random_box(rng), 16)
-            result = match_nearest_point(anchor, contour)
-            idx, targets = brute_nearest_point(anchor.points, contour.vertices)
-            assert np.array_equal(result.targets, targets)
-            assert np.array_equal(result.targets, contour.vertices[idx])
-            assert result.valid.all()
+            points, corners = anchor_from_box(random_box(rng), 16)
+            targets, valid, _ = _match_one(points, corners, contour, NEAREST_POINT)
+            idx, expected = brute_nearest_point(points, contour.vertices)
+            assert np.array_equal(targets, expected)
+            assert np.array_equal(targets, contour.vertices[idx])
+            assert valid.all()
 
 
 class TestNearestLine:
     def test_projection_reference(self):
-        result = match_nearest_line(np.array([(5.0, 1.0)]), UNIT_SQUARE_4)
-        assert tuple(result.targets[0]) == (4.0, 1.0)
+        targets, _, _ = _match_one(np.array([(5.0, 1.0)]), None, UNIT_SQUARE_4, NEAREST_LINE)
+        assert tuple(targets[0]) == (4.0, 1.0)
 
     def test_targets_lie_no_farther_than_vertices(self, rng):
         contour = random_polygon(rng, 9, convex=False)
-        anchor = anchor_from_box(random_box(rng), 24)
-        line = match_nearest_line(anchor, contour)
-        point = match_nearest_point(anchor, contour)
-        d_line = np.linalg.norm(line.targets - anchor.points, axis=1)
-        d_point = np.linalg.norm(point.targets - anchor.points, axis=1)
+        points, corners = anchor_from_box(random_box(rng), 24)
+        line, _, _ = _match_one(points, corners, contour, NEAREST_LINE)
+        point, _, _ = _match_one(points, corners, contour, NEAREST_POINT)
+        d_line = np.linalg.norm(line - points, axis=1)
+        d_point = np.linalg.norm(point - points, axis=1)
         assert (d_line <= d_point + 1e-9).all()
 
     def test_agrees_with_brute_force(self, rng):
         for trial in range(30):
             n_vertices = int(rng.integers(3, 41))
             contour = random_polygon(rng, n_vertices, convex=bool(trial % 2))
-            anchor = anchor_from_box(random_box(rng), 16)
-            result = match_nearest_line(anchor, contour)
-            _, targets = brute_nearest_line(anchor.points, contour.vertices)
-            assert np.array_equal(result.targets, targets)
-            assert result.valid.all()
+            points, corners = anchor_from_box(random_box(rng), 16)
+            targets, valid, _ = _match_one(points, corners, contour, NEAREST_LINE)
+            _, expected = brute_nearest_line(points, contour.vertices)
+            assert np.array_equal(targets, expected)
+            assert valid.all()
 
 
 class TestCornerProjection:
     def test_diamond_reference_targets(self):
-        anchor = anchor_from_box(Box(0.0, 0.0, 4.0, 4.0), 8)
-        result = match_corner_projection(anchor, DIAMOND)
+        points, corners = anchor_from_box(Box(0.0, 0.0, 4.0, 4.0), 8)
+        targets, valid, _ = _match_one(points, corners, DIAMOND, CORNER_PROJECTION)
         expected = [
             (2.0, 0.0), (2.0, 0.0), (2.0, 0.0), (4.0, 2.0),
             (4.0, 2.0), (2.0, 4.0), (2.0, 4.0), (0.0, 2.0),
         ]
-        assert result.valid.all()
-        assert np.array_equal(result.targets, np.asarray(expected))
+        assert valid.all()
+        assert np.array_equal(targets, np.asarray(expected))
 
     def test_single_vertex_part_validity(self):
         # with n = 16 both top corners match the diamond vertex (2, 0); the
         # degenerate top part accepts only the cast line through x == 2
-        anchor = anchor_from_box(Box(0.0, 0.0, 4.0, 4.0), 16)
-        result = match_corner_projection(anchor, DIAMOND)
-        top = result.valid[1:4]
+        points, corners = anchor_from_box(Box(0.0, 0.0, 4.0, 4.0), 16)
+        targets, valid, offsets = _match_one(points, corners, DIAMOND, CORNER_PROJECTION)
+        top = valid[1:4]
         assert top.tolist() == [False, True, False]
-        assert tuple(result.targets[2]) == (2.0, 0.0)
+        assert tuple(targets[2]) == (2.0, 0.0)
         # invalid rows carry zeros
-        assert result.targets[1].tolist() == [0.0, 0.0]
-        assert result.offsets[1].tolist() == [0.0, 0.0]
+        assert targets[1].tolist() == [0.0, 0.0]
+        assert offsets[1].tolist() == [0.0, 0.0]
 
     def test_corners_always_valid(self, rng):
         for trial in range(20):
             contour = random_polygon(rng, int(rng.integers(3, 30)), convex=bool(trial % 2))
-            anchor = anchor_from_box(random_box(rng), 36)
-            result = match_corner_projection(anchor, contour)
-            assert result.valid[list(anchor.corner_indices)].all()
+            points, corners = anchor_from_box(random_box(rng), 36)
+            _, valid, _ = _match_one(points, corners, contour, CORNER_PROJECTION)
+            assert valid[list(corners)].all()
 
     def test_projection_pins_cast_coordinate(self, rng):
         # a valid non-corner target shares the cast-line coordinate with its
         # anchor point: x on top/bottom sides, y on right/left
         contour = random_polygon(rng, 14, convex=True)
-        anchor = anchor_from_box(random_box(rng), 36)
-        result = match_corner_projection(anchor, contour)
-        n = anchor.num_points
+        points, ci = anchor_from_box(random_box(rng), 36)
+        targets, valid, _ = _match_one(points, ci, contour, CORNER_PROJECTION)
+        n = len(points)
         side_of = np.zeros(n, dtype=int)
-        ci = anchor.corner_indices
         for side in range(4):
             first = ci[side]
             last = ci[side + 1] if side < 3 else n
             side_of[first:last] = side
         for i in range(n):
-            if i in ci or not result.valid[i]:
+            if i in ci or not valid[i]:
                 continue
             axis = 0 if side_of[i] % 2 == 0 else 1
-            assert result.targets[i][axis] == anchor.points[i][axis]
+            assert targets[i][axis] == points[i][axis]
 
     def test_requires_mask_anchor(self):
-        with pytest.raises(PointSetError):
-            match_corner_projection(np.zeros((8, 2)), DIAMOND)
+        # a mask anchor's four corner indices; None is not iterable in the kernel
+        with pytest.raises(PointSetError, match="4 corner indices"):
+            match_points(np.zeros((1, 8, 2)), None, DIAMOND.vertices, CORNER_PROJECTION)
+        with pytest.raises(PointSetError, match="4 corner indices"):
+            match_points(np.zeros((1, 8, 2)), (0, 2, 4), DIAMOND.vertices, CORNER_PROJECTION)
 
     def test_crossing_decided_by_signs(self):
         # the top side's cast line x = 0 misses the edge (1e-170, -2.4) ->
         # (3e-170, -3.6) and meets the edge before it at (0, -2.4); taking
         # the missed edge as crossed extrapolates it to (0, -1.8)
-        anchor = anchor_from_box(Box(-2.0, -2.0, 2.0, 2.0), 8)
-        result = match_corner_projection(anchor, SUBNORMAL_EDGE)
-        assert result.valid[1]
-        assert result.targets[1].tolist() == [0.0, -2.4]
-        targets, valid = brute_corner_projection(anchor.points, anchor.corner_indices,
-                                                 SUBNORMAL_EDGE.vertices)
-        assert targets.tobytes() == result.targets.tobytes()
-        assert valid.tolist() == result.valid.tolist()
+        points, corners = anchor_from_box(Box(-2.0, -2.0, 2.0, 2.0), 8)
+        targets, valid, _ = _match_one(points, corners, SUBNORMAL_EDGE, CORNER_PROJECTION)
+        assert valid[1]
+        assert targets[1].tolist() == [0.0, -2.4]
+        expected, expected_valid = brute_corner_projection(points, corners,
+                                                           SUBNORMAL_EDGE.vertices)
+        assert expected.tobytes() == targets.tobytes()
+        assert expected_valid.tolist() == valid.tolist()
 
     @pytest.mark.parametrize("contour,expected", TIE_CASES)
     def test_tie_rules(self, contour, expected):
@@ -231,53 +236,58 @@ class TestBatchedMatching:
                 assert targets[a].tobytes() == oracle(points[a], verts)[1].tobytes()
 
     def test_single_anchor_entry_points_are_batches_of_one(self, rng):
+        # each batch row equals the match of its one-row slice, bit for bit
         contour = random_polygon(rng, 17, convex=False)
         boxes = np.stack([random_box(rng).as_array() for _ in range(5)])
         points, corners = sample_box_perimeters(boxes, 36)
         for strategy in STRATEGIES:
             targets, valid = match_points(points, corners, contour.vertices, strategy)
-            for a, box in enumerate(boxes):
-                result = match(anchor_from_box(Box(*box), 36), contour, strategy)
-                assert result.targets.tobytes() == targets[a].tobytes()
-                assert result.valid.tolist() == valid[a].tolist()
+            for a in range(len(boxes)):
+                one, one_valid = match_points(points[a:a + 1], corners, contour.vertices, strategy)
+                assert one.tobytes() == targets[a:a + 1].tobytes()
+                assert one_valid.tolist() == valid[a:a + 1].tolist()
 
     def test_corner_indices_must_increase(self):
         points, _ = sample_box_perimeters(np.array([[0.0, 0.0, 4.0, 4.0]]), 8)
         with pytest.raises(PointSetError):
             match_points(points, (0, 4, 2, 6), DIAMOND.vertices, CORNER_PROJECTION)
 
+    def test_points_must_be_a_batch(self):
+        # one anchor's (n, 2) points, unbatched, name the shape they lack
+        points, corners = anchor_from_box(Box(0.0, 0.0, 4.0, 4.0), 8)
+        for strategy in STRATEGIES:
+            with pytest.raises(PointSetError, match=r"\(P, n, 2\)"):
+                match_points(points, corners, DIAMOND.vertices, strategy)
+            with pytest.raises(PointSetError, match=r"\(P, n, 2\)"):
+                match_points(np.zeros((1, 8, 3)), corners, DIAMOND.vertices, strategy)
+
 
 class TestIdempotence:
     def test_anchor_perimeter_contour_gives_zero_offsets(self):
-        anchor = anchor_from_box(Box(10.0, 20.0, 50.0, 44.0), 16)
-        contour = Contour(anchor.points)
+        points, corners = anchor_from_box(Box(10.0, 20.0, 50.0, 44.0), 16)
+        contour = Contour(points)
         for strategy in STRATEGIES:
-            result = match(anchor, contour, strategy)
-            assert result.valid.all(), strategy
-            assert np.abs(result.offsets).max() == 0.0, strategy
+            _, valid, offsets = _match_one(points, corners, contour, strategy)
+            assert valid.all(), strategy
+            assert np.abs(offsets).max() == 0.0, strategy
 
     def test_four_vertex_contour_breaks_nearest_point_only(self):
         # the box's own 4 corners are a different contour than the n sampled
         # perimeter points: nearest-point snaps midpoints to corners
         box = Box(0.0, 0.0, 4.0, 4.0)
-        anchor = anchor_from_box(box, 8)
-        result = match_nearest_point(anchor, UNIT_SQUARE_4)
-        assert np.abs(result.offsets).max() == 2.0
+        points, corners = anchor_from_box(box, 8)
+        _, _, offsets = _match_one(points, corners, UNIT_SQUARE_4, NEAREST_POINT)
+        assert np.abs(offsets).max() == 2.0
         for strategy in (NEAREST_LINE, CORNER_PROJECTION):
-            result = match(anchor, UNIT_SQUARE_4, strategy)
-            assert np.abs(result.offsets).max() == 0.0, strategy
+            _, _, offsets = _match_one(points, corners, UNIT_SQUARE_4, strategy)
+            assert np.abs(offsets).max() == 0.0, strategy
 
 
 class TestDispatch:
-    def test_strategy_tags(self):
-        anchor = anchor_from_box(Box(0.0, 0.0, 4.0, 4.0), 8)
-        for strategy in STRATEGIES:
-            assert match(anchor, DIAMOND, strategy).strategy == strategy
-
     def test_unknown_strategy(self):
-        anchor = anchor_from_box(Box(0.0, 0.0, 4.0, 4.0), 8)
-        with pytest.raises(PointSetError):
-            match(anchor, DIAMOND, "closest")
+        points, corners = anchor_from_box(Box(0.0, 0.0, 4.0, 4.0), 8)
+        with pytest.raises(PointSetError, match="unknown matching strategy"):
+            match_points(points[None], corners, DIAMOND.vertices, "closest")
 
 
 class TestMatchPose:
@@ -286,15 +296,21 @@ class TestMatchPose:
         gt = np.arange(34, dtype=float).reshape(17, 2)
         visibility = np.zeros(17, dtype=int)
         visibility[[0, 4, 16]] = 2
-        result = match_pose(anchor_joints, gt, visibility)
-        assert result.valid.sum() == 3
-        assert np.array_equal(result.targets[0], gt[0])
-        assert result.targets[1].tolist() == [0.0, 0.0]
-        assert np.array_equal(result.offsets[4], gt[4])
+        targets, valid = match_pose_points(anchor_joints[None], gt, visibility)
+        offsets = point_offsets(anchor_joints[None], targets, valid)
+        assert valid.shape == (1, 17)
+        assert valid.sum() == 3
+        assert np.array_equal(targets[0, 0], gt[0])
+        assert targets[0, 1].tolist() == [0.0, 0.0]
+        assert np.array_equal(offsets[0, 4], gt[4])
 
     def test_shape_validation(self):
-        with pytest.raises(JointCountMismatchError):
-            match_pose(np.zeros((5, 2)), np.zeros((17, 2)), np.zeros(17))
-        with pytest.raises(JointCountMismatchError):
-            match_pose(np.zeros((17, 2)), np.zeros((17, 2)), np.zeros(5))
+        for joints, gt, visibility in (
+            (np.zeros((1, 5, 2)), np.zeros((17, 2)), np.zeros(17)),   # 5 anchor joints
+            (np.zeros((17, 2)), np.zeros((17, 2)), np.zeros(17)),     # unbatched
+            (np.zeros((1, 17, 2)), np.zeros((5, 2)), np.zeros(17)),   # 5 gt joints
+            (np.zeros((1, 17, 2)), np.zeros((17, 2)), np.zeros(5)),   # 5 visibilities
+        ):
+            with pytest.raises(JointCountMismatchError):
+                match_pose_points(joints, gt, visibility)
 

@@ -305,7 +305,7 @@ class TestEmitTargets:
 
 
     # sha256 of each case's file as written with one dict and one json.dumps
-    # per anchor, or (mask-nearest-point) with one match() call per positive;
+    # per anchor, or (mask-nearest-point) with one single-anchor match per positive;
     # the bytes must not move.
     PINNED_DIGESTS = {
         "mask-corner-projection":

@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from pointset_anchors.anchors import MaskAnchor, sample_box_perimeter
+from pointset_anchors.anchors import sample_box_perimeter
 from pointset_anchors.geometry import Box, Contour
 from pointset_anchors.synthetic import random_convex_polygon, random_star_polygon
 
 
-def anchor_from_box(box: Box, n: int) -> MaskAnchor:
-    """Mask anchor whose implicit box is given explicitly."""
-    points, corners = sample_box_perimeter(box, n)
-    return MaskAnchor(box.center, box, points, corners)
+def anchor_from_box(box: Box, n: int) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+    """(points, corner indices) of the mask anchor whose implicit box is ``box``."""
+    return sample_box_perimeter(box, n)
 
 
 def random_box(rng: np.random.Generator, span: float = 100.0,
