@@ -1,4 +1,4 @@
-"""The small closed-form pieces: focal loss, OKS falloff, bilinear sampling.
+"""The small closed-form pieces: focal loss and OKS falloff.
 
 None of this involves anchors directly; these are the reference
 computations training and evaluation lean on, shown at points where the
@@ -8,16 +8,11 @@ expected value is known in closed form.
 import numpy as np
 
 from pointset_anchors import (
-    Box,
-    FeatureGrid,
     LossInputs,
     OksParams,
     balance_for_task,
-    bilinear_sample,
     focal_loss,
     oks,
-    sample_box_perimeter,
-    shape_indexed_coords,
     total_loss,
 )
 
@@ -65,18 +60,3 @@ print(f"\nOKS with one joint at its kappa distance: {value:.6f} "
 assert abs(value - expected) < 1e-12
 assert oks(gt, gt, visibility, scale, params) == 1.0
 
-# --- bilinear sampling -------------------------------------------------------
-
-# Bilinear interpolation reproduces any linear field exactly, which is what
-# makes reading features at fractional anchor coordinates trustworthy.
-h, w = 12, 16
-ys, xs = np.mgrid[0:h, 0:w]
-grid = FeatureGrid(values=(2.0 * xs - 0.5 * ys + 3.0), stride=8.0)
-
-anchor_points, _ = sample_box_perimeter(Box.from_center((60.0, 44.0), 30.0, 30.0), 8)
-coords = shape_indexed_coords(anchor_points, stride=8.0)
-sampled = bilinear_sample(grid, coords)[:, 0]
-exact = 2.0 * coords[:, 0] - 0.5 * coords[:, 1] + 3.0
-print(f"\nbilinear sampling at {len(coords)} anchor points, "
-      f"max |error| on a linear field: {np.abs(sampled - exact).max():.2e}")
-assert np.allclose(sampled, exact)

@@ -24,7 +24,6 @@ from .codec import (
 )
 from .datasets import InstanceRecord, ParseResult, ParseStats, parse_annotations
 from .errors import PointSetError
-from .features import FeatureGrid, bilinear_sample, shape_indexed_coords
 from .geometry import (
     Box, Contour, Point2, box_iou_matrix, points_in_polygon, rasterized_mask_iou,
     signed_area, transform_points,
@@ -67,7 +66,6 @@ __all__ = [
     "decode_points", "enclosing_box", "nms", "topk_per_level",
     "InstanceRecord", "ParseResult", "ParseStats", "parse_annotations",
     "PointSetError",
-    "FeatureGrid", "bilinear_sample", "shape_indexed_coords",
     "Box", "Contour", "Point2", "box_iou_matrix", "points_in_polygon",
     "rasterized_mask_iou", "signed_area", "transform_points",
     "FOCAL_ALPHA", "FOCAL_GAMMA", "LAMBDA_POSE", "LAMBDA_SEGMENTATION", "TASK_POSE",

@@ -5,8 +5,9 @@ implicit box (n divisible by 4, traversal clockwise in image coordinates from
 the top-left corner). A pose anchor is an ordered set of 17 joints obtained by
 placing a canonical pose at a location and applying a scale/rotation variant
 about its joint centroid. ``generate_grid`` tiles either kind over a feature
-pyramid: one anchor set per (level, row, col, slot). Anchors are held only as
-arrays: a mask level's implicit boxes and a pose level's per-slot variants.
+pyramid: one anchor set per (level, row, col, slot). Both kinds are held in
+one form, a ``LevelGrid`` per level: a per-slot template of points about the
+location centre (box corners, or joints), placed at every location.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
@@ -23,9 +24,12 @@ from .errors import (
     BadPointCountError,
     DegenerateBoxError,
     JointCountMismatchError,
+    MalformedDocumentError,
     MissingCanonicalPosesError,
     NonPositiveScaleError,
     PointSetError,
+    check_fields,
+    is_numbers,
 )
 from .geometry import Box, transform_points
 
@@ -137,17 +141,14 @@ class PyramidConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PyramidConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise PointSetError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "levels" in kwargs:
-            kwargs["levels"] = tuple(tuple(level) for level in kwargs["levels"])
-        for key in ("octave_scales", "aspect_ratios", "pose_scales", "pose_rotations"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        numbers = (is_numbers, "a list of numbers")
+        check_fields(data, {
+            "levels": (lambda v: isinstance(v, list) and all(is_numbers(lv, 2) for lv in v),
+                       "a list of [stride, base_scale] pairs"),
+            "octave_scales": numbers, "aspect_ratios": numbers, "pose_scales": numbers,
+            "pose_rotations": numbers, "num_points": (lambda v: type(v) is int, "an integer"),
+        }, "pyramid")
+        return cls(**data)
 
     @classmethod
     def from_file(cls, path) -> "PyramidConfig":
@@ -155,17 +156,20 @@ class PyramidConfig:
 
 
 def load_config_document(path) -> dict:
-    """Read a JSON or YAML key/value document."""
+    """Read a JSON or YAML key/value document; MalformedDocumentError names a bad file."""
     path = Path(path)
-    text = path.read_text()
     if path.suffix.lower() in (".yaml", ".yml"):
         import yaml
 
-        data = yaml.safe_load(text)
+        load, malformed = yaml.safe_load, yaml.YAMLError
     else:
-        data = json.loads(text)
+        load, malformed = json.loads, ValueError
+    try:
+        data = load(path.read_text())
+    except malformed as err:
+        raise MalformedDocumentError(f"{path}: not a valid document ({err})") from err
     if not isinstance(data, dict):
-        raise PointSetError(f"config document must be a mapping, got {type(data).__name__}")
+        raise MalformedDocumentError(f"{path}: must be a mapping, got {type(data).__name__}")
     return data
 
 
@@ -182,53 +186,34 @@ def axis_centers(count: int, stride: float) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class MaskLevelGrid:
-    """Mask anchors of one pyramid level, stacked in (row, col, slot) order."""
+class LevelGrid:
+    """Anchors of one pyramid level, stacked in (row, col, slot) order.
 
-    level: int
-    stride: float
-    rows: int
-    cols: int
-    boxes: np.ndarray            # (rows * cols * slots, 4)
-    slot_octaves: np.ndarray     # (slots,)
-    slot_aspects: np.ndarray     # (slots,)
-
-    @property
-    def anchors_per_location(self) -> int:
-        return len(self.slot_octaves)
-
-    @property
-    def num_anchors(self) -> int:
-        return len(self.boxes)
-
-
-@dataclass(frozen=True, eq=False)
-class PoseLevelGrid:
-    """Pose anchors of one pyramid level, stacked in (row, col, slot) order.
-
-    The level keeps only its per-slot variants: anchor (row, col, slot) has
-    joints ((col + 0.5) * stride, (row + 0.5) * stride) + variants[slot].
+    ``templates`` is (slots, p, 2): per slot, p points about the location
+    centre. Anchor (row, col, slot) is ((col + 0.5) * stride,
+    (row + 0.5) * stride) + templates[slot]: a mask anchor's implicit box
+    corners (p = 2) or a pose anchor's joints (p = 17).
     """
 
     level: int
     stride: float
     rows: int
     cols: int
-    variants: np.ndarray         # (slots, 17, 2), joint centroid at the origin
-    slot_modes: np.ndarray       # (slots,)
-    slot_scales: np.ndarray      # (slots,)
-    slot_rotations: np.ndarray   # (slots,)
+    templates: np.ndarray
 
     @property
     def anchors_per_location(self) -> int:
-        return len(self.slot_modes)
+        return len(self.templates)
 
     @property
     def num_anchors(self) -> int:
         return self.rows * self.cols * self.anchors_per_location
 
-
-LevelGrid = Union[MaskLevelGrid, PoseLevelGrid]
+    def placed(self) -> np.ndarray:
+        """Every anchor's points, centre + template, as (rows, cols, slots, p, 2)."""
+        x = axis_centers(self.cols, self.stride)[None, :, None, None] + self.templates[..., 0]
+        y = axis_centers(self.rows, self.stride)[:, None, None, None] + self.templates[..., 1]
+        return np.stack(np.broadcast_arrays(x, y), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -249,7 +234,7 @@ class AnchorGrid:
             raise PointSetError("box_stack is defined for mask grids")
         cached = self.__dict__.get("_box_stack")
         if cached is None:
-            cached = np.concatenate([level.boxes for level in self.levels], axis=0)
+            cached = np.concatenate([level.placed().reshape(-1, 4) for level in self.levels])
             cached.setflags(write=False)
             object.__setattr__(self, "_box_stack", cached)
         return cached
@@ -257,7 +242,7 @@ class AnchorGrid:
     def joint_stack(self, index=None) -> np.ndarray:
         """Pose joints of the stacked anchors at ``index`` (all when None), (len, 17, 2).
 
-        Each is its location centre + variants[slot].
+        Each is its location centre + templates[slot].
         """
         if self.mode != POSE_MODE:
             raise PointSetError("joint_stack is defined for pose grids")
@@ -265,70 +250,34 @@ class AnchorGrid:
                                  for column in self.index_columns())
         stride = np.asarray([lv.stride for lv in self.levels])[level]
         centre = np.stack([(col + 0.5) * stride, (row + 0.5) * stride], axis=-1)
-        return centre[:, None, :] + np.stack([lv.variants for lv in self.levels])[level, slot]
+        return centre[:, None, :] + np.stack([lv.templates for lv in self.levels])[level, slot]
 
     def index_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(level, row, col, slot) per stacked anchor, aligned with the stacks."""
-        levels, rows, cols, slots = [], [], [], []
-        for level in self.levels:
-            k = level.anchors_per_location
-            n = level.num_anchors
-            loc = np.arange(n) // k
-            levels.append(np.full(n, level.level, dtype=int))
-            rows.append(loc // level.cols)
-            cols.append(loc % level.cols)
-            slots.append(np.arange(n) % k)
-        return tuple(np.concatenate(part) for part in (levels, rows, cols, slots))
+        level = np.repeat([lv.level for lv in self.levels], [lv.num_anchors for lv in self.levels])
+        row, col, slot = np.concatenate(
+            [np.indices((lv.rows, lv.cols, lv.anchors_per_location)).reshape(3, -1)
+             for lv in self.levels], axis=1)
+        return level, row, col, slot
 
 
-def _mask_level(config: PyramidConfig, level: int, image_size) -> MaskLevelGrid:
-    stride, base_scale = config.levels[level]
-    rows, cols = _feature_shape(image_size, stride)
-    gx, gy = np.meshgrid(axis_centers(cols, stride), axis_centers(rows, stride))
-    centers = np.column_stack([gx.ravel(), gy.ravel()])
-    octaves, aspects = [], []
-    half = np.empty((config.mask_anchors_per_location, 2))
-    for i, octave in enumerate(config.octave_scales):
-        for j, aspect in enumerate(config.aspect_ratios):
-            side = base_scale * octave
-            half[i * len(config.aspect_ratios) + j] = (
-                side * math.sqrt(aspect) / 2.0,
-                side / math.sqrt(aspect) / 2.0,
-            )
-            octaves.append(octave)
-            aspects.append(aspect)
-    offsets = np.concatenate([-half, half], axis=1)          # (slots, 4)
-    boxes = (np.tile(centers, 2)[:, None, :] + offsets[None, :, :]).reshape(-1, 4)
-    return MaskLevelGrid(
-        level=level, stride=stride, rows=rows, cols=cols, boxes=boxes,
-        slot_octaves=np.asarray(octaves), slot_aspects=np.asarray(aspects),
-    )
+def _box_templates(config: PyramidConfig, base_scale: float) -> np.ndarray:
+    """Box corners [(-w/2, -h/2), (w/2, h/2)] per (octave, aspect) slot."""
+    half = np.array([(base_scale * octave * math.sqrt(aspect) / 2.0,
+                      base_scale * octave / math.sqrt(aspect) / 2.0)
+                     for octave in config.octave_scales for aspect in config.aspect_ratios])
+    return np.stack([-half, half], axis=1)
 
 
-def _pose_variants(config: PyramidConfig, base_scale: float, modes: np.ndarray):
-    """One (17, 2) joint set per (mode, scale, rotation), centroid at origin."""
-    variants, slot_modes, slot_scales, slot_rotations = [], [], [], []
-    for mode_id, mode in enumerate(modes):
+def _pose_templates(config: PyramidConfig, base_scale: float, modes: np.ndarray) -> np.ndarray:
+    """Joints about their centroid per (mode, scale, rotation) slot."""
+    templates = []
+    for mode in modes:
         scaled = mode * base_scale
-        centered = scaled - scaled.mean(axis=0)
-        for s in config.pose_scales:
-            for r in config.pose_rotations:
-                variants.append(transform_points(centered, (0.0, 0.0), r, s))
-                slot_modes.append(mode_id)
-                slot_scales.append(s)
-                slot_rotations.append(r)
-    return (np.stack(variants), np.asarray(slot_modes),
-            np.asarray(slot_scales), np.asarray(slot_rotations))
-
-
-def _pose_level(config: PyramidConfig, level: int, image_size, modes: np.ndarray) -> PoseLevelGrid:
-    stride, base_scale = config.levels[level]
-    rows, cols = _feature_shape(image_size, stride)
-    variants, slot_modes, slot_scales, slot_rotations = _pose_variants(config, base_scale, modes)
-    return PoseLevelGrid(
-        level=level, stride=stride, rows=rows, cols=cols, variants=variants,
-        slot_modes=slot_modes, slot_scales=slot_scales, slot_rotations=slot_rotations,
-    )
+        centred = scaled - scaled.mean(axis=0)
+        templates += [transform_points(centred, (0.0, 0.0), r, s)
+                      for s in config.pose_scales for r in config.pose_rotations]
+    return np.stack(templates)
 
 
 def generate_grid(config: PyramidConfig, image_size, mode: str = MASK_MODE,
@@ -348,7 +297,7 @@ def generate_grid(config: PyramidConfig, image_size, mode: str = MASK_MODE,
             centroid.
     """
     if mode == MASK_MODE:
-        levels = tuple(_mask_level(config, i, image_size) for i in range(len(config.levels)))
+        templates = partial(_box_templates, config)
     elif mode == POSE_MODE:
         if canonical_poses is None:
             raise MissingCanonicalPosesError("pose grids need canonical_poses")
@@ -359,7 +308,9 @@ def generate_grid(config: PyramidConfig, image_size, mode: str = MASK_MODE,
             )
         if not np.isfinite(modes).all():
             raise PointSetError("canonical_poses must be finite")
-        levels = tuple(_pose_level(config, i, image_size, modes) for i in range(len(config.levels)))
+        templates = partial(_pose_templates, config, modes=modes)
     else:
         raise PointSetError(f"unknown grid mode: {mode!r}")
+    levels = tuple(LevelGrid(i, stride, *_feature_shape(image_size, stride), templates(base_scale))
+                   for i, (stride, base_scale) in enumerate(config.levels))
     return AnchorGrid(mode=mode, image_size=(int(image_size[0]), int(image_size[1])), levels=levels)

@@ -175,12 +175,12 @@ def oks_lattice(levels, gt_joints, gt_visibility, gt_scales,
     """OKS of every anchor of a pose grid's levels against every gt.
 
     Rows follow the grid's stacking order (level, row, col, slot). The anchor
-    at (row, col, slot) has joints (x[col], y[row]) + variants[slot], so its
+    at (row, col, slot) has joints (x[col], y[row]) + templates[slot], so its
     term for joint j factors into f over x, which depends only on
     (slot, j, col), and f over y, which depends only on (slot, j, row). A gt
     then costs 17 * (rows + cols) exponentials per slot, and the score maps of
     all (gt, slot) pairs come from one batched matmul of (ey * weight)^T @ ex.
-    Joint coordinates are formed as centre + variant, exactly as
+    Joint coordinates are formed as centre + template, exactly as
     ``generate_grid`` forms them, so every factor, and every flush, is
     bit-identical to ``oks_matrix`` on the stacked joints.
     """
@@ -195,8 +195,8 @@ def oks_lattice(levels, gt_joints, gt_visibility, gt_scales,
     for level in levels:
         xs = axis_centers(level.cols, level.stride)
         ys = axis_centers(level.rows, level.stride)
-        ex = _flushed_exp(xs + level.variants[:, :, 0, None] - gt[..., 0, :], widths)
-        ey = _flushed_exp(ys + level.variants[:, :, 1, None] - gt[..., 1, :], widths)
+        ex = _flushed_exp(xs + level.templates[:, :, 0, None] - gt[..., 0, :], widths)
+        ey = _flushed_exp(ys + level.templates[:, :, 1, None] - gt[..., 1, :], widths)
         ey *= weights
         scores = np.matmul(ey.transpose(0, 1, 3, 2), ex)                     # (G, K, rows, cols)
         blocks.append(scores.transpose(2, 3, 1, 0).reshape(-1, len(gt_joints)))

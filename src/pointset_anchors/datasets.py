@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .anchors import NUM_JOINTS
-from .errors import DegenerateContourError, MalformedDocumentError, TooFewVerticesError
+from .errors import DegenerateContourError, MalformedDocumentError, TooFewVerticesError, is_numbers
 from .geometry import Box, Contour
 
 
@@ -96,7 +96,7 @@ def _parse_polygons(segmentation, context: str, stats: ParseStats) -> tuple[Cont
     _require(isinstance(segmentation, list), context, "polygon segmentation must be a list")
     contours = []
     for poly_idx, flat in enumerate(segmentation):
-        _require(isinstance(flat, list), context, f"polygon {poly_idx} must be a flat list")
+        _require(is_numbers(flat), context, f"'segmentation' polygon {poly_idx} must be numbers")
         _require(len(flat) % 2 == 0, context, f"polygon {poly_idx} has an odd value count")
         vertices = np.asarray(flat, dtype=float).reshape(-1, 2)
         vertices = _dedup_consecutive(vertices)
@@ -169,7 +169,8 @@ def parse_annotations(path) -> ParseResult:
         result.stats.annotations += 1
         _require("image_id" in ann, context, "missing key 'image_id'")
         image_id = ann["image_id"]
-        _require(image_id in sizes, context, f"unknown image_id {image_id!r}")
+        _require(isinstance(image_id, int) and image_id in sizes, context,
+                 f"unknown image_id {image_id!r}")
 
         if ann.get("iscrowd", 0):
             result.stats.rejected_crowd += 1
@@ -182,8 +183,7 @@ def parse_annotations(path) -> ParseResult:
 
         _require("bbox" in ann, context, "missing key 'bbox'")
         bbox = ann["bbox"]
-        _require(isinstance(bbox, list) and len(bbox) == 4, context,
-                 "'bbox' must be [x, y, width, height]")
+        _require(is_numbers(bbox, 4), context, "'bbox' must be [x, y, width, height] numbers")
         x, y, w, h = (float(v) for v in bbox)
         _require(w >= 0 and h >= 0, context, "bbox width/height must be >= 0")
         box = Box(x, y, x + w, y + h)
@@ -195,14 +195,16 @@ def parse_annotations(path) -> ParseResult:
         keypoints = None
         if "keypoints" in ann:
             flat = ann["keypoints"]
-            _require(isinstance(flat, list) and len(flat) == NUM_JOINTS * 3, context,
-                     f"'keypoints' must hold {NUM_JOINTS * 3} values, got {len(flat) if isinstance(flat, list) else type(flat).__name__}")
+            _require(is_numbers(flat, NUM_JOINTS * 3), context,
+                     f"'keypoints' must hold {NUM_JOINTS * 3} numbers")
             keypoints = np.asarray(flat, dtype=float).reshape(NUM_JOINTS, 3)
 
+        class_id = ann.get("category_id", 1)
+        _require(isinstance(class_id, int), context, "'category_id' must be an integer")
         record = InstanceRecord(
             image_id=int(image_id),
             image_size=sizes[image_id],
-            class_id=int(ann.get("category_id", 1)),
+            class_id=int(class_id),
             bbox=box,
             contours=contours,
             keypoints=keypoints,

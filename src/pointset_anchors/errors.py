@@ -1,4 +1,4 @@
-"""Exception types raised by validation and construction paths."""
+"""Exception types, and the field checks of input documents that raise them."""
 
 
 class PointSetError(ValueError):
@@ -62,8 +62,24 @@ class TooFewPosesError(PointSetError):
 
 
 class MalformedDocumentError(PointSetError):
-    """Annotation document is structurally invalid; message names the field."""
+    """An input document (annotations, config, pose modes) is invalid; message names the field."""
 
 
 class NoApplicableRecordsError(PointSetError):
     """No input record carries the annotations the operation needs."""
+
+
+def is_numbers(value, length=None) -> bool:
+    """Whether ``value`` is a list of numbers (bools excluded), of ``length`` when given."""
+    return (isinstance(value, list) and length in (None, len(value))
+            and all(type(v) in (int, float) for v in value))
+
+
+def check_fields(data: dict, fields: dict, context: str) -> None:
+    """Reject keys not in ``fields``, then name the first value failing its (predicate, kind)."""
+    unknown = set(data) - set(fields)
+    if unknown:
+        raise MalformedDocumentError(f"{context}: unknown config keys: {sorted(unknown)}")
+    for key, (check, kind) in fields.items():
+        if key in data and not check(data[key]):
+            raise MalformedDocumentError(f"{context}: {key!r} must be {kind}, got {data[key]!r}")

@@ -45,6 +45,8 @@ from .errors import (
     MissingCanonicalPosesError,
     NoApplicableRecordsError,
     PointSetError,
+    check_fields,
+    is_numbers,
 )
 from .geometry import box_iou_matrix, signed_area
 from .losses import TASK_POSE, TASK_SEGMENTATION, head_output_dims
@@ -106,10 +108,12 @@ class TargetConfig(_TaskConfig):
 
     @classmethod
     def from_dict(cls, data: dict) -> "TargetConfig":
-        known = {"pyramid", "task", "strategy", "hi", "lo", "force_nearest", "num_classes"}
-        unknown = set(data) - known
-        if unknown:
-            raise PointSetError(f"unknown config keys: {sorted(unknown)}")
+        number = (lambda v: v is None or is_numbers([v]), "a number")
+        name = (lambda v: isinstance(v, str), "a string")
+        check_fields(data, {"pyramid": (lambda v: isinstance(v, dict), "a mapping"),
+                            "task": name, "strategy": name, "hi": number, "lo": number,
+                            "force_nearest": (lambda v: isinstance(v, bool), "true or false"),
+                            "num_classes": (lambda v: type(v) is int, "an integer")}, "config")
         kwargs = dict(data)
         if "pyramid" in kwargs:
             kwargs["pyramid"] = PyramidConfig.from_dict(kwargs["pyramid"])

@@ -14,10 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .anchors import NUM_JOINTS
+from .anchors import NUM_JOINTS, load_config_document
 from .errors import (
     DegenerateBoxError,
     JointCountMismatchError,
+    MalformedDocumentError,
     PointSetError,
     TooFewPosesError,
     TooFewVisibleJointsError,
@@ -235,10 +236,14 @@ def save_pose_modes(modes: PoseModes, path) -> None:
 
 def load_pose_modes(path) -> PoseModes:
     """Read modes written by ``save_pose_modes``."""
-    doc = json.loads(Path(path).read_text())
-    modes = np.asarray(doc["modes"], dtype=float)
-    if modes.shape != (int(doc["k"]), NUM_JOINTS, 2):
+    doc = load_config_document(path)
+    try:
+        modes = np.asarray(doc["modes"], dtype=float)
+        k, inertia, seed = int(doc["k"]), float(doc["inertia"]), int(doc["seed"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise MalformedDocumentError(f"{path}: not a pose modes document ({err!r})") from err
+    if modes.shape != (k, NUM_JOINTS, 2):
         raise JointCountMismatchError(
             f"mode file claims k={doc['k']} but carries shape {modes.shape}"
         )
-    return PoseModes(modes=modes, inertia=float(doc["inertia"]), seed=int(doc["seed"]))
+    return PoseModes(modes=modes, inertia=inertia, seed=seed)

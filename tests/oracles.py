@@ -113,12 +113,60 @@ def brute_nms(boxes, scores, classes, iou_threshold: float,
     return kept
 
 
-def brute_oks_grid(grid, gt_joints, gt_visibility, gt_scales, kappas,
-                   flush: float) -> np.ndarray:
-    """OKS of every anchor of a pose grid against every gt, one pair at a time.
+def brute_grid_anchors(config, image_size, mode, modes=None) -> np.ndarray:
+    """Every anchor of a grid, built one at a time from the ``PyramidConfig`` rules.
 
-    Rows follow ``grid.index_columns()``, and each row's joints are formed
-    here as ((col + 0.5) * stride, (row + 0.5) * stride) + variants[slot].
+    Anchors come in (level, row, col, slot) order; location (row, col) of a
+    level with stride s is centred at ((col + 0.5) * s, (row + 0.5) * s) on a
+    ceil(height / s) x ceil(width / s) map. A mask anchor is its implicit box
+    (x_min, y_min, x_max, y_max): side base * octave, width side * sqrt(aspect),
+    height side / sqrt(aspect), centred on the location, with slots in
+    (octave, aspect) order; the result is (A, 4). A pose anchor is mode * base,
+    moved so its joint centroid (the mean of its joints, summed in joint
+    order) sits at the origin, rotated by r degrees and scaled by s about it,
+    then centred on the location, with slots in (mode, scale, rotation)
+    order; the result is (A, 17, 2).
+    """
+    width, height = image_size
+    anchors = []
+    for stride, base in config.levels:
+        slots = []
+        if mode == "mask":
+            for octave in config.octave_scales:
+                for aspect in config.aspect_ratios:
+                    side = base * octave
+                    slots.append((side * math.sqrt(aspect) / 2.0, side / math.sqrt(aspect) / 2.0))
+        else:
+            for pose in np.asarray(modes, dtype=float).tolist():
+                scaled = [(x * base, y * base) for x, y in pose]
+                mx = my = 0.0
+                for x, y in scaled:
+                    mx += x
+                    my += y
+                mx, my = mx / len(scaled), my / len(scaled)
+                for s in config.pose_scales:
+                    for r in config.pose_rotations:
+                        theta = math.radians(r)
+                        cos_t, sin_t = math.cos(theta), math.sin(theta)
+                        slots.append([(((x - mx) * cos_t - (y - my) * sin_t) * s,
+                                        ((x - mx) * sin_t + (y - my) * cos_t) * s)
+                                       for x, y in scaled])
+        for row in range(math.ceil(height / stride)):
+            for col in range(math.ceil(width / stride)):
+                cx, cy = (col + 0.5) * stride, (row + 0.5) * stride
+                for slot in slots:
+                    if mode == "mask":
+                        half_w, half_h = slot
+                        anchors.append([cx - half_w, cy - half_h, cx + half_w, cy + half_h])
+                    else:
+                        anchors.append([[cx + dx, cy + dy] for dx, dy in slot])
+    return np.asarray(anchors, dtype=float)
+
+
+def brute_oks_grid(anchor_joints, gt_joints, gt_visibility, gt_scales, kappas,
+                   flush: float) -> np.ndarray:
+    """OKS of every (17, 2) anchor against every gt, one pair at a time.
+
     A visible joint scores
     f(dx^2, d) * f(dy^2, d) with d = 2 * scale * kappa^2 and the per-axis
     flush f(s, d) = 0 if s / d > flush else exp(-s / d); the OKS is the mean
@@ -134,17 +182,13 @@ def brute_oks_grid(grid, gt_joints, gt_visibility, gt_scales, kappas,
         z = s / d
         return 0.0 if z > flush else math.exp(-z)
 
-    by_level = {level.level: level for level in grid.levels}
     rows = []
-    for lvl, row, col, slot in zip(*(column.tolist() for column in grid.index_columns())):
-        level = by_level[lvl]
-        centre = ((col + 0.5) * level.stride, (row + 0.5) * level.stride)
-        anchor_joints = (centre + level.variants[slot]).tolist()
+    for anchor in np.asarray(anchor_joints, dtype=float).tolist():
         scores = []
         for joints, visibility, scale in gts:
             total = 0.0
             count = 0
-            for (ax, ay), (gx, gy), v, kappa in zip(anchor_joints, joints, visibility, kappas):
+            for (ax, ay), (gx, gy), v, kappa in zip(anchor, joints, visibility, kappas):
                 if v <= 0:
                     continue
                 d = 2.0 * scale * (kappa * kappa)

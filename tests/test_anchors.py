@@ -1,8 +1,13 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from oracles import brute_grid_anchors
 from pointset_anchors.anchors import (
     DEFAULT_POSE_ROTATIONS,
     DEFAULT_POSE_SCALES,
@@ -179,8 +184,8 @@ class TestMaskGrid:
         stack = grid.box_stack()
         assert stack.shape == (grid.num_anchors, 4)
         for a, level, row, col, slot, centre in _indexed_anchors(grid):
-            k = level.anchors_per_location
-            assert np.array_equal(stack[a], level.boxes[(row * level.cols + col) * k + slot])
+            assert level.templates.shape == (level.anchors_per_location, 2, 2)
+            assert np.array_equal(stack[a], (centre + level.templates[slot]).ravel())
             assert np.allclose(Box(*stack[a]).center, centre, atol=1e-12)
 
     def test_batched_perimeters_match_anchor_points(self):
@@ -196,7 +201,12 @@ class TestMaskGrid:
     def test_slot_enumerates_octaves_and_aspects(self):
         config = PyramidConfig(levels=((8.0, 32.0),))
         level = generate_grid(config, (8, 8), MASK_MODE).levels[0]
-        combos = set(zip(level.slot_octaves.tolist(), level.slot_aspects.tolist()))
+        # each slot's box corners give back its (octave, aspect), octave-major
+        width, height = (level.templates[:, 1] - level.templates[:, 0]).T
+        octaves, aspects = np.sqrt(width * height) / 32.0, width / height
+        expected = list(itertools.product(config.octave_scales, config.aspect_ratios))
+        assert np.allclose(np.column_stack([octaves, aspects]), expected, rtol=1e-12)
+        combos = set(zip(np.round(octaves, 9).tolist(), np.round(aspects, 9).tolist()))
         assert len(combos) == 9
 
     def test_partial_cells_round_up(self):
@@ -213,13 +223,26 @@ class TestPoseGrid:
 
     def test_27_anchors_per_location(self):
         config = PyramidConfig(levels=((8.0, 32.0),))
-        grid = generate_grid(config, (8, 8), POSE_MODE, self._modes(3))
+        modes = self._modes(3)
+        grid = generate_grid(config, (8, 8), POSE_MODE, modes)
         level = grid.levels[0]
         assert level.anchors_per_location == 27
-        combos = set(zip(level.slot_modes.tolist(), level.slot_scales.tolist(),
-                         level.slot_rotations.tolist()))
-        assert len(combos) == 27
-        assert set(level.slot_modes.tolist()) == {0, 1, 2}
+        # name each slot's template by the one (mode, scale, rotation) it is
+        combos = []
+        for template in level.templates:
+            (found,) = [
+                (m, s, r)
+                for m, s, r in itertools.product(range(3), DEFAULT_POSE_SCALES,
+                                                 DEFAULT_POSE_ROTATIONS)
+                if np.allclose(template, transform_points(
+                    modes[m] * 32.0 - (modes[m] * 32.0).mean(axis=0), (0.0, 0.0), r, s),
+                    atol=1e-9)
+            ]
+            combos.append(found)
+        assert combos == list(itertools.product(range(3), DEFAULT_POSE_SCALES,
+                                                DEFAULT_POSE_ROTATIONS))
+        assert len(set(combos)) == 27
+        assert {m for m, _, _ in combos} == {0, 1, 2}
 
     def test_variant_transform_about_centroid(self):
         modes = self._modes(1)
@@ -229,11 +252,11 @@ class TestPoseGrid:
         base = modes[0] * 32.0
         centered = base - base.mean(axis=0)
         center = np.array([4.0, 4.0])      # location (0, 0) at stride 8
-        for slot in range(level.anchors_per_location):
-            joints = center + level.variants[slot]
-            expected = transform_points(
-                centered, (0.0, 0.0), level.slot_rotations[slot], level.slot_scales[slot]
-            ) + center
+        slots = list(itertools.product(config.pose_scales, config.pose_rotations))
+        assert len(slots) == level.anchors_per_location
+        for slot, (scale, rotation) in enumerate(slots):
+            joints = center + level.templates[slot]
+            expected = transform_points(centered, (0.0, 0.0), rotation, scale) + center
             assert np.allclose(joints, expected, atol=1e-9)
             # the pivot is the joint centroid: it never moves under the variant
             assert np.allclose(joints.mean(axis=0), center, atol=1e-9)
@@ -254,10 +277,10 @@ class TestPoseGrid:
         picks = np.array([grid.num_anchors - 1, 0, 7, 7, grid.levels[0].num_anchors])
         assert grid.joint_stack(picks).tobytes() == stacked[picks].tobytes()
         for a, level, row, col, slot, centre in _indexed_anchors(grid):
-            assert level.variants.shape == (level.anchors_per_location, NUM_JOINTS, 2)
-            assert np.array_equal(stacked[a], centre + level.variants[slot])
+            assert level.templates.shape == (level.anchors_per_location, NUM_JOINTS, 2)
+            assert np.array_equal(stacked[a], centre + level.templates[slot])
         for level in grid.levels:
-            assert np.allclose(level.variants.mean(axis=1), 0.0, atol=1e-12)
+            assert np.allclose(level.templates.mean(axis=1), 0.0, atol=1e-12)
 
     def test_mode_stack_guards(self):
         mask_grid = generate_grid(PyramidConfig(levels=((8.0, 32.0),)), (8, 8), MASK_MODE)
@@ -267,6 +290,43 @@ class TestPoseGrid:
                                   POSE_MODE, self._modes(1))
         with pytest.raises(PointSetError):
             pose_grid.box_stack()
+
+
+@st.composite
+def _grid_cases(draw):
+    """A random 1-3 level pyramid, image size and mode, with 1-2 pose modes."""
+    strides = np.cumsum(draw(st.lists(st.floats(2.0, 24.0), min_size=1, max_size=3)))
+    positive = st.floats(0.25, 4.0)
+    config = PyramidConfig(
+        levels=tuple((float(s), draw(st.floats(4.0, 160.0))) for s in strides),
+        octave_scales=draw(st.lists(positive, min_size=1, max_size=3)),
+        aspect_ratios=draw(st.lists(positive, min_size=1, max_size=3)),
+        pose_scales=draw(st.lists(positive, min_size=1, max_size=2)),
+        pose_rotations=draw(st.lists(st.floats(-180.0, 180.0), min_size=1, max_size=2)),
+    )
+    size = (draw(st.integers(1, 64)), draw(st.integers(1, 64)))
+    mode = draw(st.sampled_from([MASK_MODE, POSE_MODE]))
+    modes = draw(hnp.arrays(float, (draw(st.integers(1, 2)), NUM_JOINTS, 2),
+                            elements=st.floats(-1.0, 1.0)))
+    return config, size, mode, modes
+
+
+class TestGridOracle:
+    @given(case=_grid_cases(), data=st.data())
+    def test_stacks_match_one_anchor_at_a_time(self, case, data):
+        config, size, mode, modes = case
+        expected = brute_grid_anchors(config, size, mode, modes)
+        if mode == MASK_MODE:
+            grid = generate_grid(config, size, mode)
+            assert grid.box_stack().shape == expected.shape
+            assert grid.box_stack().tobytes() == expected.tobytes()
+            return
+        grid = generate_grid(config, size, mode, modes)
+        assert grid.joint_stack().shape == expected.shape
+        assert grid.joint_stack().tobytes() == expected.tobytes()
+        index = np.asarray(data.draw(st.lists(st.integers(0, grid.num_anchors - 1), max_size=12)),
+                           dtype=int)
+        assert grid.joint_stack(index).tobytes() == expected[index].tobytes()
 
 
 class TestIndexColumns:

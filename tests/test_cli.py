@@ -176,6 +176,57 @@ class TestTargets:
         assert outs[0] == outs[1]
 
 
+def _assert_named_error(capsys, code, *names):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:"), err
+    assert "Traceback" not in err
+    for name in names:
+        assert name in err, err
+
+
+class TestDocumentErrors:
+    """A bad field of an input document exits 1 with a named error, not a traceback."""
+
+    def test_non_numeric_bbox(self, tmp_path, capsys):
+        ann = _synth(tmp_path, "c.json")
+        doc = json.loads(ann.read_text())
+        doc["annotations"][2]["bbox"] = ["a", 0, 1, 1]
+        ann.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["targets", "--annotations", str(ann), "--out", str(tmp_path / "t.jsonl")])
+        _assert_named_error(capsys, code, "annotations[2]", "'bbox'")
+
+    @pytest.mark.parametrize("name, text, names", [
+        ("config.json", '{"pyramid": ', ["config.json", "not a valid document"]),
+        ("config.yaml", "pyramid: [1, 2", ["config.yaml", "not a valid document"]),
+        ("config.json", '{"pyramid": {"levels": [[8]]}}', ["'levels'"]),
+        ("config.json", '{"pyramid": {"num_points": "36"}}', ["'num_points'"]),
+        ("config.json", '{"hi": "0.5"}', ["'hi'"]),
+    ], ids=["invalid-json", "invalid-yaml", "level-pair", "num-points-str", "hi-str"])
+    def test_bad_config(self, tmp_path, capsys, name, text, names):
+        ann = _synth(tmp_path, "c.json")
+        config = tmp_path / name
+        config.write_text(text)
+        capsys.readouterr()
+        code = main(["targets", "--annotations", str(ann), "--config", str(config),
+                     "--out", str(tmp_path / "t.jsonl")])
+        _assert_named_error(capsys, code, *names)
+
+    @pytest.mark.parametrize("doc, name", [
+        ({}, "'modes'"),
+        ({"k": "x", "seed": 0, "inertia": 0.0, "modes": [[[0.0, 0.0]] * 17]}, "'x'"),
+    ], ids=["no-modes", "k-str"])
+    def test_bad_modes_file(self, tmp_path, capsys, doc, name):
+        ann = _synth_poses(tmp_path, "poses.json")
+        modes = tmp_path / "modes.json"
+        modes.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["targets", "--annotations", str(ann), "--task", "pose",
+                     "--modes", str(modes), "--out", str(tmp_path / "t.jsonl")])
+        _assert_named_error(capsys, code, "modes.json", name)
+
+
 class TestCoverage:
     def test_iou_coverage(self, tmp_path, capsys):
         ann = _synth(tmp_path, "c.json")

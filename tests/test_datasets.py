@@ -133,6 +133,11 @@ class TestParse:
         with pytest.raises(MalformedDocumentError, match="unknown image_id"):
             parse_annotations(_write(tmp_path, _doc([ann])))
 
+    def test_unhashable_image_id(self, tmp_path):
+        ann = {"image_id": [1], "bbox": [0, 0, 10, 10]}
+        with pytest.raises(MalformedDocumentError, match=r"annotations\[0\]: unknown image_id"):
+            parse_annotations(_write(tmp_path, _doc([ann])))
+
     def test_bad_keypoint_count(self, tmp_path):
         ann = {"image_id": 1, "bbox": [0, 0, 10, 10], "keypoints": [1.0, 2.0, 2.0]}
         with pytest.raises(MalformedDocumentError, match="keypoints"):
@@ -143,6 +148,23 @@ class TestParse:
         path.write_text(json.dumps({"images": []}))
         with pytest.raises(MalformedDocumentError, match="annotations"):
             parse_annotations(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("bbox", ["a", 0, 1, 1]),
+        ("bbox", [0, None, 1, 1]),
+        ("bbox", [0, 0, True, 1]),
+        ("keypoints", [0.0] * 50 + ["2"]),
+        ("segmentation", [SQUARE[:-1] + ["x"]]),
+        ("segmentation", [[[10, 10], [40, 10], [40, 40], [10, 40]]]),
+        ("category_id", "x"),
+        ("category_id", 1.5),
+    ], ids=["bbox-str", "bbox-null", "bbox-bool", "keypoints-str", "polygon-str",
+            "polygon-nested", "category-str", "category-float"])
+    def test_non_numeric_field_named(self, tmp_path, field, value):
+        ann = {"image_id": 1, "bbox": [10, 10, 30, 30], field: value}
+        doc = _doc([{"image_id": 1, "bbox": [0, 0, 5, 5]}, ann])
+        with pytest.raises(MalformedDocumentError, match=rf"annotations\[1\]: '{field}'"):
+            parse_annotations(_write(tmp_path, doc))
 
     def test_result_iterates_records(self, tmp_path):
         anns = [{"image_id": 1, "bbox": [0, 0, 10, 10]} for _ in range(3)]

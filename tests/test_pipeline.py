@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import brute_oks_grid, brute_target_line
+from oracles import brute_grid_anchors, brute_oks_grid, brute_target_line
 from pointset_anchors.anchors import (
     NUM_JOINTS,
     POSE_MODE,
@@ -125,7 +125,8 @@ def _pose_record(joints, visibility, scale, image_size=(8, 8)):
 
 @st.composite
 def _pose_grid_cases(draw):
-    """A small pose grid of 1-2 levels plus 1-3 gts, partly outside the image.
+    """A small pose grid of 1-2 levels plus 1-3 gts, partly outside the image,
+    and the grid's anchor joints as the oracle builds them.
 
     Invisible joints carry NaN coordinates. About half the gts take a scale
     that puts one axis factor of one anchor joint at the flush edge, give or
@@ -159,7 +160,7 @@ def _pose_grid_cases(draw):
             if np.isfinite(edge) and edge > 0.0:
                 scale = float(edge)
         records.append(_pose_record(joints, visibility, scale, size))
-    return grid, records
+    return grid, records, brute_grid_anchors(config, size, POSE_MODE, modes)
 
 
 
@@ -367,11 +368,11 @@ class TestImageSimilarityRoutes:
 
     @given(case=_pose_grid_cases())
     def test_pose_route_matches_brute_force_oracle(self, case):
-        grid, records = case
+        grid, records, anchor_joints = case
         params = OksParams()
         sim = _image_similarity(grid, records, TASK_POSE_TARGETS, params)
         expected = brute_oks_grid(
-            grid,
+            anchor_joints,
             [r.keypoints[:, :2] for r in records],
             [r.keypoints[:, 2] for r in records],
             [_gt_scale(r, params) for r in records],
