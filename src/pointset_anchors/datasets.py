@@ -11,6 +11,7 @@ flagged, never clamped.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,6 +82,11 @@ def _require(condition: bool, context: str, message: str) -> None:
         raise MalformedDocumentError(f"{context}: {message}")
 
 
+def _finite_numbers(value, length=None) -> bool:
+    """Whether ``value`` is a list of finite numbers, of ``length`` when given."""
+    return is_numbers(value, length) and all(map(math.isfinite, value))
+
+
 def _dedup_consecutive(vertices: np.ndarray) -> np.ndarray:
     if len(vertices) < 2:
         return vertices
@@ -96,7 +102,8 @@ def _parse_polygons(segmentation, context: str, stats: ParseStats) -> tuple[Cont
     _require(isinstance(segmentation, list), context, "polygon segmentation must be a list")
     contours = []
     for poly_idx, flat in enumerate(segmentation):
-        _require(is_numbers(flat), context, f"'segmentation' polygon {poly_idx} must be numbers")
+        _require(_finite_numbers(flat), context,
+                 f"'segmentation' polygon {poly_idx} must be finite numbers")
         _require(len(flat) % 2 == 0, context, f"polygon {poly_idx} has an odd value count")
         vertices = np.asarray(flat, dtype=float).reshape(-1, 2)
         vertices = _dedup_consecutive(vertices)
@@ -183,7 +190,8 @@ def parse_annotations(path) -> ParseResult:
 
         _require("bbox" in ann, context, "missing key 'bbox'")
         bbox = ann["bbox"]
-        _require(is_numbers(bbox, 4), context, "'bbox' must be [x, y, width, height] numbers")
+        _require(_finite_numbers(bbox, 4), context,
+                 "'bbox' must be [x, y, width, height] finite numbers")
         x, y, w, h = (float(v) for v in bbox)
         _require(w >= 0 and h >= 0, context, "bbox width/height must be >= 0")
         box = Box(x, y, x + w, y + h)
@@ -195,8 +203,8 @@ def parse_annotations(path) -> ParseResult:
         keypoints = None
         if "keypoints" in ann:
             flat = ann["keypoints"]
-            _require(is_numbers(flat, NUM_JOINTS * 3), context,
-                     f"'keypoints' must hold {NUM_JOINTS * 3} numbers")
+            _require(_finite_numbers(flat, NUM_JOINTS * 3), context,
+                     f"'keypoints' must hold {NUM_JOINTS * 3} finite numbers")
             keypoints = np.asarray(flat, dtype=float).reshape(NUM_JOINTS, 3)
 
         class_id = ann.get("category_id", 1)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -187,12 +187,12 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
     the anchor's level stride. Keys within a line are sorted; floats use
     repr, so a fixed corpus and config reproduce the file byte for byte.
 
-    Each image's lines are rendered from its columns through one fixed
-    template, ``_TARGET_LINE``, and streamed with ``writelines``, never joined
-    per image. Only positives are matched, and only their offsets and flags
-    go through ``json.dumps``. ``sim`` is always finite, and ``%r`` of a
-    finite float is json's own text, so the bytes equal one
-    ``json.dumps(line, sort_keys=True)`` per anchor.
+    Each image's lines are rendered as bytes from its columns by
+    ``_render_image``, at most ``RENDER_LINES`` lines a step, into a file
+    opened in binary mode. Only positives are matched; their offsets and
+    flags are rendered per gt batch by ``_positive_texts`` and spliced into
+    their lines. Every float is written as json's text of its value, so the
+    bytes equal one ``json.dumps(line, sort_keys=True)`` per anchor.
 
     A gt's class id is its label, so an eligible gt with a ``category_id``
     outside 1 .. ``config.num_classes`` is rejected, naming its image, before
@@ -213,7 +213,7 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
                "negatives": 0, "ignores": 0, "skipped_records": 0, "lines": 0}
 
     out_path = Path(out_path)
-    with out_path.open("w") as out:
+    with out_path.open("wb") as out:
         header = {
             **config.to_dict(),
             "format": TARGET_FORMAT,
@@ -223,7 +223,7 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
             "head_dims": _header_dims(config, canonical_poses),
             "images": sorted(grouped),
         }
-        out.write(json.dumps(header, sort_keys=True) + "\n")
+        out.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         summary["lines"] += 1
 
         for image_id, image_records, gts, grid, sim in _scored_images(
@@ -237,9 +237,9 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
             summary["ignores"] += int(np.count_nonzero(labels == LABEL_IGNORE))
 
             columns = (*grid.index_columns(), labels, matched, best)
-            positives = {}
             pos = np.flatnonzero(labels > 0)
             stride = np.asarray([lv.stride for lv in grid.levels])[columns[0][pos], None, None]
+            offsets, flags = np.empty(len(pos), object), np.empty(len(pos), object)
             for g, gt in enumerate(gts):         # a gt's positives are matched as one batch
                 mine = matched[pos] == g
                 if not mine.any():
@@ -254,39 +254,125 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
                     targets, valid = matching.match_pose_points(
                         points, gt.keypoints[:, :2], gt.keypoints[:, 2])
                 scaled = matching.point_offsets(points, targets, valid) / stride[mine]
-                positives.update(zip(pos[mine].tolist(), zip(scaled, valid)))
-            out.writelines(_image_lines(image_id, columns, positives, len(gts)))
+                offsets[mine], flags[mine] = _positive_texts(scaled, valid)
+            for piece in _render_image(image_id, columns, pos, offsets, flags):
+                out.write(piece)
             summary["anchors"] += grid.num_anchors
             summary["lines"] += grid.num_anchors
     return summary
 
 
-# One anchor's line, keys in json.dumps(sort_keys=True) order. ``sim`` goes
-# through %r, which is json's own text for the finite floats it always holds.
-_TARGET_LINE = ('{"col": %d, "gt": %s, "image": %s, "label": %d, "level": %d, '
-                '"offsets": %s, "row": %d, "sim": %r, "slot": %d, "valid": %s}\n')
+# The most lines one rendering step holds. A step's byte matrix is lines x
+# line width, so the working set stays bounded on dense grids.
+RENDER_LINES = 1024
+
+# One anchor's line, keys in json.dumps(sort_keys=True) order: the text
+# before each of its rendered fields (col, gt, label, level, row, sim, slot),
+# then the tail. Offsets and valid read null; a positive's texts are spliced
+# over those two nulls.
+_LINE_TEXT = (b'{"col": ', b', "gt": ', b', "image": %s, "label": ', b', "level": ',
+              b', "offsets": null, "row": ', b', "sim": ', b', "slot": ', b', "valid": null}\n')
 
 
-def _image_lines(image_id, columns, positives, gt_count):
-    """Render one image's lines, lazily, from its per-anchor columns.
+@lru_cache(maxsize=None)
+def _int_tokens(bits: int, null: bool) -> np.ndarray:
+    """The texts of 0 .. 2**bits - 1 and then of -1 ("null" if ``null``), NUL-padded.
+
+    -1 is the last entry, so indexing with a value of -1 picks its text. The
+    cached table is read-only.
+    """
+    table = np.array([b"%d" % v for v in range(2 ** bits)] + [b"null" if null else b"-1"])
+    table.flags.writeable = False
+    return table
+
+
+def _int_field(values: np.ndarray, null: bool = False):
+    """(tokens, index) of an integer column of values >= -1."""
+    return _int_tokens(int(values.max(initial=0)).bit_length(), null), values
+
+
+def _float_texts(values: np.ndarray) -> tuple[list[bytes], np.ndarray]:
+    """json's text of each distinct bit pattern of a float array, and each value's index into them.
+
+    Keyed by bits, not value, so -0.0 keeps its sign. ``index`` has the
+    shape of ``values``.
+    """
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    texts = json.dumps(bits.view(np.float64).tolist())[1:-1].encode().split(b", ")
+    return texts, index.reshape(values.shape)
+
+
+def _lay_out(parts, count: int) -> bytes:
+    """Lay ``count`` rows of bytes pieces side by side and drop the NUL padding.
+
+    A part is a bytes literal, the same in every row, or an array of
+    ``count`` NUL-padded bytes tokens.
+    """
+    matrix = np.concatenate([np.broadcast_to(np.frombuffer(part, np.uint8), (count, len(part)))
+                             if isinstance(part, bytes) else part.view(np.uint8).reshape(count, -1)
+                             for part in parts], axis=1)
+    return matrix.tobytes().translate(None, b"\0")
+
+
+def _render_image(image_id, columns, pos, offsets, valid):
+    """Yield one image's lines as bytes pieces, rendered from its per-anchor columns.
 
     ``columns`` holds (level, row, col, slot, label, matched gt, best sim)
-    arrays, each turned into a list here, once; the lists live only as long
-    as the returned iterator. ``positives`` maps a line index to its
-    (stride-scaled offsets, valid flags) arrays. Every other line carries
-    null for both keys.
+    arrays. An integer field is a lookup in a token table indexed by value,
+    and ``sim`` takes json's text once per distinct bit pattern. Each step of
+    at most ``RENDER_LINES`` lines is laid out as one byte matrix. ``pos``
+    holds the positives' line indices, ascending; their ``offsets`` and
+    ``valid`` texts are spliced over the nulls at byte positions summed from
+    the field widths.
     """
-    levels, rows, cols, slots, labels, matched, best = (column.tolist() for column in columns)
-    offsets = ["null"] * len(levels)
-    valid = list(offsets)
-    for i, (scaled, flags) in positives.items():
-        offsets[i] = json.dumps(scaled.tolist())
-        valid[i] = json.dumps(flags.astype(int).tolist())
-    gt_tokens = [*map(str, range(gt_count)), "null"]   # matched -1 picks "null"
-    return map(_TARGET_LINE.__mod__, zip(
-        cols, map(gt_tokens.__getitem__, matched), repeat(json.dumps(image_id)),
-        labels, levels, offsets, rows, best, slots, valid,
-    ))
+    levels, rows, cols, slots, labels, matched, best = columns
+    sims, sim_index = _float_texts(best)
+    fields = (_int_field(cols), _int_field(matched, null=True), _int_field(labels),
+              _int_field(levels), _int_field(rows), (np.array(sims), sim_index), _int_field(slots))
+    texts = list(_LINE_TEXT)
+    texts[2] %= json.dumps(image_id).encode()
+    literal_width = sum(map(len, texts))
+    offsets_from = sum(map(len, texts[:4])) + len(b', "offsets": ')   # + 4 field widths
+    for start in range(0, len(best), RENDER_LINES):
+        stop = min(start + RENDER_LINES, len(best))
+        tokens = [table[index[start:stop]] for table, index in fields]
+        chunk = _lay_out([part for pair in zip(texts, tokens) for part in pair] + texts[-1:],
+                         stop - start)
+        first, last = np.searchsorted(pos, (start, stop))
+        if first == last:
+            yield chunk
+            continue
+        here = pos[first:last] - start
+        widths = [np.char.str_len(token) for token in tokens]
+        line = sum(widths) + literal_width
+        ends = np.cumsum(line)[here]
+        offsets_at = ends - line[here] + offsets_from + sum(w[here] for w in widths[:4])
+        valid_at = ends - len(b'null}\n')
+        chunk, at = memoryview(chunk), 0
+        for k, o, v in zip(range(first, last), offsets_at.tolist(), valid_at.tolist()):
+            yield from (chunk[at:o], offsets[k], chunk[o + 4:v], valid[k])
+            at = v + 4
+        yield chunk[at:]
+
+
+def _positive_texts(scaled: np.ndarray, valid: np.ndarray) -> tuple[list[bytes], list[bytes]]:
+    """The offsets and valid texts of a batch of positives, as ``json.dumps``
+    writes their lists: [[dx, dy], ...] and [1, 0, ...].
+
+    Each distinct offset is rendered once, and each text is one ``%``
+    template a positive, filled for the whole batch at once.
+    """
+    count, n = valid.shape
+    texts, index = _float_texts(scaled)
+    offsets = _fill(b"[" + b", ".join([b"[%s, %s]"] * n) + b"]\n", count,
+                    np.array(texts, dtype=object)[index.ravel()])
+    flags = np.array([b"0", b"1"], dtype=object)[valid.ravel().view(np.uint8)]
+    return offsets, _fill(b"[" + b", ".join([b"%s"] * n) + b"]\n", count, flags)
+
+
+def _fill(template: bytes, count: int, values) -> list[bytes]:
+    """``count`` lines of a one-line ``%`` template, filled in turn from ``values``."""
+    return (template * count % tuple(values)).split(b"\n")[:-1]
 
 
 def _header_dims(config: TargetConfig, canonical_poses) -> dict:

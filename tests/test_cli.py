@@ -197,6 +197,23 @@ class TestDocumentErrors:
         code = main(["targets", "--annotations", str(ann), "--out", str(tmp_path / "t.jsonl")])
         _assert_named_error(capsys, code, "annotations[2]", "'bbox'")
 
+    @pytest.mark.parametrize("command, field, index, value", [
+        ("targets", "bbox", 0, float("nan")),
+        ("targets", "segmentation", 3, float("inf")),
+        ("coverage", "keypoints", 0, float("inf")),
+        ("modes", "keypoints", 4, float("-inf")),
+    ], ids=["targets-bbox-nan", "targets-polygon-inf", "coverage-keypoint-inf",
+            "modes-keypoint-inf"])
+    def test_non_finite_value(self, tmp_path, capsys, command, field, index, value):
+        ann = (_synth if field != "keypoints" else _synth_poses)(tmp_path, "c.json")
+        doc = json.loads(ann.read_text())
+        values = doc["annotations"][2][field]
+        (values[0] if field == "segmentation" else values)[index] = value
+        ann.write_text(json.dumps(doc))           # NaN / Infinity, as json writes them
+        capsys.readouterr()
+        code = main([command, "--annotations", str(ann), "--out", str(tmp_path / "out")])
+        _assert_named_error(capsys, code, "annotations[2]", f"'{field}'", "finite")
+
     @pytest.mark.parametrize("name, text, names", [
         ("config.json", '{"pyramid": ', ["config.json", "not a valid document"]),
         ("config.yaml", "pyramid: [1, 2", ["config.yaml", "not a valid document"]),

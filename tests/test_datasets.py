@@ -166,6 +166,19 @@ class TestParse:
         with pytest.raises(MalformedDocumentError, match=rf"annotations\[1\]: '{field}'"):
             parse_annotations(_write(tmp_path, doc))
 
+    @pytest.mark.parametrize("field, value", [
+        ("bbox", [float("nan"), 10, 30, 30]),
+        ("bbox", [10, 10, float("inf"), 30]),
+        ("keypoints", [float("inf")] + [0] * 50),
+        ("segmentation", [[10, 10, 40, float("nan"), 40, 40, 10, 40]]),
+    ], ids=["bbox-nan", "bbox-inf", "keypoints-inf", "polygon-nan"])
+    def test_non_finite_field_named(self, tmp_path, field, value):
+        ann = {"image_id": 1, "bbox": [10, 10, 30, 30], field: value}
+        doc = _doc([{"image_id": 1, "bbox": [0, 0, 5, 5]}, ann])
+        with pytest.raises(MalformedDocumentError,
+                           match=rf"annotations\[1\]: '{field}'.* finite numbers"):
+            parse_annotations(_write(tmp_path, doc))
+
     def test_result_iterates_records(self, tmp_path):
         anns = [{"image_id": 1, "bbox": [0, 0, 10, 10]} for _ in range(3)]
         result = parse_annotations(_write(tmp_path, _doc(anns)))

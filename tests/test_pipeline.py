@@ -1,7 +1,9 @@
+import collections
 import dataclasses
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from pointset_anchors.errors import (
     PointSetError,
 )
 from pointset_anchors.geometry import Box
-from pointset_anchors import matching
+from pointset_anchors import matching, pipeline
 from pointset_anchors.matching import NEAREST_LINE, NEAREST_POINT
 from pointset_anchors.pipeline import (
     CoverageConfig,
@@ -42,8 +44,9 @@ from pointset_anchors.pipeline import (
     TASK_POSE_TARGETS,
     TargetConfig,
     _gt_scale,
-    _image_lines,
     _image_similarity,
+    _positive_texts,
+    _render_image,
     coverage_report,
     coverage_to_dict,
     emit_targets,
@@ -168,12 +171,14 @@ _SPECIAL_SIMS = (0.0, -0.0, 5e-324, 2.2e-308, 1.0 / 3.0, 0.1 + 0.2, 1.0)
 _SPECIAL_OFFSETS = (0.0, -0.0, 5e-324, -2.2e-308, 1e-300, 1.7e308, -1e22, 0.1 + 0.2)
 
 
-@st.composite
-def _target_rows(draw):
-    """Field values of one targets line, positives with their offsets and flags."""
-    label = draw(st.integers(-1, 4))
+_COORDS = st.sampled_from(_SPECIAL_OFFSETS) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _draw_row(draw, image, label, points):
+    """Field values of one targets line; a positive (label > 0) also gets
+    the offsets and flags of ``points`` points."""
     row = {
-        "image": draw(st.integers(0, 10 ** 12)),
+        "image": image,
         "level": draw(st.integers(0, 7)),
         "row": draw(st.integers(0, 300)),
         "col": draw(st.integers(0, 300)),
@@ -183,12 +188,56 @@ def _target_rows(draw):
         "sim": draw(st.sampled_from(_SPECIAL_SIMS) | st.floats(0.0, 1.0)),
     }
     if label > 0:
-        points = draw(st.integers(1, 6))
-        coords = st.sampled_from(_SPECIAL_OFFSETS) | st.floats(allow_nan=False,
-                                                              allow_infinity=False)
-        row["scaled"] = draw(hnp.arrays(float, (points, 2), elements=coords))
+        row["scaled"] = draw(hnp.arrays(float, (points, 2), elements=_COORDS))
         row["valid"] = draw(hnp.arrays(bool, points))
     return row
+
+
+@st.composite
+def _target_rows(draw):
+    """One targets line, positives with their offsets and flags."""
+    return _draw_row(draw, draw(st.integers(0, 10 ** 12)), draw(st.integers(-1, 4)),
+                     draw(st.integers(1, 6)))
+
+
+@st.composite
+def _target_images(draw):
+    """One image's lines as oracle rows, a render step that splits them and a
+    count of offset batches.
+
+    The image spans up to five steps; positives crowd the step edges, both
+    0.0 and -0.0 occur as sims and at least one line has no gt.
+    """
+    step = draw(st.integers(1, 8))
+    count = draw(st.integers(2, 5 * step + 1))
+    edges = [i for i in range(count) if i % step in (0, step - 1)]
+    positives = draw(st.sets(st.sampled_from(edges) | st.integers(0, count - 1), max_size=count))
+    image, points = draw(st.integers(0, 10 ** 12)), draw(st.integers(1, 6))
+    rows = [_draw_row(draw, image, draw(st.integers(1, 4) if i in positives
+                                        else st.integers(-1, 0)), points)
+            for i in range(count)]
+    zero, negative_zero = draw(st.permutations(range(count)))[:2]
+    no_gt = draw(st.integers(0, count - 1))
+    rows[zero]["sim"], rows[negative_zero]["sim"], rows[no_gt]["gt"] = 0.0, -0.0, -1
+    return rows, step, draw(st.integers(1, 3))
+
+
+def _render(rows, batch_count=1):
+    """Render oracle rows as one image, the positives' texts made in
+    ``batch_count`` batches of scattered positives, as per-gt batches are."""
+    columns = [np.array([row[key] for row in rows]) for key in
+               ("level", "row", "col", "slot", "label", "gt", "sim")]
+    pos = np.flatnonzero(columns[4] > 0)
+    offsets, flags = np.empty(len(pos), object), np.empty(len(pos), object)
+    batch = np.random.default_rng(len(rows)).integers(0, batch_count, len(pos))
+    for b in range(batch_count):
+        mine = batch == b
+        if mine.any():
+            offsets[mine], flags[mine] = _positive_texts(
+                np.array([rows[k]["scaled"] for k in pos[mine]]),
+                np.array([rows[k]["valid"] for k in pos[mine]]))
+    return b"".join(_render_image(rows[0]["image"], columns, pos, offsets, flags))
+
 
 class TestTargetConfig:
     def test_mask_defaults(self):
@@ -338,13 +387,30 @@ class TestEmitTargets:
         emit_targets(records, config, out, canonical_poses=modes)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_DIGESTS[case]
 
+    @pytest.mark.parametrize("lines", [1, 7])
+    @pytest.mark.parametrize("case", sorted(PINNED_DIGESTS))
+    def test_pinned_bytes_render_steps(self, case, lines, tmp_path, monkeypatch):
+        # lines rendered 1 or 7 at a time; 7 divides no image's line count
+        monkeypatch.setattr(pipeline, "RENDER_LINES", lines)
+        records, config, modes = _pinned_case(case)
+        out = tmp_path / "targets.jsonl"
+        emit_targets(records, config, out, canonical_poses=modes)
+        body = out.read_bytes()
+        assert hashlib.sha256(body).hexdigest() == self.PINNED_DIGESTS[case]
+        per_image = collections.Counter(line.split(b'"image": ')[1].split(b",")[0]
+                                        for line in body.splitlines()[1:])
+        assert lines == 1 or all(count % lines for count in per_image.values())
+
     @given(_target_rows())
     def test_line_renderer_matches_dict_oracle(self, row):
-        positives = {0: (row["scaled"], row["valid"])} if row["label"] > 0 else {}
-        columns = [np.array([row[key]]) for key in
-                   ("level", "row", "col", "slot", "label", "gt", "sim")]
-        (line,) = _image_lines(row["image"], columns, positives, 13)
-        assert line == brute_target_line(**row)
+        assert _render([row]).decode() == brute_target_line(**row)
+
+    @given(_target_images())
+    def test_image_renderer_matches_dict_oracle(self, case):
+        rows, step, batch_count = case
+        with mock.patch.object(pipeline, "RENDER_LINES", step):
+            lines = _render(rows, batch_count).decode().splitlines(keepends=True)
+        assert lines == [brute_target_line(**row) for row in rows]
 
 class TestImageSimilarityRoutes:
     def test_pose_route_matches_plain_oks_matrix(self):
