@@ -164,9 +164,10 @@ def parse_annotations(path) -> ParseResult:
         _require(isinstance(image, dict), context, "must be an object")
         for key in ("id", "width", "height"):
             _require(key in image, context, f"missing key {key!r}")
-            _require(isinstance(image[key], int), context, f"{key!r} must be an integer")
+            _require(type(image[key]) is int, context, f"{key!r} must be an integer")
         _require(image["width"] > 0 and image["height"] > 0, context,
                  "width and height must be positive")
+        _require(image["id"] not in sizes, context, f"repeats image id {image['id']}")
         sizes[image["id"]] = (image["width"], image["height"])
     result.stats.images = len(sizes)
 
@@ -176,7 +177,7 @@ def parse_annotations(path) -> ParseResult:
         result.stats.annotations += 1
         _require("image_id" in ann, context, "missing key 'image_id'")
         image_id = ann["image_id"]
-        _require(isinstance(image_id, int) and image_id in sizes, context,
+        _require(type(image_id) is int and image_id in sizes, context,
                  f"unknown image_id {image_id!r}")
 
         if ann.get("iscrowd", 0):
@@ -208,11 +209,11 @@ def parse_annotations(path) -> ParseResult:
             keypoints = np.asarray(flat, dtype=float).reshape(NUM_JOINTS, 3)
 
         class_id = ann.get("category_id", 1)
-        _require(isinstance(class_id, int), context, "'category_id' must be an integer")
+        _require(type(class_id) is int, context, "'category_id' must be an integer")
         record = InstanceRecord(
-            image_id=int(image_id),
+            image_id=image_id,
             image_size=sizes[image_id],
-            class_id=int(class_id),
+            class_id=class_id,
             bbox=box,
             contours=contours,
             keypoints=keypoints,

@@ -27,9 +27,10 @@ NEAREST_LINE = "nearest-line"
 CORNER_PROJECTION = "corner-projection"
 STRATEGIES = (NEAREST_POINT, NEAREST_LINE, CORNER_PROJECTION)
 
-# The most anchors x points x vertices one matching step holds; a larger
-# batch is matched in slices of anchors, so the working set stays bounded.
-BATCH_ELEMENTS = 2 ** 15
+# The most array elements one kernel call works on. A larger batch is matched
+# in slices of anchors, each sized by its kernel's working set, so memory
+# stays bounded.
+BATCH_ELEMENTS = 2 ** 17
 
 
 def point_offsets(points: np.ndarray, targets: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -37,97 +38,122 @@ def point_offsets(points: np.ndarray, targets: np.ndarray, valid: np.ndarray) ->
     return np.where(valid[..., None], targets - points, 0.0)
 
 
-def _nearest_vertex(points: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    """Index of each point's L1-nearest vertex, the lowest index on ties."""
-    dist = np.abs(points[..., None, :] - verts)
+def _nearest_vertex(points, verts):
+    """Index of each of P anchors' (P, n, 2) points' L1-nearest vertex of its
+    anchor's own (P, w, 2) ones, the lowest index on ties. A kernel's anchors'
+    vertices are padded with +inf past their sizes, so padding never wins."""
+    dist = np.abs(points[:, :, None, :] - verts[:, None])
     return (dist[..., 0] + dist[..., 1]).argmin(axis=-1)     # .sum(-1)'s bits: no -0.0
 
 
-def _nearest_point(points, corner_indices, verts):
-    return verts[_nearest_vertex(points, verts)], np.ones(points.shape[:2], dtype=bool)
+def _nearest_point(points, verts, sizes):
+    targets = np.take_along_axis(verts, _nearest_vertex(points, verts)[..., None], axis=1)
+    return targets, np.ones(points.shape[:2], dtype=bool)
 
 
-def _nearest_line(points, corner_indices, verts):
-    ab = np.roll(verts, -1, axis=0) - verts
-    denom = (ab * ab).sum(axis=1)
-    t = ((points[:, :, None, :] - verts) * ab).sum(axis=-1)
+def _nearest_line(points, verts, sizes):
+    width = verts.shape[1]
+    following = np.take_along_axis(verts, ((np.arange(width) + 1) % sizes[:, None])[..., None], 1)
+    # A padding segment starts at +inf and runs (1, 1): its projection clamps
+    # to its start, at infinite distance, and no NaN arises.
+    ab = np.where((np.arange(width) < sizes[:, None])[..., None], following - verts, 1.0)
+    denom = (ab * ab).sum(axis=-1)[:, None]
+    t = ((points[:, :, None, :] - verts[:, None]) * ab[:, None]).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(denom > 0.0, t / denom, 0.0)
-    proj = verts + np.clip(t, 0.0, 1.0)[..., None] * ab
+    proj = verts[:, None] + np.clip(t, 0.0, 1.0)[..., None] * ab[:, None]
     seg = ((points[:, :, None, :] - proj) ** 2).sum(axis=-1).argmin(axis=-1)
     targets = np.take_along_axis(proj, seg[..., None, None], axis=2)[:, :, 0]
     return targets, np.ones(points.shape[:2], dtype=bool)
 
 
-def _corner_projection(points, corner_indices, verts):
+def _corner_projection(points, corner_indices, verts, sizes, corner_vertex, span):
     count, n, _ = points.shape
-    m = len(verts)
     ci = list(corner_indices)
-    if not 0 <= ci[0] < ci[1] < ci[2] < ci[3] < n:
-        raise PointSetError(f"corner indices must increase within {n} points, got {ci}")
-    corner_vertex = _nearest_vertex(points[:, ci], verts)          # (P, 4)
     targets = np.zeros(points.shape)
     valid = np.zeros((count, n), dtype=bool)
-    targets[:, ci] = verts[corner_vertex]
+    targets[:, ci] = verts[np.arange(count)[:, None], corner_vertex]
     valid[:, ci] = True
     # Side s holds anchor points ci[s]+1 .. ci[s+1]-1 (the last side runs to
     # the end) and the contour part from vertex corner_vertex[s] to
     # corner_vertex[s+1]. Top and bottom points (s = 0, 2) cast vertical
     # lines, right and left ones horizontal lines.
-    side = np.repeat(np.arange(4), np.diff(ci + [n]) - 1)
+    side_points = np.diff(ci + [n]) - 1
+    side = np.repeat(np.arange(4), side_points)
     index = np.delete(np.arange(ci[0] + 1, n), np.subtract(ci[1:], ci[0] + 1))
-    axis = np.tile(side % 2, count)                                 # per (anchor, point)
-    span = ((corner_vertex[:, (side + 1) % 4] - corner_vertex[:, side]) % m).ravel()
-    line, at = points[:, index, side % 2].ravel(), points[:, index, 1 - side % 2].ravel()
-    # ``coords`` is x, y, y, x along the contour twice over: vertex v has the
-    # coordinate a line fixes at axis * 2m + v, its free one 4m on. Segment j
-    # of a part joins its vertices j and j + 1, and parts are padded to the
-    # longest by repeating their last vertex, so a single-vertex part is the
-    # segment from that vertex to itself.
-    coords = np.tile(verts.T[[0, 1, 1, 0]], 2).ravel()
+    axis = side % 2
+    line, at = points[:, index, axis], points[:, index, 1 - axis]
+    # Part s has span[s] segments. Its vertex j is its corner's vertex + j
+    # along the contour; parts are padded to the longest by repeating their
+    # last vertex, so a single-vertex part is the segment from that vertex to
+    # itself; segment j joins vertices j and j + 1. Each part's coordinates
+    # are read once, the one its side's lines fix (x for vertical ones) and
+    # the free one, which sit at ``flat`` and ``flat ^ 1`` in verts.ravel().
     width = max(int(span.max(initial=0)), 1)
-    part = (corner_vertex[:, side].ravel() + axis * 2 * m)[:, None] + np.minimum(
-        np.arange(width + 1), span[:, None])
-    above, below = coords[part] > line[:, None], coords[part] < line[:, None]
-    # A segment meets the line unless both ends lie strictly on one side,
-    # which comparisons decide; the product of the distances can underflow.
-    meets = ~(above[:, :-1] & above[:, 1:] | below[:, :-1] & below[:, 1:])
-    point, seg = np.divmod(np.flatnonzero(meets), width)
-    keep = seg < np.maximum(span[point], 1)                         # not padding
-    point, seg = point[keep], seg[keep]
-    ia, ib, c = part[point, seg], part[point, seg + 1], line[point]
-    s1, s2 = coords[ia] - c, coords[ib] - c
-    a_free, b_free = coords[ia + 4 * m], coords[ib + 4 * m]
-    # A segment lying on the line offers both ends, any other its crossing.
-    # The nearest candidate wins and, the sort being stable, the first in
+    vertex = (corner_vertex[..., None] + np.minimum(np.arange(width + 1), span[..., None])
+              ) % sizes[:, None, None]
+    flat = ((np.arange(count)[:, None, None] * verts.shape[1] + vertex) * 2
+            + np.arange(4)[:, None] % 2)
+    fixed, free = (verts.ravel()[at].reshape(-1, width + 1) for at in (flat, flat ^ 1))
+    # A segment meets a line unless both its ends lie strictly on one side:
+    # unless its lower end is above the line or its upper end below. The
+    # comparisons decide; the product of the distances can underflow. Each
+    # side's lines meet its part's segments in a (P, side points, width) block.
+    ends = fixed.reshape(count, 4, 1, width + 1)
+    low, high = np.minimum(ends[..., :-1], ends[..., 1:]), np.maximum(ends[..., :-1], ends[..., 1:])
+    bounds = np.cumsum([0, *side_points]).tolist()
+    meets = np.concatenate([(low[:, s] <= line[:, a:b, None]) & (high[:, s] >= line[:, a:b, None])
+                            for s, (a, b) in enumerate(zip(bounds, bounds[1:]))], axis=1)
+    point, seg = np.divmod(np.flatnonzero(meets), width)            # point: anchor x (n - 4) + k
+    part = (4 * np.arange(count)[:, None] + side).ravel()[point]    # its row of fixed and free
+    keep = seg < np.maximum(span.ravel()[part], 1)                  # not padding
+    point, ia = point[keep], part[keep] * (width + 1) + seg[keep]
+    fixed, free = fixed.ravel(), free.ravel()
+    c, at = line.ravel()[point], at.ravel()[point]
+    s1, s2 = fixed[ia] - c, fixed[ia + 1] - c
+    # A segment lying on the line offers its nearer end, the first on a tie,
+    # any other its crossing. The nearest candidate wins, the first in
     # traversal order on ties, as a scan keeping only strictly nearer ones.
     on = (s1 == 0.0) & (s2 == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cross = np.where(on, a_free, a_free + s1 / (s1 - s2) * (b_free - a_free))
-    owner = np.repeat(point, 2)
-    fixed = np.column_stack([np.where(on, coords[ia], c), coords[ib]]).ravel()
-    free = np.column_stack([cross, b_free]).ravel()
-    d2 = np.where(np.column_stack([np.ones_like(on), on]).ravel(), (free - at[owner]) ** 2, np.inf)
-    order = np.lexsort((d2, owner))
-    first = order[np.diff(owner[order], prepend=-1) != 0]
+        free_at = np.where(on, free[ia], free[ia] + s1 / (s1 - s2) * (free[ia + 1] - free[ia]))
+    d2, d2_end = (free_at - at) ** 2, (free[ia + 1] - at) ** 2
+    end = on & (d2_end < d2)
+    fixed_at = np.where(end, fixed[ia + 1], np.where(on, fixed[ia], c))
+    free_at, d2 = np.where(end, free[ia + 1], free_at), np.where(end, d2_end, d2)
+    # Candidates come grouped by point, in traversal order: each point takes
+    # its first one at the group's least distance.
+    starts = np.flatnonzero(np.diff(point, prepend=-1))
+    least = np.repeat(np.fmin.reduceat(d2, starts), np.diff(starts, append=len(d2)))
+    hit = np.flatnonzero(d2 == least)
+    first = hit[np.diff(point[hit], prepend=-1) != 0]
     first = first[d2[first] < np.inf]
-    anchor, k = np.divmod(owner[first], len(index))
-    targets[anchor, index[k], axis[owner[first]]] = fixed[first]
-    targets[anchor, index[k], 1 - axis[owner[first]]] = free[first]
+    anchor, k = np.divmod(point[first], len(index))
+    targets[anchor, index[k], axis[k]] = fixed_at[first]
+    targets[anchor, index[k], 1 - axis[k]] = free_at[first]
     valid[anchor, index[k]] = True
     return targets, valid
 
 
-_KERNELS = dict(zip(STRATEGIES, (_nearest_point, _nearest_line, _corner_projection)))
+def _slices(count: int, elements: int) -> list[slice]:
+    """Slices of ``count`` anchors, at most BATCH_ELEMENTS // ``elements`` and at least one each."""
+    step = max(1, BATCH_ELEMENTS // max(elements, 1))
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
-def match_points(points, corner_indices, vertices, strategy: str) -> tuple[np.ndarray, np.ndarray]:
-    """Match P mask anchors, (P, n, 2) points sharing ``corner_indices``, to one contour.
+def match_points(points, corner_indices, vertices, strategy: str,
+                 contour=None) -> tuple[np.ndarray, np.ndarray]:
+    """Match P mask anchors, (P, n, 2) points sharing ``corner_indices``, to contours.
 
-    ``vertices`` is the contour's (m, 2) vertex array. Returns targets
-    (P, n, 2), zero where not valid, and valid (P, n); each anchor's rows
-    equal its match alone. At most ``BATCH_ELEMENTS`` of P x n x m are worked
-    on at once.
+    ``vertices`` is one contour's (m, 2) vertex array, matched to every
+    anchor; or, given ``contour``, a sequence of contours' vertex arrays of
+    any sizes, anchor i being matched to ``vertices[contour[i]]``. Returns
+    targets (P, n, 2), zero where not valid, and valid (P, n); each anchor's
+    rows equal its match alone. Anchors are matched in slices, each sized so
+    that its kernel works on at most ``BATCH_ELEMENTS`` array elements, or
+    on one anchor: 4 x n x m an anchor for the nearest strategies, m being
+    the largest contour, and max(n - 4, 4) x (widest part + 1) for corner
+    projection, after a pass of 4 x 4 x m that finds the corners' vertices.
 
     * Nearest point: exact L1 distance ties go to the lowest vertex index.
       Every point is valid.
@@ -144,39 +170,58 @@ def match_points(points, corner_indices, vertices, strategy: str) -> tuple[np.nd
       A part whose two corner targets coincide is a single vertex and matches
       only a line through it.
     """
-    kernel = _KERNELS.get(strategy)
-    if kernel is None:
+    if strategy not in STRATEGIES:
         raise PointSetError(f"unknown matching strategy {strategy!r}; expected one of {STRATEGIES}")
     points = np.asarray(points, dtype=float)
-    verts = np.asarray(vertices, dtype=float)
     if points.ndim != 3 or points.shape[2] != 2:
         raise PointSetError(f"expected (P, n, 2) anchor points, got shape {points.shape}")
     if strategy == CORNER_PROJECTION and np.shape(corner_indices) != (4,):
         raise PointSetError(f"corner projection needs 4 corner indices, got {corner_indices}")
     count, n, _ = points.shape
-    step = max(1, BATCH_ELEMENTS // max(n * len(verts), 1))
-    targets = np.empty(points.shape)
-    valid = np.empty((count, n), dtype=bool)
-    for i in range(0, count, step):
-        targets[i:i + step], valid[i:i + step] = kernel(points[i:i + step], corner_indices, verts)
+    contours = [vertices] if contour is None else list(vertices)
+    owner = np.zeros(count, dtype=np.intp) if contour is None else np.asarray(contour)
+    if (owner.shape != (count,) or owner.dtype.kind not in "iu"
+            or ((owner < 0) | (owner >= len(contours))).any()):
+        raise PointSetError(f"expected {count} contour indices in 0..{len(contours) - 1}")
+    sizes = np.array([len(v) for v in contours], dtype=np.intp)
+    table = np.full((len(contours), sizes.max(initial=0), 2), np.inf)
+    for row, verts in zip(table, contours):
+        row[:len(verts)] = verts
+    sizes, m = sizes[owner], table.shape[1]
+    targets, valid = np.empty(points.shape), np.empty((count, n), dtype=bool)
+    if strategy != CORNER_PROJECTION:
+        kernel = _nearest_point if strategy == NEAREST_POINT else _nearest_line
+        for s in _slices(count, 4 * n * m):
+            targets[s], valid[s] = kernel(points[s], table[owner[s]], sizes[s])
+        return targets, valid
+    ci = list(corner_indices)
+    if not 0 <= ci[0] < ci[1] < ci[2] < ci[3] < n:
+        raise PointSetError(f"corner indices must increase within {n} points, got {ci}")
+    corner_vertex = np.empty((count, 4), dtype=np.intp)
+    for s in _slices(count, 4 * 4 * m):
+        corner_vertex[s] = _nearest_vertex(points[s][:, ci], table[owner[s]])
+    span = (corner_vertex[:, [1, 2, 3, 0]] - corner_vertex) % sizes[:, None]
+    for s in _slices(count, max(n - 4, 4) * (max(int(span.max(initial=0)), 1) + 1)):
+        targets[s], valid[s] = _corner_projection(points[s], ci, table[owner[s]], sizes[s],
+                                                  corner_vertex[s], span[s])
     return targets, valid
 
 
 def match_pose_points(joints, gt_joints, visibility) -> tuple[np.ndarray, np.ndarray]:
-    """Pair (P, 17, 2) anchor joints with one gt's (17, 2) joints by index.
+    """Pair (P, 17, 2) anchor joints with their gts' joints by index.
 
-    Returns targets (P, 17, 2) and valid (P, 17). Validity is visibility > 0;
-    the targets of invisible joints are zeroed and carry no offset.
+    ``gt_joints`` is each anchor's gt's joints, (P, 17, 2), or one gt's
+    (17, 2) for all; ``visibility`` is (P, 17) or (17,) alike. Returns
+    targets (P, 17, 2) and valid (P, 17). Validity is visibility > 0; the
+    targets of invisible joints are zeroed and carry no offset.
     """
     shape = np.shape(joints)
-    gt_joints = np.asarray(gt_joints, dtype=float)
-    visibility = np.asarray(visibility)
-    if len(shape) != 3 or shape[1:] != (NUM_JOINTS, 2) or gt_joints.shape != (NUM_JOINTS, 2):
-        raise JointCountMismatchError(f"expected (P, {NUM_JOINTS}, 2) and ({NUM_JOINTS}, 2) "
-                                      f"joint arrays, got {shape} and {gt_joints.shape}")
-    if visibility.shape != (NUM_JOINTS,):
+    gt_joints, visibility = np.asarray(gt_joints, dtype=float), np.asarray(visibility)
+    if (len(shape) != 3 or shape[1:] != (NUM_JOINTS, 2) or gt_joints.shape not in (shape[1:], shape)
+            or visibility.shape not in (shape[1:2], shape[:2])):
         raise JointCountMismatchError(
-            f"expected ({NUM_JOINTS},) visibility, got {visibility.shape}"
-        )
+            f"expected (P, {NUM_JOINTS}, 2) anchor joints, gt joints of ({NUM_JOINTS}, 2) or "
+            f"(P, {NUM_JOINTS}, 2) and visibility of ({NUM_JOINTS},) or (P, {NUM_JOINTS}), got "
+            f"{shape}, {gt_joints.shape} and {visibility.shape}")
     valid = np.broadcast_to(visibility > 0, shape[:2])
     return np.where(valid[..., None], gt_joints, 0.0), valid

@@ -21,6 +21,7 @@ import numpy as np
 from . import matching
 from .anchors import (
     MASK_MODE,
+    NUM_JOINTS,
     POSE_MODE,
     AnchorGrid,
     PyramidConfig,
@@ -189,8 +190,9 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
 
     Each image's lines are rendered as bytes from its columns by
     ``_render_image``, at most ``RENDER_LINES`` lines a step, into a file
-    opened in binary mode. Only positives are matched; their offsets and
-    flags are rendered per gt batch by ``_positive_texts`` and spliced into
+    opened in binary mode. Only positives are matched: all of an image's in
+    one call, each against its own gt. Their offsets and flags are rendered
+    by ``_positive_texts``, ``RENDER_POSITIVES`` at a time, and spliced into
     their lines. Every float is written as json's text of its value, so the
     bytes equal one ``json.dumps(line, sort_keys=True)`` per anchor.
 
@@ -238,33 +240,44 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
 
             columns = (*grid.index_columns(), labels, matched, best)
             pos = np.flatnonzero(labels > 0)
-            stride = np.asarray([lv.stride for lv in grid.levels])[columns[0][pos], None, None]
-            offsets, flags = np.empty(len(pos), object), np.empty(len(pos), object)
-            for g, gt in enumerate(gts):         # a gt's positives are matched as one batch
-                mine = matched[pos] == g
-                if not mine.any():
-                    continue
-                if config.task == TASK_MASK:
-                    points, corners = sample_box_perimeters(grid.box_stack()[pos[mine]],
-                                                            config.pyramid.num_points)
-                    targets, valid = matching.match_points(
-                        points, corners, gt.largest_contour().vertices, config.strategy)
-                else:
-                    points = grid.joint_stack(pos[mine])
-                    targets, valid = matching.match_pose_points(
-                        points, gt.keypoints[:, :2], gt.keypoints[:, 2])
-                scaled = matching.point_offsets(points, targets, valid) / stride[mine]
-                offsets[mine], flags[mine] = _positive_texts(scaled, valid)
-            for piece in _render_image(image_id, columns, pos, offsets, flags):
+            for piece in _render_image(image_id, columns, pos, *_match_positives(
+                    grid, gts, pos, columns[0][pos], matched[pos], config)):
                 out.write(piece)
             summary["anchors"] += grid.num_anchors
             summary["lines"] += grid.num_anchors
     return summary
 
 
-# The most lines one rendering step holds. A step's byte matrix is lines x
-# line width, so the working set stays bounded on dense grids.
+def _match_positives(grid: AnchorGrid, gts, pos, levels, owner, config: TargetConfig):
+    """The offsets and valid texts of an image's positives ``pos``, on
+    ``levels``, each matched against its gt ``gts[owner]``.
+
+    All of them are matched in one call; their texts are made
+    ``RENDER_POSITIVES`` at a time.
+    """
+    if config.task == TASK_MASK:
+        points, corners = sample_box_perimeters(grid.box_stack()[pos], config.pyramid.num_points)
+        targets, valid = matching.match_points(
+            points, corners, [g.largest_contour().vertices for g in gts], config.strategy, owner)
+    else:
+        points = grid.joint_stack(pos)
+        keypoints = np.reshape([g.keypoints for g in gts], (-1, NUM_JOINTS, 3))[owner]
+        targets, valid = matching.match_pose_points(points, keypoints[..., :2], keypoints[..., 2])
+    stride = np.asarray([lv.stride for lv in grid.levels])[levels, None, None]
+    scaled = matching.point_offsets(points, targets, valid) / stride
+    offsets, flags = [], []
+    for i in range(0, len(pos), RENDER_POSITIVES):
+        texts = _positive_texts(scaled[i:i + RENDER_POSITIVES], valid[i:i + RENDER_POSITIVES])
+        offsets += texts[0]
+        flags += texts[1]
+    return offsets, flags
+
+
+# The most lines one rendering step holds, and the most positives whose
+# texts are made at once. A step's byte matrix is lines x line width, so the
+# working set stays bounded on dense grids and crowded images.
 RENDER_LINES = 1024
+RENDER_POSITIVES = 128
 
 # One anchor's line, keys in json.dumps(sort_keys=True) order: the text
 # before each of its rendered fields (col, gt, label, level, row, sim, slot),

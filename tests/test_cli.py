@@ -214,6 +214,30 @@ class TestDocumentErrors:
         code = main([command, "--annotations", str(ann), "--out", str(tmp_path / "out")])
         _assert_named_error(capsys, code, "annotations[2]", f"'{field}'", "finite")
 
+    @pytest.mark.parametrize("section, index, field, name", [
+        ("images", 0, "width", "'width'"), ("images", 1, "id", "'id'"),
+        ("images", 0, "height", "'height'"), ("annotations", 2, "image_id", "image_id True"),
+        ("annotations", 3, "category_id", "'category_id'"),
+    ], ids=["width", "image-id", "height", "annotation-image-id", "category-id"])
+    def test_boolean_for_an_integer(self, tmp_path, capsys, section, index, field, name):
+        # json's true would pass as the integer 1
+        ann = _synth(tmp_path, "c.json")
+        doc = json.loads(ann.read_text())
+        doc[section][index][field] = True
+        ann.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["targets", "--annotations", str(ann), "--out", str(tmp_path / "t.jsonl")])
+        _assert_named_error(capsys, code, f"{section}[{index}]", name)
+
+    def test_repeated_image_id(self, tmp_path, capsys):
+        ann = _synth(tmp_path, "c.json")
+        doc = json.loads(ann.read_text())
+        doc["images"][3]["id"] = doc["images"][1]["id"]
+        ann.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["targets", "--annotations", str(ann), "--out", str(tmp_path / "t.jsonl")])
+        _assert_named_error(capsys, code, "images[3]", f"image id {doc['images'][1]['id']}")
+
     @pytest.mark.parametrize("name, text, names", [
         ("config.json", '{"pyramid": ', ["config.json", "not a valid document"]),
         ("config.yaml", "pyramid: [1, 2", ["config.yaml", "not a valid document"]),

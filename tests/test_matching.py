@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from pointset_anchors.anchors import sample_box_perimeters
 from pointset_anchors.errors import JointCountMismatchError, PointSetError
 from pointset_anchors.geometry import Box, Contour
+from pointset_anchors import matching
 from pointset_anchors.matching import (
     CORNER_PROJECTION,
     NEAREST_LINE,
@@ -80,6 +83,21 @@ def _batch_cases(draw):
     except PointSetError:
         assume(False)
     return contour.vertices, np.column_stack([corner, corner + size]), n
+
+
+@st.composite
+def _ragged_cases(draw):
+    """(contours' vertices, anchor boxes, each anchor's contour index, n).
+
+    1-4 of ``_batch_cases``' contours, of different vertex counts, with all
+    their anchors; each anchor is matched to a contour drawn at random.
+    """
+    cases = draw(st.lists(_batch_cases(), min_size=1, max_size=4,
+                          unique_by=lambda case: len(case[0])))
+    boxes = np.concatenate([boxes for _, boxes, _ in cases])
+    owner = draw(st.lists(st.integers(0, len(cases) - 1), min_size=len(boxes),
+                          max_size=len(boxes)))
+    return [verts for verts, _, _ in cases], boxes, np.array(owner), cases[0][2]
 
 
 class TestNearestPoint:
@@ -262,6 +280,71 @@ class TestBatchedMatching:
                 match_points(np.zeros((1, 8, 3)), corners, DIAMOND.vertices, strategy)
 
 
+class TestRaggedMatching:
+    """Anchors matched to their own contours, of different sizes, in one call."""
+
+    @pytest.mark.parametrize("bound", [matching.BATCH_ELEMENTS, 1], ids=["default", "one-anchor"])
+    @given(case=_ragged_cases())
+    def test_rows_equal_one_contour_matches(self, bound, case):
+        # padding vertices and segments never win, and no NaN is made on a
+        # path that reaches the output
+        contours, boxes, owner, n = case
+        points, corners = sample_box_perimeters(boxes, n)
+        for strategy in STRATEGIES:
+            with mock.patch.object(matching, "BATCH_ELEMENTS", bound), \
+                    np.errstate(invalid="raise"):
+                targets, valid = match_points(points, corners, contours, strategy, owner)
+            for a, c in enumerate(owner):
+                one, one_valid = match_points(points[a:a + 1], corners, contours[c], strategy)
+                assert targets[a:a + 1].tobytes() == one.tobytes()
+                assert valid[a:a + 1].tolist() == one_valid.tolist()
+
+    def test_kernel_calls_stay_within_the_bound(self, rng, monkeypatch):
+        # each call's working set, recounted from its arguments, is at most
+        # BATCH_ELEMENTS unless the call holds a single anchor
+        calls = []
+
+        def checked(kernel, elements):
+            def call(points, *args):
+                calls.append((len(points), elements(points, *args)))
+                return kernel(points, *args)
+            return call
+
+        def nearest(points, verts, *_):
+            return 4 * points.shape[0] * points.shape[1] * verts.shape[1]
+
+        def corner(points, corner_indices, verts, sizes, corner_vertex, span):
+            # the parts' segment counts, recounted
+            spans = (np.roll(corner_vertex, -1, axis=1) - corner_vertex) % sizes[:, None]
+            assert spans.tolist() == span.tolist()
+            return len(points) * max(points.shape[1] - 4, 4) * (max(spans.max(), 1) + 1)
+
+        monkeypatch.setattr(matching, "_nearest_vertex", checked(matching._nearest_vertex, nearest))
+        monkeypatch.setattr(matching, "_corner_projection",
+                            checked(matching._corner_projection, corner))
+        for kernel in ("_nearest_point", "_nearest_line"):
+            monkeypatch.setattr(matching, kernel, checked(getattr(matching, kernel), nearest))
+        contours = [random_polygon(rng, m, convex=bool(m % 2)).vertices for m in (5, 60, 17, 33)]
+        boxes = np.stack([random_box(rng).as_array() for _ in range(200)])
+        points, corners = sample_box_perimeters(boxes, 36)
+        owner = rng.integers(0, 4, len(boxes))
+        # bounds that do not divide the working sets evenly, so that an
+        # undercounted one shows
+        for bound in range(2 ** 15, 2 ** 16, 2749):
+            monkeypatch.setattr(matching, "BATCH_ELEMENTS", bound)
+            calls.clear()
+            for strategy in STRATEGIES:
+                match_points(points, corners, contours, strategy, owner)
+            assert all(count == 1 or elements <= bound for count, elements in calls)
+            assert max(count for count, _ in calls) > 1
+
+    def test_contour_indices_name_a_contour(self):
+        points, corners = sample_box_perimeters(BOX_8, 8)
+        for contour in ([1], [-1], [0.0], [0, 0]):
+            with pytest.raises(PointSetError, match="contour indices"):
+                match_points(points, corners, [DIAMOND.vertices], NEAREST_POINT, contour)
+
+
 class TestIdempotence:
     def test_anchor_perimeter_contour_gives_zero_offsets(self):
         points, corners = anchor_from_box(Box(10.0, 20.0, 50.0, 44.0), 16)
@@ -304,12 +387,24 @@ class TestMatchPose:
         assert targets[0, 1].tolist() == [0.0, 0.0]
         assert np.array_equal(offsets[0, 4], gt[4])
 
+    def test_rows_pair_with_their_own_gts(self, rng):
+        joints = rng.uniform(0.0, 50.0, (4, 17, 2))
+        gts = rng.uniform(0.0, 50.0, (4, 17, 2))
+        visibility = rng.integers(0, 3, (4, 17))
+        targets, valid = match_pose_points(joints, gts, visibility)
+        for a in range(4):
+            one, one_valid = match_pose_points(joints[a:a + 1], gts[a], visibility[a])
+            assert one.tobytes() == targets[a:a + 1].tobytes()
+            assert one_valid.tolist() == valid[a:a + 1].tolist()
+
     def test_shape_validation(self):
         for joints, gt, visibility in (
             (np.zeros((1, 5, 2)), np.zeros((17, 2)), np.zeros(17)),   # 5 anchor joints
             (np.zeros((17, 2)), np.zeros((17, 2)), np.zeros(17)),     # unbatched
             (np.zeros((1, 17, 2)), np.zeros((5, 2)), np.zeros(17)),   # 5 gt joints
             (np.zeros((1, 17, 2)), np.zeros((17, 2)), np.zeros(5)),   # 5 visibilities
+            (np.zeros((2, 17, 2)), np.zeros((3, 17, 2)), np.zeros(17)),  # 3 gts for 2 anchors
+            (np.zeros((2, 17, 2)), np.zeros((17, 2)), np.zeros((3, 17))),
         ):
             with pytest.raises(JointCountMismatchError):
                 match_pose_points(joints, gt, visibility)

@@ -224,7 +224,8 @@ def _target_images(draw):
 
 def _render(rows, batch_count=1):
     """Render oracle rows as one image, the positives' texts made in
-    ``batch_count`` batches of scattered positives, as per-gt batches are."""
+    ``batch_count`` batches of scattered positives; ``emit_targets`` makes
+    them in runs of ``RENDER_POSITIVES``, each one batch."""
     columns = [np.array([row[key] for row in rows]) for key in
                ("level", "row", "col", "slot", "label", "gt", "sim")]
     pos = np.flatnonzero(columns[4] > 0)
@@ -400,6 +401,16 @@ class TestEmitTargets:
         per_image = collections.Counter(line.split(b'"image": ')[1].split(b",")[0]
                                         for line in body.splitlines()[1:])
         assert lines == 1 or all(count % lines for count in per_image.values())
+
+    @pytest.mark.parametrize("positives", [1, 5])
+    @pytest.mark.parametrize("case", sorted(PINNED_DIGESTS))
+    def test_pinned_bytes_text_batches(self, case, positives, tmp_path, monkeypatch):
+        # the positives' texts are made 1 or 5 at a time
+        monkeypatch.setattr(pipeline, "RENDER_POSITIVES", positives)
+        records, config, modes = _pinned_case(case)
+        out = tmp_path / "targets.jsonl"
+        emit_targets(records, config, out, canonical_poses=modes)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_DIGESTS[case]
 
     @given(_target_rows())
     def test_line_renderer_matches_dict_oracle(self, row):
