@@ -13,14 +13,15 @@ from pointset_anchors import (
     Box,
     PyramidConfig,
     generate_grid,
-    sample_box_perimeter,
     rectangle_shape,
+    sample_box_perimeters,
 )
 
 # --- one anchor, by hand ---------------------------------------------------
 
 box = Box(40.0, 30.0, 120.0, 90.0)
-points, corners = sample_box_perimeter(box, n=16)
+points, corners = sample_box_perimeters(box.as_array()[None], n=16)
+points = points[0]   # one box is a batch of one
 print("perimeter samples of", box)
 print("corner indices:", corners)
 for idx in corners:

@@ -1,4 +1,4 @@
-"""Inference-side plumbing: decode, top-k per level, NMS.
+"""Inference-side plumbing: decode, then NMS.
 
 Simulates a detector head on a crowded scene. Each ground truth contour
 gets several candidate detections whose offsets are corrupted copies of
@@ -9,7 +9,6 @@ and NMS keeps one per object.
 import numpy as np
 
 from pointset_anchors import (
-    Box,
     Contour,
     Detection,
     construct_mask,
@@ -19,8 +18,7 @@ from pointset_anchors import (
     point_offsets,
     random_convex_polygon,
     rasterized_mask_iou,
-    sample_box_perimeter,
-    topk_per_level,
+    sample_box_perimeters,
 )
 
 rng = np.random.default_rng(3)
@@ -37,10 +35,11 @@ for gt_index, gt in enumerate(gts):
     # offsets, scored by how little noise they carry.
     for trial in range(5):
         shift = rng.normal(0.0, 6.0, size=2)
-        box = Box.from_center((bounds.center.x + shift[0], bounds.center.y + shift[1]),
-                              side, side)
-        points, corners = sample_box_perimeter(box, 24)
-        targets, valid = match_points(points[None], corners, gt.vertices, "corner-projection")
+        centre = np.add(bounds.center, shift)
+        box = np.concatenate([centre - side / 2.0, centre + side / 2.0])
+        points, corners = sample_box_perimeters(box[None], 24)   # a batch of one
+        targets, valid = match_points(points, corners, gt.vertices, "corner-projection")
+        points = points[0]
         offsets = point_offsets(points, targets[0], valid[0])
         noise = rng.normal(0.0, 0.5 + 2.0 * trial, size=offsets.shape)
         decoded, valid = decode_points(points, offsets + noise, valid[0])
@@ -51,18 +50,13 @@ for gt_index, gt in enumerate(gts):
 
 print(f"{len(candidates)} candidates for {len(gts)} objects")
 
-# Pretend they came from one pyramid level and keep the best 10 of it.
-merged = topk_per_level([candidates], k=10)
-print(f"top-k per level keeps {len(merged)}, score range "
-      f"{merged[-1].score:.2f} .. {merged[0].score:.2f}")
-
-kept = nms(merged, iou_threshold=0.5)
+kept = nms(candidates, iou_threshold=0.5)
 print(f"\nNMS at 0.5 keeps {len(kept)}:")
 for i in kept:
-    det = merged[i]
+    det = candidates[i]
     best = max(rasterized_mask_iou(det.shape, gt) for gt in gts)
     print(f"  score {det.score:.2f}  object {det.anchor_ref}  "
           f"mask IoU vs its gt {best:.3f}")
 
 # Each surviving detection should cover a distinct object.
-assert len({merged[i].anchor_ref for i in kept}) == len(kept)
+assert len({candidates[i].anchor_ref for i in kept}) == len(kept)

@@ -23,7 +23,7 @@ from pointset_anchors import (
     point_offsets,
     random_star_polygon,
     rasterized_mask_iou,
-    sample_box_perimeter,
+    sample_box_perimeters,
 )
 
 rng = np.random.default_rng(42)
@@ -32,8 +32,10 @@ gt = Contour(random_star_polygon(rng, n_vertices=14, center=(128.0, 128.0),
 bounds = gt.bounds()
 print(f"ground truth: {len(gt.vertices)}-gon, bounds {bounds}")
 
-# The anchor whose implicit box is the gt bounding box, 40 points around it.
-points, corners = sample_box_perimeter(bounds, 40)
+# The anchor whose implicit box is the gt bounding box, 40 points around it:
+# a batch of one.
+points, corners = sample_box_perimeters(bounds.as_array()[None], 40)
+points = points[0]
 
 
 def match_one(strategy):

@@ -10,7 +10,7 @@ from .anchors import (
     DEFAULT_ASPECT_RATIOS, DEFAULT_LEVELS, DEFAULT_OCTAVE_SCALES,
     DEFAULT_POSE_ROTATIONS, DEFAULT_POSE_SCALES, MASK_MODE, NUM_JOINTS, POSE_MODE,
     POSE_ROTATIONS_FIVE, POSE_SCALES_FIVE, AnchorGrid, PyramidConfig, generate_grid,
-    load_config_document, sample_box_perimeter,
+    load_config_document, sample_box_perimeters,
 )
 from .assignment import (
     COCO_KAPPAS, COCO_SIGMAS, LABEL_IGNORE, LABEL_NEGATIVE, SCALE_FROM_BBOX_AREA,
@@ -19,13 +19,12 @@ from .assignment import (
     threshold_preset,
 )
 from .codec import (
-    DEFAULT_NMS_THRESHOLD, DEFAULT_TOPK, Detection, construct_mask, decode_points,
-    enclosing_box, nms, topk_per_level,
+    DEFAULT_NMS_THRESHOLD, Detection, construct_mask, decode_points, nms,
 )
 from .datasets import InstanceRecord, ParseResult, ParseStats, parse_annotations
 from .errors import PointSetError
 from .geometry import (
-    Box, Contour, Point2, box_iou_matrix, points_in_polygon, rasterized_mask_iou,
+    Box, Contour, box_iou_matrix, points_in_polygon, rasterized_mask_iou,
     signed_area, transform_points,
 )
 from .losses import (
@@ -57,16 +56,15 @@ __all__ = [
     "DEFAULT_ASPECT_RATIOS", "DEFAULT_LEVELS", "DEFAULT_OCTAVE_SCALES",
     "DEFAULT_POSE_ROTATIONS", "DEFAULT_POSE_SCALES", "MASK_MODE", "NUM_JOINTS",
     "POSE_MODE", "POSE_ROTATIONS_FIVE", "POSE_SCALES_FIVE", "AnchorGrid",
-    "PyramidConfig", "generate_grid", "load_config_document", "sample_box_perimeter",
+    "PyramidConfig", "generate_grid", "load_config_document", "sample_box_perimeters",
     "COCO_KAPPAS", "COCO_SIGMAS", "LABEL_IGNORE", "LABEL_NEGATIVE",
     "SCALE_FROM_BBOX_AREA", "SCALE_FROM_SEGMENT_AREA", "SIMILARITY_IOU",
     "SIMILARITY_OKS", "THRESHOLD_PRESETS", "OksParams", "assign_arrays", "oks",
     "oks_lattice", "oks_matrix", "refine_pose_anchors", "threshold_preset",
-    "DEFAULT_NMS_THRESHOLD", "DEFAULT_TOPK", "Detection", "construct_mask",
-    "decode_points", "enclosing_box", "nms", "topk_per_level",
+    "DEFAULT_NMS_THRESHOLD", "Detection", "construct_mask", "decode_points", "nms",
     "InstanceRecord", "ParseResult", "ParseStats", "parse_annotations",
     "PointSetError",
-    "Box", "Contour", "Point2", "box_iou_matrix", "points_in_polygon",
+    "Box", "Contour", "box_iou_matrix", "points_in_polygon",
     "rasterized_mask_iou", "signed_area", "transform_points",
     "FOCAL_ALPHA", "FOCAL_GAMMA", "LAMBDA_POSE", "LAMBDA_SEGMENTATION", "TASK_POSE",
     "TASK_SEGMENTATION", "LossBreakdown", "LossInputs", "balance_for_task",

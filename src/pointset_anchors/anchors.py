@@ -31,7 +31,7 @@ from .errors import (
     check_fields,
     is_numbers,
 )
-from .geometry import Box, transform_points
+from .geometry import transform_points
 
 NUM_JOINTS = 17
 
@@ -48,34 +48,26 @@ MASK_MODE = "mask"
 POSE_MODE = "pose"
 
 
-def sample_box_perimeter(box: Box, n: int) -> tuple[np.ndarray, tuple[int, int, int, int]]:
-    """Sample ``n`` points on a box perimeter, clockwise from the top-left.
+def sample_box_perimeters(boxes, n: int) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+    """Sample ``n`` points on each (x_min, y_min, x_max, y_max) row's perimeter.
 
-    Each side carries n/4 points at parameter i * side_length / (n / 4),
-    i = 0 .. n/4 - 1, so the four box corners land exactly at indices
-    0, n/4, n/2 and 3n/4 (top-left, top-right, bottom-right, bottom-left).
+    Points run clockwise from the top-left. Each side carries n/4 points at
+    parameter i * side_length / (n / 4), i = 0 .. n/4 - 1, so the four box
+    corners land exactly at indices 0, n/4, n/2 and 3n/4 (top-left,
+    top-right, bottom-right, bottom-left). n must be a positive multiple of
+    4 and every row needs positive width and height.
 
     Returns:
-        (points, corner_indices): float64 array of shape (n, 2) and the four
-        corner positions within it.
+        (points, corner_indices): float64 array of shape (len(boxes), n, 2)
+        and the four corner positions within each row.
     """
     if n < 4 or n % 4 != 0:
         raise BadPointCountError(f"point count must be a positive multiple of 4, got {n}")
-    if box.width <= 0.0 or box.height <= 0.0:
-        raise DegenerateBoxError(f"cannot sample the perimeter of a degenerate box: {box}")
-    points, corners = sample_box_perimeters(box.as_array()[None], n)
-    return points[0], corners
-
-
-def sample_box_perimeters(boxes, n: int) -> tuple[np.ndarray, tuple[int, int, int, int]]:
-    """``sample_box_perimeter`` of each (x_min, y_min, x_max, y_max) row, unchecked.
-
-    Returns (points, corner_indices) with points of shape (len(boxes), n, 2).
-    Every row's points equal the single-box samples bit for bit.
-    """
+    x0, y0, x1, y1 = (boxes[:, i, None] for i in range(4))
+    if not ((x1 > x0) & (y1 > y0)).all():
+        raise DegenerateBoxError("cannot sample the perimeter of a box without positive extent")
     per_side = n // 4
     t = np.arange(per_side, dtype=float) / per_side
-    x0, y0, x1, y1 = (boxes[:, i, None] for i in range(4))
     run_x, run_y = t * (x1 - x0), t * (y1 - y0)
     x = np.concatenate(np.broadcast_arrays(x0 + run_x, x1, x1 - run_x, x0), axis=1)
     y = np.concatenate(np.broadcast_arrays(y0, y0 + run_y, y1, y1 - run_y), axis=1)
@@ -118,14 +110,6 @@ class PyramidConfig:
             raise BadPointCountError(f"num_points must be a multiple of 4, got {self.num_points}")
 
     @property
-    def strides(self) -> tuple[float, ...]:
-        return tuple(s for s, _ in self.levels)
-
-    @property
-    def base_scales(self) -> tuple[float, ...]:
-        return tuple(b for _, b in self.levels)
-
-    @property
     def mask_anchors_per_location(self) -> int:
         return len(self.octave_scales) * len(self.aspect_ratios)
 
@@ -149,10 +133,6 @@ class PyramidConfig:
             "pose_rotations": numbers, "num_points": (lambda v: type(v) is int, "an integer"),
         }, "pyramid")
         return cls(**data)
-
-    @classmethod
-    def from_file(cls, path) -> "PyramidConfig":
-        return cls.from_dict(load_config_document(path))
 
 
 def load_config_document(path) -> dict:

@@ -8,16 +8,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    LengthMismatchError,
-    NoValidPointsError,
-    PointSetError,
-    TooFewValidPointsError,
-)
+from .errors import LengthMismatchError, PointSetError, TooFewValidPointsError
 from .geometry import Box, Contour, box_iou_matrix
 
 DEFAULT_NMS_THRESHOLD = 0.5
-DEFAULT_TOPK = 1000
 
 
 def _points_and_valid(points, valid) -> tuple[np.ndarray, np.ndarray]:
@@ -66,24 +60,13 @@ def construct_mask(points, valid=None, strategy: str | None = None) -> Contour:
     return Contour(kept)
 
 
-def enclosing_box(points, valid=None) -> Box:
-    """Tight axis-aligned box over the valid points."""
-    pts, flags = _points_and_valid(points, valid)
-    kept = pts[flags]
-    if len(kept) == 0:
-        raise NoValidPointsError("enclosing box needs at least one valid point")
-    lo = kept.min(axis=0)
-    hi = kept.max(axis=0)
-    return Box(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
-
-
 @dataclass(frozen=True)
 class Detection:
     """One scored candidate: a shape, its class, and an optional box output.
 
     ``shape`` is a Contour (mask), a (17, 2) joint array (pose) or a Box.
     ``box`` is the bounding-box head output when the model has one; NMS falls
-    back to the enclosing box of the shape otherwise.
+    back to the min/max box of the shape's points otherwise.
     """
 
     score: float
@@ -103,33 +86,18 @@ class Detection:
             return self.shape
         if isinstance(self.shape, Contour):
             return self.shape.bounds()
-        return enclosing_box(np.asarray(self.shape, dtype=float))
+        joints = np.asarray(self.shape, dtype=float)
+        return Box(*joints.min(axis=0).tolist(), *joints.max(axis=0).tolist())
 
 
-def topk_per_level(level_detections: Sequence[Sequence[Detection]],
-                   k: int = DEFAULT_TOPK) -> list[Detection]:
-    """Keep the k best-scoring candidates of each level, then merge.
-
-    Within a level, ordering is score descending with ties broken by the
-    original index; levels are concatenated in the given order.
-    """
-    if k <= 0:
-        raise PointSetError(f"k must be >= 1, got {k}")
-    merged: list[Detection] = []
-    for detections in level_detections:
-        order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
-        merged.extend(detections[i] for i in order[:k])
-    return merged
-
-
-def nms(detections: Sequence[Detection], iou_threshold: float = DEFAULT_NMS_THRESHOLD,
-        class_aware: bool = True) -> list[int]:
+def nms(detections: Sequence[Detection],
+        iou_threshold: float = DEFAULT_NMS_THRESHOLD) -> list[int]:
     """Greedy non-maximum suppression; returns kept indices, best first.
 
     Candidates are visited in score-descending order (ties by input index);
     one is kept iff its box IoU with every previously kept detection of the
-    same class is <= ``iou_threshold``. Boxes come from ``Detection.box`` when
-    present, else the enclosing box of the shape.
+    same class is <= ``iou_threshold``. Boxes come from
+    ``Detection.bounding_box``.
     """
     if not (0.0 <= iou_threshold <= 1.0):
         raise PointSetError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
@@ -151,8 +119,5 @@ def nms(detections: Sequence[Detection], iou_threshold: float = DEFAULT_NMS_THRE
         if suppressed[i]:
             continue
         kept.append(i)
-        over = iou[i] > iou_threshold
-        if class_aware:
-            over &= classes == classes[i]
-        suppressed |= over
+        suppressed |= (iou[i] > iou_threshold) & (classes == classes[i])
     return kept

@@ -70,12 +70,6 @@ class ParseResult:
     records: list[InstanceRecord] = field(default_factory=list)
     stats: ParseStats = field(default_factory=ParseStats)
 
-    def __iter__(self):
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 def _require(condition: bool, context: str, message: str) -> None:
     if not condition:

@@ -49,10 +49,6 @@ class TooFewValidPointsError(PointSetError):
     """Mask construction needs at least 3 valid points."""
 
 
-class NoValidPointsError(PointSetError):
-    """At least one valid point is required."""
-
-
 class TooFewVisibleJointsError(PointSetError):
     """Pose normalization needs at least 2 visible joints."""
 

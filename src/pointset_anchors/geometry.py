@@ -1,7 +1,7 @@
 """Planar primitives shared across the library.
 
-Points, axis-aligned boxes, closed contours, pairwise box IoU and a
-rasterized mask IoU. Coordinates follow the image convention: x grows to
+Axis-aligned boxes, closed contours, pairwise box IoU, point-in-polygon and
+a rasterized mask IoU. Coordinates follow the image convention: x grows to
 the right, y grows downward, and orientation is defined by the shoelace sign
 (positive signed area is the stored "counter-clockwise" form).
 """
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,19 +20,6 @@ from .errors import (
     PointSetError,
     TooFewVerticesError,
 )
-
-
-class Point2(NamedTuple):
-    x: float
-    y: float
-
-
-def as_point(p) -> Point2:
-    """Coerce a 2-element point-like to a Point2 with finite coordinates."""
-    x, y = float(p[0]), float(p[1])
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise PointSetError(f"point coordinates must be finite, got ({x}, {y})")
-    return Point2(x, y)
 
 
 @dataclass(frozen=True)
@@ -65,13 +51,8 @@ class Box:
         return self.width * self.height
 
     @property
-    def center(self) -> Point2:
-        return Point2((self.x_min + self.x_max) / 2.0, (self.y_min + self.y_max) / 2.0)
-
-    @classmethod
-    def from_center(cls, center, width: float, height: float) -> "Box":
-        cx, cy = as_point(center)
-        return cls(cx - width / 2.0, cy - height / 2.0, cx + width / 2.0, cy + height / 2.0)
+    def center(self) -> tuple[float, float]:
+        return (self.x_min + self.x_max) / 2.0, (self.y_min + self.y_max) / 2.0
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x_min, self.y_min, self.x_max, self.y_max], dtype=float)
@@ -111,21 +92,13 @@ class Contour:
     def vertices(self) -> np.ndarray:
         return self._vertices
 
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None and not copy:
-            return self._vertices
-        return np.array(self._vertices, dtype=dtype)
-
-    def __len__(self) -> int:
-        return len(self._vertices)
-
     def bounds(self) -> Box:
         lo = self._vertices.min(axis=0)
         hi = self._vertices.max(axis=0)
         return Box(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
 
     def __repr__(self) -> str:
-        return f"Contour({len(self)} vertices, area={_shoelace(self._vertices):.3f})"
+        return f"Contour({len(self._vertices)} vertices, area={_shoelace(self._vertices):.3f})"
 
 
 def _shoelace(vertices: np.ndarray) -> float:
@@ -226,7 +199,9 @@ def transform_points(points, center, angle_degrees: float, scale: float) -> np.n
     pts = np.asarray(points, dtype=float)
     squeeze = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    cx, cy = as_point(center)
+    cx, cy = float(center[0]), float(center[1])
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise PointSetError(f"center must be finite, got ({cx}, {cy})")
     theta = math.radians(angle_degrees)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     rel = pts - (cx, cy)

@@ -435,19 +435,19 @@ class CoverageReport:
     histogram: tuple[int, ...]   # best similarity per gt, 10 uniform bins on [0, 1]
 
 
-def coverage_report(records, configs, threshold: float = 0.5, lo: float | None = None,
+def coverage_report(records, configs, threshold: float = 0.5,
                     oks_params: OksParams = DEFAULT_OKS_PARAMS) -> list[CoverageReport]:
     """Measure gt coverage of each anchor configuration over a corpus.
 
     A gt counts as matched when its best anchor similarity (IoU for a mask
     configuration, OKS for a pose one) reaches ``threshold``.
-    Positive/negative counts come from the assigner with hi=threshold and
-    force_nearest on (every gt claims its best anchor).
+    Positive/negative counts come from the assigner with hi=threshold,
+    lo=min(0.4, threshold) and force_nearest on (every gt claims its best
+    anchor).
     """
     if not 0.0 < threshold <= 1.0:
         raise PointSetError(f"threshold must be in (0, 1], got {threshold}")
-    if lo is None:
-        lo = min(0.4, threshold)
+    lo = min(0.4, threshold)
     grouped = _group_by_image(records)
     reports = []
     for config in configs:

@@ -144,17 +144,19 @@ def kmeans_poses(poses, k: int, seed: int = 0, max_iters: int = 100) -> PoseMode
     result is deterministic for a fixed (input order, seed). Empty clusters
     are re-seeded from the point farthest from its assigned centroid.
     Iteration stops at an assignment fixed point or ``max_iters``; the
-    recorded inertia history is non-increasing.
+    recorded inertia history is non-increasing. Fewer than k distinct poses
+    would leave a cluster empty, so they raise TooFewPosesError.
     """
     if k < 1:
         raise PointSetError(f"k must be >= 1, got {k}")
     if max_iters < 1:
         raise PointSetError(f"max_iters must be >= 1, got {max_iters}")
     x = _admissible_matrix(poses)
-    if len(x) < k:
-        raise TooFewPosesError(f"need >= {k} fully visible poses, got {len(x)}")
     if not np.isfinite(x).all():
         raise PointSetError("poses must be finite")
+    distinct = len({row.tobytes() for row in x + 0.0})   # + 0.0 turns -0.0 into 0.0
+    if distinct < k:
+        raise TooFewPosesError(f"need >= {k} distinct fully visible poses, got {distinct}")
 
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(x, k, rng)
@@ -166,7 +168,7 @@ def kmeans_poses(poses, k: int, seed: int = 0, max_iters: int = 100) -> PoseMode
         # Re-seed empty clusters from the globally farthest point, then
         # recompute assignments; repeats until every cluster is non-empty.
         for _ in range(k):
-            empty = np.setdiff1d(np.arange(k), new_labels)
+            empty = np.flatnonzero(np.bincount(new_labels, minlength=k) == 0)
             if empty.size == 0:
                 break
             assigned_d2 = d2[np.arange(len(x)), new_labels]

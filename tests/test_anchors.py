@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import brute_grid_anchors
+from util import anchor_from_box
 from pointset_anchors.anchors import (
     DEFAULT_POSE_ROTATIONS,
     DEFAULT_POSE_SCALES,
@@ -19,7 +20,6 @@ from pointset_anchors.anchors import (
     PyramidConfig,
     generate_grid,
     load_config_document,
-    sample_box_perimeter,
     sample_box_perimeters,
 )
 from pointset_anchors.errors import (
@@ -51,7 +51,7 @@ def _slot_box(base_scale, octave=1.0, aspect=1.0):
 
 class TestSampleBoxPerimeter:
     def test_n8_reference_points(self):
-        points, corners = sample_box_perimeter(Box(0.0, 0.0, 4.0, 4.0), 8)
+        points, corners = anchor_from_box(Box(0.0, 0.0, 4.0, 4.0), 8)
         expected = [
             (0.0, 0.0), (2.0, 0.0),   # top, left to right
             (4.0, 0.0), (4.0, 2.0),   # right, downward
@@ -64,7 +64,7 @@ class TestSampleBoxPerimeter:
     def test_corners_land_exactly(self):
         box = Box(3.0, 5.0, 10.0, 9.0)
         for n in (4, 12, 36, 60):
-            points, (tl, tr, br, bl) = sample_box_perimeter(box, n)
+            points, (tl, tr, br, bl) = anchor_from_box(box, n)
             assert tuple(points[tl]) == (3.0, 5.0)
             assert tuple(points[tr]) == (10.0, 5.0)
             assert tuple(points[br]) == (10.0, 9.0)
@@ -75,7 +75,7 @@ class TestSampleBoxPerimeter:
         # targets bytes depend on these exact roundings: x0 + t * (x1 - x0)
         # with t = i / (n / 4) along the top, and likewise on the other sides
         x0, y0, x1, y1 = 0.1, 0.2, 1.3, 0.9
-        points, _ = sample_box_perimeter(Box(x0, y0, x1, y1), 12)
+        points, _ = anchor_from_box(Box(x0, y0, x1, y1), 12)
         t = [i / 3 for i in range(3)]
         expected = ([(x0 + u * (x1 - x0), y0) for u in t] + [(x1, y0 + u * (y1 - y0)) for u in t]
                     + [(x1 - u * (x1 - x0), y1) for u in t] + [(x0, y1 - u * (y1 - y0)) for u in t])
@@ -85,11 +85,11 @@ class TestSampleBoxPerimeter:
         box = Box(0.0, 0.0, 1.0, 1.0)
         for bad in (0, 3, 6, -4):
             with pytest.raises(BadPointCountError):
-                sample_box_perimeter(box, bad)
+                anchor_from_box(box, bad)
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(DegenerateBoxError):
-            sample_box_perimeter(Box(0.0, 0.0, 0.0, 1.0), 8)
+            anchor_from_box(Box(0.0, 0.0, 0.0, 1.0), 8)
 
 
 class TestSlotBox:
@@ -121,8 +121,8 @@ class TestSlotBox:
 class TestPyramidConfig:
     def test_defaults(self):
         config = PyramidConfig()
-        assert config.strides == (8.0, 16.0, 32.0, 64.0, 128.0)
-        assert config.base_scales == (32.0, 64.0, 128.0, 256.0, 512.0)
+        assert tuple(s for s, _ in config.levels) == (8.0, 16.0, 32.0, 64.0, 128.0)
+        assert tuple(b for _, b in config.levels) == (32.0, 64.0, 128.0, 256.0, 512.0)
         assert config.mask_anchors_per_location == 9
         assert config.pose_scales == (0.8, 1.0, 1.2)
         assert config.pose_rotations == (-10.0, 0.0, 10.0)
@@ -147,13 +147,13 @@ class TestPyramidConfig:
         config = PyramidConfig(levels=((8.0, 32.0),))
         json_path = tmp_path / "pyramid.json"
         json_path.write_text(json.dumps(config.to_dict()))
-        assert PyramidConfig.from_file(json_path) == config
+        assert PyramidConfig.from_dict(load_config_document(json_path)) == config
 
         yaml_path = tmp_path / "pyramid.yaml"
         yaml_path.write_text(
             "levels: [[8.0, 32.0]]\n"
         )
-        assert PyramidConfig.from_file(yaml_path).levels == ((8.0, 32.0),)
+        assert PyramidConfig.from_dict(load_config_document(yaml_path)).levels == ((8.0, 32.0),)
 
     def test_non_mapping_document_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -194,7 +194,7 @@ class TestMaskGrid:
         points, corners = sample_box_perimeters(grid.box_stack(), 12)
         assert points.shape == (grid.num_anchors, 12, 2)
         for a, box in enumerate(grid.box_stack()):
-            one, one_corners = sample_box_perimeter(Box(*box), 12)
+            one, one_corners = anchor_from_box(Box(*box), 12)
             assert points[a].tobytes() == one.tobytes()
             assert corners == one_corners
 

@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +47,17 @@ def _synth_poses(tmp_path, name, *extra):
     ])
     assert code == 0
     return path
+
+
+def _duplicate_poses(tmp_path):
+    """A pose document holding three copies of one fully visible annotation."""
+    ann = _synth_poses(tmp_path, "poses.json")
+    doc = json.loads(ann.read_text())
+    first = doc["annotations"][0]
+    first["keypoints"][2::3] = [2] * 17
+    doc["annotations"] = [first] * 3
+    ann.write_text(json.dumps(doc))
+    return ann
 
 
 def _config_file(tmp_path):
@@ -88,6 +103,14 @@ class TestModes:
                      "--out", str(tmp_path / "m.json")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_fewer_distinct_poses_than_k_exit_1(self, tmp_path, capsys):
+        ann = _duplicate_poses(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "modes.json"
+        code = main(["modes", "--annotations", str(ann), "--k", "2", "--out", str(out)])
+        _assert_named_error(capsys, code, "distinct fully visible poses, got 1")
+        assert not out.exists()
 
 
 class TestTargets:
@@ -309,6 +332,28 @@ class TestCoverage:
                      "--threshold", "1.5", "--out", str(tmp_path / "c.json")])
         assert code == 1
         assert "threshold" in capsys.readouterr().err
+
+    def test_fewer_distinct_poses_than_k_exit_1(self, tmp_path, capsys):
+        ann = _duplicate_poses(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "coverage.json"
+        code = main(["coverage", "--annotations", str(ann), "--k", "2", "--out", str(out)])
+        _assert_named_error(capsys, code, "distinct fully visible poses, got 1")
+        assert not out.exists()
+
+    def test_does_not_import_numpy_ma(self, tmp_path):
+        # numpy.ma is a lazy import of about 12 ms that coverage has no use for
+        ann = _synth_poses(tmp_path, "poses.json")
+        argv = ["coverage", "--annotations", str(ann), "--out", str(tmp_path / "c.json")]
+        script = ("import sys; from pointset_anchors.cli import main; "
+                  f"assert main({argv!r}) == 0; print('numpy.ma' in sys.modules)")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              cwd=tmp_path, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
 
     # sha256 of the coverage JSON of each case; the bytes must not move.
     PINNED_DIGESTS = {

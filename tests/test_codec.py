@@ -1,20 +1,8 @@
 import numpy as np
 import pytest
 
-from pointset_anchors.codec import (
-    Detection,
-    construct_mask,
-    decode_points,
-    enclosing_box,
-    nms,
-    topk_per_level,
-)
-from pointset_anchors.errors import (
-    LengthMismatchError,
-    NoValidPointsError,
-    PointSetError,
-    TooFewValidPointsError,
-)
+from pointset_anchors.codec import Detection, construct_mask, decode_points, nms
+from pointset_anchors.errors import LengthMismatchError, PointSetError, TooFewValidPointsError
 from pointset_anchors.geometry import Box, Contour, box_iou_matrix
 from pointset_anchors.matching import STRATEGIES, match_points, point_offsets
 
@@ -64,21 +52,6 @@ class TestConstructMask:
             construct_mask(points, np.array([True, True, False]))
 
 
-class TestEnclosingBox:
-    def test_tight_bounds(self):
-        points = np.array([(1.0, 7.0), (3.0, 2.0), (-1.0, 4.0)])
-        assert enclosing_box(points) == Box(-1.0, 2.0, 3.0, 7.0)
-
-    def test_respects_validity(self):
-        points = np.array([(0.0, 0.0), (100.0, 100.0)])
-        box = enclosing_box(points, np.array([True, False]))
-        assert box == Box(0.0, 0.0, 0.0, 0.0)
-
-    def test_no_valid_points(self):
-        with pytest.raises(NoValidPointsError):
-            enclosing_box(np.zeros((2, 2)), np.array([False, False]))
-
-
 class TestDetection:
     def test_score_range_enforced(self):
         for bad in (-0.1, 1.1, float("nan")):
@@ -97,21 +70,6 @@ class TestDetection:
         joints = np.array([(0.0, 2.0), (6.0, 5.0)])
         det = Detection(score=0.5, class_id=1, shape=joints)
         assert det.bounding_box() == Box(0.0, 2.0, 6.0, 5.0)
-
-
-class TestTopkPerLevel:
-    def test_keeps_k_best_per_level_with_stable_ties(self):
-        level_a = [_box_det(Box(0, 0, 1, 1), 0.5), _box_det(Box(1, 1, 2, 2), 0.9),
-                   _box_det(Box(2, 2, 3, 3), 0.5)]
-        level_b = [_box_det(Box(3, 3, 4, 4), 0.7)]
-        merged = topk_per_level([level_a, level_b], k=2)
-        assert [d.score for d in merged] == [0.9, 0.5, 0.7]
-        # the 0.5 tie resolves to the earlier input index
-        assert merged[1].shape == Box(0, 0, 1, 1)
-
-    def test_k_validation(self):
-        with pytest.raises(PointSetError):
-            topk_per_level([[]], k=0)
 
 
 class TestNms:
@@ -133,7 +91,6 @@ class TestNms:
         box = Box(0.0, 0.0, 10.0, 10.0)
         detections = [_box_det(box, 0.9, class_id=1), _box_det(box, 0.8, class_id=2)]
         assert nms(detections, iou_threshold=0.5) == [0, 1]
-        assert nms(detections, iou_threshold=0.5, class_aware=False) == [0]
 
     def test_empty_input(self):
         assert nms([]) == []

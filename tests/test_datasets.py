@@ -32,7 +32,7 @@ class TestParse:
             "segmentation": [SQUARE],
         }
         result = parse_annotations(_write(tmp_path, _doc([ann])))
-        assert len(result) == 1
+        assert len(result.records) == 1
         record = result.records[0]
         assert record.image_id == 1
         assert record.image_size == (100, 80)
@@ -67,7 +67,7 @@ class TestParse:
             "segmentation": {"counts": "abc", "size": [80, 100]},
         }
         result = parse_annotations(_write(tmp_path, _doc([ann])))
-        assert len(result) == 0
+        assert len(result.records) == 0
         assert result.stats.rejected_rle == 1
         assert result.stats.annotations == 1
 
@@ -75,7 +75,7 @@ class TestParse:
         ann = {"image_id": 1, "bbox": [0, 0, 10, 10], "iscrowd": 1,
                "segmentation": [SQUARE]}
         result = parse_annotations(_write(tmp_path, _doc([ann])))
-        assert len(result) == 0
+        assert len(result.records) == 0
         assert result.stats.rejected_crowd == 1
 
     def test_degenerate_polygon_dropped_record_survives(self, tmp_path):
@@ -86,7 +86,7 @@ class TestParse:
             "segmentation": [SQUARE, [1.0, 1.0, 2.0, 2.0]],
         }
         result = parse_annotations(_write(tmp_path, _doc([ann])))
-        assert len(result) == 1
+        assert len(result.records) == 1
         assert len(result.records[0].contours) == 1
         assert result.stats.dropped_polygons == 1
 
@@ -178,11 +178,6 @@ class TestParse:
         with pytest.raises(MalformedDocumentError,
                            match=rf"annotations\[1\]: '{field}'.* finite numbers"):
             parse_annotations(_write(tmp_path, doc))
-
-    def test_result_iterates_records(self, tmp_path):
-        anns = [{"image_id": 1, "bbox": [0, 0, 10, 10]} for _ in range(3)]
-        result = parse_annotations(_write(tmp_path, _doc(anns)))
-        assert [r.image_id for r in result] == [1, 1, 1]
 
 
 class TestInstanceRecordHelpers:

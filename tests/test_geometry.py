@@ -7,6 +7,7 @@ from pointset_anchors.errors import (
     DegenerateBoxError,
     DegenerateContourError,
     NonPositiveScaleError,
+    PointSetError,
     TooFewVerticesError,
 )
 from pointset_anchors.geometry import (
@@ -30,10 +31,6 @@ class TestBox:
         assert box.height == 6.0
         assert box.area == 18.0
         assert box.center == (2.5, 5.0)
-
-    def test_from_center_round_trips(self):
-        box = Box.from_center((10.0, 20.0), 4.0, 6.0)
-        assert box == Box(8.0, 17.0, 12.0, 23.0)
 
     def test_zero_extent_is_allowed(self):
         # degenerate but ordered boxes are legal (point boxes appear as
@@ -67,11 +64,6 @@ class TestContour:
         contour = Contour([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
         with pytest.raises(ValueError):
             contour.vertices[0, 0] = 5.0
-
-    def test_asarray_protocol(self):
-        contour = Contour([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
-        arr = np.asarray(contour)
-        assert arr.shape == (3, 2)
 
     def test_too_few_vertices(self):
         with pytest.raises(TooFewVerticesError):
@@ -191,6 +183,11 @@ class TestTransformPoints:
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(NonPositiveScaleError):
             transform_points((1.0, 1.0), (0.0, 0.0), 0.0, 0.0)
+
+    def test_non_finite_center_rejected(self):
+        for center in ((float("nan"), 0.0), (0.0, float("inf"))):
+            with pytest.raises(PointSetError):
+                transform_points((1.0, 1.0), center, 0.0, 1.0)
 
     @given(angle=st.floats(min_value=-360.0, max_value=360.0, allow_nan=False))
     def test_rotation_preserves_distance_to_center(self, angle):

@@ -112,6 +112,16 @@ class TestKmeans:
         with pytest.raises(TooFewPosesError):
             kmeans_poses(_pose_cloud(rng, 2), k=3)
 
+    def test_too_few_distinct_poses(self, rng):
+        # three copies of one pose, and -0.0 against 0.0, leave one distinct pose
+        pose = _pose_cloud(rng, 1)[0]
+        pose[0, 0] = 0.0
+        negated = pose.copy()
+        negated[0, 0] = -0.0
+        with pytest.raises(TooFewPosesError, match="distinct fully visible poses, got 1"):
+            kmeans_poses([pose, pose, negated], k=2)
+        assert np.allclose(kmeans_poses([pose, pose, negated], k=1).modes[0], pose, atol=1e-12)
+
     def test_k_validation(self, rng):
         with pytest.raises(PointSetError):
             kmeans_poses(_pose_cloud(rng, 5), k=0)

@@ -163,7 +163,7 @@ class TestCocoRoundTrip:
         path = tmp_path / "corpus.json"
         save_corpus(records, path)
         parsed = parse_annotations(path)
-        assert len(parsed) == 12
+        assert len(parsed.records) == 12
         assert parsed.stats.dropped_polygons == 0
         for orig, back in zip(records, parsed.records):
             # the document keeps [x, y, w, h], so max corners reassemble
@@ -181,7 +181,7 @@ class TestCocoRoundTrip:
         path = tmp_path / "corpus.json"
         save_corpus(records, path)
         parsed = parse_annotations(path)
-        assert len(parsed) == 12
+        assert len(parsed.records) == 12
         for orig, back in zip(records, parsed.records):
             assert np.array_equal(back.keypoints, orig.keypoints)
             assert back.image_size == orig.image_size

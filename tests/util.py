@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from pointset_anchors.anchors import sample_box_perimeter
+from pointset_anchors.anchors import sample_box_perimeters
 from pointset_anchors.geometry import Box, Contour
 from pointset_anchors.synthetic import random_convex_polygon, random_star_polygon
 
 
 def anchor_from_box(box: Box, n: int) -> tuple[np.ndarray, tuple[int, int, int, int]]:
-    """(points, corner indices) of the mask anchor whose implicit box is ``box``."""
-    return sample_box_perimeter(box, n)
+    """(points, corner indices) of the mask anchor whose implicit box is ``box``: a batch of one."""
+    points, corners = sample_box_perimeters(box.as_array()[None], n)
+    return points[0], corners
 
 
 def random_box(rng: np.random.Generator, span: float = 100.0,
