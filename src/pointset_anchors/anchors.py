@@ -35,6 +35,19 @@ from .geometry import transform_points
 
 NUM_JOINTS = 17
 
+
+def joint_array(value, shape, what: str, dtype=float) -> np.ndarray:
+    """``value`` as a ``dtype`` array of ``shape``, where a None axis matches any length.
+
+    The one shape check of every joint array (modes, templates, kappas, OKS
+    and matching inputs): a mismatch raises JointCountMismatchError naming
+    ``what``.
+    """
+    array = np.asarray(value, dtype)
+    if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
+        raise JointCountMismatchError(f"{what} must have shape {shape}, got {array.shape}")
+    return array
+
 DEFAULT_LEVELS = ((8.0, 32.0), (16.0, 64.0), (32.0, 128.0), (64.0, 256.0), (128.0, 512.0))
 DEFAULT_OCTAVE_SCALES = (1.0, 2.0 ** (1.0 / 3.0), 2.0 ** (2.0 / 3.0))
 DEFAULT_ASPECT_RATIOS = (0.5, 1.0, 2.0)
@@ -281,13 +294,9 @@ def generate_grid(config: PyramidConfig, image_size, mode: str = MASK_MODE,
     elif mode == POSE_MODE:
         if canonical_poses is None:
             raise MissingCanonicalPosesError("pose grids need canonical_poses")
-        modes = np.asarray(canonical_poses, dtype=float)
-        if modes.ndim != 3 or modes.shape[1:] != (NUM_JOINTS, 2) or len(modes) == 0:
-            raise JointCountMismatchError(
-                f"canonical_poses must be (k, {NUM_JOINTS}, 2) with k >= 1, got {modes.shape}"
-            )
-        if not np.isfinite(modes).all():
-            raise PointSetError("canonical_poses must be finite")
+        modes = joint_array(canonical_poses, (None, NUM_JOINTS, 2), "canonical_poses")
+        if not (len(modes) and np.isfinite(modes).all()):
+            raise PointSetError("canonical_poses must be k >= 1 finite poses")
         templates = partial(_pose_templates, config, modes=modes)
     else:
         raise PointSetError(f"unknown grid mode: {mode!r}")

@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anchors import NUM_JOINTS, axis_centers
+from .anchors import NUM_JOINTS, axis_centers, joint_array
 from .errors import (
     BadThresholdsError,
-    JointCountMismatchError,
     LengthMismatchError,
     NonPositiveScaleError,
     NoVisibleJointsError,
@@ -70,11 +69,7 @@ class OksParams:
     scale_source: str = SCALE_FROM_BBOX_AREA
 
     def __post_init__(self):
-        kappas = np.ascontiguousarray(np.asarray(self.kappas, dtype=float))
-        if kappas.shape != (NUM_JOINTS,):
-            raise JointCountMismatchError(
-                f"kappas must have shape ({NUM_JOINTS},), got {kappas.shape}"
-            )
+        kappas = np.ascontiguousarray(joint_array(self.kappas, (NUM_JOINTS,), "kappas"))
         if not (np.isfinite(kappas).all() and (kappas > 0).all()):
             raise NonPositiveScaleError("kappas must be finite and > 0")
         kappas.setflags(write=False)
@@ -138,16 +133,9 @@ def oks(candidate, gt_joints, visibility, gt_scale: float,
     the gt's area in square pixels. Each term is flushed per axis (see
     EXP_FLUSH).
     """
-    candidate = np.asarray(candidate, dtype=float)
-    gt_joints = np.asarray(gt_joints, dtype=float)
-    visibility = np.asarray(visibility)
-    if candidate.shape != (NUM_JOINTS, 2) or gt_joints.shape != (NUM_JOINTS, 2):
-        raise JointCountMismatchError(
-            f"expected ({NUM_JOINTS}, 2) joint arrays, got {candidate.shape} and {gt_joints.shape}"
-        )
-    if visibility.shape != (NUM_JOINTS,):
-        raise JointCountMismatchError(f"expected ({NUM_JOINTS},) visibility, got {visibility.shape}")
-    return float(oks_matrix(candidate[None], gt_joints[None], visibility[None],
+    return float(oks_matrix(joint_array(candidate, (NUM_JOINTS, 2), "candidate"),
+                            joint_array(gt_joints, (NUM_JOINTS, 2), "gt_joints"),
+                            joint_array(visibility, (NUM_JOINTS,), "visibility"),
                             [gt_scale], params)[0, 0])
 
 
@@ -207,6 +195,12 @@ LABEL_IGNORE = -1
 LABEL_NEGATIVE = 0
 
 
+def check_thresholds(hi: float, lo: float) -> None:
+    """Reject assignment thresholds unless 0 <= lo <= hi <= 1 (so NaN too)."""
+    if not (0.0 <= lo <= hi <= 1.0):
+        raise BadThresholdsError(f"thresholds must satisfy 0 <= lo <= hi <= 1, got lo={lo} hi={hi}")
+
+
 def assign_arrays(similarity, hi: float, lo: float, force_nearest: bool = False,
                   gt_class_ids=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assign labels from an (anchors, gts) similarity matrix: (labels, matched_gt, best).
@@ -219,8 +213,7 @@ def assign_arrays(similarity, hi: float, lo: float, force_nearest: bool = False,
     below ``hi``; a contested anchor keeps the gt with the higher
     similarity. With no gts (an (A, 0) matrix) every anchor is negative.
     """
-    if not (0.0 <= lo <= hi <= 1.0):
-        raise BadThresholdsError(f"thresholds must satisfy 0 <= lo <= hi <= 1, got lo={lo} hi={hi}")
+    check_thresholds(hi, lo)
     sim = np.asarray(similarity, dtype=float)
     if sim.ndim != 2:
         raise LengthMismatchError(f"similarity must be 2-D, got shape {sim.shape}")
@@ -262,10 +255,5 @@ def refine_pose_anchors(stage1_predictions) -> np.ndarray:
     straight into ``oks`` or ``oks_matrix``.
     """
     preds = np.asarray(stage1_predictions, dtype=float)
-    if preds.ndim == 2:
-        preds = preds[None]
-    if preds.ndim != 3 or preds.shape[1:] != (NUM_JOINTS, 2):
-        raise JointCountMismatchError(
-            f"predictions must be (P, {NUM_JOINTS}, 2), got {preds.shape}"
-        )
-    return preds
+    return joint_array(preds[None] if preds.ndim == 2 else preds, (None, NUM_JOINTS, 2),
+                       "stage1_predictions")

@@ -46,28 +46,23 @@ def _warn(message: str) -> None:
 
 def _report_parse_stats(result: ParseResult) -> None:
     stats = result.stats
-    if stats.rejected_rle:
-        _warn(f"warning: rejected {stats.rejected_rle} RLE segmentation(s)")
-    if stats.rejected_crowd:
-        _warn(f"warning: rejected {stats.rejected_crowd} crowd annotation(s)")
-    if stats.dropped_polygons:
-        _warn(f"warning: dropped {stats.dropped_polygons} degenerate polygon(s)")
-    if stats.out_of_bounds:
-        _warn(f"warning: {stats.out_of_bounds} record(s) have out-of-bounds coordinates")
+    for count, text in ((stats.rejected_rle, "rejected {} RLE segmentation(s)"),
+                        (stats.rejected_crowd, "rejected {} crowd annotation(s)"),
+                        (stats.dropped_polygons, "dropped {} degenerate polygon(s)"),
+                        (stats.out_of_bounds, "{} record(s) have out-of-bounds coordinates")):
+        if count:
+            _warn("warning: " + text.format(count))
 
 
 def _normalized_poses(result: ParseResult):
     poses = []
     skipped = 0
     for record in result.records:
-        if record.keypoints is None or not record.bbox.area > 0.0:
+        if (record.keypoints is None or not record.bbox.area > 0.0
+                or np.count_nonzero(record.visible_mask()) < 2):
             skipped += 1
             continue
-        visible = record.keypoints[:, 2]
-        if np.count_nonzero(visible > 0) < 2:
-            skipped += 1
-            continue
-        poses.append(normalize_pose(record.keypoints[:, :2], visible, record.bbox))
+        poses.append(normalize_pose(record.keypoints[:, :2], record.keypoints[:, 2], record.bbox))
     if skipped:
         _warn(f"warning: skipped {skipped} record(s) without usable keypoints")
     return poses
@@ -112,16 +107,9 @@ def _cmd_targets(args) -> int:
     # Merge the document and CLI flags before constructing, so hi/lo presets
     # are derived from the final task rather than an intermediate default.
     document = load_config_document(args.config) if args.config else {}
-    if args.task:
-        document["task"] = args.task
-    if args.strategy:
-        document["strategy"] = args.strategy
-    if args.hi is not None:
-        document["hi"] = args.hi
-    if args.lo is not None:
-        document["lo"] = args.lo
-    if args.force_nearest:
-        document["force_nearest"] = True
+    flags = {"task": args.task, "strategy": args.strategy, "hi": args.hi, "lo": args.lo,
+             "force_nearest": args.force_nearest or None}
+    document.update((key, value) for key, value in flags.items() if value is not None)
     config = TargetConfig.from_dict(document)
     canonical_poses = None
     if config.task == TASK_POSE_TARGETS:
@@ -133,12 +121,17 @@ def _cmd_targets(args) -> int:
     return 0
 
 
+def _pyramid(args) -> PyramidConfig:
+    """The pyramid of the --config document, else the default one."""
+    if args.config:
+        return TargetConfig.from_dict(load_config_document(args.config)).pyramid
+    return PyramidConfig()
+
+
 def _coverage_ladder(args, poses) -> list[CoverageConfig]:
     # the scale and rotation variants stay on: single-variant grids are too
     # coarse for the degenerate baselines to register at all
-    pyramid = PyramidConfig()
-    if args.config:
-        pyramid = TargetConfig.from_file(args.config).pyramid
+    pyramid = _pyramid(args)
     configs = [
         CoverageConfig("center-point", pyramid, TASK_POSE_TARGETS, center_point_shape()[None]),
         CoverageConfig("rectangle", pyramid, TASK_POSE_TARGETS, rectangle_shape()[None]),
@@ -160,10 +153,7 @@ def _cmd_coverage(args) -> int:
         poses = _normalized_poses(result)
         configs = _coverage_ladder(args, poses)
     else:
-        pyramid = PyramidConfig()
-        if args.config:
-            pyramid = TargetConfig.from_file(args.config).pyramid
-        configs = [CoverageConfig("mask-anchors", pyramid, TASK_MASK)]
+        configs = [CoverageConfig("mask-anchors", _pyramid(args), TASK_MASK)]
     reports = coverage_report(result.records, configs, threshold=args.threshold)
     Path(args.out).write_text(json.dumps(coverage_to_dict(reports), sort_keys=True) + "\n")
     print(render_coverage_table(reports), end="")

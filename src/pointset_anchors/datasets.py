@@ -19,7 +19,7 @@ import numpy as np
 
 from .anchors import NUM_JOINTS
 from .errors import DegenerateContourError, MalformedDocumentError, TooFewVerticesError, is_numbers
-from .geometry import Box, Contour
+from .geometry import Box, Contour, signed_area
 
 
 @dataclass
@@ -47,8 +47,6 @@ class InstanceRecord:
         """The matching contour of a multi-part instance: largest by area."""
         if not self.contours:
             return None
-        from .geometry import signed_area
-
         return max(self.contours, key=lambda c: abs(signed_area(c)))
 
 
@@ -112,23 +110,13 @@ def _parse_polygons(segmentation, context: str, stats: ParseStats) -> tuple[Cont
 
 
 def _record_out_of_bounds(record: InstanceRecord) -> bool:
-    w, h = record.image_size
-
-    def outside(points: np.ndarray) -> bool:
-        return bool((points[:, 0] < 0).any() or (points[:, 1] < 0).any()
-                    or (points[:, 0] > w).any() or (points[:, 1] > h).any())
-
-    if outside(np.asarray([[record.bbox.x_min, record.bbox.y_min],
-                           [record.bbox.x_max, record.bbox.y_max]])):
-        return True
-    for contour in record.contours:
-        if outside(contour.vertices):
-            return True
+    """Whether a box corner, contour vertex or visible joint lies outside the image."""
+    points = [np.reshape(record.bbox.as_array(), (2, 2))]
+    points += [contour.vertices for contour in record.contours]
     if record.keypoints is not None:
-        visible = record.keypoints[:, 2] > 0
-        if visible.any() and outside(record.keypoints[visible, :2]):
-            return True
-    return False
+        points.append(record.keypoints[record.visible_mask(), :2])
+    points = np.concatenate(points)
+    return bool(((points < 0) | (points > record.image_size)).any())
 
 
 def parse_annotations(path) -> ParseResult:

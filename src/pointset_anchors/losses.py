@@ -123,10 +123,6 @@ class LossInputs:
                             ("reg_valid", valid)):
             object.__setattr__(self, name, value)
 
-    @property
-    def num_positives(self) -> int:
-        return int(np.count_nonzero(self.class_targets > 0))
-
 
 def total_loss(inputs: LossInputs) -> LossBreakdown:
     """Classification + regression objective over one anchor set.
@@ -143,7 +139,7 @@ def total_loss(inputs: LossInputs) -> LossBreakdown:
     rows = np.nonzero(labels > 0)[0]
     positive[rows, labels[rows] - 1] = True
     per_entry = _focal_terms(probs, positive, inputs.focal_alpha, inputs.focal_gamma)
-    denom = max(inputs.num_positives, 1)
+    denom = max(int(np.count_nonzero(targets > 0)), 1)
     loss_cls = float(per_entry.sum()) / denom
 
     pos_rows = targets > 0

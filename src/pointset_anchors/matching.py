@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .anchors import NUM_JOINTS
-from .errors import JointCountMismatchError, PointSetError
+from .anchors import NUM_JOINTS, joint_array
+from .errors import PointSetError
 
 NEAREST_POINT = "nearest-point"
 NEAREST_LINE = "nearest-line"
@@ -210,18 +210,12 @@ def match_points(points, corner_indices, vertices, strategy: str,
 def match_pose_points(joints, gt_joints, visibility) -> tuple[np.ndarray, np.ndarray]:
     """Pair (P, 17, 2) anchor joints with their gts' joints by index.
 
-    ``gt_joints`` is each anchor's gt's joints, (P, 17, 2), or one gt's
-    (17, 2) for all; ``visibility`` is (P, 17) or (17,) alike. Returns
-    targets (P, 17, 2) and valid (P, 17). Validity is visibility > 0; the
-    targets of invisible joints are zeroed and carry no offset.
+    ``gt_joints`` is each anchor's gt's joints, (P, 17, 2), and
+    ``visibility`` their (P, 17) visibility. Returns targets (P, 17, 2) and
+    valid (P, 17). Validity is visibility > 0; the targets of invisible
+    joints are zeroed and carry no offset.
     """
-    shape = np.shape(joints)
-    gt_joints, visibility = np.asarray(gt_joints, dtype=float), np.asarray(visibility)
-    if (len(shape) != 3 or shape[1:] != (NUM_JOINTS, 2) or gt_joints.shape not in (shape[1:], shape)
-            or visibility.shape not in (shape[1:2], shape[:2])):
-        raise JointCountMismatchError(
-            f"expected (P, {NUM_JOINTS}, 2) anchor joints, gt joints of ({NUM_JOINTS}, 2) or "
-            f"(P, {NUM_JOINTS}, 2) and visibility of ({NUM_JOINTS},) or (P, {NUM_JOINTS}), got "
-            f"{shape}, {gt_joints.shape} and {visibility.shape}")
-    valid = np.broadcast_to(visibility > 0, shape[:2])
+    shape = joint_array(joints, (None, NUM_JOINTS, 2), "joints").shape
+    gt_joints = joint_array(gt_joints, shape, "gt_joints")
+    valid = joint_array(visibility, shape[:2], "visibility") > 0
     return np.where(valid[..., None], gt_joints, 0.0), valid

@@ -26,7 +26,6 @@ from .anchors import (
     AnchorGrid,
     PyramidConfig,
     generate_grid,
-    load_config_document,
     sample_box_perimeters,
 )
 from .assignment import (
@@ -38,6 +37,7 @@ from .assignment import (
     SIMILARITY_OKS,
     OksParams,
     assign_arrays,
+    check_thresholds,
     oks_lattice,
     threshold_preset,
 )
@@ -95,6 +95,7 @@ class TargetConfig(_TaskConfig):
             object.__setattr__(self, "hi", preset[0])
         if self.lo is None:
             object.__setattr__(self, "lo", preset[1])
+        check_thresholds(self.hi, self.lo)
 
     def to_dict(self) -> dict:
         return {
@@ -119,10 +120,6 @@ class TargetConfig(_TaskConfig):
         if "pyramid" in kwargs:
             kwargs["pyramid"] = PyramidConfig.from_dict(kwargs["pyramid"])
         return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path) -> "TargetConfig":
-        return cls.from_dict(load_config_document(path))
 
 
 def _group_by_image(records) -> dict[int, list[InstanceRecord]]:
@@ -315,16 +312,15 @@ def _float_texts(values: np.ndarray) -> tuple[list[bytes], np.ndarray]:
     return texts, index.reshape(values.shape)
 
 
-def _lay_out(parts, count: int) -> bytes:
-    """Lay ``count`` rows of bytes pieces side by side and drop the NUL padding.
+def _lay_out(parts, count: int) -> np.ndarray:
+    """Lay ``count`` rows of bytes pieces side by side, as a NUL-padded uint8 matrix.
 
     A part is a bytes literal, the same in every row, or an array of
     ``count`` NUL-padded bytes tokens.
     """
-    matrix = np.concatenate([np.broadcast_to(np.frombuffer(part, np.uint8), (count, len(part)))
-                             if isinstance(part, bytes) else part.view(np.uint8).reshape(count, -1)
-                             for part in parts], axis=1)
-    return matrix.tobytes().translate(None, b"\0")
+    return np.concatenate([np.broadcast_to(np.frombuffer(part, np.uint8), (count, len(part)))
+                           if isinstance(part, bytes) else part.view(np.uint8).reshape(count, -1)
+                           for part in parts], axis=1)
 
 
 def _render_image(image_id, columns, pos, offsets, valid):
@@ -334,9 +330,10 @@ def _render_image(image_id, columns, pos, offsets, valid):
     arrays. An integer field is a lookup in a token table indexed by value,
     and ``sim`` takes json's text once per distinct bit pattern. Each step of
     at most ``RENDER_LINES`` lines is laid out as one byte matrix. ``pos``
-    holds the positives' line indices, ascending; their ``offsets`` and
-    ``valid`` texts are spliced over the nulls at byte positions summed from
-    the field widths.
+    holds the positives' line indices, ascending. A positive's ``offsets``
+    and ``valid`` texts replace the last two nulls of the text up to its
+    line's end: its ``gt`` is an index and its ``sim`` a finite float, so
+    its line has no other null.
     """
     levels, rows, cols, slots, labels, matched, best = columns
     sims, sim_index = _float_texts(best)
@@ -344,28 +341,18 @@ def _render_image(image_id, columns, pos, offsets, valid):
               _int_field(levels), _int_field(rows), (np.array(sims), sim_index), _int_field(slots))
     texts = list(_LINE_TEXT)
     texts[2] %= json.dumps(image_id).encode()
-    literal_width = sum(map(len, texts))
-    offsets_from = sum(map(len, texts[:4])) + len(b', "offsets": ')   # + 4 field widths
     for start in range(0, len(best), RENDER_LINES):
         stop = min(start + RENDER_LINES, len(best))
         tokens = [table[index[start:stop]] for table, index in fields]
-        chunk = _lay_out([part for pair in zip(texts, tokens) for part in pair] + texts[-1:],
-                         stop - start)
-        first, last = np.searchsorted(pos, (start, stop))
-        if first == last:
-            yield chunk
-            continue
-        here = pos[first:last] - start
-        widths = [np.char.str_len(token) for token in tokens]
-        line = sum(widths) + literal_width
-        ends = np.cumsum(line)[here]
-        offsets_at = ends - line[here] + offsets_from + sum(w[here] for w in widths[:4])
-        valid_at = ends - len(b'null}\n')
-        chunk, at = memoryview(chunk), 0
-        for k, o, v in zip(range(first, last), offsets_at.tolist(), valid_at.tolist()):
-            yield from (chunk[at:o], offsets[k], chunk[o + 4:v], valid[k])
-            at = v + 4
-        yield chunk[at:]
+        matrix = _lay_out([part for pair in zip(texts, tokens) for part in pair] + texts[-1:],
+                          stop - start)
+        at = 0
+        for k in range(*np.searchsorted(pos, (start, stop))):
+            end = pos[k] - start + 1
+            head, middle, tail = matrix[at:end].tobytes().translate(None, b"\0").rsplit(b"null", 2)
+            yield from (head, offsets[k], middle, valid[k], tail)
+            at = end
+        yield matrix[at:].tobytes().translate(None, b"\0")
 
 
 def _positive_texts(scaled: np.ndarray, valid: np.ndarray) -> tuple[list[bytes], list[bytes]]:

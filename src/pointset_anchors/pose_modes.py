@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .anchors import NUM_JOINTS, load_config_document
+from .anchors import NUM_JOINTS, joint_array, load_config_document
 from .errors import (
     DegenerateBoxError,
     JointCountMismatchError,
@@ -34,18 +34,14 @@ class NormalizedPose:
     valid_mask: np.ndarray
 
     def __post_init__(self):
-        joints = np.ascontiguousarray(np.asarray(self.joints, dtype=float))
-        valid = np.ascontiguousarray(np.asarray(self.valid_mask, dtype=bool))
-        if joints.shape != (NUM_JOINTS, 2):
-            raise JointCountMismatchError(f"expected ({NUM_JOINTS}, 2) joints, got {joints.shape}")
-        if valid.shape != (NUM_JOINTS,):
-            raise JointCountMismatchError(f"expected ({NUM_JOINTS},) mask, got {valid.shape}")
+        joints = joint_array(self.joints, (NUM_JOINTS, 2), "joints")
+        valid = joint_array(self.valid_mask, (NUM_JOINTS,), "valid_mask", bool)
         if not np.isfinite(joints[valid]).all():
             raise PointSetError("valid joints must be finite")
-        joints.setflags(write=False)
-        valid.setflags(write=False)
-        object.__setattr__(self, "joints", joints)
-        object.__setattr__(self, "valid_mask", valid)
+        for name, value in (("joints", joints), ("valid_mask", valid)):
+            value = np.ascontiguousarray(value)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def fully_visible(self) -> bool:
@@ -60,13 +56,8 @@ def normalize_pose(joints, visibility, ref_box: Box) -> NormalizedPose:
     with maximum dimension 1. Requires >= 2 visible joints and a box with
     positive extent.
     """
-    joints = np.asarray(joints, dtype=float)
-    visibility = np.asarray(visibility)
-    if joints.shape != (NUM_JOINTS, 2):
-        raise JointCountMismatchError(f"expected ({NUM_JOINTS}, 2) joints, got {joints.shape}")
-    if visibility.shape != (NUM_JOINTS,):
-        raise JointCountMismatchError(f"expected ({NUM_JOINTS},) visibility, got {visibility.shape}")
-    valid = visibility > 0
+    joints = joint_array(joints, (NUM_JOINTS, 2), "joints")
+    valid = joint_array(visibility, (NUM_JOINTS,), "visibility") > 0
     if np.count_nonzero(valid) < 2:
         raise TooFewVisibleJointsError(
             f"normalization needs >= 2 visible joints, got {np.count_nonzero(valid)}"
@@ -90,11 +81,9 @@ class PoseModes:
     inertia_history: tuple[float, ...] = ()
 
     def __post_init__(self):
-        modes = np.ascontiguousarray(np.asarray(self.modes, dtype=float))
-        if modes.ndim != 3 or modes.shape[1:] != (NUM_JOINTS, 2) or len(modes) == 0:
-            raise JointCountMismatchError(
-                f"modes must be (k >= 1, {NUM_JOINTS}, 2), got {modes.shape}"
-            )
+        modes = np.ascontiguousarray(joint_array(self.modes, (None, NUM_JOINTS, 2), "modes"))
+        if not len(modes):
+            raise JointCountMismatchError("modes must hold k >= 1 poses")
         modes.setflags(write=False)
         object.__setattr__(self, "modes", modes)
 
@@ -106,20 +95,12 @@ class PoseModes:
 def _admissible_matrix(poses) -> np.ndarray:
     """Stack fully visible poses as (N, 34) row vectors."""
     rows = []
-    for pose in poses:
-        if isinstance(pose, NormalizedPose):
-            if pose.fully_visible:
-                rows.append(pose.joints.ravel())
-        else:
-            arr = np.asarray(pose, dtype=float)
-            if arr.shape != (NUM_JOINTS, 2):
-                raise JointCountMismatchError(
-                    f"expected ({NUM_JOINTS}, 2) poses, got {arr.shape}"
-                )
-            rows.append(arr.ravel())
-    if not rows:
-        return np.empty((0, NUM_JOINTS * 2))
-    return np.asarray(rows)
+    for i, pose in enumerate(poses):
+        if not isinstance(pose, NormalizedPose):
+            rows.append(joint_array(pose, (NUM_JOINTS, 2), f"poses[{i}]"))
+        elif pose.fully_visible:
+            rows.append(pose.joints)
+    return np.reshape(rows, (-1, NUM_JOINTS * 2))
 
 
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -163,19 +144,15 @@ def kmeans_poses(poses, k: int, seed: int = 0, max_iters: int = 100) -> PoseMode
     labels = np.full(len(x), -1)
     history: list[float] = []
     for _ in range(max_iters):
-        d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1)
-        # Re-seed empty clusters from the globally farthest point, then
-        # recompute assignments; repeats until every cluster is non-empty.
-        for _ in range(k):
-            empty = np.flatnonzero(np.bincount(new_labels, minlength=k) == 0)
-            if empty.size == 0:
-                break
-            assigned_d2 = d2[np.arange(len(x)), new_labels]
-            farthest = int(assigned_d2.argmax())
-            centroids[empty[0]] = x[farthest]
+        # Assign; while a cluster is empty, re-seed it from the globally
+        # farthest point and assign again, at most k times.
+        for reseeds in range(k + 1):
             d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
             new_labels = d2.argmin(axis=1)
+            empty = np.flatnonzero(np.bincount(new_labels, minlength=k) == 0)
+            if empty.size == 0 or reseeds == k:
+                break
+            centroids[empty[0]] = x[int(d2[np.arange(len(x)), new_labels].argmax())]
         history.append(float(d2[np.arange(len(x)), new_labels].sum()))
         if np.array_equal(new_labels, labels):
             break
@@ -244,8 +221,7 @@ def load_pose_modes(path) -> PoseModes:
         k, inertia, seed = int(doc["k"]), float(doc["inertia"]), int(doc["seed"])
     except (KeyError, TypeError, ValueError) as err:
         raise MalformedDocumentError(f"{path}: not a pose modes document ({err!r})") from err
-    if modes.shape != (k, NUM_JOINTS, 2):
-        raise JointCountMismatchError(
-            f"mode file claims k={doc['k']} but carries shape {modes.shape}"
-        )
+    if not np.isfinite(modes).all():
+        raise MalformedDocumentError(f"{path}: 'modes' must be finite numbers")
+    modes = joint_array(modes, (k, NUM_JOINTS, 2), f"{path}: 'modes' of k={k}")
     return PoseModes(modes=modes, inertia=inertia, seed=seed)

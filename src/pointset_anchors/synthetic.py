@@ -81,13 +81,11 @@ POSE_PROTOTYPES = np.stack([
 POSE_PROTOTYPES.setflags(write=False)
 
 
-def random_convex_polygon(rng: np.random.Generator, n_vertices: int, center,
-                          radii) -> np.ndarray:
-    """Convex polygon: sorted angles on an axis-aligned ellipse.
-
-    Angles are re-drawn until no gap collapses, so no three vertices are
-    collinear in practice.
-    """
+def _ellipse_polygon(rng: np.random.Generator, n_vertices: int, center, radii,
+                     spikiness: float | None = None) -> np.ndarray:
+    """Vertices at sorted angles on an axis-aligned ellipse, each radius scaled by a
+    draw from [1 - spikiness, 1 + spikiness] unless ``spikiness`` is None. Angles
+    are re-drawn until no gap collapses, so no three are collinear in practice."""
     if n_vertices < 3:
         raise PointSetError(f"polygons need >= 3 vertices, got {n_vertices}")
     rx, ry = float(radii[0]), float(radii[1])
@@ -97,7 +95,14 @@ def random_convex_polygon(rng: np.random.Generator, n_vertices: int, center,
         gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
         if gaps.min() > (2.0 * np.pi) / (8.0 * n_vertices) and gaps.max() < np.pi * 0.95:
             break
-    return np.column_stack([cx + rx * np.cos(angles), cy + ry * np.sin(angles)])
+    mult = 1.0 if spikiness is None else rng.uniform(1.0 - spikiness, 1.0 + spikiness, n_vertices)
+    return np.column_stack([cx + mult * rx * np.cos(angles), cy + mult * ry * np.sin(angles)])
+
+
+def random_convex_polygon(rng: np.random.Generator, n_vertices: int, center,
+                          radii) -> np.ndarray:
+    """Convex polygon: sorted angles on an axis-aligned ellipse."""
+    return _ellipse_polygon(rng, n_vertices, center, radii)
 
 
 def random_star_polygon(rng: np.random.Generator, n_vertices: int, center,
@@ -108,19 +113,9 @@ def random_star_polygon(rng: np.random.Generator, n_vertices: int, center,
     [1 - spikiness, 1 + spikiness]; sorted angles keep it simple
     (non-self-intersecting).
     """
-    if n_vertices < 3:
-        raise PointSetError(f"polygons need >= 3 vertices, got {n_vertices}")
     if not 0.0 <= spikiness < 1.0:
         raise PointSetError(f"spikiness must be in [0, 1), got {spikiness}")
-    rx, ry = float(radii[0]), float(radii[1])
-    cx, cy = float(center[0]), float(center[1])
-    while True:
-        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n_vertices))
-        gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
-        if gaps.min() > (2.0 * np.pi) / (8.0 * n_vertices) and gaps.max() < np.pi * 0.95:
-            break
-    mult = rng.uniform(1.0 - spikiness, 1.0 + spikiness, n_vertices)
-    return np.column_stack([cx + mult * rx * np.cos(angles), cy + mult * ry * np.sin(angles)])
+    return _ellipse_polygon(rng, n_vertices, center, radii, spikiness)
 
 
 def _contour_records(count: int, rng: np.random.Generator, image_size,

@@ -261,34 +261,44 @@ class TestDocumentErrors:
         code = main(["targets", "--annotations", str(ann), "--out", str(tmp_path / "t.jsonl")])
         _assert_named_error(capsys, code, "images[3]", f"image id {doc['images'][1]['id']}")
 
-    @pytest.mark.parametrize("name, text, names", [
-        ("config.json", '{"pyramid": ', ["config.json", "not a valid document"]),
-        ("config.yaml", "pyramid: [1, 2", ["config.yaml", "not a valid document"]),
-        ("config.json", '{"pyramid": {"levels": [[8]]}}', ["'levels'"]),
-        ("config.json", '{"pyramid": {"num_points": "36"}}', ["'num_points'"]),
-        ("config.json", '{"hi": "0.5"}', ["'hi'"]),
-    ], ids=["invalid-json", "invalid-yaml", "level-pair", "num-points-str", "hi-str"])
-    def test_bad_config(self, tmp_path, capsys, name, text, names):
+    @pytest.mark.parametrize("name, text, flags, names", [
+        ("config.json", '{"pyramid": ', [], ["config.json", "not a valid document"]),
+        ("config.yaml", "pyramid: [1, 2", [], ["config.yaml", "not a valid document"]),
+        ("config.json", '{"pyramid": {"levels": [[8]]}}', [], ["'levels'"]),
+        ("config.json", '{"pyramid": {"num_points": "36"}}', [], ["'num_points'"]),
+        ("config.json", '{"hi": "0.5"}', [], ["'hi'"]),
+        ("config.json", '{"hi": 0.3, "lo": 0.5}', [], ["lo=0.5 hi=0.3"]),
+        ("config.json", '{"hi": NaN}', [], ["hi=nan"]),
+        ("config.json", "{}", ["--hi", "0.3", "--lo", "0.5"], ["lo=0.5 hi=0.3"]),
+    ], ids=["invalid-json", "invalid-yaml", "level-pair", "num-points-str", "hi-str",
+            "hi-below-lo", "hi-nan", "hi-below-lo-flags"])
+    def test_bad_config(self, tmp_path, capsys, name, text, flags, names):
         ann = _synth(tmp_path, "c.json")
         config = tmp_path / name
         config.write_text(text)
         capsys.readouterr()
+        out = tmp_path / "t.jsonl"
         code = main(["targets", "--annotations", str(ann), "--config", str(config),
-                     "--out", str(tmp_path / "t.jsonl")])
+                     *flags, "--out", str(out)])
         _assert_named_error(capsys, code, *names)
+        assert not out.exists()
 
     @pytest.mark.parametrize("doc, name", [
         ({}, "'modes'"),
         ({"k": "x", "seed": 0, "inertia": 0.0, "modes": [[[0.0, 0.0]] * 17]}, "'x'"),
-    ], ids=["no-modes", "k-str"])
+        ({"k": 1, "seed": 0, "inertia": 0.0, "modes": [[[float("nan"), 0.0]] * 17]},
+         "'modes' must be finite"),
+    ], ids=["no-modes", "k-str", "nan-mode"])
     def test_bad_modes_file(self, tmp_path, capsys, doc, name):
         ann = _synth_poses(tmp_path, "poses.json")
         modes = tmp_path / "modes.json"
         modes.write_text(json.dumps(doc))
         capsys.readouterr()
+        out = tmp_path / "t.jsonl"
         code = main(["targets", "--annotations", str(ann), "--task", "pose",
-                     "--modes", str(modes), "--out", str(tmp_path / "t.jsonl")])
+                     "--modes", str(modes), "--out", str(out)])
         _assert_named_error(capsys, code, "modes.json", name)
+        assert not out.exists()
 
 
 class TestCoverage:

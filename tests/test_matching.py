@@ -379,7 +379,7 @@ class TestMatchPose:
         gt = np.arange(34, dtype=float).reshape(17, 2)
         visibility = np.zeros(17, dtype=int)
         visibility[[0, 4, 16]] = 2
-        targets, valid = match_pose_points(anchor_joints[None], gt, visibility)
+        targets, valid = match_pose_points(anchor_joints[None], gt[None], visibility[None])
         offsets = point_offsets(anchor_joints[None], targets, valid)
         assert valid.shape == (1, 17)
         assert valid.sum() == 3
@@ -393,18 +393,19 @@ class TestMatchPose:
         visibility = rng.integers(0, 3, (4, 17))
         targets, valid = match_pose_points(joints, gts, visibility)
         for a in range(4):
-            one, one_valid = match_pose_points(joints[a:a + 1], gts[a], visibility[a])
+            one, one_valid = match_pose_points(joints[a:a + 1], gts[a:a + 1], visibility[a:a + 1])
             assert one.tobytes() == targets[a:a + 1].tobytes()
             assert one_valid.tolist() == valid[a:a + 1].tolist()
 
     def test_shape_validation(self):
         for joints, gt, visibility in (
-            (np.zeros((1, 5, 2)), np.zeros((17, 2)), np.zeros(17)),   # 5 anchor joints
-            (np.zeros((17, 2)), np.zeros((17, 2)), np.zeros(17)),     # unbatched
-            (np.zeros((1, 17, 2)), np.zeros((5, 2)), np.zeros(17)),   # 5 gt joints
-            (np.zeros((1, 17, 2)), np.zeros((17, 2)), np.zeros(5)),   # 5 visibilities
-            (np.zeros((2, 17, 2)), np.zeros((3, 17, 2)), np.zeros(17)),  # 3 gts for 2 anchors
-            (np.zeros((2, 17, 2)), np.zeros((17, 2)), np.zeros((3, 17))),
+            (np.zeros((1, 5, 2)), np.zeros((1, 5, 2)), np.zeros((1, 5))),   # 5 anchor joints
+            (np.zeros((17, 2)), np.zeros((17, 2)), np.zeros(17)),           # unbatched
+            (np.zeros((1, 17, 2)), np.zeros((1, 5, 2)), np.zeros((1, 17))),  # 5 gt joints
+            (np.zeros((1, 17, 2)), np.zeros((1, 17, 2)), np.zeros((1, 5))),  # 5 visibilities
+            (np.zeros((2, 17, 2)), np.zeros((3, 17, 2)), np.zeros((2, 17))),  # 3 gts, 2 anchors
+            (np.zeros((2, 17, 2)), np.zeros((2, 17, 2)), np.zeros((3, 17))),
+            (np.zeros((2, 17, 2)), np.zeros((17, 2)), np.zeros(17)),        # one gt for all
         ):
             with pytest.raises(JointCountMismatchError):
                 match_pose_points(joints, gt, visibility)

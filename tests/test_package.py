@@ -1,4 +1,6 @@
+import ast
 import types
+from pathlib import Path
 
 import pointset_anchors
 
@@ -26,3 +28,19 @@ def test_all_lists_every_public_name_but_submodules():
     # Submodules are not exported by name but stay reachable as attributes.
     assert isinstance(pointset_anchors.pipeline, types.ModuleType)
     assert pointset_anchors.pipeline.emit_targets is pointset_anchors.emit_targets
+
+
+def test_every_imported_name_is_used():
+    # No linter runs on the package; this stands in for an unused-import check.
+    # The package's relative imports are its re-exports and are exempt.
+    for path in sorted(Path(pointset_anchors.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif (isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                  and not (path.name == "__init__.py" and node.level)):
+                imported |= {alias.asname or alias.name for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
