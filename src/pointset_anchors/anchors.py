@@ -232,6 +232,19 @@ class AnchorGrid:
             object.__setattr__(self, "_box_stack", cached)
         return cached
 
+    def axis_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every level's point x per map column and y per map row, side by side:
+        (slots, p, all cols) and (slots, p, all rows), each centre + template."""
+        cached = self.__dict__.get("_axis_coordinates")
+        if cached is None:
+            cached = tuple(np.concatenate(
+                [axis_centers((lv.cols, lv.rows)[axis], lv.stride) + lv.templates[:, :, axis, None]
+                 for lv in self.levels], axis=-1) for axis in (0, 1))
+            for table in cached:
+                table.setflags(write=False)
+            object.__setattr__(self, "_axis_coordinates", cached)
+        return cached
+
     def joint_stack(self, index=None) -> np.ndarray:
         """Pose joints of the stacked anchors at ``index`` (all when None), (len, 17, 2).
 

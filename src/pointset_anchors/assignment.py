@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anchors import NUM_JOINTS, axis_centers, joint_array
+from .anchors import NUM_JOINTS, joint_array
 from .errors import (
     BadThresholdsError,
     LengthMismatchError,
@@ -158,19 +158,20 @@ def oks_matrix(candidates, gt_joints, gt_visibility, gt_scales,
     return out
 
 
-def oks_lattice(levels, gt_joints, gt_visibility, gt_scales,
+def oks_lattice(grid, gt_joints, gt_visibility, gt_scales,
                 params: OksParams = DEFAULT_OKS_PARAMS) -> np.ndarray:
-    """OKS of every anchor of a pose grid's levels against every gt.
+    """OKS of every anchor of a pose grid against every gt.
 
     Rows follow the grid's stacking order (level, row, col, slot). The anchor
     at (row, col, slot) has joints (x[col], y[row]) + templates[slot], so its
     term for joint j factors into f over x, which depends only on
-    (slot, j, col), and f over y, which depends only on (slot, j, row). A gt
-    then costs 17 * (rows + cols) exponentials per slot, and the score maps of
-    all (gt, slot) pairs come from one batched matmul of (ey * weight)^T @ ex.
-    Joint coordinates are formed as centre + template, exactly as
-    ``generate_grid`` forms them, so every factor, and every flush, is
-    bit-identical to ``oks_matrix`` on the stacked joints.
+    (slot, j, col), and f over y, which depends only on (slot, j, row). With
+    all levels' coordinates side by side (``grid.axis_coordinates``), an
+    image costs one exponential per axis; each level's score maps of all
+    (gt, slot) pairs come from one batched matmul of (ey * weight)^T @ ex on
+    its own columns, written into one output. Coordinates are centre +
+    template, exactly as ``generate_grid`` forms them, so every factor, and
+    every flush, is bit-identical to ``oks_matrix`` on the stacked joints.
     """
     gt_joints = np.asarray(gt_joints, dtype=float).reshape(-1, NUM_JOINTS, 2)
     widths, visible = _oks_widths(gt_scales, gt_visibility, params)
@@ -178,17 +179,23 @@ def oks_lattice(levels, gt_joints, gt_visibility, gt_scales,
     # so their arbitrary (possibly non-finite) input never reaches the matmul.
     gt = np.where(visible[..., None], gt_joints, 0.0)[:, None, :, :, None]   # (G, 1, 17, 2, 1)
     widths = np.where(visible, widths, 1.0)[:, None, :, None]                 # (G, 1, 17, 1)
-    weights = (visible / visible.sum(axis=1, keepdims=True))[:, None, :, None]
-    blocks = []
-    for level in levels:
-        xs = axis_centers(level.cols, level.stride)
-        ys = axis_centers(level.rows, level.stride)
-        ex = _flushed_exp(xs + level.templates[:, :, 0, None] - gt[..., 0, :], widths)
-        ey = _flushed_exp(ys + level.templates[:, :, 1, None] - gt[..., 1, :], widths)
-        ey *= weights
-        scores = np.matmul(ey.transpose(0, 1, 3, 2), ex)                     # (G, K, rows, cols)
-        blocks.append(scores.transpose(2, 3, 1, 0).reshape(-1, len(gt_joints)))
-    return np.concatenate(blocks)
+    x, y = grid.axis_coordinates()
+    ex = _flushed_exp(x - gt[..., 0, :], widths)                              # (G, K, 17, all cols)
+    ey = _flushed_exp(y - gt[..., 1, :], widths)                              # (G, K, 17, all rows)
+    ey *= (visible / visible.sum(axis=1, keepdims=True))[:, None, :, None]
+    out = np.empty((grid.num_anchors, len(gt_joints)))
+    start = col = row = 0
+    for level in grid.levels:
+        ey_level, ex_level = ey[..., row:row + level.rows], ex[..., col:col + level.cols]
+        if min(level.rows, level.cols) == 1:
+            # a one-row or one-column map takes BLAS's vector path, whose
+            # summing order follows the vector's stride: keep it unit
+            ey_level, ex_level = np.ascontiguousarray(ey_level), np.ascontiguousarray(ex_level)
+        scores = np.matmul(ey_level.transpose(0, 1, 3, 2), ex_level)          # (G, K, rows, cols)
+        out[start:start + level.num_anchors].reshape(
+            level.rows, level.cols, *scores.shape[1::-1])[...] = scores.transpose(2, 3, 1, 0)
+        start, col, row = start + level.num_anchors, col + level.cols, row + level.rows
+    return out
 
 
 LABEL_IGNORE = -1
@@ -208,15 +215,20 @@ def assign_arrays(similarity, hi: float, lo: float, force_nearest: bool = False,
     ``labels`` holds 0 for negative, -1 for ignore, else the positive class
     id; ``matched_gt`` holds the claimed gt index or -1; ``best`` is the
     similarity to the claimed gt, or the best one for an unclaimed anchor.
-    Each anchor takes the gt with the highest similarity when several
-    qualify. With ``force_nearest``, each gt claims its argmax anchor even
-    below ``hi``; a contested anchor keeps the gt with the higher
-    similarity. With no gts (an (A, 0) matrix) every anchor is negative.
+    The similarity must be finite. It is read in one pass per gt column, and
+    three tie rules hold (``tests/oracles.py::brute_assign`` pins them):
+    an anchor takes the lowest-index gt among equal bests; with
+    ``force_nearest`` each gt, in index order, claims its lowest-index
+    argmax anchor even below ``hi``; and a contested anchor changes owner
+    only on a strictly higher similarity. With no gts (an (A, 0) matrix)
+    every anchor is negative.
     """
     check_thresholds(hi, lo)
     sim = np.asarray(similarity, dtype=float)
     if sim.ndim != 2:
         raise LengthMismatchError(f"similarity must be 2-D, got shape {sim.shape}")
+    if not np.isfinite(sim).all():
+        raise PointSetError("similarity must be finite (no NaN or inf)")
     num_anchors, num_gts = sim.shape
     if gt_class_ids is None:
         gt_class_ids = np.ones(num_gts, dtype=int)
@@ -233,17 +245,24 @@ def assign_arrays(similarity, hi: float, lo: float, force_nearest: bool = False,
         return (np.zeros(num_anchors, dtype=int), np.full(num_anchors, -1),
                 np.zeros(num_anchors))
 
-    best_gt = sim.argmax(axis=1)
-    best = sim[np.arange(num_anchors), best_gt]
+    columns = sim.T
+    best = columns[0].copy()
+    best_gt = np.zeros(num_anchors, dtype=np.intp)
+    for g in range(1, num_gts):
+        better = columns[g] > best
+        np.copyto(best, columns[g], where=better)
+        best_gt[better] = g
     matched = np.where(best >= hi, best_gt, -1)
     if force_nearest:
         for g in range(num_gts):
-            a = int(sim[:, g].argmax())
+            a = int(columns[g].argmax())
             if matched[a] < 0 or sim[a, g] > sim[a, matched[a]]:
                 matched[a] = g
                 best[a] = sim[a, g]
 
-    labels = np.where(matched >= 0, gt_class_ids[matched], LABEL_NEGATIVE)
+    labels = np.zeros(num_anchors, dtype=int)
+    claimed = np.flatnonzero(matched >= 0)
+    labels[claimed] = gt_class_ids[matched[claimed]]
     labels[(matched < 0) & (best >= lo)] = LABEL_IGNORE
     return labels, matched, best
 

@@ -149,7 +149,7 @@ def _image_similarity(grid: AnchorGrid, gts: list[InstanceRecord], task: str,
     joints = np.asarray([g.keypoints[:, :2] for g in gts])
     vis = np.asarray([g.keypoints[:, 2] for g in gts])
     scales = np.asarray([_gt_scale(g, oks_params) for g in gts])
-    return oks_lattice(grid.levels, joints, vis, scales, oks_params)
+    return oks_lattice(grid, joints, vis, scales, oks_params)
 
 
 def _scored_images(grouped, task: str, pyramid: PyramidConfig, canonical_poses,

@@ -201,6 +201,49 @@ def brute_oks_grid(anchor_joints, gt_joints, gt_visibility, gt_scales, kappas,
     return np.asarray(rows).reshape(-1, len(gts))
 
 
+def brute_assign(similarity, hi: float, lo: float, force_nearest: bool, class_ids):
+    """(labels, matched_gt, best) of an (A, G) similarity matrix, one pair at a time.
+
+    An anchor's best gt is the lowest-index gt among equal bests (a later gt
+    must be strictly higher, so 0.0 and -0.0 tie), and ``best`` is that gt's
+    similarity as stored; the anchor claims it when best >= hi. Under
+    ``force_nearest`` the gts then go in index order: each picks its
+    lowest-index anchor among equal bests, and claims it when the anchor is
+    unclaimed or when the gt's similarity is strictly higher than that of the
+    anchor's current owner. A claimed anchor's label is its gt's class id; an
+    unclaimed one is ignore (-1) when best >= lo, else negative (0). With no
+    gts every anchor is negative, with best 0.0.
+    """
+    sim = np.asarray(similarity, dtype=float).tolist()
+    num_gts = len(class_ids)
+    labels, matched, best = [], [], []
+    for row in sim:
+        top = 0
+        for g in range(1, num_gts):
+            if row[g] > row[top]:
+                top = g
+        value = row[top] if num_gts else 0.0
+        best.append(value)
+        matched.append(top if num_gts and value >= hi else -1)
+    if force_nearest:
+        for g in range(num_gts):
+            top = 0
+            for a in range(1, len(sim)):
+                if sim[a][g] > sim[top][g]:
+                    top = a
+            owner = matched[top]
+            if owner < 0 or sim[top][g] > sim[top][owner]:
+                matched[top] = g
+                best[top] = sim[top][g]
+    for m, value in zip(matched, best):
+        if m >= 0:
+            labels.append(int(class_ids[m]))
+        else:
+            labels.append(-1 if num_gts and value >= lo else 0)
+    return (np.asarray(labels, dtype=np.int64), np.asarray(matched, dtype=np.int64),
+            np.asarray(best, dtype=float))
+
+
 def brute_target_line(image, level, row, col, slot, label, gt, sim,
                       scaled=None, valid=None) -> str:
     """One targets line as the dict-per-anchor emitter wrote it.

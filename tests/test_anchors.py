@@ -328,6 +328,21 @@ class TestGridOracle:
                            dtype=int)
         assert grid.joint_stack(index).tobytes() == expected[index].tobytes()
 
+    @given(case=_grid_cases())
+    def test_axis_coordinates_match_one_anchor_at_a_time(self, case):
+        config, size, mode, modes = case
+        expected = brute_grid_anchors(config, size, mode, modes)
+        grid = generate_grid(config, size, mode, modes)
+        x, y = grid.axis_coordinates()
+        assert all(a is b for a, b in zip(grid.axis_coordinates(), (x, y)))   # cached
+        assert not (x.flags.writeable or y.flags.writeable)
+        col_start = np.cumsum([0] + [level.cols for level in grid.levels])
+        row_start = np.cumsum([0] + [level.rows for level in grid.levels])
+        points = [np.stack([x[slot, :, col_start[level.level] + col],
+                            y[slot, :, row_start[level.level] + row]], axis=-1)
+                  for _, level, row, col, slot, _ in _indexed_anchors(grid)]
+        assert np.asarray(points).reshape(expected.shape).tobytes() == expected.tobytes()
+
 
 class TestIndexColumns:
     def test_alignment_with_iteration(self):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import brute_assign
 from pointset_anchors.anchors import NUM_JOINTS
 from pointset_anchors.assignment import (
     COCO_KAPPAS,
@@ -163,6 +164,21 @@ class TestThresholdPresets:
             threshold_preset("pose")
 
 
+# Quarter steps make ties common; -0.0 ties 0.0 but keeps its sign bit.
+_QUARTERS = (-0.0, 0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@st.composite
+def _assign_cases(draw):
+    """A quarter-quantised (A, G) similarity, thresholds, force_nearest and class ids."""
+    num_gts = draw(st.integers(0, 5))
+    sim = draw(hnp.arrays(float, (draw(st.integers(1, 40)), num_gts),
+                          elements=st.sampled_from(_QUARTERS)))
+    lo, hi = sorted(draw(st.lists(st.sampled_from(_QUARTERS[1:]), min_size=2, max_size=2)))
+    class_ids = draw(st.none() | st.lists(st.integers(1, 9), min_size=num_gts, max_size=num_gts))
+    return sim, hi, lo, draw(st.booleans()), class_ids
+
+
 class TestAssign:
     def test_label_bands(self):
         sim = np.array([[0.7], [0.5], [0.3]])
@@ -222,6 +238,23 @@ class TestAssign:
     def test_similarity_must_be_2d(self):
         with pytest.raises(LengthMismatchError):
             assign_arrays(np.ones(4), 0.6, 0.4)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_similarity_rejected(self, value):
+        # a NaN would win a row argmax and leave its anchor negative
+        sim = np.array([[0.7, 0.2], [0.1, value]])
+        with pytest.raises(PointSetError, match="similarity"):
+            assign_arrays(sim, 0.6, 0.4)
+
+    @given(case=_assign_cases())
+    def test_matches_brute_force_oracle(self, case):
+        sim, hi, lo, force_nearest, class_ids = case
+        got = assign_arrays(sim, hi, lo, force_nearest, class_ids)
+        expected = brute_assign(sim, hi, lo, force_nearest,
+                                [1] * sim.shape[1] if class_ids is None else class_ids)
+        for array, oracle in zip(got, expected):
+            assert array.dtype == oracle.dtype
+            assert array.tobytes() == oracle.tobytes()
 
 
 class TestRefinePoses:

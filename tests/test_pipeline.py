@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -126,23 +126,43 @@ def _pose_record(joints, visibility, scale, image_size=(8, 8)):
     return InstanceRecord(0, image_size, 1, Box(0.0, 0.0, scale, 1.0), keypoints=keypoints)
 
 
+# (stride, base-scale range) per level. On an image of at most 72 px a side
+# the stride-64 level is a 1x1 or 1x2 map, so its matmuls take BLAS's vector
+# paths.
+_LATTICE_LEVELS = ((8.0, (16.0, 48.0)), (16.0, (32.0, 96.0)), (64.0, (64.0, 192.0)))
+
+
+def _three_level_case(num_gts, size=(40, 23)):
+    """A 3-level pose grid on a ``size`` image (its top level 1x1 at the
+    default size) plus ``num_gts`` gts, and the grid's anchor joints as the
+    oracle builds them."""
+    config = PyramidConfig(levels=tuple((stride, low) for stride, (low, _) in _LATTICE_LEVELS),
+                           pose_scales=(0.8, 1.2), pose_rotations=(-10.0, 10.0))
+    rng = np.random.default_rng(num_gts)
+    modes = rng.uniform(-0.5, 0.5, (2, NUM_JOINTS, 2))
+    records = [_pose_record(rng.uniform(-20.0, 60.0, (NUM_JOINTS, 2)),
+                            rng.integers(1, 3, NUM_JOINTS), 2000.0, size) for _ in range(num_gts)]
+    return (generate_grid(config, size, POSE_MODE, modes), records,
+            brute_grid_anchors(config, size, POSE_MODE, modes))
+
+
 @st.composite
 def _pose_grid_cases(draw):
-    """A small pose grid of 1-2 levels plus 1-3 gts, partly outside the image,
+    """A small pose grid of 1-3 levels plus 1-3 gts, partly outside the image,
     and the grid's anchor joints as the oracle builds them.
 
     Invisible joints carry NaN coordinates. About half the gts take a scale
     that puts one axis factor of one anchor joint at the flush edge, give or
     take a couple of ulps.
     """
-    levels = ((8.0, draw(st.floats(16.0, 48.0))), (16.0, draw(st.floats(32.0, 96.0))))
+    levels = tuple((stride, draw(st.floats(*bases))) for stride, bases in _LATTICE_LEVELS)
     scales = st.lists(st.sampled_from(POSE_SCALES_FIVE), min_size=1, max_size=2, unique=True)
     rotations = st.lists(st.sampled_from(POSE_ROTATIONS_FIVE), min_size=1, max_size=2, unique=True)
-    config = PyramidConfig(levels=levels[:draw(st.integers(1, 2))],
+    config = PyramidConfig(levels=levels[:draw(st.integers(1, 3))],
                            pose_scales=draw(scales), pose_rotations=draw(rotations))
     modes = draw(hnp.arrays(float, (draw(st.integers(1, 2)), NUM_JOINTS, 2),
                             elements=st.floats(-0.5, 0.5)))
-    size = (draw(st.integers(8, 40)), draw(st.integers(8, 40)))
+    size = (draw(st.integers(8, 72)), draw(st.integers(8, 72)))
     grid = generate_grid(config, size, POSE_MODE, modes)
     stacked = grid.joint_stack()
     kappas = OksParams().kappas
@@ -444,6 +464,8 @@ class TestImageSimilarityRoutes:
         assert np.array_equal(sim == 0.0, direct == 0.0)
 
     @given(case=_pose_grid_cases())
+    @example(case=_three_level_case(1))
+    @example(case=_three_level_case(3))
     def test_pose_route_matches_brute_force_oracle(self, case):
         grid, records, anchor_joints = case
         params = OksParams()
@@ -459,6 +481,21 @@ class TestImageSimilarityRoutes:
         assert sim.shape == expected.shape
         assert np.abs(sim - expected).max() <= 1e-12
         assert np.array_equal(sim == 0.0, expected == 0.0)
+
+    @pytest.mark.parametrize("size", [(40, 23), (72, 23)])
+    @pytest.mark.parametrize("num_gts", [1, 3])
+    def test_each_level_scores_as_if_alone(self, num_gts, size):
+        # the levels share one exponential per axis, yet each level's rows,
+        # a 1x1 or 1x2 top level's too, keep the bits of that level alone
+        grid, records, _ = _three_level_case(num_gts, size)
+        sim = _image_similarity(grid, records, TASK_POSE_TARGETS, OksParams())
+        start = 0
+        for level in grid.levels:
+            alone = dataclasses.replace(grid, levels=(level,))
+            rows = _image_similarity(alone, records, TASK_POSE_TARGETS, OksParams())
+            assert rows.tobytes() == sim[start:start + level.num_anchors].tobytes()
+            start += level.num_anchors
+        assert start == len(sim)
 
     def test_diagonal_offset_scores_past_the_summed_cutoff(self):
         # one joint off by zx = zy = 30 on each axis: 60 > EXP_FLUSH in sum,
