@@ -260,11 +260,18 @@ class AnchorGrid:
 
     def index_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(level, row, col, slot) per stacked anchor, aligned with the stacks."""
-        level = np.repeat([lv.level for lv in self.levels], [lv.num_anchors for lv in self.levels])
-        row, col, slot = np.concatenate(
-            [np.indices((lv.rows, lv.cols, lv.anchors_per_location)).reshape(3, -1)
-             for lv in self.levels], axis=1)
-        return level, row, col, slot
+        cached = self.__dict__.get("_index_columns")
+        if cached is None:
+            level = np.repeat([lv.level for lv in self.levels],
+                              [lv.num_anchors for lv in self.levels])
+            row, col, slot = np.concatenate(
+                [np.indices((lv.rows, lv.cols, lv.anchors_per_location)).reshape(3, -1)
+                 for lv in self.levels], axis=1)
+            cached = (level, row, col, slot)
+            for column in cached:
+                column.setflags(write=False)
+            object.__setattr__(self, "_index_columns", cached)
+        return cached
 
 
 def _box_templates(config: PyramidConfig, base_scale: float) -> np.ndarray:

@@ -8,6 +8,7 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -37,7 +38,13 @@ from .pose_modes import (
     rectangle_shape,
     save_pose_modes,
 )
-from .synthetic import CORPUS_CONTOURS, CORPUS_POSES, generate_synthetic_corpus, save_corpus
+from .synthetic import (
+    CORPUS_CONTOURS,
+    CORPUS_POSES,
+    generate_synthetic_corpus,
+    min_pose_image_side,
+    save_corpus,
+)
 
 
 def _warn(message: str) -> None:
@@ -173,7 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--out", required=True)
     synth.add_argument("--image-size", type=int, nargs=2, default=(256, 256),
-                       metavar=("WIDTH", "HEIGHT"))
+                       metavar=("WIDTH", "HEIGHT"),
+                       help=f"default 256 256; poses need both sides at least "
+                            f"{min_pose_image_side()}")
     synth.add_argument("--instances-per-image", type=int, default=1)
     synth.add_argument("--convex", action="store_true", default=None,
                        help="contours: emit only convex polygons")
@@ -233,5 +242,19 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """The process entry of ``python -m pointset_anchors.cli`` and the console script.
+
+    Runs ``main`` and exits with its status. ``main`` has closed every file it
+    wrote, so the heap is frozen first: interpreter shutdown then skips the
+    collections over the objects that importing numpy and the package left
+    tracked (about 20 ms a process). ``main`` itself never touches ``gc``, so
+    calling it in-process leaves the host's collector as it was.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -153,10 +153,15 @@ def parse_annotations(path) -> ParseResult:
         sizes[image["id"]] = (image["width"], image["height"])
     result.stats.images = len(sizes)
 
+    annotation_ids: set[int] = set()
     for i, ann in enumerate(doc["annotations"]):
         context = f"annotations[{i}]"
         _require(isinstance(ann, dict), context, "must be an object")
         result.stats.annotations += 1
+        if "id" in ann:
+            _require(type(ann["id"]) is int, context, "'id' must be an integer")
+            _require(ann["id"] not in annotation_ids, context, f"repeats annotation id {ann['id']}")
+            annotation_ids.add(ann["id"])
         _require("image_id" in ann, context, "missing key 'image_id'")
         image_id = ann["image_id"]
         _require(type(image_id) is int and image_id in sizes, context,

@@ -166,8 +166,21 @@ _TRUNCATION_PATTERNS = (
 )
 
 
+# Figure heights of pose corpora, px.
+POSE_SCALE_RANGE = (64.0, 160.0)
+
+
+def min_pose_image_side(scale_range=POSE_SCALE_RANGE) -> int:
+    """The smallest image side, px, that fits figures up to ``scale_range[1]`` tall.
+
+    A figure may reach 0.75 x its height from its centre in any direction,
+    so both sides must exceed 1.5 x the tallest height.
+    """
+    return int(1.5 * scale_range[1]) + 1
+
+
 def _pose_records(count: int, rng: np.random.Generator, image_size,
-                  instances_per_image: int, scale_range=(64.0, 160.0),
+                  instances_per_image: int, scale_range=POSE_SCALE_RANGE,
                   rotation_range=(-25.0, 25.0), jitter: float = 0.0,
                   dropout: float = 0.0, truncation: float = 0.0,
                   n_prototypes: int = 1, min_visible: int = 3) -> list[InstanceRecord]:
@@ -180,8 +193,10 @@ def _pose_records(count: int, rng: np.random.Generator, image_size,
         raise PointSetError(f"dropout must be in [0, 1), got {dropout}")
     if not 0.0 <= truncation <= 1.0:
         raise PointSetError(f"truncation must be in [0, 1], got {truncation}")
-    if 1.5 * scale_range[1] >= min(width, height):
-        raise PointSetError(f"image {image_size} too small for scale_range {scale_range}")
+    if min(width, height) < min_pose_image_side(scale_range):
+        raise PointSetError(f"image {image_size} too small for figures up to {scale_range[1]:g}"
+                            f" px tall: both sides must be at least"
+                            f" {min_pose_image_side(scale_range)} px")
     records = []
     for i in range(count):
         proto = POSE_PROTOTYPES[int(rng.integers(n_prototypes))]

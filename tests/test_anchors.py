@@ -343,6 +343,18 @@ class TestGridOracle:
                   for _, level, row, col, slot, _ in _indexed_anchors(grid)]
         assert np.asarray(points).reshape(expected.shape).tobytes() == expected.tobytes()
 
+    @given(case=_grid_cases())
+    def test_index_columns_are_cached_in_oracle_order(self, case):
+        config, size, mode, modes = case
+        expected = brute_grid_anchors(config, size, mode, modes)
+        grid = generate_grid(config, size, mode, modes)
+        columns = grid.index_columns()
+        assert all(a is b for a, b in zip(grid.index_columns(), columns))   # cached
+        assert not any(column.flags.writeable for column in columns)
+        points = [centre + level.templates[slot]
+                  for _, level, _, _, slot, centre in _indexed_anchors(grid)]
+        assert np.asarray(points).reshape(expected.shape).tobytes() == expected.tobytes()
+
 
 class TestIndexColumns:
     def test_alignment_with_iteration(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -55,7 +56,7 @@ def _duplicate_poses(tmp_path):
     doc = json.loads(ann.read_text())
     first = doc["annotations"][0]
     first["keypoints"][2::3] = [2] * 17
-    doc["annotations"] = [first] * 3
+    doc["annotations"] = [dict(first, id=i + 1) for i in range(3)]
     ann.write_text(json.dumps(doc))
     return ann
 
@@ -64,6 +65,15 @@ def _config_file(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(SMALL_CONFIG))
     return path
+
+
+def _fresh_python(tmp_path, *args):
+    """``python ARGS`` in a fresh interpreter that imports the package from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          cwd=tmp_path, env=env)
 
 
 class TestSynth:
@@ -85,6 +95,21 @@ class TestSynth:
         ])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_pose_image_too_small_names_the_smallest_size(self, tmp_path, capsys):
+        # figures up to 160 px tall reach 120 px from their centre
+        for size, code in ((("200", "120"), 1), (("240", "241"), 1), (("241", "241"), 0)):
+            capsys.readouterr()
+            status = main(["synth", "--kind", "poses", "--count", "4", "--image-size", *size,
+                           "--out", str(tmp_path / "p.json")])
+            if code:
+                _assert_named_error(capsys, status, f"image ({size[0]}, {size[1]})",
+                                    "at least 241 px")
+            else:
+                assert status == 0
+        with pytest.raises(SystemExit):
+            main(["synth", "--help"])
+        assert "poses need both sides at least 241" in " ".join(capsys.readouterr().out.split())
 
 
 class TestModes:
@@ -261,6 +286,21 @@ class TestDocumentErrors:
         code = main(["targets", "--annotations", str(ann), "--out", str(tmp_path / "t.jsonl")])
         _assert_named_error(capsys, code, "images[3]", f"image id {doc['images'][1]['id']}")
 
+    @pytest.mark.parametrize("value, name", [
+        (2, "repeats annotation id 2"), ("4", "'id' must be an integer"),
+        (True, "'id' must be an integer"),
+    ], ids=["repeated", "string", "boolean"])
+    def test_bad_annotation_id(self, tmp_path, capsys, value, name):
+        ann = _synth(tmp_path, "c.json")
+        doc = json.loads(ann.read_text())
+        doc["annotations"][3]["id"] = value
+        ann.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "t.jsonl"
+        code = main(["targets", "--annotations", str(ann), "--out", str(out)])
+        _assert_named_error(capsys, code, "annotations[3]", name)
+        assert not out.exists()
+
     @pytest.mark.parametrize("name, text, flags, names", [
         ("config.json", '{"pyramid": ', [], ["config.json", "not a valid document"]),
         ("config.yaml", "pyramid: [1, 2", [], ["config.yaml", "not a valid document"]),
@@ -357,11 +397,7 @@ class TestCoverage:
         argv = ["coverage", "--annotations", str(ann), "--out", str(tmp_path / "c.json")]
         script = ("import sys; from pointset_anchors.cli import main; "
                   f"assert main({argv!r}) == 0; print('numpy.ma' in sys.modules)")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              cwd=tmp_path, env=env)
+        done = _fresh_python(tmp_path, "-c", script)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False"
 
@@ -373,8 +409,9 @@ class TestCoverage:
             "4f8e93348f6cdb8dea1644ea22db6f976495b9650f2f25f98a5b755e227b85df",
     }
 
-    @pytest.mark.parametrize("case", sorted(PINNED_DIGESTS))
-    def test_pinned_bytes(self, case, tmp_path):
+    @staticmethod
+    def pinned_args(case, tmp_path) -> list[str]:
+        """The coverage arguments, but ``--out``, of a PINNED_DIGESTS case."""
         poses = generate_synthetic_corpus(CORPUS_POSES, 10, seed=5, jitter=2.0,
                                           truncation=0.3)
         contours = generate_synthetic_corpus(CORPUS_CONTOURS, 6, seed=3,
@@ -389,9 +426,69 @@ class TestCoverage:
         records = records + [dataclasses.replace(r, image_id=99) for r in other[:2]]
         ann = tmp_path / "corpus.json"
         save_corpus(records, ann)
+        return ["coverage", "--annotations", str(ann), *flags]
+
+    @pytest.mark.parametrize("case", sorted(PINNED_DIGESTS))
+    def test_pinned_bytes(self, case, tmp_path):
         out = tmp_path / "coverage.json"
-        assert main(["coverage", "--annotations", str(ann), *flags, "--out", str(out)]) == 0
+        assert main([*self.pinned_args(case, tmp_path), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_DIGESTS[case]
+
+
+class TestProcessEntry:
+    """The process entry, ``cli.run``, freezes the heap after ``main``; ``main`` never touches gc."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+    def test_main_leaves_the_collector_as_it_was(self, tmp_path, enabled):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            frozen = gc.get_freeze_count()
+            assert main(["targets", "--annotations", str(_synth(tmp_path, "c.json")),
+                         "--config", str(_config_file(tmp_path)),
+                         "--out", str(tmp_path / "t.jsonl")]) == 0
+            assert main([*TestCoverage.pinned_args("oks-ladder", tmp_path),
+                         "--out", str(tmp_path / "c.json")]) == 0
+            assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_import_freezes_nothing_and_run_exits_with_mains_status(self, tmp_path):
+        script = ("import gc, sys\n"
+                  "import pointset_anchors.cli as cli\n"
+                  "print(gc.get_freeze_count())\n"
+                  "sys.argv = ['pointset-anchors', 'synth', '--kind', 'poses', '--count', '0',"
+                  " '--out', 'unused.json']\n"
+                  "try:\n"
+                  "    cli.run()\n"
+                  "except SystemExit as exit:\n"
+                  "    print(exit.code, gc.get_freeze_count() > 0)\n")
+        done = _fresh_python(tmp_path, "-c", script)
+        assert done.stdout.split() == ["0", "1", "True"], done.stderr
+        assert done.stderr.startswith("error: count must be >= 1")
+
+    @pytest.mark.parametrize("case", ["targets", *sorted(TestCoverage.PINNED_DIGESTS)])
+    def test_module_run_writes_what_main_writes(self, case, tmp_path, capsys):
+        if case == "targets":
+            args = ["targets", "--annotations", str(_synth(tmp_path, "c.json")),
+                    "--config", str(_config_file(tmp_path))]
+        else:
+            args = TestCoverage.pinned_args(case, tmp_path)
+        capsys.readouterr()
+        assert main([*args, "--out", str(tmp_path / "main.out")]) == 0
+        expected = capsys.readouterr()
+        done = _fresh_python(tmp_path, "-m", "pointset_anchors.cli", *args,
+                             "--out", str(tmp_path / "run.out"))
+        assert done.returncode == 0, done.stderr
+        # the oks ladder warns once about image 99's records, both ways
+        assert done.stderr == expected.err == ("" if case != "oks-ladder" else
+                                               "warning: skipped 2 record(s) without usable"
+                                               " keypoints\n")
+        assert done.stdout == expected.out
+        written = (tmp_path / "run.out").read_bytes()
+        assert written == (tmp_path / "main.out").read_bytes()
+        if case != "targets":
+            assert hashlib.sha256(written).hexdigest() == TestCoverage.PINNED_DIGESTS[case]
 
 
 class TestParser:
@@ -403,4 +500,6 @@ class TestParser:
     def test_module_entry_point_exists(self):
         from pointset_anchors import cli
 
-        assert callable(cli.main)
+        assert callable(cli.main) and callable(cli.run)
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        assert 'pointset-anchors = "pointset_anchors.cli:run"' in pyproject.read_text()
