@@ -126,6 +126,9 @@ class PyramidConfig:
     def mask_anchors_per_location(self) -> int:
         return len(self.octave_scales) * len(self.aspect_ratios)
 
+    def pose_anchors_per_location(self, modes: int) -> int:
+        return modes * len(self.pose_scales) * len(self.pose_rotations)
+
     def to_dict(self) -> dict:
         return {
             "levels": [[s, b] for s, b in self.levels],
@@ -171,6 +174,19 @@ def _feature_shape(image_size, stride: float) -> tuple[int, int]:
     if width <= 0 or height <= 0:
         raise DegenerateBoxError(f"image size must be positive, got {image_size}")
     return math.ceil(height / stride), math.ceil(width / stride)
+
+
+# The most anchors one image's grid may hold: 55 times the 76,725 of a 640 x 640
+# image on the default mask pyramid. Mask targets peak at about 140 B an anchor
+# (141 MB for the 785,664 of a 2048 x 2048 image), so a grid at the budget needs
+# well under 1 GB, where a 10,000,000 x 64 image would need tens of GB.
+MAX_IMAGE_ANCHORS = 2 ** 22
+
+
+def grid_anchor_count(config: PyramidConfig, image_size, per_location: int) -> int:
+    """The anchors ``generate_grid`` would tile over one image, counted without building them."""
+    shapes = [_feature_shape(image_size, stride) for stride, _ in config.levels]
+    return per_location * sum(rows * cols for rows, cols in shapes)
 
 
 def axis_centers(count: int, stride: float) -> np.ndarray:

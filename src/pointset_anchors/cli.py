@@ -18,7 +18,8 @@ import numpy as np
 from . import matching
 from .anchors import PyramidConfig, load_config_document
 from .assignment import SIMILARITY_IOU, SIMILARITY_OKS
-from .datasets import ParseResult, parse_annotations
+from .datasets import (CORPUS_CONTOURS, CORPUS_POSES, ParseResult, min_pose_image_side,
+                       parse_annotations)
 from .errors import PointSetError
 from .pipeline import (
     TASK_MASK,
@@ -37,13 +38,6 @@ from .pose_modes import (
     normalize_pose,
     rectangle_shape,
     save_pose_modes,
-)
-from .synthetic import (
-    CORPUS_CONTOURS,
-    CORPUS_POSES,
-    generate_synthetic_corpus,
-    min_pose_image_side,
-    save_corpus,
 )
 
 
@@ -76,6 +70,9 @@ def _normalized_poses(result: ParseResult):
 
 
 def _cmd_synth(args) -> int:
+    # only synth runs the generators; the other commands never compile them
+    from .synthetic import generate_synthetic_corpus, save_corpus
+
     difficulty = {}
     if args.kind == CORPUS_CONTOURS:
         if args.convex is not None:

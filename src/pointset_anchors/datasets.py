@@ -21,6 +21,21 @@ from .anchors import NUM_JOINTS
 from .errors import DegenerateContourError, MalformedDocumentError, TooFewVerticesError, is_numbers
 from .geometry import Box, Contour, signed_area
 
+# The synthetic corpus kinds and pose figure heights (px), stated here and not
+# in synthetic so that building the CLI's parser loads no generator.
+CORPUS_CONTOURS = "contours"
+CORPUS_POSES = "poses"
+POSE_SCALE_RANGE = (64.0, 160.0)
+
+
+def min_pose_image_side(scale_range=POSE_SCALE_RANGE) -> int:
+    """The smallest image side, px, that fits figures up to ``scale_range[1]`` tall.
+
+    A figure may reach 0.75 x its height from its centre in any direction,
+    so both sides must exceed 1.5 x the tallest height.
+    """
+    return int(1.5 * scale_range[1]) + 1
+
 
 @dataclass
 class InstanceRecord:

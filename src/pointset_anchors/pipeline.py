@@ -21,11 +21,13 @@ import numpy as np
 from . import matching
 from .anchors import (
     MASK_MODE,
+    MAX_IMAGE_ANCHORS,
     NUM_JOINTS,
     POSE_MODE,
     AnchorGrid,
     PyramidConfig,
     generate_grid,
+    grid_anchor_count,
     sample_box_perimeters,
 )
 from .assignment import (
@@ -152,6 +154,23 @@ def _image_similarity(grid: AnchorGrid, gts: list[InstanceRecord], task: str,
     return oks_lattice(grid, joints, vis, scales, oks_params)
 
 
+def _check_anchor_budget(grouped, task: str, pyramid: PyramidConfig, canonical_poses) -> None:
+    """Reject the first image whose grid would hold over ``MAX_IMAGE_ANCHORS``
+    anchors, naming it, before any grid is built."""
+    per_location = (pyramid.mask_anchors_per_location if task == TASK_MASK
+                    else pyramid.pose_anchors_per_location(len(canonical_poses)))
+    checked = set()
+    for image_id, image_records in grouped.items():
+        size = image_records[0].image_size
+        if size in checked:
+            continue
+        checked.add(size)
+        count = grid_anchor_count(pyramid, size, per_location)
+        if count > MAX_IMAGE_ANCHORS:
+            raise PointSetError(f"image {image_id}: its {size[0]} x {size[1]} grid would hold"
+                                f" {count} anchors, over the budget of {MAX_IMAGE_ANCHORS}")
+
+
 def _scored_images(grouped, task: str, pyramid: PyramidConfig, canonical_poses,
                    oks_params: OksParams):
     """Score every image's anchors against its eligible gts, in image-id order.
@@ -195,7 +214,8 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
 
     A gt's class id is its label, so an eligible gt with a ``category_id``
     outside 1 .. ``config.num_classes`` is rejected, naming its image, before
-    ``out_path`` is opened.
+    ``out_path`` is opened. So is an image whose grid would hold more than
+    ``MAX_IMAGE_ANCHORS`` anchors.
 
     Returns a summary dict with anchor/label counts.
     """
@@ -208,6 +228,7 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
                                 f" target labels need ids in 1..{config.num_classes}")
 
     grouped = _group_by_image(records)
+    _check_anchor_budget(grouped, config.task, config.pyramid, canonical_poses)
     summary = {"images": len(grouped), "anchors": 0, "positives": 0,
                "negatives": 0, "ignores": 0, "skipped_records": 0, "lines": 0}
 
@@ -383,8 +404,7 @@ def _header_dims(config: TargetConfig, canonical_poses) -> dict:
             num_classes=config.num_classes,
             num_points=config.pyramid.num_points,
         )
-    per_location = (len(canonical_poses) * len(config.pyramid.pose_scales)
-                    * len(config.pyramid.pose_rotations))
+    per_location = config.pyramid.pose_anchors_per_location(len(canonical_poses))
     return head_output_dims(TASK_POSE, per_location)
 
 
@@ -430,12 +450,15 @@ def coverage_report(records, configs, threshold: float = 0.5,
     configuration, OKS for a pose one) reaches ``threshold``.
     Positive/negative counts come from the assigner with hi=threshold,
     lo=min(0.4, threshold) and force_nearest on (every gt claims its best
-    anchor).
+    anchor). An image whose grid would hold more than ``MAX_IMAGE_ANCHORS``
+    anchors is rejected, naming it, before any grid is built.
     """
     if not 0.0 < threshold <= 1.0:
         raise PointSetError(f"threshold must be in (0, 1], got {threshold}")
     lo = min(0.4, threshold)
     grouped = _group_by_image(records)
+    for config in configs:
+        _check_anchor_budget(grouped, config.task, config.pyramid, config.canonical_poses)
     reports = []
     for config in configs:
         best_sims: list[float] = []

@@ -11,12 +11,14 @@ corpus, so a fixed seed and parameter set reproduces the corpus exactly.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .anchors import NUM_JOINTS
-from .datasets import InstanceRecord
+from .datasets import (CORPUS_CONTOURS, CORPUS_POSES, POSE_SCALE_RANGE, InstanceRecord,
+                       min_pose_image_side)
 from .errors import PointSetError
 from .geometry import Box, Contour, transform_points
 
@@ -126,9 +128,12 @@ def _contour_records(count: int, rng: np.random.Generator, image_size,
     # largest radius whose worst-case reach still fits inside the image;
     # both wide (rx = r sqrt(a)) and tall (ry = r / sqrt(a)) shapes count
     stretch = max(np.sqrt(aspect_range[1]), 1.0 / np.sqrt(aspect_range[0]))
-    r_cap = (min(width, height) / 2.0 - 1.0) / ((1.0 + spikiness) * stretch)
+    spread = (1.0 + spikiness) * stretch
+    r_cap = (min(width, height) / 2.0 - 1.0) / spread
     if r_cap < radius_range[0]:
-        raise PointSetError(f"image {image_size} too small for radius_range {radius_range}")
+        side = math.ceil(2.0 * (radius_range[0] * spread + 1.0))
+        raise PointSetError(f"image {image_size} too small for contours of radius"
+                            f" {radius_range[0]:g} px: both sides must be at least {side} px")
     records = []
     for i in range(count):
         n = int(rng.integers(vertex_range[0], vertex_range[1] + 1))
@@ -164,19 +169,6 @@ _TRUNCATION_PATTERNS = (
     np.array([0, 2, 4, 6, 8, 10, 12, 14, 16]),
     np.array([0, 9, 10, 15, 16]),
 )
-
-
-# Figure heights of pose corpora, px.
-POSE_SCALE_RANGE = (64.0, 160.0)
-
-
-def min_pose_image_side(scale_range=POSE_SCALE_RANGE) -> int:
-    """The smallest image side, px, that fits figures up to ``scale_range[1]`` tall.
-
-    A figure may reach 0.75 x its height from its centre in any direction,
-    so both sides must exceed 1.5 x the tallest height.
-    """
-    return int(1.5 * scale_range[1]) + 1
 
 
 def _pose_records(count: int, rng: np.random.Generator, image_size,
@@ -237,10 +229,6 @@ def _pose_records(count: int, rng: np.random.Generator, image_size,
             keypoints=keypoints,
         ))
     return records
-
-
-CORPUS_CONTOURS = "contours"
-CORPUS_POSES = "poses"
 
 
 def generate_synthetic_corpus(kind: str, count: int, seed: int = 0,

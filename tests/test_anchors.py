@@ -19,6 +19,7 @@ from pointset_anchors.anchors import (
     POSE_SCALES_FIVE,
     PyramidConfig,
     generate_grid,
+    grid_anchor_count,
     load_config_document,
     sample_box_perimeters,
 )
@@ -354,6 +355,26 @@ class TestGridOracle:
         points = [centre + level.templates[slot]
                   for _, level, _, _, slot, centre in _indexed_anchors(grid)]
         assert np.asarray(points).reshape(expected.shape).tobytes() == expected.tobytes()
+
+
+class TestAnchorCount:
+    MODES = np.random.default_rng(0).normal(0.0, 0.2, (3, NUM_JOINTS, 2))
+
+    @pytest.mark.parametrize("size", [(1, 1), (37, 1000), (256, 256), (641, 480)])
+    @pytest.mark.parametrize("config", [PyramidConfig(), PyramidConfig(
+        levels=((4.0, 16.0), (24.0, 96.0)), octave_scales=(1.0,), pose_scales=(0.9, 1.1))],
+        ids=["default", "coarse"])
+    def test_counts_the_grid_generate_grid_builds(self, config, size):
+        mask = generate_grid(config, size, MASK_MODE)
+        pose = generate_grid(config, size, POSE_MODE, self.MODES)
+        assert grid_anchor_count(config, size, config.mask_anchors_per_location) == mask.num_anchors
+        assert (grid_anchor_count(config, size, config.pose_anchors_per_location(3))
+                == pose.num_anchors)
+
+    def test_a_640_pixel_square_on_the_default_pyramid(self):
+        config = PyramidConfig()
+        assert grid_anchor_count(config, (640, 640), 9) == 76_725
+        assert grid_anchor_count(config, (640, 640), config.pose_anchors_per_location(3)) == 230_175
 
 
 class TestIndexColumns:

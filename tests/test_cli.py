@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from pointset_anchors.cli import main
+from pointset_anchors.anchors import MAX_IMAGE_ANCHORS
+from pointset_anchors.cli import build_parser, main
+from pointset_anchors.datasets import min_pose_image_side
 from pointset_anchors.pose_modes import load_pose_modes
 from pointset_anchors.synthetic import (
     CORPUS_CONTOURS,
@@ -109,7 +111,28 @@ class TestSynth:
                 assert status == 0
         with pytest.raises(SystemExit):
             main(["synth", "--help"])
-        assert "poses need both sides at least 241" in " ".join(capsys.readouterr().out.split())
+        assert min_pose_image_side() == 241
+        assert (f"poses need both sides at least {min_pose_image_side()}"
+                in " ".join(capsys.readouterr().out.split()))
+
+    def test_kind_choices_are_the_corpus_kinds(self):
+        commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+        kind = next(a for a in commands["synth"]._actions if a.dest == "kind")
+        assert tuple(kind.choices) == (CORPUS_CONTOURS, CORPUS_POSES)
+
+    def test_contour_image_too_small_names_the_smallest_size(self, tmp_path, capsys):
+        # the default radii, aspects and spikiness need 69.39 px a side
+        out = tmp_path / "c.json"
+        for size in (("69", "69"), ("200", "69"), ("69", "200")):
+            capsys.readouterr()
+            status = main(["synth", "--kind", "contours", "--count", "2", "--image-size", *size,
+                           "--out", str(out)])
+            _assert_named_error(capsys, status, f"image ({size[0]}, {size[1]})",
+                                "at least 70 px")
+            assert not out.exists()
+        assert main(["synth", "--kind", "contours", "--count", "2", "--image-size", "70", "70",
+                     "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["annotations"]) == 2
 
 
 class TestModes:
@@ -489,6 +512,81 @@ class TestProcessEntry:
         assert written == (tmp_path / "main.out").read_bytes()
         if case != "targets":
             assert hashlib.sha256(written).hexdigest() == TestCoverage.PINNED_DIGESTS[case]
+
+
+def _huge_image_corpus(tmp_path):
+    """One image 10,000,000 x 64 px with one small square gt: about 120 million anchors."""
+    ann = tmp_path / "huge.json"
+    ann.write_text(json.dumps({
+        "images": [{"id": 7, "width": 10_000_000, "height": 64}],
+        "annotations": [{"id": 1, "image_id": 7, "category_id": 1, "bbox": [8, 8, 40, 40],
+                         "segmentation": [[8, 8, 48, 8, 48, 48, 8, 48]]}],
+    }))
+    return ann
+
+
+class TestAnchorBudget:
+    """An image whose grid would exceed MAX_IMAGE_ANCHORS is rejected before anything is built."""
+
+    @pytest.mark.parametrize("command", [["targets"], ["coverage", "--similarity", "iou"]],
+                             ids=["targets", "coverage"])
+    def test_huge_image_rejected_before_out_is_opened(self, tmp_path, command):
+        # a 1 GiB address space: were the grid built, numpy could not allocate it
+        # and the child would fail with a traceback, not take the machine's memory
+        out = tmp_path / "out"
+        argv = ["pointset-anchors", *command, "--annotations", str(_huge_image_corpus(tmp_path)),
+                "--out", str(out)]
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                  "from pointset_anchors.cli import run\n"
+                  f"sys.argv = {argv!r}\n"
+                  "run()\n")
+        done = _fresh_python(tmp_path, "-c", script)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: image 7:"), done.stderr
+        assert "Traceback" not in done.stderr
+        assert f"over the budget of {MAX_IMAGE_ANCHORS}" in done.stderr
+        assert not out.exists()
+
+
+class TestLoadedModules:
+    """Each command loads only the package modules it runs; the package import loads none."""
+
+    @staticmethod
+    def _loaded(tmp_path, statement):
+        script = (f"import sys\n{statement}\n"
+                  "print(' '.join(sorted(m for m in sys.modules"
+                  " if m.startswith('pointset_anchors'))))")
+        done = _fresh_python(tmp_path, "-c", script)
+        assert done.returncode == 0, done.stderr
+        return set(done.stdout.splitlines()[-1].split())
+
+    def test_package_import_loads_no_submodule(self, tmp_path):
+        assert self._loaded(tmp_path, "import pointset_anchors") == {"pointset_anchors"}
+
+    def test_commands_load_neither_codec_nor_synthetic(self, tmp_path):
+        contours, poses = _synth(tmp_path, "c.json"), _synth_poses(tmp_path, "p.json")
+        for argv in (["targets", "--annotations", str(contours), "--out", "t.jsonl"],
+                     ["coverage", "--annotations", str(poses), "--k", "2", "--out", "c.out"],
+                     ["modes", "--annotations", str(poses), "--k", "2", "--out", "m.json"]):
+            loaded = self._loaded(tmp_path, "from pointset_anchors.cli import main\n"
+                                            f"assert main({argv!r}) == 0")
+            assert "pointset_anchors.cli" in loaded
+            assert not loaded & {"pointset_anchors.codec", "pointset_anchors.synthetic"}, argv
+
+    def test_synth_loads_synthetic(self, tmp_path):
+        argv = ["synth", "--kind", "poses", "--count", "2", "--out", "p.json"]
+        loaded = self._loaded(tmp_path, f"from pointset_anchors.cli import main\n"
+                                        f"assert main({argv!r}) == 0")
+        assert "pointset_anchors.synthetic" in loaded
+
+    def test_unknown_attribute_is_an_attribute_error(self):
+        import pointset_anchors
+
+        for name in ("no_such_name", "tracing", "__wrapped__"):
+            assert not hasattr(pointset_anchors, name)
+            with pytest.raises(AttributeError, match=name):
+                getattr(pointset_anchors, name)
 
 
 class TestParser:

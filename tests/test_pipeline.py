@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import brute_grid_anchors, brute_oks_grid, brute_target_line
 from pointset_anchors.anchors import (
+    MASK_MODE,
     NUM_JOINTS,
     POSE_MODE,
     POSE_ROTATIONS_FIVE,
@@ -587,6 +588,31 @@ class TestCoverageReport:
         ]
         reports = coverage_report(records, configs)
         assert [r.name for r in reports] == ["a", "b"]
+
+
+class TestAnchorBudget:
+    """Both commands count each image size's anchors against MAX_IMAGE_ANCHORS before building."""
+
+    @pytest.mark.parametrize("task", [TASK_MASK, TASK_POSE_TARGETS])
+    def test_an_image_at_the_budget_passes_and_one_over_is_named(self, task, tmp_path,
+                                                                  monkeypatch):
+        records = _contour_corpus() if task == TASK_MASK else _pose_corpus()
+        modes = None if task == TASK_MASK else _modes(records)
+        count = generate_grid(SMALL_PYRAMID, records[0].image_size,
+                              MASK_MODE if task == TASK_MASK else POSE_MODE, modes).num_anchors
+        config = TargetConfig(pyramid=SMALL_PYRAMID, task=task)
+        coverage = [CoverageConfig("budget", SMALL_PYRAMID, task, modes)]
+        monkeypatch.setattr(pipeline, "MAX_IMAGE_ANCHORS", count)
+        assert emit_targets(records, config, tmp_path / "at.jsonl", modes)["anchors"] > count
+        assert coverage_report(records, coverage)[0].anchor_count > count
+        monkeypatch.setattr(pipeline, "MAX_IMAGE_ANCHORS", count - 1)
+        named = f"image {min(r.image_id for r in records)}: .* {count} anchors"
+        out = tmp_path / "over.jsonl"
+        with pytest.raises(PointSetError, match=named):
+            emit_targets(records, config, out, modes)
+        assert not out.exists()
+        with pytest.raises(PointSetError, match=named):
+            coverage_report(records, coverage)
 
 
 class TestCoverageRendering:
