@@ -183,17 +183,6 @@ def _feature_shape(image_size, stride: float) -> tuple[int, int]:
 MAX_IMAGE_ANCHORS = 2 ** 22
 
 
-def grid_anchor_count(config: PyramidConfig, image_size, per_location: int) -> int:
-    """The anchors ``generate_grid`` would tile over one image, counted without building them."""
-    shapes = [_feature_shape(image_size, stride) for stride, _ in config.levels]
-    return per_location * sum(rows * cols for rows, cols in shapes)
-
-
-def axis_centers(count: int, stride: float) -> np.ndarray:
-    """Location centres (i + 0.5) * stride along one feature-map axis."""
-    return (np.arange(count, dtype=float) + 0.5) * stride
-
-
 @dataclass(frozen=True, eq=False)
 class LevelGrid:
     """Anchors of one pyramid level, stacked in (row, col, slot) order.
@@ -218,76 +207,64 @@ class LevelGrid:
     def num_anchors(self) -> int:
         return self.rows * self.cols * self.anchors_per_location
 
-    def placed(self) -> np.ndarray:
-        """Every anchor's points, centre + template, as (rows, cols, slots, p, 2)."""
-        x = axis_centers(self.cols, self.stride)[None, :, None, None] + self.templates[..., 0]
-        y = axis_centers(self.rows, self.stride)[:, None, None, None] + self.templates[..., 1]
-        return np.stack(np.broadcast_arrays(x, y), axis=-1)
-
 
 @dataclass(frozen=True)
 class AnchorGrid:
     """All anchors of one image: one LevelGrid per pyramid level."""
 
     mode: str
-    image_size: tuple[int, int]
     levels: tuple[LevelGrid, ...]
 
     @property
     def num_anchors(self) -> int:
         return sum(level.num_anchors for level in self.levels)
 
-    def box_stack(self) -> np.ndarray:
-        """All implicit boxes, (num_anchors, 4), in (level, row, col, slot) order."""
-        if self.mode != MASK_MODE:
-            raise PointSetError("box_stack is defined for mask grids")
-        cached = self.__dict__.get("_box_stack")
-        if cached is None:
-            cached = np.concatenate([level.placed().reshape(-1, 4) for level in self.levels])
-            cached.setflags(write=False)
-            object.__setattr__(self, "_box_stack", cached)
-        return cached
+    def _cached(self, name: str, build):
+        """``build()``'s array or arrays, made read-only on the first call and kept on the grid."""
+        if name not in self.__dict__:
+            value = build()
+            for array in value if isinstance(value, tuple) else (value,):
+                array.setflags(write=False)
+            self.__dict__[name] = value
+        return self.__dict__[name]
 
-    def axis_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every level's point x per map column and y per map row, side by side:
-        (slots, p, all cols) and (slots, p, all rows), each centre + template."""
-        cached = self.__dict__.get("_axis_coordinates")
-        if cached is None:
-            cached = tuple(np.concatenate(
-                [axis_centers((lv.cols, lv.rows)[axis], lv.stride) + lv.templates[:, :, axis, None]
-                 for lv in self.levels], axis=-1) for axis in (0, 1))
-            for table in cached:
-                table.setflags(write=False)
-            object.__setattr__(self, "_axis_coordinates", cached)
-        return cached
-
-    def joint_stack(self, index=None) -> np.ndarray:
-        """Pose joints of the stacked anchors at ``index`` (all when None), (len, 17, 2).
+    def points(self, index=None) -> np.ndarray:
+        """Points of the stacked anchors at ``index`` (all when None), (len, p, 2).
 
         Each is its location centre + templates[slot].
         """
-        if self.mode != POSE_MODE:
-            raise PointSetError("joint_stack is defined for pose grids")
         level, row, col, slot = (column if index is None else column[index]
                                  for column in self.index_columns())
         stride = np.asarray([lv.stride for lv in self.levels])[level]
         centre = np.stack([(col + 0.5) * stride, (row + 0.5) * stride], axis=-1)
         return centre[:, None, :] + np.stack([lv.templates for lv in self.levels])[level, slot]
 
+    def box_stack(self) -> np.ndarray:
+        """All implicit boxes, (num_anchors, 4), in (level, row, col, slot) order."""
+        if self.mode != MASK_MODE:
+            raise PointSetError("box_stack is defined for mask grids")
+        return self._cached("_box_stack", lambda: self.points().reshape(-1, 4))
+
+    def joint_stack(self, index=None) -> np.ndarray:
+        """Pose joints of the stacked anchors at ``index`` (all when None), (len, 17, 2)."""
+        if self.mode != POSE_MODE:
+            raise PointSetError("joint_stack is defined for pose grids")
+        return self.points(index)
+
+    def axis_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every level's point x per map column and y per map row, side by side:
+        (slots, p, all cols) and (slots, p, all rows), each centre + template."""
+        return self._cached("_axis_coordinates", lambda: tuple(np.concatenate(
+            [(np.arange((lv.cols, lv.rows)[axis]) + 0.5) * lv.stride
+             + lv.templates[:, :, axis, None] for lv in self.levels], axis=-1)
+            for axis in (0, 1)))
+
     def index_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(level, row, col, slot) per stacked anchor, aligned with the stacks."""
-        cached = self.__dict__.get("_index_columns")
-        if cached is None:
-            level = np.repeat([lv.level for lv in self.levels],
-                              [lv.num_anchors for lv in self.levels])
-            row, col, slot = np.concatenate(
-                [np.indices((lv.rows, lv.cols, lv.anchors_per_location)).reshape(3, -1)
-                 for lv in self.levels], axis=1)
-            cached = (level, row, col, slot)
-            for column in cached:
-                column.setflags(write=False)
-            object.__setattr__(self, "_index_columns", cached)
-        return cached
+        return self._cached("_index_columns", lambda: (
+            np.repeat([lv.level for lv in self.levels], [lv.num_anchors for lv in self.levels]),
+            *np.concatenate([np.indices((lv.rows, lv.cols, lv.anchors_per_location)).reshape(3, -1)
+                             for lv in self.levels], axis=1)))
 
 
 def _box_templates(config: PyramidConfig, base_scale: float) -> np.ndarray:
@@ -324,6 +301,8 @@ def generate_grid(config: PyramidConfig, image_size, mode: str = MASK_MODE,
             base scale, translated so the joint centroid sits at the location
             center, then each (scale, rotation) variant is applied about the
             centroid.
+
+    A grid over ``MAX_IMAGE_ANCHORS`` anchors is rejected before any per-anchor array exists.
     """
     if mode == MASK_MODE:
         templates = partial(_box_templates, config)
@@ -336,6 +315,10 @@ def generate_grid(config: PyramidConfig, image_size, mode: str = MASK_MODE,
         templates = partial(_pose_templates, config, modes=modes)
     else:
         raise PointSetError(f"unknown grid mode: {mode!r}")
-    levels = tuple(LevelGrid(i, stride, *_feature_shape(image_size, stride), templates(base_scale))
-                   for i, (stride, base_scale) in enumerate(config.levels))
-    return AnchorGrid(mode=mode, image_size=(int(image_size[0]), int(image_size[1])), levels=levels)
+    grid = AnchorGrid(mode, tuple(
+        LevelGrid(i, stride, *_feature_shape(image_size, stride), templates(base_scale))
+        for i, (stride, base_scale) in enumerate(config.levels)))
+    if grid.num_anchors > MAX_IMAGE_ANCHORS:
+        raise PointSetError(f"its {image_size[0]} x {image_size[1]} grid would hold"
+                            f" {grid.num_anchors} anchors, over the budget of {MAX_IMAGE_ANCHORS}")
+    return grid

@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .anchors import POSE_MODE
 from .errors import LengthMismatchError, NonPositiveScaleError, PointSetError
 
 FOCAL_ALPHA = 0.25
@@ -27,7 +28,7 @@ LAMBDA_SEGMENTATION = 0.1
 LAMBDA_POSE = 10.0
 
 TASK_SEGMENTATION = "instance-segmentation"
-TASK_POSE = "pose"
+TASK_POSE = POSE_MODE
 
 
 def balance_for_task(task: str) -> float:

@@ -21,13 +21,11 @@ import numpy as np
 from . import matching
 from .anchors import (
     MASK_MODE,
-    MAX_IMAGE_ANCHORS,
     NUM_JOINTS,
     POSE_MODE,
     AnchorGrid,
     PyramidConfig,
     generate_grid,
-    grid_anchor_count,
     sample_box_perimeters,
 )
 from .assignment import (
@@ -57,8 +55,9 @@ from .losses import TASK_POSE, TASK_SEGMENTATION, head_output_dims
 TARGET_FORMAT = "point-set-targets"
 TARGET_VERSION = 1
 
-TASK_MASK = "mask"
-TASK_POSE_TARGETS = "pose"
+# A task is named by the mode of its grids.
+TASK_MASK = MASK_MODE
+TASK_POSE_TARGETS = POSE_MODE
 
 
 class _TaskConfig:
@@ -154,40 +153,31 @@ def _image_similarity(grid: AnchorGrid, gts: list[InstanceRecord], task: str,
     return oks_lattice(grid, joints, vis, scales, oks_params)
 
 
-def _check_anchor_budget(grouped, task: str, pyramid: PyramidConfig, canonical_poses) -> None:
-    """Reject the first image whose grid would hold over ``MAX_IMAGE_ANCHORS``
-    anchors, naming it, before any grid is built."""
-    per_location = (pyramid.mask_anchors_per_location if task == TASK_MASK
-                    else pyramid.pose_anchors_per_location(len(canonical_poses)))
-    checked = set()
-    for image_id, image_records in grouped.items():
-        size = image_records[0].image_size
-        if size in checked:
-            continue
-        checked.add(size)
-        count = grid_anchor_count(pyramid, size, per_location)
-        if count > MAX_IMAGE_ANCHORS:
-            raise PointSetError(f"image {image_id}: its {size[0]} x {size[1]} grid would hold"
-                                f" {count} anchors, over the budget of {MAX_IMAGE_ANCHORS}")
-
-
-def _scored_images(grouped, task: str, pyramid: PyramidConfig, canonical_poses,
-                   oks_params: OksParams):
-    """Score every image's anchors against its eligible gts, in image-id order.
-
-    Yields ``(image_id, image_records, gts, grid, sim)``. One grid is built
-    per distinct image size; ``sim`` is the (anchors, gts) IoU or OKS matrix,
-    ``(A, 0)`` for an image with no eligible gt, whose anchors the assigner
-    then labels all negative.
-    """
-    mode = MASK_MODE if task == TASK_MASK else POSE_MODE
+def _grids(grouped, task: str, pyramid: PyramidConfig, canonical_poses) -> dict:
+    """One grid per distinct image size, keyed by size. An error of ``generate_grid``
+    (a grid over ``MAX_IMAGE_ANCHORS`` anchors) names the first image of that size."""
     grids: dict[tuple[int, int], AnchorGrid] = {}
     for image_id, image_records in grouped.items():
-        gts = [r for r in image_records if _eligible(r, task)]
         size = image_records[0].image_size
         if size not in grids:
-            grids[size] = generate_grid(pyramid, size, mode, canonical_poses)
-        grid = grids[size]
+            try:
+                grids[size] = generate_grid(pyramid, size, task, canonical_poses)
+            except PointSetError as err:
+                raise type(err)(f"image {image_id}: {err}") from err
+    return grids
+
+
+def _scored_images(grouped, grids, task: str, oks_params: OksParams):
+    """Score every image's anchors against its eligible gts, in image-id order.
+
+    Yields ``(image_id, image_records, gts, grid, sim)``, where ``grid`` is
+    the image size's grid of ``grids``; ``sim`` is the (anchors, gts) IoU or
+    OKS matrix, ``(A, 0)`` for an image with no eligible gt, whose anchors
+    the assigner then labels all negative.
+    """
+    for image_id, image_records in grouped.items():
+        gts = [r for r in image_records if _eligible(r, task)]
+        grid = grids[image_records[0].image_size]
         if gts:
             sim = _image_similarity(grid, gts, task, oks_params)
         else:
@@ -228,7 +218,7 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
                                 f" target labels need ids in 1..{config.num_classes}")
 
     grouped = _group_by_image(records)
-    _check_anchor_budget(grouped, config.task, config.pyramid, canonical_poses)
+    grids = _grids(grouped, config.task, config.pyramid, canonical_poses)
     summary = {"images": len(grouped), "anchors": 0, "positives": 0,
                "negatives": 0, "ignores": 0, "skipped_records": 0, "lines": 0}
 
@@ -247,7 +237,7 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
         summary["lines"] += 1
 
         for image_id, image_records, gts, grid, sim in _scored_images(
-                grouped, config.task, config.pyramid, canonical_poses, config.oks_params):
+                grouped, grids, config.task, config.oks_params):
             summary["skipped_records"] += len(image_records) - len(gts)
             labels, matched, best = assign_arrays(
                 sim, config.hi, config.lo, config.force_nearest, [g.class_id for g in gts],
@@ -450,21 +440,23 @@ def coverage_report(records, configs, threshold: float = 0.5,
     configuration, OKS for a pose one) reaches ``threshold``.
     Positive/negative counts come from the assigner with hi=threshold,
     lo=min(0.4, threshold) and force_nearest on (every gt claims its best
-    anchor). An image whose grid would hold more than ``MAX_IMAGE_ANCHORS``
-    anchors is rejected, naming it, before any grid is built.
+    anchor). Every configuration's grids are made before any image is
+    scored, so an image whose grid would hold more than ``MAX_IMAGE_ANCHORS``
+    anchors is rejected, naming it, first.
     """
     if not 0.0 < threshold <= 1.0:
         raise PointSetError(f"threshold must be in (0, 1], got {threshold}")
     lo = min(0.4, threshold)
     grouped = _group_by_image(records)
-    for config in configs:
-        _check_anchor_budget(grouped, config.task, config.pyramid, config.canonical_poses)
+    ladder = [(config, _grids(grouped, config.task, config.pyramid, config.canonical_poses))
+              for config in configs]
     reports = []
-    for config in configs:
+    while ladder:
+        # popped, so a configuration's grids and their cached arrays go once it is done
+        config, grids = ladder.pop(0)
         best_sims: list[float] = []
         anchor_count = positive = negative = ignore = 0
-        for _, _, _, grid, sim in _scored_images(
-                grouped, config.task, config.pyramid, config.canonical_poses, oks_params):
+        for _, _, _, grid, sim in _scored_images(grouped, grids, config.task, oks_params):
             anchor_count += grid.num_anchors
             best_sims.extend(sim.max(axis=0).tolist())
             labels, _, _ = assign_arrays(sim, threshold, lo, force_nearest=True)

@@ -9,6 +9,7 @@ a grid is generated.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .errors import (
     PointSetError,
     TooFewPosesError,
     TooFewVisibleJointsError,
+    is_numbers,
 )
 from .geometry import Box
 
@@ -132,6 +134,8 @@ def kmeans_poses(poses, k: int, seed: int = 0, max_iters: int = 100) -> PoseMode
         raise PointSetError(f"k must be >= 1, got {k}")
     if max_iters < 1:
         raise PointSetError(f"max_iters must be >= 1, got {max_iters}")
+    if seed < 0:
+        raise PointSetError(f"seed must be >= 0, got {seed}")
     x = _admissible_matrix(poses)
     if not np.isfinite(x).all():
         raise PointSetError("poses must be finite")
@@ -214,14 +218,20 @@ def save_pose_modes(modes: PoseModes, path) -> None:
 
 
 def load_pose_modes(path) -> PoseModes:
-    """Read modes written by ``save_pose_modes``."""
+    """Read modes written by ``save_pose_modes``; MalformedDocumentError names a bad key."""
     doc = load_config_document(path)
     try:
         modes = np.asarray(doc["modes"], dtype=float)
-        k, inertia, seed = int(doc["k"]), float(doc["inertia"]), int(doc["seed"])
+        k, inertia, seed = doc["k"], doc["inertia"], doc["seed"]
     except (KeyError, TypeError, ValueError) as err:
         raise MalformedDocumentError(f"{path}: not a pose modes document ({err!r})") from err
+    for key, ok, kind in (("k", type(k) is int, "an integer"),
+                          ("seed", type(seed) is int, "an integer"),
+                          ("inertia", is_numbers([inertia]) and math.isfinite(inertia),
+                           "a finite number")):
+        if not ok:
+            raise MalformedDocumentError(f"{path}: {key!r} must be {kind}, got {doc[key]!r}")
     if not np.isfinite(modes).all():
         raise MalformedDocumentError(f"{path}: 'modes' must be finite numbers")
     modes = joint_array(modes, (k, NUM_JOINTS, 2), f"{path}: 'modes' of k={k}")
-    return PoseModes(modes=modes, inertia=inertia, seed=seed)
+    return PoseModes(modes=modes, inertia=float(inertia), seed=seed)

@@ -124,6 +124,9 @@ def _contour_records(count: int, rng: np.random.Generator, image_size,
                      instances_per_image: int, vertex_range=(6, 28),
                      radius_range=(18.0, 80.0), aspect_range=(0.6, 1.6),
                      spikiness: float = 0.45, convex=None) -> list[InstanceRecord]:
+    lo, hi = vertex_range
+    if not 3 <= lo <= hi:
+        raise PointSetError(f"vertex_range must satisfy 3 <= lo <= hi, got {tuple(vertex_range)}")
     width, height = image_size
     # largest radius whose worst-case reach still fits inside the image;
     # both wide (rx = r sqrt(a)) and tall (ry = r / sqrt(a)) shapes count
@@ -136,7 +139,7 @@ def _contour_records(count: int, rng: np.random.Generator, image_size,
                             f" {radius_range[0]:g} px: both sides must be at least {side} px")
     records = []
     for i in range(count):
-        n = int(rng.integers(vertex_range[0], vertex_range[1] + 1))
+        n = int(rng.integers(lo, hi + 1))
         r = min(rng.uniform(*radius_range), r_cap)
         aspect = rng.uniform(*aspect_range)
         rx, ry = r * np.sqrt(aspect), r / np.sqrt(aspect)
@@ -181,6 +184,8 @@ def _pose_records(count: int, rng: np.random.Generator, image_size,
         raise PointSetError(
             f"n_prototypes must be in 1..{len(POSE_PROTOTYPES)}, got {n_prototypes}"
         )
+    if not 0.0 <= jitter < math.inf:
+        raise PointSetError(f"jitter must be finite and >= 0, got {jitter}")
     if not 0.0 <= dropout < 1.0:
         raise PointSetError(f"dropout must be in [0, 1), got {dropout}")
     if not 0.0 <= truncation <= 1.0:
@@ -246,6 +251,8 @@ def generate_synthetic_corpus(kind: str, count: int, seed: int = 0,
         raise PointSetError(f"count must be >= 1, got {count}")
     if instances_per_image < 1:
         raise PointSetError(f"instances_per_image must be >= 1, got {instances_per_image}")
+    if seed < 0:
+        raise PointSetError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     if kind == CORPUS_CONTOURS:
         return _contour_records(count, rng, image_size, instances_per_image, **difficulty)

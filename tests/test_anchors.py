@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import brute_grid_anchors
 from util import anchor_from_box
+from pointset_anchors import anchors
 from pointset_anchors.anchors import (
     DEFAULT_POSE_ROTATIONS,
     DEFAULT_POSE_SCALES,
@@ -19,7 +20,6 @@ from pointset_anchors.anchors import (
     POSE_SCALES_FIVE,
     PyramidConfig,
     generate_grid,
-    grid_anchor_count,
     load_config_document,
     sample_box_perimeters,
 )
@@ -350,31 +350,52 @@ class TestGridOracle:
         expected = brute_grid_anchors(config, size, mode, modes)
         grid = generate_grid(config, size, mode, modes)
         columns = grid.index_columns()
-        assert all(a is b for a, b in zip(grid.index_columns(), columns))   # cached
-        assert not any(column.flags.writeable for column in columns)
+        # each cached form is made once: a repeat call returns the same read-only object
+        assert grid.index_columns() is columns
+        assert grid.axis_coordinates() is grid.axis_coordinates()
+        arrays = [*columns, *grid.axis_coordinates()]
+        if mode == MASK_MODE:
+            assert grid.box_stack() is grid.box_stack()
+            arrays.append(grid.box_stack())
+        assert not any(array.flags.writeable for array in arrays)
         points = [centre + level.templates[slot]
                   for _, level, _, _, slot, centre in _indexed_anchors(grid)]
         assert np.asarray(points).reshape(expected.shape).tobytes() == expected.tobytes()
 
 
 class TestAnchorCount:
+    """generate_grid passes a grid of exactly MAX_IMAGE_ANCHORS anchors and names one over it."""
+
     MODES = np.random.default_rng(0).normal(0.0, 0.2, (3, NUM_JOINTS, 2))
+
+    @staticmethod
+    def _at_the_budget(monkeypatch, config, size, mode, modes=None) -> int:
+        count = generate_grid(config, size, mode, modes).num_anchors
+        monkeypatch.setattr(anchors, "MAX_IMAGE_ANCHORS", count)
+        assert generate_grid(config, size, mode, modes).num_anchors == count
+        monkeypatch.setattr(anchors, "MAX_IMAGE_ANCHORS", count - 1)
+        with pytest.raises(PointSetError, match=f"its {size[0]} x {size[1]} grid would hold"
+                                                f" {count} anchors, over the budget of {count - 1}"):
+            generate_grid(config, size, mode, modes)
+        monkeypatch.undo()
+        return count
 
     @pytest.mark.parametrize("size", [(1, 1), (37, 1000), (256, 256), (641, 480)])
     @pytest.mark.parametrize("config", [PyramidConfig(), PyramidConfig(
         levels=((4.0, 16.0), (24.0, 96.0)), octave_scales=(1.0,), pose_scales=(0.9, 1.1))],
         ids=["default", "coarse"])
-    def test_counts_the_grid_generate_grid_builds(self, config, size):
-        mask = generate_grid(config, size, MASK_MODE)
-        pose = generate_grid(config, size, POSE_MODE, self.MODES)
-        assert grid_anchor_count(config, size, config.mask_anchors_per_location) == mask.num_anchors
-        assert (grid_anchor_count(config, size, config.pose_anchors_per_location(3))
-                == pose.num_anchors)
+    def test_counts_the_grid_generate_grid_builds(self, config, size, monkeypatch):
+        locations = sum(level.rows * level.cols for level in generate_grid(config, size).levels)
+        assert (self._at_the_budget(monkeypatch, config, size, MASK_MODE)
+                == config.mask_anchors_per_location * locations)
+        assert (self._at_the_budget(monkeypatch, config, size, POSE_MODE, self.MODES)
+                == config.pose_anchors_per_location(3) * locations)
 
-    def test_a_640_pixel_square_on_the_default_pyramid(self):
+    def test_a_640_pixel_square_on_the_default_pyramid(self, monkeypatch):
         config = PyramidConfig()
-        assert grid_anchor_count(config, (640, 640), 9) == 76_725
-        assert grid_anchor_count(config, (640, 640), config.pose_anchors_per_location(3)) == 230_175
+        assert self._at_the_budget(monkeypatch, config, (640, 640), MASK_MODE) == 76_725
+        assert (self._at_the_budget(monkeypatch, config, (640, 640), POSE_MODE, self.MODES)
+                == 230_175)
 
 
 class TestIndexColumns:

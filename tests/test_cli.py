@@ -134,6 +134,28 @@ class TestSynth:
                      "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())["annotations"]) == 2
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--kind", "poses", "--seed", "-1"], "seed must be >= 0"),
+        (["--kind", "contours", "--seed", "-1"], "seed must be >= 0"),
+        (["--kind", "contours", "--vertex-range", "9", "5"], "vertex_range"),
+        # seeds 0-9 drew a 2-vertex polygon in 7 of 10 corpora, and wrote the other 3
+        (["--kind", "contours", "--vertex-range", "2", "12"], "vertex_range"),
+        (["--kind", "poses", "--jitter", "-5"], "jitter"),
+        (["--kind", "poses", "--jitter", "nan"], "jitter"),
+        (["--kind", "poses", "--jitter", "inf"], "jitter"),
+    ], ids=["seed-poses", "seed-contours", "vertex-range-reversed", "vertex-range-2",
+            "jitter-negative", "jitter-nan", "jitter-inf"])
+    def test_bad_value_is_named_before_anything_is_written(self, tmp_path, capsys, flags, name):
+        out = tmp_path / "c.json"
+        code = main(["synth", "--count", "20", *flags, "--out", str(out)])
+        _assert_named_error(capsys, code, name)
+        assert not out.exists()
+
+    def test_vertex_range_of_one_count_draws_that_count(self, tmp_path):
+        out = _synth(tmp_path, "c.json", "--vertex-range", "3", "3")
+        polygons = [a["segmentation"][0] for a in json.loads(out.read_text())["annotations"]]
+        assert {len(polygon) for polygon in polygons} == {6}
+
 
 class TestModes:
     def test_clusters_pose_corpus(self, tmp_path, capsys):
@@ -158,6 +180,14 @@ class TestModes:
         out = tmp_path / "modes.json"
         code = main(["modes", "--annotations", str(ann), "--k", "2", "--out", str(out)])
         _assert_named_error(capsys, code, "distinct fully visible poses, got 1")
+        assert not out.exists()
+
+    def test_negative_seed_exit_1(self, tmp_path, capsys):
+        ann = _synth_poses(tmp_path, "poses.json", "--jitter", "1.5")
+        capsys.readouterr()
+        out = tmp_path / "modes.json"
+        code = main(["modes", "--annotations", str(ann), "--seed", "-1", "--out", str(out)])
+        _assert_named_error(capsys, code, "seed must be >= 0, got -1")
         assert not out.exists()
 
 
@@ -348,14 +378,22 @@ class TestDocumentErrors:
 
     @pytest.mark.parametrize("doc, name", [
         ({}, "'modes'"),
-        ({"k": "x", "seed": 0, "inertia": 0.0, "modes": [[[0.0, 0.0]] * 17]}, "'x'"),
-        ({"k": 1, "seed": 0, "inertia": 0.0, "modes": [[[float("nan"), 0.0]] * 17]},
-         "'modes' must be finite"),
-    ], ids=["no-modes", "k-str", "nan-mode"])
+        ({"k": "x"}, "'x'"),
+        ({"modes": [[[float("nan"), 0.0]] * 17]}, "'modes' must be finite"),
+        ({"k": True}, "'k' must be an integer, got True"),     # json's true would read as k = 1
+        ({"k": 2.7}, "'k' must be an integer, got 2.7"),
+        ({"seed": 1.5}, "'seed' must be an integer, got 1.5"),
+        ({"seed": True}, "'seed' must be an integer, got True"),
+        ({"inertia": "1"}, "'inertia' must be a finite number, got '1'"),
+        ({"inertia": float("nan")}, "'inertia' must be a finite number, got nan"),
+    ], ids=["no-modes", "k-str", "nan-mode", "k-bool", "k-float", "seed-float", "seed-bool",
+            "inertia-str", "inertia-nan"])
     def test_bad_modes_file(self, tmp_path, capsys, doc, name):
         ann = _synth_poses(tmp_path, "poses.json")
         modes = tmp_path / "modes.json"
-        modes.write_text(json.dumps(doc))
+        # one valid mode, the mean of the corpus, with ``doc``'s keys put over it
+        main(["modes", "--annotations", str(ann), "--k", "1", "--out", str(modes)])
+        modes.write_text(json.dumps({**json.loads(modes.read_text()), **doc} if doc else {}))
         capsys.readouterr()
         out = tmp_path / "t.jsonl"
         code = main(["targets", "--annotations", str(ann), "--task", "pose",
@@ -412,6 +450,14 @@ class TestCoverage:
         out = tmp_path / "coverage.json"
         code = main(["coverage", "--annotations", str(ann), "--k", "2", "--out", str(out)])
         _assert_named_error(capsys, code, "distinct fully visible poses, got 1")
+        assert not out.exists()
+
+    def test_negative_seed_exit_1(self, tmp_path, capsys):
+        ann = _synth_poses(tmp_path, "poses.json", "--jitter", "1.5")
+        capsys.readouterr()
+        out = tmp_path / "coverage.json"
+        code = main(["coverage", "--annotations", str(ann), "--seed", "-1", "--out", str(out)])
+        _assert_named_error(capsys, code, "seed must be >= 0, got -1")
         assert not out.exists()
 
     def test_does_not_import_numpy_ma(self, tmp_path):

@@ -44,3 +44,20 @@ def test_every_imported_name_is_used():
                 imported |= {alias.asname or alias.name for alias in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
+
+
+def test_no_string_constant_is_defined_twice():
+    # A public name such as MASK_MODE is the one definition of its value;
+    # another module binds that name, not a copy of the literal.
+    homes: dict[str, set[str]] = {}
+    for path in sorted(Path(pointset_anchors.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                    and isinstance(node.value.value, str)):
+                for target in node.targets:
+                    if (isinstance(target, ast.Name) and target.id.isupper()
+                            and not target.id.startswith("_")):
+                        homes.setdefault(node.value.value, set()).add(f"{path.stem}.{target.id}")
+    repeated = {value: sorted(names) for value, names in homes.items()
+                if len({name.split(".")[0] for name in names}) > 1}
+    assert not repeated, repeated

@@ -37,7 +37,7 @@ from pointset_anchors.errors import (
     PointSetError,
 )
 from pointset_anchors.geometry import Box
-from pointset_anchors import matching, pipeline
+from pointset_anchors import anchors, matching, pipeline
 from pointset_anchors.matching import NEAREST_LINE, NEAREST_POINT
 from pointset_anchors.pipeline import (
     CoverageConfig,
@@ -591,7 +591,7 @@ class TestCoverageReport:
 
 
 class TestAnchorBudget:
-    """Both commands count each image size's anchors against MAX_IMAGE_ANCHORS before building."""
+    """Both commands make each image size's grid, within MAX_IMAGE_ANCHORS, before scoring."""
 
     @pytest.mark.parametrize("task", [TASK_MASK, TASK_POSE_TARGETS])
     def test_an_image_at_the_budget_passes_and_one_over_is_named(self, task, tmp_path,
@@ -602,10 +602,10 @@ class TestAnchorBudget:
                               MASK_MODE if task == TASK_MASK else POSE_MODE, modes).num_anchors
         config = TargetConfig(pyramid=SMALL_PYRAMID, task=task)
         coverage = [CoverageConfig("budget", SMALL_PYRAMID, task, modes)]
-        monkeypatch.setattr(pipeline, "MAX_IMAGE_ANCHORS", count)
+        monkeypatch.setattr(anchors, "MAX_IMAGE_ANCHORS", count)
         assert emit_targets(records, config, tmp_path / "at.jsonl", modes)["anchors"] > count
         assert coverage_report(records, coverage)[0].anchor_count > count
-        monkeypatch.setattr(pipeline, "MAX_IMAGE_ANCHORS", count - 1)
+        monkeypatch.setattr(anchors, "MAX_IMAGE_ANCHORS", count - 1)
         named = f"image {min(r.image_id for r in records)}: .* {count} anchors"
         out = tmp_path / "over.jsonl"
         with pytest.raises(PointSetError, match=named):
