@@ -69,21 +69,31 @@ def _normalized_poses(result: ParseResult):
     return poses
 
 
+# synth's flags of each corpus kind: the generator parameter each sets and
+# its value when the flag is not given (None leaves the generator's own).
+# The parser's defaults are None, so a flag of the other kind can be named.
+_SYNTH_FLAGS = {
+    CORPUS_CONTOURS: {"convex": ("convex", None), "vertex_range": ("vertex_range", None)},
+    CORPUS_POSES: {"jitter": ("jitter", 0.0), "dropout": ("dropout", 0.0),
+                   "truncation": ("truncation", 0.0), "prototypes": ("n_prototypes", 1)},
+}
+
+
 def _cmd_synth(args) -> int:
     # only synth runs the generators; the other commands never compile them
     from .synthetic import generate_synthetic_corpus, save_corpus
 
+    for kind, flags in _SYNTH_FLAGS.items():
+        given = [name for name in flags if getattr(args, name) is not None]
+        if kind != args.kind and given:
+            raise PointSetError(f"--{given[0].replace('_', '-')} applies only to --kind {kind}")
     difficulty = {}
-    if args.kind == CORPUS_CONTOURS:
-        if args.convex is not None:
-            difficulty["convex"] = args.convex
-        if args.vertex_range:
-            difficulty["vertex_range"] = tuple(args.vertex_range)
-    else:
-        difficulty["jitter"] = args.jitter
-        difficulty["dropout"] = args.dropout
-        difficulty["truncation"] = args.truncation
-        difficulty["n_prototypes"] = args.prototypes
+    for name, (parameter, default) in _SYNTH_FLAGS[args.kind].items():
+        value = getattr(args, name)
+        if value is None:
+            value = default
+        if value is not None:
+            difficulty[parameter] = value
     records = generate_synthetic_corpus(
         args.kind, args.count, seed=args.seed,
         image_size=tuple(args.image_size),
@@ -135,6 +145,8 @@ def _pyramid(args) -> PyramidConfig:
 def _coverage_ladder(args, poses) -> list[CoverageConfig]:
     # the scale and rotation variants stay on: single-variant grids are too
     # coarse for the degenerate baselines to register at all
+    if args.k < 1:
+        raise PointSetError(f"k must be >= 1, got {args.k}")
     pyramid = _pyramid(args)
     configs = [
         CoverageConfig("center-point", pyramid, TASK_POSE_TARGETS, center_point_shape()[None]),
@@ -185,13 +197,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="contours: emit only convex polygons")
     synth.add_argument("--vertex-range", type=int, nargs=2, default=None,
                        metavar=("LO", "HI"))
-    synth.add_argument("--jitter", type=float, default=0.0,
+    synth.add_argument("--jitter", type=float, default=None,
                        help="poses: per-joint gaussian noise in pixels")
-    synth.add_argument("--dropout", type=float, default=0.0,
+    synth.add_argument("--dropout", type=float, default=None,
                        help="poses: per-joint invisibility probability")
-    synth.add_argument("--truncation", type=float, default=0.0,
+    synth.add_argument("--truncation", type=float, default=None,
                        help="poses: probability of a truncated visibility pattern")
-    synth.add_argument("--prototypes", type=int, default=1,
+    synth.add_argument("--prototypes", type=int, default=None,
                        help="poses: number of built-in prototype poses to draw from")
     synth.set_defaults(func=_cmd_synth)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -195,12 +194,14 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
     repr, so a fixed corpus and config reproduce the file byte for byte.
 
     Each image's lines are rendered as bytes from its columns by
-    ``_render_image``, at most ``RENDER_LINES`` lines a step, into a file
-    opened in binary mode. Only positives are matched: all of an image's in
-    one call, each against its own gt. Their offsets and flags are rendered
-    by ``_positive_texts``, ``RENDER_POSITIVES`` at a time, and spliced into
-    their lines. Every float is written as json's text of its value, so the
-    bytes equal one ``json.dumps(line, sort_keys=True)`` per anchor.
+    ``_render_image``, into a file opened in binary mode: a line is four
+    lookups into small tables of texts, and each step of at most
+    ``RENDER_LINES`` lines is one join and one write. Only positives are
+    matched: all of an image's in one call, each against its own gt. Their
+    offsets and flags are rendered by ``_positive_texts``,
+    ``RENDER_POSITIVES`` at a time, and spliced into their lines' pieces.
+    Every float is written as json's text of its value, so the bytes equal
+    one ``json.dumps(line, sort_keys=True)`` per anchor.
 
     A gt's class id is its label, so an eligible gt with a ``category_id``
     outside 1 .. ``config.num_classes`` is rejected, naming its image, before
@@ -282,34 +283,10 @@ def _match_positives(grid: AnchorGrid, gts, pos, levels, owner, config: TargetCo
 
 
 # The most lines one rendering step holds, and the most positives whose
-# texts are made at once. A step's byte matrix is lines x line width, so the
+# texts are made at once. A step is one list of four pieces a line, so the
 # working set stays bounded on dense grids and crowded images.
 RENDER_LINES = 1024
 RENDER_POSITIVES = 128
-
-# One anchor's line, keys in json.dumps(sort_keys=True) order: the text
-# before each of its rendered fields (col, gt, label, level, row, sim, slot),
-# then the tail. Offsets and valid read null; a positive's texts are spliced
-# over those two nulls.
-_LINE_TEXT = (b'{"col": ', b', "gt": ', b', "image": %s, "label": ', b', "level": ',
-              b', "offsets": null, "row": ', b', "sim": ', b', "slot": ', b', "valid": null}\n')
-
-
-@lru_cache(maxsize=None)
-def _int_tokens(bits: int, null: bool) -> np.ndarray:
-    """The texts of 0 .. 2**bits - 1 and then of -1 ("null" if ``null``), NUL-padded.
-
-    -1 is the last entry, so indexing with a value of -1 picks its text. The
-    cached table is read-only.
-    """
-    table = np.array([b"%d" % v for v in range(2 ** bits)] + [b"null" if null else b"-1"])
-    table.flags.writeable = False
-    return table
-
-
-def _int_field(values: np.ndarray, null: bool = False):
-    """(tokens, index) of an integer column of values >= -1."""
-    return _int_tokens(int(values.max(initial=0)).bit_length(), null), values
 
 
 def _float_texts(values: np.ndarray) -> tuple[list[bytes], np.ndarray]:
@@ -323,47 +300,51 @@ def _float_texts(values: np.ndarray) -> tuple[list[bytes], np.ndarray]:
     return texts, index.reshape(values.shape)
 
 
-def _lay_out(parts, count: int) -> np.ndarray:
-    """Lay ``count`` rows of bytes pieces side by side, as a NUL-padded uint8 matrix.
-
-    A part is a bytes literal, the same in every row, or an array of
-    ``count`` NUL-padded bytes tokens.
-    """
-    return np.concatenate([np.broadcast_to(np.frombuffer(part, np.uint8), (count, len(part)))
-                           if isinstance(part, bytes) else part.view(np.uint8).reshape(count, -1)
-                           for part in parts], axis=1)
-
-
 def _render_image(image_id, columns, pos, offsets, valid):
     """Yield one image's lines as bytes pieces, rendered from its per-anchor columns.
 
     ``columns`` holds (level, row, col, slot, label, matched gt, best sim)
-    arrays. An integer field is a lookup in a token table indexed by value,
-    and ``sim`` takes json's text once per distinct bit pattern. Each step of
-    at most ``RENDER_LINES`` lines is laid out as one byte matrix. ``pos``
-    holds the positives' line indices, ascending. A positive's ``offsets``
-    and ``valid`` texts replace the last two nulls of the text up to its
-    line's end: its ``gt`` is an index and its ``sim`` a finite float, so
-    its line has no other null.
+    arrays. Keys are in json.dumps(sort_keys=True) order, and a line is four
+    lookups into small tables of texts: the gt (-1 reads null) and label with
+    the image id, the level and row, the sim (json's text once per distinct
+    bit pattern), and a join, the line's slot tail with the next line's col
+    head. The first line's col head leads the image and the last line's
+    join is its slot tail alone. Each step of at most ``RENDER_LINES`` lines
+    is one list of pieces, joined. ``pos`` holds the positives' line
+    indices, ascending. A positive's ``offsets`` text replaces the null of
+    its level/row piece, and its ``valid`` text the first null of its join.
     """
     levels, rows, cols, slots, labels, matched, best = columns
+    image = json.dumps(image_id).encode()
+    tails = [b', "slot": %d, "valid": null}\n' % v for v in range(slots.max(initial=0) + 1)]
+    heads = [b'{"col": %d, "gt": ' % v for v in range(cols.max(initial=0) + 1)]
+    gt_texts = [b"null"] + [b"%d" % v for v in range(matched.max(initial=-1) + 1)]
+    label_range = range(-1, labels.max(initial=0) + 1)
+    row_range = range(rows.max(initial=0) + 1)
     sims, sim_index = _float_texts(best)
-    fields = (_int_field(cols), _int_field(matched, null=True), _int_field(labels),
-              _int_field(levels), _int_field(rows), (np.array(sims), sim_index), _int_field(slots))
-    texts = list(_LINE_TEXT)
-    texts[2] %= json.dumps(image_id).encode()
+    tables = (
+        (np.array([b'%s, "image": %s, "label": %d, "level": ' % (gt, image, label)
+                   for gt in gt_texts for label in label_range], dtype=object),
+         (matched + 1) * len(label_range) + labels + 1),
+        (np.array([b'%d, "offsets": null, "row": %d, "sim": ' % (level, row)
+                   for level in range(levels.max(initial=0) + 1) for row in row_range],
+                  dtype=object), levels * len(row_range) + rows),
+        (np.array(sims, dtype=object), sim_index),
+        (np.array([tail + head for tail in tails for head in heads + [b""]], dtype=object),
+         slots * (len(heads) + 1) + np.append(cols[1:], len(heads))),
+    )
+    lead = heads[cols[0]]
     for start in range(0, len(best), RENDER_LINES):
         stop = min(start + RENDER_LINES, len(best))
-        tokens = [table[index[start:stop]] for table, index in fields]
-        matrix = _lay_out([part for pair in zip(texts, tokens) for part in pair] + texts[-1:],
-                          stop - start)
-        at = 0
+        parts = [lead] * (4 * (stop - start) + 1)
+        for at, (table, index) in enumerate(tables, 1):
+            parts[at::4] = table[index[start:stop]].tolist()
         for k in range(*np.searchsorted(pos, (start, stop))):
-            end = pos[k] - start + 1
-            head, middle, tail = matrix[at:end].tobytes().translate(None, b"\0").rsplit(b"null", 2)
-            yield from (head, offsets[k], middle, valid[k], tail)
-            at = end
-        yield matrix[at:].tobytes().translate(None, b"\0")
+            at = 4 * (pos[k] - start)
+            parts[at + 2] = parts[at + 2].replace(b"null", offsets[k], 1)
+            parts[at + 4] = parts[at + 4].replace(b"null", valid[k], 1)
+        yield b"".join(parts)
+        lead = b""
 
 
 def _positive_texts(scaled: np.ndarray, valid: np.ndarray) -> tuple[list[bytes], list[bytes]]:

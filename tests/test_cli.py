@@ -151,6 +151,18 @@ class TestSynth:
         _assert_named_error(capsys, code, name)
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--kind", "contours", "--jitter", "5", "--dropout", "3"], "--jitter"),
+        (["--kind", "contours", "--prototypes", "2"], "--prototypes"),
+        (["--kind", "poses", "--vertex-range", "1", "0"], "--vertex-range"),
+        (["--kind", "poses", "--convex"], "--convex"),
+    ], ids=["jitter-contours", "prototypes-contours", "vertex-range-poses", "convex-poses"])
+    def test_flag_of_the_other_kind_is_named(self, tmp_path, capsys, flags, name):
+        out = tmp_path / "c.json"
+        code = main(["synth", "--count", "2", *flags, "--out", str(out)])
+        _assert_named_error(capsys, code, name)
+        assert not out.exists()
+
     def test_vertex_range_of_one_count_draws_that_count(self, tmp_path):
         out = _synth(tmp_path, "c.json", "--vertex-range", "3", "3")
         polygons = [a["segmentation"][0] for a in json.loads(out.read_text())["annotations"]]
@@ -459,6 +471,18 @@ class TestCoverage:
         code = main(["coverage", "--annotations", str(ann), "--seed", "-1", "--out", str(out)])
         _assert_named_error(capsys, code, "seed must be >= 0, got -1")
         assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_k_below_1_exit_1(self, tmp_path, capsys, k):
+        ann = _synth_poses(tmp_path, "poses.json", "--jitter", "1.5")
+        capsys.readouterr()
+        out = tmp_path / "coverage.json"
+        code = main(["coverage", "--annotations", str(ann), "--k", k, "--out", str(out)])
+        _assert_named_error(capsys, code, f"k must be >= 1, got {k}")
+        assert not out.exists()
+        assert main(["coverage", "--annotations", str(ann), "--k", "1", "--out", str(out)]) == 0
+        names = [r["name"] for r in json.loads(out.read_text())["reports"]]
+        assert names == ["center-point", "rectangle", "mean-pose"]
 
     def test_does_not_import_numpy_ma(self, tmp_path):
         # numpy.ma is a lazy import of about 12 ms that coverage has no use for

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -26,6 +27,7 @@ from pointset_anchors.assignment import (
     OksParams,
     SIMILARITY_IOU,
     SIMILARITY_OKS,
+    assign_arrays,
     oks,
     oks_matrix,
 )
@@ -46,6 +48,7 @@ from pointset_anchors.pipeline import (
     TargetConfig,
     _gt_scale,
     _image_similarity,
+    _match_positives,
     _positive_texts,
     _render_image,
     coverage_report,
@@ -243,6 +246,20 @@ def _target_images(draw):
     return rows, step, draw(st.integers(1, 3))
 
 
+def _example_image(labels, gts, step):
+    """An image of one line per (label, gt), rendered ``step`` lines at a
+    time; each positive has two points."""
+    rows = []
+    for i, (label, gt) in enumerate(zip(labels, gts)):
+        row = {"image": 9, "level": i % 3, "row": i // 3, "col": 2 * i, "slot": i % 2,
+               "label": label, "gt": gt, "sim": (0.0, -0.0, 1.0 / 3.0)[i % 3]}
+        if label > 0:
+            row["scaled"] = np.array([[0.5 * i, -0.0], [1e-300, -1.5]])
+            row["valid"] = np.array([True, False])
+        rows.append(row)
+    return rows, step, 1
+
+
 def _render(rows, batch_count=1):
     """Render oracle rows as one image, the positives' texts made in
     ``batch_count`` batches of scattered positives; ``emit_targets`` makes
@@ -438,11 +455,46 @@ class TestEmitTargets:
         assert _render([row]).decode() == brute_target_line(**row)
 
     @given(_target_images())
+    @example(_example_image([0, 2, 0, 0], [-1, 0, -1, -1], step=2))  # a step's last line
+    @example(_example_image([0, 0, 1], [-1, -1, 0], step=2))  # the image's last line
+    @example(_example_image([0, 1, 3, 0], [-1, 0, 1, -1], step=4))  # adjacent positives
+    @example(_example_image([0, -1, 0], [2, 1, -1], step=3))  # a gt without a positive label
+    @example(_example_image([-1, 0], [-1, -1], step=1))  # an ignore without a gt
     def test_image_renderer_matches_dict_oracle(self, case):
         rows, step, batch_count = case
         with mock.patch.object(pipeline, "RENDER_LINES", step):
             lines = _render(rows, batch_count).decode().splitlines(keepends=True)
         assert lines == [brute_target_line(**row) for row in rows]
+
+    def test_render_working_set_is_bounded(self, monkeypatch):
+        # a 640 x 640 image on the default pyramid: 76,725 lines, about 10 MB of text
+        records = generate_synthetic_corpus(CORPUS_CONTOURS, 1, seed=4, image_size=(640, 640))
+        config = TargetConfig()
+        grid = generate_grid(config.pyramid, (640, 640), MASK_MODE)
+        sim = _image_similarity(grid, records, TASK_MASK, config.oks_params)
+        labels, matched, best = assign_arrays(sim, config.hi, config.lo, False, [1])
+        columns = (*grid.index_columns(), labels, matched, best)
+        pos = np.flatnonzero(labels > 0)
+        texts = _match_positives(grid, records, pos, columns[0][pos], matched[pos], config)
+
+        def render():
+            """(bytes yielded, tracemalloc peak) of consuming the image's pieces."""
+            tracemalloc.start()
+            try:
+                size = sum(map(len, _render_image(records[0].image_id, columns, pos, *texts)))
+                return size, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        size, peak = render()
+        assert grid.num_anchors == 76725 and len(pos) > 0 and size > 9_000_000
+        bound = size // 2
+        assert peak < bound
+        # the bound catches a renderer that joins the whole image at once
+        monkeypatch.setattr(pipeline, "RENDER_LINES", grid.num_anchors)
+        whole_size, whole_peak = render()
+        assert whole_size == size and whole_peak > bound
+
 
 class TestImageSimilarityRoutes:
     def test_pose_route_matches_plain_oks_matrix(self):
