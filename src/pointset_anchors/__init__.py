@@ -15,8 +15,8 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "anchors": "DEFAULT_ASPECT_RATIOS DEFAULT_LEVELS DEFAULT_OCTAVE_SCALES DEFAULT_POSE_ROTATIONS"
                " DEFAULT_POSE_SCALES MASK_MODE NUM_JOINTS POSE_MODE POSE_ROTATIONS_FIVE"
-               " POSE_SCALES_FIVE AnchorGrid PyramidConfig generate_grid load_config_document"
-               " sample_box_perimeters",
+               " POSE_SCALES_FIVE TASK_SEGMENTATION AnchorGrid PyramidConfig generate_grid"
+               " head_output_dims load_config_document sample_box_perimeters",
     "assignment": "COCO_KAPPAS COCO_SIGMAS LABEL_IGNORE LABEL_NEGATIVE SCALE_FROM_BBOX_AREA"
                   " SCALE_FROM_SEGMENT_AREA SIMILARITY_IOU SIMILARITY_OKS THRESHOLD_PRESETS"
                   " OksParams assign_arrays oks oks_lattice oks_matrix refine_pose_anchors"
@@ -28,8 +28,7 @@ _EXPORTS = {
     "geometry": "Box Contour box_iou_matrix points_in_polygon rasterized_mask_iou signed_area"
                 " transform_points",
     "losses": "FOCAL_ALPHA FOCAL_GAMMA LAMBDA_POSE LAMBDA_SEGMENTATION TASK_POSE"
-              " TASK_SEGMENTATION LossBreakdown LossInputs balance_for_task focal_loss"
-              " head_output_dims total_loss",
+              " LossBreakdown LossInputs balance_for_task focal_loss total_loss",
     "matching": "CORNER_PROJECTION NEAREST_LINE NEAREST_POINT STRATEGIES match_points"
                 " match_pose_points point_offsets",
     "pipeline": "TASK_MASK TASK_POSE_TARGETS CoverageConfig CoverageReport TargetConfig"

@@ -7,7 +7,9 @@ placing a canonical pose at a location and applying a scale/rotation variant
 about its joint centroid. ``generate_grid`` tiles either kind over a feature
 pyramid: one anchor set per (level, row, col, slot). Both kinds are held in
 one form, a ``LevelGrid`` per level: a per-slot template of points about the
-location centre (box corners, or joints), placed at every location.
+location centre (box corners, or joints), placed at every location. The
+head output shapes of each family's per-location anchors, ``head_output_dims``,
+are stated here too.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,7 @@ DEFAULT_POSE_ROTATIONS = POSE_ROTATIONS_FIVE[1:4]
 
 MASK_MODE = "mask"
 POSE_MODE = "pose"
+TASK_SEGMENTATION = "instance-segmentation"
 
 
 def sample_box_perimeters(boxes, n: int) -> tuple[np.ndarray, tuple[int, int, int, int]]:
@@ -108,17 +110,20 @@ class PyramidConfig:
         if not levels:
             raise PointSetError("config needs at least one pyramid level")
         strides = [s for s, _ in levels]
-        if any(s <= 0 or b <= 0 for s, b in levels):
-            raise NonPositiveScaleError("strides and base scales must be > 0")
+        if not all(math.isfinite(v) and v > 0 for level in levels for v in level):
+            raise NonPositiveScaleError("levels: strides and base scales must be finite and > 0")
         if any(b <= a for a, b in zip(strides, strides[1:])):
             raise PointSetError(f"strides must be strictly increasing, got {strides}")
         for name in ("octave_scales", "aspect_ratios", "pose_scales"):
             vals = tuple(float(v) for v in getattr(self, name))
-            if not vals or any(v <= 0 for v in vals):
-                raise NonPositiveScaleError(f"{name} must be non-empty and > 0")
+            if not (vals and all(math.isfinite(v) and v > 0 for v in vals)):
+                raise NonPositiveScaleError(f"{name} must be non-empty, finite and > 0")
             object.__setattr__(self, name, vals)
+        rotations = tuple(float(r) for r in self.pose_rotations)
+        if not (rotations and all(map(math.isfinite, rotations))):
+            raise PointSetError("pose_rotations must be non-empty and finite")
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "pose_rotations", tuple(float(r) for r in self.pose_rotations))
+        object.__setattr__(self, "pose_rotations", rotations)
         if self.num_points < 4 or self.num_points % 4:
             raise BadPointCountError(f"num_points must be a multiple of 4, got {self.num_points}")
 
@@ -149,6 +154,33 @@ class PyramidConfig:
             "pose_rotations": numbers, "num_points": (lambda v: type(v) is int, "an integer"),
         }, "pyramid")
         return cls(**data)
+
+
+def head_output_dims(task: str, num_anchors: int, num_classes: int | None = None,
+                     num_points: int | None = None) -> dict[str, tuple[int, int] | None]:
+    """Per-location head output shapes for K anchors.
+
+    Instance segmentation: classification (K, C), shape regression (K, 2n),
+    box regression (K, 4). Pose: classification (K, 2), shape regression
+    (K, 34), no box branch.
+    """
+    if num_anchors < 1:
+        raise PointSetError(f"num_anchors must be >= 1, got {num_anchors}")
+    if task == TASK_SEGMENTATION:
+        if num_classes is None or num_points is None:
+            raise PointSetError("segmentation dims need num_classes and num_points")
+        return {
+            "classification": (num_anchors, num_classes),
+            "shape_regression": (num_anchors, 2 * num_points),
+            "box_regression": (num_anchors, 4),
+        }
+    if task == POSE_MODE:
+        return {
+            "classification": (num_anchors, 2),
+            "shape_regression": (num_anchors, 2 * NUM_JOINTS),
+            "box_regression": None,
+        }
+    raise PointSetError(f"unknown task {task!r}")
 
 
 def load_config_document(path) -> dict:
@@ -275,15 +307,12 @@ def _box_templates(config: PyramidConfig, base_scale: float) -> np.ndarray:
     return np.stack([-half, half], axis=1)
 
 
-def _pose_templates(config: PyramidConfig, base_scale: float, modes: np.ndarray) -> np.ndarray:
-    """Joints about their centroid per (mode, scale, rotation) slot."""
-    templates = []
-    for mode in modes:
-        scaled = mode * base_scale
-        centred = scaled - scaled.mean(axis=0)
-        templates += [transform_points(centred, (0.0, 0.0), r, s)
-                      for s in config.pose_scales for r in config.pose_rotations]
-    return np.stack(templates)
+def _pose_templates(config: PyramidConfig, modes: np.ndarray) -> np.ndarray:
+    """(levels, slots, 17, 2): joints about their centroid per (mode, scale, rotation) slot."""
+    scaled = np.multiply.outer([base_scale for _, base_scale in config.levels], modes)
+    variants = transform_points(scaled - scaled.mean(axis=2, keepdims=True), (0.0, 0.0),
+                                config.pose_rotations, np.array(config.pose_scales)[:, None])
+    return np.moveaxis(variants, (0, 1), (2, 3)).reshape(len(config.levels), -1, NUM_JOINTS, 2)
 
 
 def generate_grid(config: PyramidConfig, image_size, mode: str = MASK_MODE,
@@ -305,19 +334,19 @@ def generate_grid(config: PyramidConfig, image_size, mode: str = MASK_MODE,
     A grid over ``MAX_IMAGE_ANCHORS`` anchors is rejected before any per-anchor array exists.
     """
     if mode == MASK_MODE:
-        templates = partial(_box_templates, config)
+        templates = [_box_templates(config, base_scale) for _, base_scale in config.levels]
     elif mode == POSE_MODE:
         if canonical_poses is None:
             raise MissingCanonicalPosesError("pose grids need canonical_poses")
         modes = joint_array(canonical_poses, (None, NUM_JOINTS, 2), "canonical_poses")
         if not (len(modes) and np.isfinite(modes).all()):
             raise PointSetError("canonical_poses must be k >= 1 finite poses")
-        templates = partial(_pose_templates, config, modes=modes)
+        templates = _pose_templates(config, modes)
     else:
         raise PointSetError(f"unknown grid mode: {mode!r}")
     grid = AnchorGrid(mode, tuple(
-        LevelGrid(i, stride, *_feature_shape(image_size, stride), templates(base_scale))
-        for i, (stride, base_scale) in enumerate(config.levels)))
+        LevelGrid(i, stride, *_feature_shape(image_size, stride), templates[i])
+        for i, (stride, _) in enumerate(config.levels)))
     if grid.num_anchors > MAX_IMAGE_ANCHORS:
         raise PointSetError(f"its {image_size[0]} x {image_size[1]} grid would hold"
                             f" {grid.num_anchors} anchors, over the budget of {MAX_IMAGE_ANCHORS}")

@@ -187,25 +187,29 @@ def rasterized_mask_iou(a: Contour, b: Contour, resolution: int = 512) -> float:
     return inter / union
 
 
-def transform_points(points, center, angle_degrees: float, scale: float) -> np.ndarray:
+def transform_points(points, center, angle_degrees, scale) -> np.ndarray:
     """Rotate then uniformly scale points about ``center``.
 
     The rotation is the standard shoelace-consistent one: at 90 degrees the
-    point (1, 0) maps to (0, 1) about the origin. Returns a float64 array of
-    the same point order.
+    point (1, 0) maps to (0, 1) about the origin. ``angle_degrees`` and
+    ``scale`` broadcast to a variant shape V; the float64 result has shape V +
+    the points' shape, each variant the bytes of a call with its one angle and scale.
     """
-    if not (math.isfinite(scale) and scale > 0.0):
+    angles, scales = np.asarray(angle_degrees, dtype=float), np.asarray(scale, dtype=float)
+    if not (np.isfinite(scales) & (scales > 0.0)).all():
         raise NonPositiveScaleError(f"scale must be finite and > 0, got {scale}")
     pts = np.asarray(points, dtype=float)
-    squeeze = pts.ndim == 1
-    pts = np.atleast_2d(pts)
+    if pts.shape[-1:] != (2,):
+        raise PointSetError(f"points must be (x, y) pairs, got shape {pts.shape}")
     cx, cy = float(center[0]), float(center[1])
     if not (math.isfinite(cx) and math.isfinite(cy)):
         raise PointSetError(f"center must be finite, got ({cx}, {cy})")
-    theta = math.radians(angle_degrees)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    rel = pts - (cx, cy)
-    out = np.empty_like(rel)
-    out[:, 0] = (rel[:, 0] * cos_t - rel[:, 1] * sin_t) * scale + cx
-    out[:, 1] = (rel[:, 0] * sin_t + rel[:, 1] * cos_t) * scale + cy
-    return out[0] if squeeze else out
+    if not np.isfinite(angles).all():
+        raise PointSetError(f"angle_degrees must be finite, got {angle_degrees}")
+    tail = (1,) * (pts.ndim - 1)   # variant axes lead, point axes follow
+    cos_t, sin_t = (np.reshape([f(math.radians(a)) for a in angles.ravel().tolist()],
+                               angles.shape + tail) for f in (math.cos, math.sin))
+    scales = scales.reshape(scales.shape + tail)
+    x, y = np.moveaxis(pts - (cx, cy), -1, 0)
+    return np.stack([(x * cos_t - y * sin_t) * scales + cx,
+                     (x * sin_t + y * cos_t) * scales + cy], axis=-1)

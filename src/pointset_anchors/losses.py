@@ -1,4 +1,4 @@
-"""Reference loss math and head output dimensions.
+"""Reference loss math.
 
 The total objective is
 
@@ -7,7 +7,8 @@ The total objective is
 where L_cls is the focal loss over per-class probabilities, L_reg is the
 per-coordinate L1 over valid offsets of positive anchors, and N_pos counts the
 positive anchors. These are plain-numpy reference formulas, not a training
-loop.
+loop. The head output dimensions (``head_output_dims``) and the task names
+live in ``anchors``, beside the anchor families; this module binds them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .anchors import POSE_MODE
+from . import anchors
 from .errors import LengthMismatchError, NonPositiveScaleError, PointSetError
 
 FOCAL_ALPHA = 0.25
@@ -27,8 +28,9 @@ EPSILON = 1e-12
 LAMBDA_SEGMENTATION = 0.1
 LAMBDA_POSE = 10.0
 
-TASK_SEGMENTATION = "instance-segmentation"
-TASK_POSE = POSE_MODE
+TASK_SEGMENTATION = anchors.TASK_SEGMENTATION
+TASK_POSE = anchors.POSE_MODE
+head_output_dims = anchors.head_output_dims
 
 
 def balance_for_task(task: str) -> float:
@@ -148,30 +150,3 @@ def total_loss(inputs: LossInputs) -> LossBreakdown:
     residual = np.abs(inputs.reg_preds - inputs.reg_targets)
     loss_reg = inputs.balance * float(residual[mask].sum()) / denom
     return LossBreakdown(loss_cls, loss_reg, loss_cls + loss_reg)
-
-
-def head_output_dims(task: str, num_anchors: int, num_classes: int | None = None,
-                     num_points: int | None = None) -> dict[str, tuple[int, int] | None]:
-    """Per-location head output shapes for K anchors.
-
-    Instance segmentation: classification (K, C), shape regression (K, 2n),
-    box regression (K, 4). Pose: classification (K, 2), shape regression
-    (K, 34), no box branch.
-    """
-    if num_anchors < 1:
-        raise PointSetError(f"num_anchors must be >= 1, got {num_anchors}")
-    if task == TASK_SEGMENTATION:
-        if num_classes is None or num_points is None:
-            raise PointSetError("segmentation dims need num_classes and num_points")
-        return {
-            "classification": (num_anchors, num_classes),
-            "shape_regression": (num_anchors, 2 * num_points),
-            "box_regression": (num_anchors, 4),
-        }
-    if task == TASK_POSE:
-        return {
-            "classification": (num_anchors, 2),
-            "shape_regression": (num_anchors, 34),
-            "box_regression": None,
-        }
-    raise PointSetError(f"unknown task {task!r}")

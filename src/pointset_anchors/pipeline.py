@@ -22,9 +22,11 @@ from .anchors import (
     MASK_MODE,
     NUM_JOINTS,
     POSE_MODE,
+    TASK_SEGMENTATION,
     AnchorGrid,
     PyramidConfig,
     generate_grid,
+    head_output_dims,
     sample_box_perimeters,
 )
 from .assignment import (
@@ -49,7 +51,6 @@ from .errors import (
     is_numbers,
 )
 from .geometry import box_iou_matrix, signed_area
-from .losses import TASK_POSE, TASK_SEGMENTATION, head_output_dims
 
 TARGET_FORMAT = "point-set-targets"
 TARGET_VERSION = 1
@@ -368,15 +369,11 @@ def _fill(template: bytes, count: int, values) -> list[bytes]:
 
 
 def _header_dims(config: TargetConfig, canonical_poses) -> dict:
+    pyramid = config.pyramid
     if config.task == TASK_MASK:
-        return head_output_dims(
-            TASK_SEGMENTATION,
-            config.pyramid.mask_anchors_per_location,
-            num_classes=config.num_classes,
-            num_points=config.pyramid.num_points,
-        )
-    per_location = config.pyramid.pose_anchors_per_location(len(canonical_poses))
-    return head_output_dims(TASK_POSE, per_location)
+        return head_output_dims(TASK_SEGMENTATION, pyramid.mask_anchors_per_location,
+                                num_classes=config.num_classes, num_points=pyramid.num_points)
+    return head_output_dims(POSE_MODE, pyramid.pose_anchors_per_location(len(canonical_poses)))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -139,6 +139,21 @@ class TestPyramidConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(PointSetError):
             PyramidConfig.from_dict({"stride": 8})
+
+    @pytest.mark.parametrize("kwargs, error, name", [
+        ({"levels": ((float("nan"), 32.0),)}, NonPositiveScaleError, "levels"),
+        ({"levels": ((8.0, 32.0), (16.0, float("inf")))}, NonPositiveScaleError, "levels"),
+        ({"octave_scales": (1.0, float("inf"))}, NonPositiveScaleError, "octave_scales"),
+        ({"aspect_ratios": (float("nan"),)}, NonPositiveScaleError, "aspect_ratios"),
+        ({"pose_scales": (float("inf"),)}, NonPositiveScaleError, "pose_scales"),
+        ({"pose_rotations": (float("inf"),)}, PointSetError, "pose_rotations"),
+        ({"pose_rotations": (0.0, float("nan"))}, PointSetError, "pose_rotations"),
+        ({"pose_rotations": ()}, PointSetError, "pose_rotations"),
+    ], ids=["stride-nan", "base-inf", "octave-inf", "aspect-nan", "pose-scale-inf",
+            "rotation-inf", "rotation-nan", "no-rotations"])
+    def test_non_finite_or_empty_variants_are_named(self, kwargs, error, name):
+        with pytest.raises(error, match=name):
+            PyramidConfig(**kwargs)
 
     def test_strides_must_increase(self):
         with pytest.raises(PointSetError):
@@ -312,8 +327,30 @@ def _grid_cases(draw):
     return config, size, mode, modes
 
 
+class _DrawFirstAnchor:
+    """Stands in for ``st.data()`` in an ``@example``: its one draw picks anchor 0."""
+
+    @staticmethod
+    def draw(strategy):
+        return [0]
+
+
+_ONE_LEVEL = ((8.0, 32.0),)
+_RAMP_MODES = np.linspace(-1.0, 1.0, 2 * NUM_JOINTS * 2).reshape(2, NUM_JOINTS, 2)
+
+
 class TestGridOracle:
     @given(case=_grid_cases(), data=st.data())
+    # the ladder's all-zero center-point mode
+    @example(case=(PyramidConfig(levels=_ONE_LEVEL), (24, 16), POSE_MODE,
+                   np.zeros((1, NUM_JOINTS, 2))), data=_DrawFirstAnchor())
+    # rotations a quarter and a half turn away
+    @example(case=(PyramidConfig(levels=_ONE_LEVEL, pose_rotations=(-90.0, 180.0)), (16, 16),
+                   POSE_MODE, _RAMP_MODES[:1]), data=_DrawFirstAnchor())
+    # 2 modes x 3 scales: slots run (mode, scale, rotation)
+    @example(case=(PyramidConfig(levels=((8.0, 32.0), (16.0, 48.0)), pose_scales=(0.5, 1.0, 2.0),
+                                 pose_rotations=(-0.0, 30.0)), (20, 12), POSE_MODE, _RAMP_MODES),
+             data=_DrawFirstAnchor())
     def test_stacks_match_one_anchor_at_a_time(self, case, data):
         config, size, mode, modes = case
         expected = brute_grid_anchors(config, size, mode, modes)

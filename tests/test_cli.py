@@ -388,6 +388,25 @@ class TestDocumentErrors:
         _assert_named_error(capsys, code, *names)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["targets", "coverage"])
+    @pytest.mark.parametrize("text, name", [
+        ('{"pyramid": {"levels": [[NaN, 32.0]]}}', "levels"),
+        ('{"pyramid": {"pose_rotations": [Infinity]}}', "pose_rotations"),
+        ('{"pyramid": {"pose_rotations": []}}', "pose_rotations"),
+        ('{"pyramid": {"octave_scales": [Infinity]}}', "octave_scales"),
+    ], ids=["stride-nan", "rotation-inf", "no-rotations", "octave-inf"])
+    def test_non_finite_or_empty_pyramid_variant(self, tmp_path, capsys, command, text, name):
+        # json reads NaN and Infinity; the pyramid names the field before any grid is made
+        ann = (_synth if command == "targets" else _synth_poses)(tmp_path, "a.json")
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = main([command, "--annotations", str(ann), "--config", str(config),
+                     "--out", str(out)])
+        _assert_named_error(capsys, code, name)
+        assert not out.exists()
+
     @pytest.mark.parametrize("doc, name", [
         ({}, "'modes'"),
         ({"k": "x"}, "'x'"),
@@ -643,6 +662,19 @@ class TestLoadedModules:
                                             f"assert main({argv!r}) == 0")
             assert "pointset_anchors.cli" in loaded
             assert not loaded & {"pointset_anchors.codec", "pointset_anchors.synthetic"}, argv
+            # nor losses: the header's head dims live in anchors
+            assert "pointset_anchors.losses" not in loaded, argv
+
+    def test_head_output_dims_is_one_object_homed_in_anchors(self, tmp_path):
+        import pointset_anchors
+        from pointset_anchors import anchors, losses
+
+        assert pointset_anchors.head_output_dims is losses.head_output_dims
+        assert losses.head_output_dims is anchors.head_output_dims
+        assert pointset_anchors.TASK_SEGMENTATION is losses.TASK_SEGMENTATION
+        loaded = self._loaded(tmp_path, "import pointset_anchors\n"
+                                        "pointset_anchors.head_output_dims")
+        assert "pointset_anchors.anchors" in loaded and "pointset_anchors.losses" not in loaded
 
     def test_synth_loads_synthetic(self, tmp_path):
         argv = ["synth", "--kind", "poses", "--count", "2", "--out", "p.json"]

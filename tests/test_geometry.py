@@ -1,7 +1,11 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pointset_anchors.errors import (
     DegenerateBoxError,
@@ -188,6 +192,45 @@ class TestTransformPoints:
         for center in ((float("nan"), 0.0), (0.0, float("inf"))):
             with pytest.raises(PointSetError):
                 transform_points((1.0, 1.0), center, 0.0, 1.0)
+
+    @given(angles=st.lists(st.floats(-720.0, 720.0) | st.sampled_from([-0.0, 90.0, -90.0, 180.0]),
+                           min_size=1, max_size=4),
+           scales=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3),
+           points=hnp.arrays(float, st.sampled_from([(2,), (3, 2)]), elements=st.floats(-1e3, 1e3)),
+           center=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+    @example(angles=[-0.0, 90.0, -90.0, 180.0], scales=[1.0, 0.5], points=np.array([2.0, -3.0]),
+             center=(0.0, 0.0))
+    @example(angles=[-0.0, 90.0, -90.0, 180.0], scales=[1.5],
+             points=np.array([[1.0, 0.0], [-0.0, -2.5], [3.0, 4.0]]), center=(1.0, -1.0))
+    def test_array_call_is_each_scalar_call(self, angles, scales, points, center):
+        out = transform_points(points, center, np.array(angles)[:, None], np.array(scales))
+        assert out.shape == (len(angles), len(scales)) + points.shape
+        for (i, angle), (j, scale) in itertools.product(enumerate(angles), enumerate(scales)):
+            one = transform_points(points, center, angle, scale)
+            assert out[i, j].tobytes() == one.tobytes()
+            # the scalar call is the rotate-then-scale formula, one point at a time
+            theta = math.radians(angle)
+            cos_t, sin_t = math.cos(theta), math.sin(theta)
+            formula = [(((x - center[0]) * cos_t - (y - center[1]) * sin_t) * scale + center[0],
+                        ((x - center[0]) * sin_t + (y - center[1]) * cos_t) * scale + center[1])
+                       for x, y in points.reshape(-1, 2).tolist()]
+            assert one.tobytes() == np.array(formula).reshape(points.shape).tobytes()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_any_bad_scale_in_an_array_is_rejected(self, bad):
+        with pytest.raises(NonPositiveScaleError, match="scale must be finite and > 0"):
+            transform_points((1.0, 1.0), (0.0, 0.0), [0.0, 10.0], [[1.0], [bad], [2.0]])
+
+    @pytest.mark.parametrize("points", [1.0, (1.0, 2.0, 3.0), np.zeros((4, 3)), np.zeros((2, 1))])
+    def test_points_without_an_xy_axis_are_named(self, points):
+        with pytest.raises(PointSetError, match="points must be"):
+            transform_points(points, (0.0, 0.0), 0.0, 1.0)
+
+    @pytest.mark.parametrize("angle", [float("nan"), float("inf"), -float("inf"),
+                                       [0.0, float("inf")]])
+    def test_non_finite_angle_is_named(self, angle):
+        with pytest.raises(PointSetError, match="angle_degrees must be finite"):
+            transform_points((1.0, 1.0), (0.0, 0.0), angle, 1.0)
 
     @given(angle=st.floats(min_value=-360.0, max_value=360.0, allow_nan=False))
     def test_rotation_preserves_distance_to_center(self, angle):
