@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    MAX_MAGNITUDE,
     BadPointCountError,
     DegenerateBoxError,
     JointCountMismatchError,
@@ -331,7 +332,8 @@ def generate_grid(config: PyramidConfig, image_size, mode: str = MASK_MODE,
             center, then each (scale, rotation) variant is applied about the
             centroid.
 
-    A grid over ``MAX_IMAGE_ANCHORS`` anchors is rejected before any per-anchor array exists.
+    A grid over ``MAX_IMAGE_ANCHORS`` anchors, or whose anchor points would
+    lie beyond ``MAX_MAGNITUDE``, is rejected before any per-anchor array exists.
     """
     if mode == MASK_MODE:
         templates = [_box_templates(config, base_scale) for _, base_scale in config.levels]
@@ -341,7 +343,8 @@ def generate_grid(config: PyramidConfig, image_size, mode: str = MASK_MODE,
         modes = joint_array(canonical_poses, (None, NUM_JOINTS, 2), "canonical_poses")
         if not (len(modes) and np.isfinite(modes).all()):
             raise PointSetError("canonical_poses must be k >= 1 finite poses")
-        templates = _pose_templates(config, modes)
+        with np.errstate(over="ignore", invalid="ignore"):   # rejected by the reach below
+            templates = _pose_templates(config, modes)
     else:
         raise PointSetError(f"unknown grid mode: {mode!r}")
     grid = AnchorGrid(mode, tuple(
@@ -350,4 +353,8 @@ def generate_grid(config: PyramidConfig, image_size, mode: str = MASK_MODE,
     if grid.num_anchors > MAX_IMAGE_ANCHORS:
         raise PointSetError(f"its {image_size[0]} x {image_size[1]} grid would hold"
                             f" {grid.num_anchors} anchors, over the budget of {MAX_IMAGE_ANCHORS}")
+    reach = max(max(lv.rows, lv.cols) * lv.stride + abs(lv.templates).max() for lv in grid.levels)
+    if not reach <= MAX_MAGNITUDE:
+        what = "the pyramid" if mode == MASK_MODE else "the pyramid and pose modes"
+        raise PointSetError(f"{what} put anchor points {reach:.3g} px out, beyond 2**500")
     return grid

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matching
-from .anchors import PyramidConfig, load_config_document
+from .anchors import load_config_document
 from .assignment import SIMILARITY_IOU, SIMILARITY_OKS
 from .datasets import (CORPUS_CONTOURS, CORPUS_POSES, ParseResult, min_pose_image_side,
                        parse_annotations)
@@ -69,13 +69,13 @@ def _normalized_poses(result: ParseResult):
     return poses
 
 
-# synth's flags of each corpus kind: the generator parameter each sets and
-# its value when the flag is not given (None leaves the generator's own).
-# The parser's defaults are None, so a flag of the other kind can be named.
+# synth's flags of each corpus kind and the generator parameter each sets.
+# The parser's defaults are None, so a flag of the other kind can be named;
+# a flag not given is not passed, and the generator's own default holds.
 _SYNTH_FLAGS = {
-    CORPUS_CONTOURS: {"convex": ("convex", None), "vertex_range": ("vertex_range", None)},
-    CORPUS_POSES: {"jitter": ("jitter", 0.0), "dropout": ("dropout", 0.0),
-                   "truncation": ("truncation", 0.0), "prototypes": ("n_prototypes", 1)},
+    CORPUS_CONTOURS: {"convex": "convex", "vertex_range": "vertex_range"},
+    CORPUS_POSES: {"jitter": "jitter", "dropout": "dropout", "truncation": "truncation",
+                   "prototypes": "n_prototypes"},
 }
 
 
@@ -87,13 +87,9 @@ def _cmd_synth(args) -> int:
         given = [name for name in flags if getattr(args, name) is not None]
         if kind != args.kind and given:
             raise PointSetError(f"--{given[0].replace('_', '-')} applies only to --kind {kind}")
-    difficulty = {}
-    for name, (parameter, default) in _SYNTH_FLAGS[args.kind].items():
-        value = getattr(args, name)
-        if value is None:
-            value = default
-        if value is not None:
-            difficulty[parameter] = value
+    difficulty = {parameter: getattr(args, name)
+                  for name, parameter in _SYNTH_FLAGS[args.kind].items()
+                  if getattr(args, name) is not None}
     records = generate_synthetic_corpus(
         args.kind, args.count, seed=args.seed,
         image_size=tuple(args.image_size),
@@ -115,16 +111,19 @@ def _cmd_modes(args) -> int:
     return 0
 
 
+def _target_config(args, **flags) -> TargetConfig:
+    """The --config document with the ``flags`` that are not None put over it, read
+    as one config, so the hi/lo presets follow the final task."""
+    document = load_config_document(args.config) if args.config else {}
+    document.update((key, value) for key, value in flags.items() if value is not None)
+    return TargetConfig.from_dict(document)
+
+
 def _cmd_targets(args) -> int:
     result = parse_annotations(args.annotations)
     _report_parse_stats(result)
-    # Merge the document and CLI flags before constructing, so hi/lo presets
-    # are derived from the final task rather than an intermediate default.
-    document = load_config_document(args.config) if args.config else {}
-    flags = {"task": args.task, "strategy": args.strategy, "hi": args.hi, "lo": args.lo,
-             "force_nearest": args.force_nearest or None}
-    document.update((key, value) for key, value in flags.items() if value is not None)
-    config = TargetConfig.from_dict(document)
+    config = _target_config(args, task=args.task, strategy=args.strategy, hi=args.hi,
+                            lo=args.lo, force_nearest=args.force_nearest or None)
     canonical_poses = None
     if config.task == TASK_POSE_TARGETS:
         if not args.modes:
@@ -135,19 +134,12 @@ def _cmd_targets(args) -> int:
     return 0
 
 
-def _pyramid(args) -> PyramidConfig:
-    """The pyramid of the --config document, else the default one."""
-    if args.config:
-        return TargetConfig.from_dict(load_config_document(args.config)).pyramid
-    return PyramidConfig()
-
-
 def _coverage_ladder(args, poses) -> list[CoverageConfig]:
     # the scale and rotation variants stay on: single-variant grids are too
     # coarse for the degenerate baselines to register at all
     if args.k < 1:
         raise PointSetError(f"k must be >= 1, got {args.k}")
-    pyramid = _pyramid(args)
+    pyramid = _target_config(args).pyramid
     configs = [
         CoverageConfig("center-point", pyramid, TASK_POSE_TARGETS, center_point_shape()[None]),
         CoverageConfig("rectangle", pyramid, TASK_POSE_TARGETS, rectangle_shape()[None]),
@@ -169,7 +161,7 @@ def _cmd_coverage(args) -> int:
         poses = _normalized_poses(result)
         configs = _coverage_ladder(args, poses)
     else:
-        configs = [CoverageConfig("mask-anchors", _pyramid(args), TASK_MASK)]
+        configs = [CoverageConfig("mask-anchors", _target_config(args).pyramid, TASK_MASK)]
     reports = coverage_report(result.records, configs, threshold=args.threshold)
     Path(args.out).write_text(json.dumps(coverage_to_dict(reports), sort_keys=True) + "\n")
     print(render_coverage_table(reports), end="")

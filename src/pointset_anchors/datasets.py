@@ -11,14 +11,14 @@ flagged, never clamped.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .anchors import NUM_JOINTS
-from .errors import DegenerateContourError, MalformedDocumentError, TooFewVerticesError, is_numbers
+from .errors import (MAX_MAGNITUDE, DegenerateContourError, MalformedDocumentError,
+                     TooFewVerticesError, is_numbers)
 from .geometry import Box, Contour, signed_area
 
 # The synthetic corpus kinds and pose figure heights (px), stated here and not
@@ -90,8 +90,8 @@ def _require(condition: bool, context: str, message: str) -> None:
 
 
 def _finite_numbers(value, length=None) -> bool:
-    """Whether ``value`` is a list of finite numbers, of ``length`` when given."""
-    return is_numbers(value, length) and all(map(math.isfinite, value))
+    """Whether ``value`` is a list of numbers of size <= MAX_MAGNITUDE, of ``length`` if given."""
+    return is_numbers(value, length) and all(map(MAX_MAGNITUDE.__ge__, map(abs, value)))
 
 
 def _dedup_consecutive(vertices: np.ndarray) -> np.ndarray:
@@ -110,7 +110,7 @@ def _parse_polygons(segmentation, context: str, stats: ParseStats) -> tuple[Cont
     contours = []
     for poly_idx, flat in enumerate(segmentation):
         _require(_finite_numbers(flat), context,
-                 f"'segmentation' polygon {poly_idx} must be finite numbers")
+                 f"'segmentation' polygon {poly_idx} must be finite numbers of size <= 2**500")
         _require(len(flat) % 2 == 0, context, f"polygon {poly_idx} has an odd value count")
         vertices = np.asarray(flat, dtype=float).reshape(-1, 2)
         vertices = _dedup_consecutive(vertices)
@@ -162,8 +162,8 @@ def parse_annotations(path) -> ParseResult:
         for key in ("id", "width", "height"):
             _require(key in image, context, f"missing key {key!r}")
             _require(type(image[key]) is int, context, f"{key!r} must be an integer")
-        _require(image["width"] > 0 and image["height"] > 0, context,
-                 "width and height must be positive")
+        _require(0 < image["width"] <= MAX_MAGNITUDE and 0 < image["height"] <= MAX_MAGNITUDE,
+                 context, "width and height must be positive and <= 2**500")
         _require(image["id"] not in sizes, context, f"repeats image id {image['id']}")
         sizes[image["id"]] = (image["width"], image["height"])
     result.stats.images = len(sizes)
@@ -194,7 +194,7 @@ def parse_annotations(path) -> ParseResult:
         _require("bbox" in ann, context, "missing key 'bbox'")
         bbox = ann["bbox"]
         _require(_finite_numbers(bbox, 4), context,
-                 "'bbox' must be [x, y, width, height] finite numbers")
+                 "'bbox' must be [x, y, width, height] finite numbers of size <= 2**500")
         x, y, w, h = (float(v) for v in bbox)
         _require(w >= 0 and h >= 0, context, "bbox width/height must be >= 0")
         box = Box(x, y, x + w, y + h)
@@ -207,7 +207,7 @@ def parse_annotations(path) -> ParseResult:
         if "keypoints" in ann:
             flat = ann["keypoints"]
             _require(_finite_numbers(flat, NUM_JOINTS * 3), context,
-                     f"'keypoints' must hold {NUM_JOINTS * 3} finite numbers")
+                     f"'keypoints' must hold {NUM_JOINTS * 3} finite numbers of size <= 2**500")
             keypoints = np.asarray(flat, dtype=float).reshape(NUM_JOINTS, 3)
 
         class_id = ann.get("category_id", 1)

@@ -65,6 +65,11 @@ class NoApplicableRecordsError(PointSetError):
     """No input record carries the annotations the operation needs."""
 
 
+# The largest magnitude of an input number or anchor coordinate: sums and differences
+# of a few stay below 2**503, so squares, areas and sums of squares stay finite.
+MAX_MAGNITUDE = 2.0 ** 500
+
+
 def is_numbers(value, length=None) -> bool:
     """Whether ``value`` is a list of numbers (bools excluded), of ``length`` when given."""
     return (isinstance(value, list) and length in (None, len(value))

@@ -12,7 +12,7 @@ force_nearest on.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +74,8 @@ class _TaskConfig:
 
 @dataclass(frozen=True)
 class TargetConfig(_TaskConfig):
-    """Everything emit_targets needs besides the records themselves."""
+    """Everything emit_targets needs besides the records themselves: ``to_dict``
+    holds every field, and the targets header states it whole."""
 
     pyramid: PyramidConfig = field(default_factory=PyramidConfig)
     task: str = TASK_MASK
@@ -83,7 +84,6 @@ class TargetConfig(_TaskConfig):
     lo: float | None = None
     force_nearest: bool = False
     num_classes: int = 1
-    oks_params: OksParams = field(default_factory=OksParams)
 
     def __post_init__(self):
         self._check_task()
@@ -99,15 +99,8 @@ class TargetConfig(_TaskConfig):
         check_thresholds(self.hi, self.lo)
 
     def to_dict(self) -> dict:
-        return {
-            "pyramid": self.pyramid.to_dict(),
-            "task": self.task,
-            "strategy": self.strategy,
-            "hi": self.hi,
-            "lo": self.lo,
-            "force_nearest": self.force_nearest,
-            "num_classes": self.num_classes,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "pyramid": self.pyramid.to_dict()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "TargetConfig":
@@ -167,7 +160,7 @@ def _grids(grouped, task: str, pyramid: PyramidConfig, canonical_poses) -> dict:
     return grids
 
 
-def _scored_images(grouped, grids, task: str, oks_params: OksParams):
+def _scored_images(grouped, grids, task: str):
     """Score every image's anchors against its eligible gts, in image-id order.
 
     Yields ``(image_id, image_records, gts, grid, sim)``, where ``grid`` is
@@ -179,7 +172,7 @@ def _scored_images(grouped, grids, task: str, oks_params: OksParams):
         gts = [r for r in image_records if _eligible(r, task)]
         grid = grids[image_records[0].image_size]
         if gts:
-            sim = _image_similarity(grid, gts, task, oks_params)
+            sim = _image_similarity(grid, gts, task, DEFAULT_OKS_PARAMS)
         else:
             sim = np.empty((grid.num_anchors, 0))
         yield image_id, image_records, gts, grid, sim
@@ -238,8 +231,7 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
         out.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         summary["lines"] += 1
 
-        for image_id, image_records, gts, grid, sim in _scored_images(
-                grouped, grids, config.task, config.oks_params):
+        for image_id, image_records, gts, grid, sim in _scored_images(grouped, grids, config.task):
             summary["skipped_records"] += len(image_records) - len(gts)
             labels, matched, best = assign_arrays(
                 sim, config.hi, config.lo, config.force_nearest, [g.class_id for g in gts],
@@ -410,8 +402,7 @@ class CoverageReport:
     histogram: tuple[int, ...]   # best similarity per gt, 10 uniform bins on [0, 1]
 
 
-def coverage_report(records, configs, threshold: float = 0.5,
-                    oks_params: OksParams = DEFAULT_OKS_PARAMS) -> list[CoverageReport]:
+def coverage_report(records, configs, threshold: float = 0.5) -> list[CoverageReport]:
     """Measure gt coverage of each anchor configuration over a corpus.
 
     A gt counts as matched when its best anchor similarity (IoU for a mask
@@ -434,7 +425,7 @@ def coverage_report(records, configs, threshold: float = 0.5,
         config, grids = ladder.pop(0)
         best_sims: list[float] = []
         anchor_count = positive = negative = ignore = 0
-        for _, _, _, grid, sim in _scored_images(grouped, grids, config.task, oks_params):
+        for _, _, _, grid, sim in _scored_images(grouped, grids, config.task):
             anchor_count += grid.num_anchors
             best_sims.extend(sim.max(axis=0).tolist())
             labels, _, _ = assign_arrays(sim, threshold, lo, force_nearest=True)

@@ -168,6 +168,14 @@ class TestSynth:
         polygons = [a["segmentation"][0] for a in json.loads(out.read_text())["annotations"]]
         assert {len(polygon) for polygon in polygons} == {6}
 
+    @pytest.mark.parametrize("kind", [CORPUS_CONTOURS, CORPUS_POSES])
+    def test_no_difficulty_flag_leaves_the_generators_defaults(self, tmp_path, kind):
+        out, expected = tmp_path / "cli.json", tmp_path / "library.json"
+        assert main(["synth", "--kind", kind, "--count", "7", "--seed", "2",
+                     "--out", str(out)]) == 0
+        save_corpus(generate_synthetic_corpus(kind, 7, seed=2), expected)
+        assert out.read_bytes() == expected.read_bytes()
+
 
 class TestModes:
     def test_clusters_pose_corpus(self, tmp_path, capsys):
@@ -366,24 +374,33 @@ class TestDocumentErrors:
         _assert_named_error(capsys, code, "annotations[3]", name)
         assert not out.exists()
 
-    @pytest.mark.parametrize("name, text, flags, names", [
-        ("config.json", '{"pyramid": ', [], ["config.json", "not a valid document"]),
-        ("config.yaml", "pyramid: [1, 2", [], ["config.yaml", "not a valid document"]),
-        ("config.json", '{"pyramid": {"levels": [[8]]}}', [], ["'levels'"]),
-        ("config.json", '{"pyramid": {"num_points": "36"}}', [], ["'num_points'"]),
-        ("config.json", '{"hi": "0.5"}', [], ["'hi'"]),
-        ("config.json", '{"hi": 0.3, "lo": 0.5}', [], ["lo=0.5 hi=0.3"]),
-        ("config.json", '{"hi": NaN}', [], ["hi=nan"]),
-        ("config.json", "{}", ["--hi", "0.3", "--lo", "0.5"], ["lo=0.5 hi=0.3"]),
-    ], ids=["invalid-json", "invalid-yaml", "level-pair", "num-points-str", "hi-str",
-            "hi-below-lo", "hi-nan", "hi-below-lo-flags"])
-    def test_bad_config(self, tmp_path, capsys, name, text, flags, names):
-        ann = _synth(tmp_path, "c.json")
+    BAD_CONFIGS = {
+        "invalid-json": ("config.json", '{"pyramid": ', ["config.json", "not a valid document"]),
+        "invalid-yaml": ("config.yaml", "pyramid: [1, 2", ["config.yaml", "not a valid document"]),
+        "level-pair": ("config.json", '{"pyramid": {"levels": [[8]]}}', ["'levels'"]),
+        "num-points-str": ("config.json", '{"pyramid": {"num_points": "36"}}', ["'num_points'"]),
+        "hi-str": ("config.json", '{"hi": "0.5"}', ["'hi'"]),
+        "hi-below-lo": ("config.json", '{"hi": 0.3, "lo": 0.5}', ["lo=0.5 hi=0.3"]),
+        "hi-nan": ("config.json", '{"hi": NaN}', ["hi=nan"]),
+    }
+
+    # targets and coverage read --config through one function, so each bad
+    # document fails both alike; the threshold flags are targets' own
+    @pytest.mark.parametrize("command, name, text, flags, names", [
+        *(pytest.param("targets", name, text, [], names, id=case)
+          for case, (name, text, names) in BAD_CONFIGS.items()),
+        pytest.param("targets", "config.json", "{}", ["--hi", "0.3", "--lo", "0.5"],
+                     ["lo=0.5 hi=0.3"], id="hi-below-lo-flags"),
+        *(pytest.param("coverage", name, text, [], names, id=f"coverage-{case}")
+          for case, (name, text, names) in BAD_CONFIGS.items()),
+    ])
+    def test_bad_config(self, tmp_path, capsys, command, name, text, flags, names):
+        ann = (_synth if command == "targets" else _synth_poses)(tmp_path, "c.json")
         config = tmp_path / name
         config.write_text(text)
         capsys.readouterr()
         out = tmp_path / "t.jsonl"
-        code = main(["targets", "--annotations", str(ann), "--config", str(config),
+        code = main([command, "--annotations", str(ann), "--config", str(config),
                      *flags, "--out", str(out)])
         _assert_named_error(capsys, code, *names)
         assert not out.exists()
@@ -601,6 +618,56 @@ class TestProcessEntry:
         assert written == (tmp_path / "main.out").read_bytes()
         if case != "targets":
             assert hashlib.sha256(written).hexdigest() == TestCoverage.PINNED_DIGESTS[case]
+
+
+def _huge_bbox(doc):
+    doc["annotations"][0]["bbox"] = [10, 10, 1e200, 1e200]
+    doc["annotations"][0]["segmentation"] = [[10, 10, 1e200, 10, 1e200, 1e200, 10, 1e200]]
+
+
+def _huge_keypoint(doc):
+    doc["annotations"][0]["keypoints"][1] = 1e200
+
+
+def _huge_width(doc):
+    doc["images"][0]["width"] = 10 ** 400      # json writes the integer's digits
+
+
+class TestMagnitudeBound:
+    """Numbers too large for the kernels are rejected by name before --out is opened.
+
+    Unbounded, each overflows: a RuntimeWarning and a file of negatives, or a traceback.
+    """
+
+    @pytest.mark.parametrize("command, corpus, pyramid, edit, names", [
+        (["targets"], _synth, {"octave_scales": [1e300]}, None, ["image 1:", "pyramid"]),
+        (["targets"], _synth, {"levels": [[8.0, 1e160]]}, None, ["image 1:", "pyramid"]),
+        (["coverage"], _synth_poses, {"pose_scales": [1e200]}, None, ["image 1:", "pyramid"]),
+        # the templates overflow to inf while they are made, with no warning
+        (["coverage"], _synth_poses, {"pose_scales": [1e308]}, None, ["image 1:", "pyramid"]),
+        (["targets"], _synth, None, _huge_bbox, ["annotations[0]", "'bbox'", "finite numbers"]),
+        (["coverage"], _synth_poses, None, _huge_keypoint,
+         ["annotations[0]", "'keypoints'", "finite numbers"]),
+        (["targets"], _synth, None, _huge_width, ["images[0]", "width"]),
+        (["coverage", "--similarity", "iou"], _synth, None, _huge_width, ["images[0]", "width"]),
+    ], ids=["octave", "level-base", "pose-scale", "pose-scale-inf", "bbox", "keypoint",
+            "width-targets", "width-coverage"])
+    def test_rejected_by_name(self, tmp_path, capsys, command, corpus, pyramid, edit, names):
+        ann = corpus(tmp_path, "a.json")
+        argv = [*command, "--annotations", str(ann)]
+        if edit is not None:
+            doc = json.loads(ann.read_text())
+            edit(doc)
+            ann.write_text(json.dumps(doc))
+        if pyramid is not None:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"pyramid": pyramid}))
+            argv += ["--config", str(config)]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = main([*argv, "--out", str(out)])
+        _assert_named_error(capsys, code, *names, "2**500")
+        assert not out.exists()
 
 
 def _huge_image_corpus(tmp_path):

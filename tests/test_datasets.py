@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pointset_anchors.datasets import InstanceRecord, parse_annotations
-from pointset_anchors.errors import MalformedDocumentError
+from pointset_anchors.errors import MAX_MAGNITUDE, MalformedDocumentError
 from pointset_anchors.geometry import Box, Contour
 
 
@@ -171,13 +171,29 @@ class TestParse:
         ("bbox", [10, 10, float("inf"), 30]),
         ("keypoints", [float("inf")] + [0] * 50),
         ("segmentation", [[10, 10, 40, float("nan"), 40, 40, 10, 40]]),
-    ], ids=["bbox-nan", "bbox-inf", "keypoints-inf", "polygon-nan"])
+        ("bbox", [10, 10, 2.0 ** 501, 30]),
+        ("keypoints", [-(10 ** 400)] + [0] * 50),
+        ("segmentation", [[10, 10, 40, 1e200, 40, 40, 10, 40]]),
+    ], ids=["bbox-nan", "bbox-inf", "keypoints-inf", "polygon-nan", "bbox-huge",
+            "keypoints-huge-int", "polygon-huge"])
     def test_non_finite_field_named(self, tmp_path, field, value):
         ann = {"image_id": 1, "bbox": [10, 10, 30, 30], field: value}
         doc = _doc([{"image_id": 1, "bbox": [0, 0, 5, 5]}, ann])
         with pytest.raises(MalformedDocumentError,
                            match=rf"annotations\[1\]: '{field}'.* finite numbers"):
             parse_annotations(_write(tmp_path, doc))
+
+    def test_numbers_up_to_the_bound_parse(self, tmp_path):
+        doc = _doc([{"image_id": 1, "bbox": [-MAX_MAGNITUDE, 0, MAX_MAGNITUDE, 2 ** 500]}],
+                   images=[{"id": 1, "width": 2 ** 500, "height": 80}])
+        [record] = parse_annotations(_write(tmp_path, doc)).records
+        assert (record.image_size, record.bbox.x_min) == ((2 ** 500, 80), -MAX_MAGNITUDE)
+
+    @pytest.mark.parametrize("key", ["width", "height"])
+    def test_image_side_beyond_the_bound_named(self, tmp_path, key):
+        image = {"id": 1, "width": 100, "height": 80, key: 2 ** 500 + 1}
+        with pytest.raises(MalformedDocumentError, match=r"images\[0\]: width and height"):
+            parse_annotations(_write(tmp_path, _doc([], images=[image])))
 
 
 class TestInstanceRecordHelpers:

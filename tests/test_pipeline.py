@@ -23,6 +23,7 @@ from pointset_anchors.anchors import (
     generate_grid,
 )
 from pointset_anchors.assignment import (
+    DEFAULT_OKS_PARAMS,
     EXP_FLUSH,
     OksParams,
     SIMILARITY_IOU,
@@ -310,6 +311,23 @@ class TestTargetConfig:
         with pytest.raises(PointSetError, match="unknown config keys"):
             TargetConfig.from_dict({"task": TASK_MASK, "ankor": 1})
 
+    @pytest.mark.parametrize("task", [TASK_MASK, TASK_POSE_TARGETS])
+    def test_header_states_every_setting(self, tmp_path, task):
+        # a field the header left out would be a setting no file records
+        pyramid = dataclasses.replace(SMALL_PYRAMID, octave_scales=(1.0, 1.5),
+                                      pose_rotations=(-5.0, 5.0))
+        config = TargetConfig(pyramid=pyramid, task=task, hi=0.7, lo=0.2, force_nearest=True)
+        records = _contour_corpus(count=2) if task == TASK_MASK else _pose_corpus(count=2)
+        out = tmp_path / "targets.jsonl"
+        emit_targets(records, config, out, None if task == TASK_MASK else _modes(records))
+        header = json.loads(out.read_text().splitlines()[0])
+        for kind, value in ((TargetConfig, config), (PyramidConfig, pyramid)):
+            names = {f.name for f in dataclasses.fields(kind)}
+            assert set(value.to_dict()) == names
+            assert kind.from_dict(value.to_dict()) == value
+        assert {f.name for f in dataclasses.fields(TargetConfig)} <= set(header)
+        assert header["pyramid"] == pyramid.to_dict()
+
 
 class TestEmitTargets:
     def test_mask_file_structure(self, tmp_path):
@@ -471,7 +489,7 @@ class TestEmitTargets:
         records = generate_synthetic_corpus(CORPUS_CONTOURS, 1, seed=4, image_size=(640, 640))
         config = TargetConfig()
         grid = generate_grid(config.pyramid, (640, 640), MASK_MODE)
-        sim = _image_similarity(grid, records, TASK_MASK, config.oks_params)
+        sim = _image_similarity(grid, records, TASK_MASK, DEFAULT_OKS_PARAMS)
         labels, matched, best = assign_arrays(sim, config.hi, config.lo, False, [1])
         columns = (*grid.index_columns(), labels, matched, best)
         pos = np.flatnonzero(labels > 0)
