@@ -27,6 +27,11 @@ CORPUS_CONTOURS = "contours"
 CORPUS_POSES = "poses"
 POSE_SCALE_RANGE = (64.0, 160.0)
 
+# How far, in multiples of its bbox's longer side, a visible joint may lie from
+# the bbox centre. Pose normalization divides by that side, so this bounds a
+# normalized joint; a bbox drawn round the person puts every joint within 0.5.
+MAX_JOINT_REACH = 4.0
+
 
 def min_pose_image_side(scale_range=POSE_SCALE_RANGE) -> int:
     """The smallest image side, px, that fits figures up to ``scale_range[1]`` tall.
@@ -209,6 +214,10 @@ def parse_annotations(path) -> ParseResult:
             _require(_finite_numbers(flat, NUM_JOINTS * 3), context,
                      f"'keypoints' must hold {NUM_JOINTS * 3} finite numbers of size <= 2**500")
             keypoints = np.asarray(flat, dtype=float).reshape(NUM_JOINTS, 3)
+            reach = np.abs(keypoints[keypoints[:, 2] > 0, :2] - box.center).max(initial=0.0)
+            _require(reach <= MAX_JOINT_REACH * max(w, h), context,
+                     f"a visible keypoint lies {reach:.6g} px from the bbox centre, over "
+                     f"{MAX_JOINT_REACH:g} x the bbox's longer side ({max(w, h):.6g} px)")
 
         class_id = ann.get("category_id", 1)
         _require(type(class_id) is int, context, "'category_id' must be an integer")

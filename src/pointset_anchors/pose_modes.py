@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,27 +106,40 @@ def _admissible_matrix(poses) -> np.ndarray:
     return np.reshape(rows, (-1, NUM_JOINTS * 2))
 
 
-def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(x: np.ndarray, k: int, seed: int) -> np.ndarray:
+    from .pcg64 import Pcg64    # only k-means compiles the generator
+
+    rng = Pcg64(seed)
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[rng.integers(len(x))]
     d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    total = d2.sum()
+    if not math.isfinite(total):
+        raise PointSetError(f"k-means++ seeding: the poses' squared distances sum to {total}; "
+                            "poses this far apart cannot be clustered")
     for c in range(1, k):
-        total = d2.sum()
         if total > 0.0:
-            idx = rng.choice(len(x), p=d2 / total)
+            # Generator.choice(len(x), p=d2 / total)
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             idx = rng.integers(len(x))
         centroids[c] = x[idx]
         d2 = np.minimum(d2, ((x - centroids[c]) ** 2).sum(axis=1))
+        total = d2.sum()
     return centroids
 
 
 def kmeans_poses(poses, k: int, seed: int = 0, max_iters: int = 100) -> PoseModes:
     """Lloyd k-means over 34-vectors of fully visible normalized poses.
 
-    k-means++ seeding from a numpy Generator with the given seed, so the
-    result is deterministic for a fixed (input order, seed). Empty clusters
-    are re-seeded from the point farthest from its assigned centroid.
+    k-means++ seeding draws the numbers ``np.random.default_rng(seed)``
+    would, from ``pcg64.Pcg64``, so the result is deterministic for a fixed
+    (input order, seed); a non-finite sum of squared distances raises
+    PointSetError. Empty clusters are re-seeded from the point farthest from
+    its assigned centroid; one that stays empty (distances that underflow to
+    0 tie every point) keeps its centroid.
     Iteration stops at an assignment fixed point or ``max_iters``; the
     recorded inertia history is non-increasing. Fewer than k distinct poses
     would leave a cluster empty, so they raise TooFewPosesError.
@@ -143,8 +157,7 @@ def kmeans_poses(poses, k: int, seed: int = 0, max_iters: int = 100) -> PoseMode
     if distinct < k:
         raise TooFewPosesError(f"need >= {k} distinct fully visible poses, got {distinct}")
 
-    rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(x, k, rng)
+    centroids = _kmeans_pp_init(x, k, operator.index(seed))
     labels = np.full(len(x), -1)
     history: list[float] = []
     for _ in range(max_iters):
@@ -161,7 +174,7 @@ def kmeans_poses(poses, k: int, seed: int = 0, max_iters: int = 100) -> PoseMode
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for c in range(k):
+        for c in np.flatnonzero(np.bincount(labels, minlength=k)):
             centroids[c] = x[labels == c].mean(axis=0)
     return PoseModes(
         modes=centroids.reshape(k, NUM_JOINTS, 2),

@@ -334,3 +334,19 @@ def brute_corner_projection(points, corner_indices, vertices):
                 targets[i] = best
                 valid[i] = True
     return targets, valid
+
+
+def numpy_kmeans_pp_init(x, k: int, seed: int) -> np.ndarray:
+    """k-means++ seeding on ``np.random.default_rng(seed)``: ``integers`` picks
+    the first centre, ``choice`` weighted by squared distance to the nearest
+    centre picks each next one (``integers`` again when every distance is 0)."""
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, x.shape[1]))
+    centroids[0] = x[rng.integers(len(x))]
+    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        idx = rng.choice(len(x), p=d2 / total) if total > 0.0 else rng.integers(len(x))
+        centroids[c] = x[idx]
+        d2 = np.minimum(d2, ((x - centroids[c]) ** 2).sum(axis=1))
+    return centroids

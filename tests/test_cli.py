@@ -670,6 +670,37 @@ class TestMagnitudeBound:
         assert not out.exists()
 
 
+class TestPoseFrame:
+    """A pose gt whose visible joints lie far outside its bbox is rejected by name.
+
+    Pose normalization divides the joints by the bbox's longer side, and OKS
+    takes the bbox area as the gt's scale. With a 1e-155 bbox the k-means++
+    seeding ended in a traceback; with 1e-140 coverage overflowed and wrote
+    poisoned results. The tier-1 filter fails a test on any RuntimeWarning.
+    """
+
+    @pytest.mark.parametrize("side", [1e-155, 1e-150, 1e-140])
+    @pytest.mark.parametrize("command", ["modes", "coverage", "targets"])
+    def test_tiny_bbox_named(self, tmp_path, capsys, command, side):
+        ann, modes = tmp_path / "poses.json", tmp_path / "modes.json"
+        assert main(["synth", "--kind", "poses", "--count", "6", "--seed", "3",
+                     "--out", str(ann)]) == 0
+        assert main(["modes", "--annotations", str(ann), "--k", "3", "--out", str(modes)]) == 0
+        doc = json.loads(ann.read_text())
+        doc["annotations"][0]["bbox"] = [0, 0, side, side]
+        ann.write_text(json.dumps(doc))
+        argv = {"modes": ["modes", "--k", "3"], "coverage": ["coverage"],
+                "targets": ["targets", "--task", "pose", "--modes", str(modes)]}[command]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = main([*argv, "--annotations", str(ann), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert (code, err.count("\n")) == (1, 1), err
+        assert err.startswith("error: annotations[0]: a visible keypoint lies ")
+        assert f"over 4 x the bbox's longer side ({side:g} px)" in err
+        assert not out.exists()
+
+
 def _huge_image_corpus(tmp_path):
     """One image 10,000,000 x 64 px with one small square gt: about 120 million anchors."""
     ann = tmp_path / "huge.json"
@@ -731,6 +762,21 @@ class TestLoadedModules:
             assert not loaded & {"pointset_anchors.codec", "pointset_anchors.synthetic"}, argv
             # nor losses: the header's head dims live in anchors
             assert "pointset_anchors.losses" not in loaded, argv
+            # the k-means stream is compiled only where modes are computed
+            assert ("pointset_anchors.pcg64" in loaded) == (argv[0] != "targets"), argv
+
+    def test_coverage_and_modes_do_not_import_numpy_random(self, tmp_path):
+        # k-means++ draws from the package's own PCG64 stream; numpy.random's
+        # lazy import would also load secrets, hmac and OpenSSL's _hashlib
+        poses = _synth_poses(tmp_path, "p.json")
+        for argv in (["coverage", "--annotations", str(poses), "--k", "2", "--out", "c.out"],
+                     ["modes", "--annotations", str(poses), "--k", "2", "--out", "m.json"]):
+            script = ("import sys; from pointset_anchors.cli import main; "
+                      f"assert main({argv!r}) == 0; "
+                      "print(sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules)))")
+            done = _fresh_python(tmp_path, "-c", script)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.splitlines()[-1] == "[]", argv
 
     def test_head_output_dims_is_one_object_homed_in_anchors(self, tmp_path):
         import pointset_anchors

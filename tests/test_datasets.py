@@ -195,6 +195,26 @@ class TestParse:
         with pytest.raises(MalformedDocumentError, match=r"images\[0\]: width and height"):
             parse_annotations(_write(tmp_path, _doc([], images=[image])))
 
+    @pytest.mark.parametrize("bbox, joint, parses", [
+        ([10, 10, 30, 30], [145.0, 25.0], True),      # 4 x 30 px from the centre (25, 25)
+        ([10, 10, 30, 30], [25.0, -95.5], False),
+        ([10, 10, 1e-140, 1e-140], [20.0, 20.0], False),
+        ([25, 25, 0, 0], [25.0, 25.0], True),         # a point box on its joints
+    ], ids=["at-reach", "beyond-reach", "tiny-box", "point-box"])
+    def test_visible_joints_within_reach_of_the_bbox(self, tmp_path, bbox, joint, parses):
+        flat = [0.0] * 51
+        flat[0:6] = [*joint, 2.0, 25.0, 25.0, 1.0]
+        flat[6:9] = [1e6, -1e6, 0.0]                  # invisible joints are not checked
+        doc = _doc([{"image_id": 1, "bbox": [0, 0, 5, 5]},
+                    {"image_id": 1, "bbox": bbox, "keypoints": flat}])
+        if parses:
+            assert len(parse_annotations(_write(tmp_path, doc)).records) == 2
+        else:
+            with pytest.raises(MalformedDocumentError,
+                               match=r"annotations\[1\]: a visible keypoint lies .* over 4 x "
+                                     r"the bbox's longer side"):
+                parse_annotations(_write(tmp_path, doc))
+
 
 class TestInstanceRecordHelpers:
     def test_largest_contour(self):

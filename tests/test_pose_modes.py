@@ -1,5 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from pointset_anchors import pcg64, pose_modes
 
 from pointset_anchors.anchors import NUM_JOINTS
 from pointset_anchors.errors import (
@@ -20,6 +26,8 @@ from pointset_anchors.pose_modes import (
     rectangle_shape,
     save_pose_modes,
 )
+
+from oracles import numpy_kmeans_pp_init
 
 
 def _pose_cloud(rng, count: int, spread: float = 0.1) -> np.ndarray:
@@ -131,6 +139,55 @@ class TestKmeans:
         poses[0, 0, 0] = np.nan
         with pytest.raises(PointSetError):
             kmeans_poses(poses, k=1)
+
+    def test_overflowing_distances_named(self, rng):
+        # finite poses whose squared distances overflow: numpy's choice raised
+        # on the NaN probabilities, and a plain draw would pick a poisoned mode
+        poses = _pose_cloud(rng, 4) * 1e160
+        for k in (1, 3):
+            with np.errstate(over="ignore"), pytest.raises(
+                    PointSetError, match="k-means.. seeding: the poses' squared distances sum "
+                                         "to inf"):
+                kmeans_poses(poses, k=k)
+
+
+class TestSeedingStream:
+    """k-means++ draws from ``pcg64.Pcg64``; numpy's Generator is its oracle."""
+
+    SEEDS = [0, 1, 5, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, 10 ** 30,
+             2 ** 128 - 1, 2 ** 128, 2 ** 200 + 12345]
+    # 3 * 2**30 rejects a quarter of its 32-bit draws
+    BOUNDS = [1, 2, 17, 3 * 2 ** 30, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 63]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_draws_equal_default_rng(self, seed):
+        ours, oracle = pcg64.Pcg64(seed), np.random.default_rng(seed)
+        # a random() between two 32-bit draws leaves the spare half of the
+        # first draw's output for the second
+        for bound in self.BOUNDS * 3:
+            for _ in range(5):
+                assert ours.integers(bound) == oracle.integers(bound), bound
+            assert ours.random() == oracle.random()
+            assert ours.integers(bound) == oracle.integers(bound), bound
+
+    @given(k=st.integers(1, 5), seed=st.integers(0, 2 ** 70),
+           data_seed=st.integers(0, 2 ** 32 - 1), count=st.integers(5, 40),
+           prototypes=st.integers(1, 4), spread=st.sampled_from([1e-3, 0.2]),
+           scale=st.sampled_from([1.0, 1e-200]))
+    @example(k=3, seed=0, data_seed=0, count=6, prototypes=1, spread=0.2, scale=1e-200)
+    def test_kmeans_equals_the_loop_on_default_rng(self, k, seed, data_seed, count,
+                                                   prototypes, spread, scale):
+        # scale 1e-200: distinct poses whose squared distances underflow to 0
+        rng = np.random.default_rng(data_seed)
+        centres = rng.uniform(-0.5, 0.5, (prototypes, NUM_JOINTS, 2))
+        poses = scale * (centres[rng.integers(prototypes, size=count)]
+                         + rng.normal(0.0, spread, (count, NUM_JOINTS, 2)))
+        modes = kmeans_poses(poses, k=k, seed=seed)
+        with mock.patch.object(pose_modes, "_kmeans_pp_init", numpy_kmeans_pp_init):
+            expected = kmeans_poses(poses, k=k, seed=seed)
+        assert modes.modes.tobytes() == expected.modes.tobytes()
+        assert modes.inertia_history == expected.inertia_history
+        assert np.isfinite(modes.modes).all()
 
 
 class TestCanonicalShapes:
