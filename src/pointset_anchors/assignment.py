@@ -91,7 +91,8 @@ EXP_FLUSH = 40.0
 def _flushed_exp(delta, d):
     """The OKS factor of one axis: exp(-delta^2 / d), or 0 once delta^2 / d > EXP_FLUSH."""
     z = delta * delta
-    z /= -d
+    with np.errstate(over="ignore"):  # a tiny d overflows to -inf, which is flushed to 0
+        z /= -d
     flushed = z < -EXP_FLUSH
     # an underflowing exp takes a slow path, and flushed entries are zeroed anyway
     np.maximum(z, -EXP_FLUSH, out=z)

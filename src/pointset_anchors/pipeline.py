@@ -160,13 +160,17 @@ def _grids(grouped, task: str, pyramid: PyramidConfig, canonical_poses) -> dict:
     return grids
 
 
-def _scored_images(grouped, grids, task: str):
-    """Score every image's anchors against its eligible gts, in image-id order.
+def _scored_images(grouped, grids, task: str, hi: float, lo: float, force_nearest: bool,
+                   labelled: bool):
+    """Score and assign each image's anchors against its eligible gts, in image-id order.
 
-    Yields ``(image_id, image_records, gts, grid, sim)``, where ``grid`` is
-    the image size's grid of ``grids``; ``sim`` is the (anchors, gts) IoU or
-    OKS matrix, ``(A, 0)`` for an image with no eligible gt, whose anchors
-    the assigner then labels all negative.
+    Yields ``(image_id, skipped, gts, grid, sim, labels, matched, best)``:
+    the count of records that are not gts of ``task``, the gts, the image
+    size's grid, the (anchors, gts) IoU or OKS matrix (``(A, 0)`` with no gt,
+    so every anchor is negative) and ``assign_arrays``' output, whose
+    positive labels are the gts' class ids when ``labelled``, else 1. A
+    consumer drops an image's arrays before it asks for the next image, so
+    no two images' arrays are alive at once.
     """
     for image_id, image_records in grouped.items():
         gts = [r for r in image_records if _eligible(r, task)]
@@ -175,7 +179,16 @@ def _scored_images(grouped, grids, task: str):
             sim = _image_similarity(grid, gts, task, DEFAULT_OKS_PARAMS)
         else:
             sim = np.empty((grid.num_anchors, 0))
-        yield image_id, image_records, gts, grid, sim
+        yield (image_id, len(image_records) - len(gts), gts, grid, sim, *assign_arrays(
+            sim, hi, lo, force_nearest, [g.class_id for g in gts] if labelled else None))
+        del sim
+
+
+def _label_counts(labels: np.ndarray) -> np.ndarray:
+    """(anchors, positives, negatives, ignores) of an image's labels."""
+    return np.array([labels.size, np.count_nonzero(labels > 0),
+                     np.count_nonzero(labels == LABEL_NEGATIVE),
+                     np.count_nonzero(labels == LABEL_IGNORE)])
 
 
 def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) -> dict:
@@ -184,18 +197,17 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
     The output starts with a versioned header line (format name, version,
     configuration echo, head output dims), followed by one JSON line per
     anchor in (image, level, row, col, slot) order. Offsets are divided by
-    the anchor's level stride. Keys within a line are sorted; floats use
-    repr, so a fixed corpus and config reproduce the file byte for byte.
+    the anchor's level stride.
 
-    Each image's lines are rendered as bytes from its columns by
-    ``_render_image``, into a file opened in binary mode: a line is four
-    lookups into small tables of texts, and each step of at most
-    ``RENDER_LINES`` lines is one join and one write. Only positives are
-    matched: all of an image's in one call, each against its own gt. Their
-    offsets and flags are rendered by ``_positive_texts``,
-    ``RENDER_POSITIVES`` at a time, and spliced into their lines' pieces.
-    Every float is written as json's text of its value, so the bytes equal
-    one ``json.dumps(line, sort_keys=True)`` per anchor.
+    Each image is scored and assigned by ``_scored_images``. Only its
+    positives are matched: all in one call, each against its own gt, giving
+    their offsets and flags as arrays. ``_render_image`` renders the lines
+    as bytes from the arrays, into a file opened in binary mode: a line is
+    four lookups into small tables of texts, and each step of at most
+    ``RENDER_LINES`` lines is one join and one write. Every float is json's
+    text of its value, so the bytes equal one ``json.dumps(line,
+    sort_keys=True)`` per anchor, and a fixed corpus and config reproduce
+    the file byte for byte.
 
     A gt's class id is its label, so an eligible gt with a ``category_id``
     outside 1 .. ``config.num_classes`` is rejected, naming its image, before
@@ -214,11 +226,8 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
 
     grouped = _group_by_image(records)
     grids = _grids(grouped, config.task, config.pyramid, canonical_poses)
-    summary = {"images": len(grouped), "anchors": 0, "positives": 0,
-               "negatives": 0, "ignores": 0, "skipped_records": 0, "lines": 0}
-
-    out_path = Path(out_path)
-    with out_path.open("wb") as out:
+    counts, skipped_records = np.zeros(4, dtype=np.int64), 0
+    with Path(out_path).open("wb") as out:
         header = {
             **config.to_dict(),
             "format": TARGET_FORMAT,
@@ -229,34 +238,26 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
             "images": sorted(grouped),
         }
         out.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        summary["lines"] += 1
-
-        for image_id, image_records, gts, grid, sim in _scored_images(grouped, grids, config.task):
-            summary["skipped_records"] += len(image_records) - len(gts)
-            labels, matched, best = assign_arrays(
-                sim, config.hi, config.lo, config.force_nearest, [g.class_id for g in gts],
-            )
-            summary["positives"] += int(np.count_nonzero(labels > 0))
-            summary["negatives"] += int(np.count_nonzero(labels == LABEL_NEGATIVE))
-            summary["ignores"] += int(np.count_nonzero(labels == LABEL_IGNORE))
-
-            columns = (*grid.index_columns(), labels, matched, best)
+        for image_id, skipped, gts, grid, sim, labels, matched, best in _scored_images(
+                grouped, grids, config.task, config.hi, config.lo, config.force_nearest,
+                labelled=True):
+            counts += _label_counts(labels)
+            skipped_records += skipped
             pos = np.flatnonzero(labels > 0)
-            for piece in _render_image(image_id, columns, pos, *_match_positives(
-                    grid, gts, pos, columns[0][pos], matched[pos], config)):
+            for piece in _render_image(image_id, (*grid.index_columns(), labels, matched, best),
+                                       pos, *_match_positives(grid, gts, pos, matched[pos], config)):
                 out.write(piece)
-            summary["anchors"] += grid.num_anchors
-            summary["lines"] += grid.num_anchors
-    return summary
+            del sim, labels, matched, best, pos  # gone before the next image is scored
+    anchors, positives, negatives, ignores = counts.tolist()
+    return {"images": len(grouped), "anchors": anchors, "positives": positives,
+            "negatives": negatives, "ignores": ignores, "skipped_records": skipped_records,
+            "lines": anchors + 1}
 
 
-def _match_positives(grid: AnchorGrid, gts, pos, levels, owner, config: TargetConfig):
-    """The offsets and valid texts of an image's positives ``pos``, on
-    ``levels``, each matched against its gt ``gts[owner]``.
-
-    All of them are matched in one call; their texts are made
-    ``RENDER_POSITIVES`` at a time.
-    """
+def _match_positives(grid: AnchorGrid, gts, pos, owner, config: TargetConfig):
+    """The offsets, divided by their level's stride, (P, n, 2) and the valid
+    flags (P, n) of an image's positives ``pos``, each matched against its gt
+    ``gts[owner]``, all in one call."""
     if config.task == TASK_MASK:
         points, corners = sample_box_perimeters(grid.box_stack()[pos], config.pyramid.num_points)
         targets, valid = matching.match_points(
@@ -265,14 +266,8 @@ def _match_positives(grid: AnchorGrid, gts, pos, levels, owner, config: TargetCo
         points = grid.joint_stack(pos)
         keypoints = np.reshape([g.keypoints for g in gts], (-1, NUM_JOINTS, 3))[owner]
         targets, valid = matching.match_pose_points(points, keypoints[..., :2], keypoints[..., 2])
-    stride = np.asarray([lv.stride for lv in grid.levels])[levels, None, None]
-    scaled = matching.point_offsets(points, targets, valid) / stride
-    offsets, flags = [], []
-    for i in range(0, len(pos), RENDER_POSITIVES):
-        texts = _positive_texts(scaled[i:i + RENDER_POSITIVES], valid[i:i + RENDER_POSITIVES])
-        offsets += texts[0]
-        flags += texts[1]
-    return offsets, flags
+    stride = np.asarray([lv.stride for lv in grid.levels])[grid.index_columns()[0][pos], None, None]
+    return matching.point_offsets(points, targets, valid) / stride, valid
 
 
 # The most lines one rendering step holds, and the most positives whose
@@ -293,7 +288,7 @@ def _float_texts(values: np.ndarray) -> tuple[list[bytes], np.ndarray]:
     return texts, index.reshape(values.shape)
 
 
-def _render_image(image_id, columns, pos, offsets, valid):
+def _render_image(image_id, columns, pos, scaled, valid):
     """Yield one image's lines as bytes pieces, rendered from its per-anchor columns.
 
     ``columns`` holds (level, row, col, slot, label, matched gt, best sim)
@@ -304,9 +299,17 @@ def _render_image(image_id, columns, pos, offsets, valid):
     head. The first line's col head leads the image and the last line's
     join is its slot tail alone. Each step of at most ``RENDER_LINES`` lines
     is one list of pieces, joined. ``pos`` holds the positives' line
-    indices, ascending. A positive's ``offsets`` text replaces the null of
-    its level/row piece, and its ``valid`` text the first null of its join.
+    indices, ascending, ``scaled`` their offsets over the stride (P, n, 2)
+    and ``valid`` their flags (P, n), made into texts ``RENDER_POSITIVES`` at
+    a time. A positive's offsets text replaces the null of its level/row
+    piece, and its valid text the first null of its join.
     """
+    offset_texts, valid_texts = [], []
+    for i in range(0, len(pos), RENDER_POSITIVES):
+        texts = _positive_texts(scaled[i:i + RENDER_POSITIVES], valid[i:i + RENDER_POSITIVES])
+        offset_texts += texts[0]
+        valid_texts += texts[1]
+    del scaled, valid  # the texts are all the steps need
     levels, rows, cols, slots, labels, matched, best = columns
     image = json.dumps(image_id).encode()
     tails = [b', "slot": %d, "valid": null}\n' % v for v in range(slots.max(initial=0) + 1)]
@@ -334,8 +337,8 @@ def _render_image(image_id, columns, pos, offsets, valid):
             parts[at::4] = table[index[start:stop]].tolist()
         for k in range(*np.searchsorted(pos, (start, stop))):
             at = 4 * (pos[k] - start)
-            parts[at + 2] = parts[at + 2].replace(b"null", offsets[k], 1)
-            parts[at + 4] = parts[at + 4].replace(b"null", valid[k], 1)
+            parts[at + 2] = parts[at + 2].replace(b"null", offset_texts[k], 1)
+            parts[at + 4] = parts[at + 4].replace(b"null", valid_texts[k], 1)
         yield b"".join(parts)
         lead = b""
 
@@ -415,7 +418,6 @@ def coverage_report(records, configs, threshold: float = 0.5) -> list[CoverageRe
     """
     if not 0.0 < threshold <= 1.0:
         raise PointSetError(f"threshold must be in (0, 1], got {threshold}")
-    lo = min(0.4, threshold)
     grouped = _group_by_image(records)
     ladder = [(config, _grids(grouped, config.task, config.pyramid, config.canonical_poses))
               for config in configs]
@@ -424,18 +426,19 @@ def coverage_report(records, configs, threshold: float = 0.5) -> list[CoverageRe
         # popped, so a configuration's grids and their cached arrays go once it is done
         config, grids = ladder.pop(0)
         best_sims: list[float] = []
-        anchor_count = positive = negative = ignore = 0
-        for _, _, _, grid, sim in _scored_images(grouped, grids, config.task):
-            anchor_count += grid.num_anchors
+        counts = np.zeros(4, dtype=np.int64)
+        # no class ids: coverage accepts any category_id, 0 included
+        for _, _, _, _, sim, labels, *rest in _scored_images(
+                grouped, grids, config.task, threshold, min(0.4, threshold),
+                force_nearest=True, labelled=False):
+            counts += _label_counts(labels)
             best_sims.extend(sim.max(axis=0).tolist())
-            labels, _, _ = assign_arrays(sim, threshold, lo, force_nearest=True)
-            positive += int(np.count_nonzero(labels > 0))
-            negative += int(np.count_nonzero(labels == 0))
-            ignore += int(np.count_nonzero(labels < 0))
+            del sim, labels, rest  # gone before the next image is scored
         if not best_sims:
             raise NoApplicableRecordsError(
                 f"no records usable for coverage config {config.name!r}"
             )
+        anchor_count, positive, negative, ignore = counts.tolist()
         best = np.asarray(best_sims)
         matched = int(np.count_nonzero(best >= threshold))
         hist = np.histogram(np.clip(best, 0.0, 1.0), bins=10, range=(0.0, 1.0))[0]
@@ -461,20 +464,15 @@ def coverage_report(records, configs, threshold: float = 0.5) -> list[CoverageRe
 def render_coverage_table(reports) -> str:
     """Aligned text table: one row per configuration."""
     headers = ("config", "gts", "matched", "matched%", "pos", "neg", "pos/neg", "pos/neg (permille)")
-    rows = [headers]
-    for r in reports:
-        rows.append((
-            r.name, str(r.gt_count), str(r.matched_gt_count),
-            f"{100.0 * r.matched_gt_fraction:.1f}",
-            str(r.positive_count), str(r.negative_count),
-            f"{r.pos_neg_ratio:.6f}", f"{r.pos_neg_per_mille:.3f}",
-        ))
+    rows = [headers] + [(
+        r.name, str(r.gt_count), str(r.matched_gt_count), f"{100.0 * r.matched_gt_fraction:.1f}",
+        str(r.positive_count), str(r.negative_count),
+        f"{r.pos_neg_ratio:.6f}", f"{r.pos_neg_per_mille:.3f}",
+    ) for r in reports]
     widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]
-    lines = []
-    for i, row in enumerate(rows):
-        lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * width for width in widths))
+    lines = ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+             for row in rows]
+    lines.insert(1, "  ".join("-" * width for width in widths))
     return "\n".join(lines) + "\n"
 
 

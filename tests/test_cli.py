@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -699,6 +700,82 @@ class TestPoseFrame:
         assert err.startswith("error: annotations[0]: a visible keypoint lies ")
         assert f"over 4 x the bbox's longer side ({side:g} px)" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["coverage", "targets"])
+    def test_tiny_bbox_framing_its_joints_scores_zero(self, tmp_path, capsys, command):
+        # Every joint lies inside the 1e-155 bbox, so the parser accepts it. Its
+        # OKS width is about 1e-313 px^2, and an anchor 100 px away overflows
+        # delta^2 / width: the factor flushes to exactly 0, with no warning.
+        ann, modes = tmp_path / "poses.json", tmp_path / "modes.json"
+        assert main(["synth", "--kind", "poses", "--count", "6", "--seed", "3",
+                     "--out", str(ann)]) == 0
+        doc = json.loads(ann.read_text())
+        first = doc["annotations"][0]
+        first["bbox"] = [0, 0, 1e-155, 1e-155]
+        first["keypoints"][0::3] = first["keypoints"][1::3] = [0] * 17
+        ann.write_text(json.dumps(doc))
+        assert main(["modes", "--annotations", str(ann), "--k", "2", "--out", str(modes)]) == 0
+        argv = {"coverage": ["coverage", "--k", "2"],
+                "targets": ["targets", "--task", "pose", "--modes", str(modes)]}[command]
+        runs = []
+        for name in ("first", "second"):
+            out = tmp_path / name
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main([*argv, "--annotations", str(ann), "--out", str(out)])
+            runs.append((code, out.read_bytes(), *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][3] == "", runs[0][3]
+
+
+class TestSharedAssignment:
+    """``targets`` and ``coverage`` label anchors through one assignment step:
+    with coverage's thresholds (hi = t, lo = min(0.4, t), force_nearest on)
+    targets reports the counts of coverage's matching configuration."""
+
+    @staticmethod
+    def _targets_counts(capsys, *argv):
+        capsys.readouterr()
+        assert main(["targets", *argv]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        return [summary[key] for key in ("anchors", "positives", "negatives", "ignores")]
+
+    @staticmethod
+    def _report_counts(report):
+        return [report[key] for key in
+                ("anchor_count", "positive_count", "negative_count", "ignore_count")]
+
+    @pytest.mark.parametrize("threshold", [0.6, 0.35])
+    def test_mask_counts_agree(self, tmp_path, capsys, threshold):
+        ann = tmp_path / "contours.json"
+        assert main(["synth", "--kind", "contours", "--count", "12", "--seed", "3",
+                     "--out", str(ann)]) == 0
+        out = tmp_path / "coverage.json"
+        assert main(["coverage", "--similarity", "iou", "--threshold", str(threshold),
+                     "--annotations", str(ann), "--out", str(out)]) == 0
+        (report,) = json.loads(out.read_text())["reports"]
+        counts = self._targets_counts(
+            capsys, "--hi", str(threshold), "--lo", str(min(0.4, threshold)), "--force-nearest",
+            "--annotations", str(ann), "--out", str(tmp_path / "targets.jsonl"))
+        assert counts == self._report_counts(report)
+        if threshold == 0.6:
+            assert counts == [147312, 118, 146194, 1000]
+
+    def test_pose_counts_agree(self, tmp_path, capsys):
+        ann, modes = tmp_path / "poses.json", tmp_path / "modes.json"
+        assert main(["synth", "--kind", "poses", "--count", "8", "--seed", "3",
+                     "--out", str(ann)]) == 0
+        out = tmp_path / "coverage.json"
+        assert main(["coverage", "--k", "2", "--annotations", str(ann), "--out", str(out)]) == 0
+        report = {r["name"]: r for r in json.loads(out.read_text())["reports"]}["kmeans-2"]
+        # the modes the ladder's kmeans-2 row is built from
+        assert main(["modes", "--k", "2", "--annotations", str(ann), "--out", str(modes)]) == 0
+        counts = self._targets_counts(
+            capsys, "--task", "pose", "--modes", str(modes), "--hi", "0.5", "--lo", "0.4",
+            "--force-nearest", "--annotations", str(ann), "--out", str(tmp_path / "t.jsonl"))
+        assert counts == self._report_counts(report)
+        assert counts[1] > 0 and counts[3] > 0
 
 
 def _huge_image_corpus(tmp_path):

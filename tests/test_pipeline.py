@@ -50,7 +50,6 @@ from pointset_anchors.pipeline import (
     _gt_scale,
     _image_similarity,
     _match_positives,
-    _positive_texts,
     _render_image,
     coverage_report,
     coverage_to_dict,
@@ -227,8 +226,8 @@ def _target_rows(draw):
 
 @st.composite
 def _target_images(draw):
-    """One image's lines as oracle rows, a render step that splits them and a
-    count of offset batches.
+    """One image's lines as oracle rows, a render step that splits them and
+    the most positives whose texts are made at once.
 
     The image spans up to five steps; positives crowd the step edges, both
     0.0 and -0.0 occur as sims and at least one line has no gt.
@@ -244,10 +243,10 @@ def _target_images(draw):
     zero, negative_zero = draw(st.permutations(range(count)))[:2]
     no_gt = draw(st.integers(0, count - 1))
     rows[zero]["sim"], rows[negative_zero]["sim"], rows[no_gt]["gt"] = 0.0, -0.0, -1
-    return rows, step, draw(st.integers(1, 3))
+    return rows, step, draw(st.integers(1, 5))
 
 
-def _example_image(labels, gts, step):
+def _example_image(labels, gts, step, positives=1):
     """An image of one line per (label, gt), rendered ``step`` lines at a
     time; each positive has two points."""
     rows = []
@@ -258,25 +257,20 @@ def _example_image(labels, gts, step):
             row["scaled"] = np.array([[0.5 * i, -0.0], [1e-300, -1.5]])
             row["valid"] = np.array([True, False])
         rows.append(row)
-    return rows, step, 1
+    return rows, step, positives
 
 
-def _render(rows, batch_count=1):
-    """Render oracle rows as one image, the positives' texts made in
-    ``batch_count`` batches of scattered positives; ``emit_targets`` makes
-    them in runs of ``RENDER_POSITIVES``, each one batch."""
+def _render(rows):
+    """Render oracle rows as one image, from the arrays ``emit_targets`` hands
+    the renderer: the per-line columns, the positives' line indices and their
+    scaled offsets (P, n, 2) and valid flags (P, n)."""
     columns = [np.array([row[key] for row in rows]) for key in
                ("level", "row", "col", "slot", "label", "gt", "sim")]
     pos = np.flatnonzero(columns[4] > 0)
-    offsets, flags = np.empty(len(pos), object), np.empty(len(pos), object)
-    batch = np.random.default_rng(len(rows)).integers(0, batch_count, len(pos))
-    for b in range(batch_count):
-        mine = batch == b
-        if mine.any():
-            offsets[mine], flags[mine] = _positive_texts(
-                np.array([rows[k]["scaled"] for k in pos[mine]]),
-                np.array([rows[k]["valid"] for k in pos[mine]]))
-    return b"".join(_render_image(rows[0]["image"], columns, pos, offsets, flags))
+    points = len(rows[pos[0]]["valid"]) if len(pos) else 1
+    scaled = np.array([rows[k]["scaled"] for k in pos], dtype=float).reshape(len(pos), points, 2)
+    valid = np.array([rows[k]["valid"] for k in pos], dtype=bool).reshape(len(pos), points)
+    return b"".join(_render_image(rows[0]["image"], columns, pos, scaled, valid))
 
 
 class TestTargetConfig:
@@ -476,12 +470,15 @@ class TestEmitTargets:
     @example(_example_image([0, 2, 0, 0], [-1, 0, -1, -1], step=2))  # a step's last line
     @example(_example_image([0, 0, 1], [-1, -1, 0], step=2))  # the image's last line
     @example(_example_image([0, 1, 3, 0], [-1, 0, 1, -1], step=4))  # adjacent positives
+    @example(_example_image([1, 2, 3, 4, 0, 1], [0, 1, 0, 1, -1, 2], step=3,
+                            positives=5))  # a text batch that spans two steps
     @example(_example_image([0, -1, 0], [2, 1, -1], step=3))  # a gt without a positive label
     @example(_example_image([-1, 0], [-1, -1], step=1))  # an ignore without a gt
     def test_image_renderer_matches_dict_oracle(self, case):
-        rows, step, batch_count = case
-        with mock.patch.object(pipeline, "RENDER_LINES", step):
-            lines = _render(rows, batch_count).decode().splitlines(keepends=True)
+        rows, step, positives = case
+        with mock.patch.object(pipeline, "RENDER_LINES", step), \
+                mock.patch.object(pipeline, "RENDER_POSITIVES", positives):
+            lines = _render(rows).decode().splitlines(keepends=True)
         assert lines == [brute_target_line(**row) for row in rows]
 
     def test_render_working_set_is_bounded(self, monkeypatch):
@@ -493,13 +490,13 @@ class TestEmitTargets:
         labels, matched, best = assign_arrays(sim, config.hi, config.lo, False, [1])
         columns = (*grid.index_columns(), labels, matched, best)
         pos = np.flatnonzero(labels > 0)
-        texts = _match_positives(grid, records, pos, columns[0][pos], matched[pos], config)
+        positives = _match_positives(grid, records, pos, matched[pos], config)
 
         def render():
             """(bytes yielded, tracemalloc peak) of consuming the image's pieces."""
             tracemalloc.start()
             try:
-                size = sum(map(len, _render_image(records[0].image_id, columns, pos, *texts)))
+                size = sum(map(len, _render_image(records[0].image_id, columns, pos, *positives)))
                 return size, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -600,6 +597,63 @@ class TestImageSimilarityRoutes:
         record = _pose_record(anchor, np.full(NUM_JOINTS, 2.0), 1e-323)
         with pytest.raises(NonPositiveScaleError):
             _image_similarity(grid, [record], TASK_POSE_TARGETS, OksParams())
+
+
+class TestBenchmarkSeams:
+    """The benchmark's tracer wraps ``pipeline.assign_arrays`` and
+    ``pipeline._image_similarity`` by name. Its ``assignment.anchors`` sums
+    the rows of each similarity assigned, its ``similarity.pairs`` the size
+    of each one made, and a similarity call's first gt names the image."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """Per call, the anchors assigned and the (image, pairs) scored."""
+        calls = {"assigned": [], "scored": []}
+        assign, score = pipeline.assign_arrays, pipeline._image_similarity
+
+        def counted_assign(sim, *args, **kwargs):
+            calls["assigned"].append(len(sim))
+            return assign(sim, *args, **kwargs)
+
+        def counted_score(grid, gts, *args):
+            sim = score(grid, gts, *args)
+            calls["scored"].append((gts[0].image_id, sim.size))
+            return sim
+
+        monkeypatch.setattr(pipeline, "assign_arrays", counted_assign)
+        monkeypatch.setattr(pipeline, "_image_similarity", counted_score)
+        return calls
+
+    def test_targets_assign_every_image_and_score_those_with_gts(self, tmp_path, monkeypatch):
+        records, config, _ = _pinned_case("mask-image-without-gt")
+        calls = self._counted(monkeypatch)
+        summary = emit_targets(records, config, tmp_path / "targets.jsonl")
+        with_gts = sorted({r.image_id for r in records if r.contours})
+        assert [image for image, _ in calls["scored"]] == with_gts
+        assert len(calls["assigned"]) == summary["images"] == len(with_gts) + 1
+        assert sum(calls["assigned"]) == summary["anchors"] == summary["lines"] - 1
+        grid = generate_grid(config.pyramid, records[0].image_size, MASK_MODE)
+        gts = collections.Counter(r.image_id for r in records if r.contours)
+        assert [pairs for _, pairs in calls["scored"]] == [
+            grid.num_anchors * gts[image] for image in with_gts]
+
+    def test_coverage_assigns_each_image_once_a_configuration(self, monkeypatch):
+        # pose images, plus image 99 whose two records are contours only
+        records = _pose_corpus(count=4) + [dataclasses.replace(r, image_id=99)
+                                           for r in _contour_corpus(count=2)]
+        poses = [r for r in records if r.has_keypoints]
+        configs = [CoverageConfig("pose", SMALL_PYRAMID, TASK_POSE_TARGETS, _modes(poses)),
+                   CoverageConfig("mask", SMALL_PYRAMID, TASK_MASK)]
+        calls = self._counted(monkeypatch)
+        reports = coverage_report(records, configs)
+        images = sorted({r.image_id for r in records})
+        pose_images = sorted({r.image_id for r in poses})
+        assert [image for image, _ in calls["scored"]] == pose_images + [99]
+        assert len(calls["assigned"]) == 2 * len(images)
+        per_config = [calls["assigned"][:len(images)], calls["assigned"][len(images):]]
+        assert [sum(anchors) for anchors in per_config] == [r.anchor_count for r in reports]
+        assert all(r.anchor_count == r.positive_count + r.negative_count + r.ignore_count
+                   for r in reports)
 
 
 class TestCoverageReport:
