@@ -89,8 +89,11 @@ EXP_FLUSH = 40.0
 
 
 def _flushed_exp(delta, d):
-    """The OKS factor of one axis: exp(-delta^2 / d), or 0 once delta^2 / d > EXP_FLUSH."""
-    z = delta * delta
+    """The OKS factor of one axis: exp(-delta^2 / d), or 0 once delta^2 / d > EXP_FLUSH.
+
+    ``delta`` is the caller's own temporary, and the factor is made in it.
+    """
+    z = np.multiply(delta, delta, out=delta)
     with np.errstate(over="ignore"):  # a tiny d overflows to -inf, which is flushed to 0
         z /= -d
     flushed = z < -EXP_FLUSH
@@ -160,7 +163,7 @@ def oks_matrix(candidates, gt_joints, gt_visibility, gt_scales,
 
 
 def oks_lattice(grid, gt_joints, gt_visibility, gt_scales,
-                params: OksParams = DEFAULT_OKS_PARAMS) -> np.ndarray:
+                params: OksParams = DEFAULT_OKS_PARAMS, out=None) -> np.ndarray:
     """OKS of every anchor of a pose grid against every gt.
 
     Rows follow the grid's stacking order (level, row, col, slot). The anchor
@@ -173,6 +176,7 @@ def oks_lattice(grid, gt_joints, gt_visibility, gt_scales,
     its own columns, written into one output. Coordinates are centre +
     template, exactly as ``generate_grid`` forms them, so every factor, and
     every flush, is bit-identical to ``oks_matrix`` on the stacked joints.
+    The result is written into ``out`` when given, an (anchors, gts) array.
     """
     gt_joints = np.asarray(gt_joints, dtype=float).reshape(-1, NUM_JOINTS, 2)
     widths, visible = _oks_widths(gt_scales, gt_visibility, params)
@@ -184,7 +188,8 @@ def oks_lattice(grid, gt_joints, gt_visibility, gt_scales,
     ex = _flushed_exp(x - gt[..., 0, :], widths)                              # (G, K, 17, all cols)
     ey = _flushed_exp(y - gt[..., 1, :], widths)                              # (G, K, 17, all rows)
     ey *= (visible / visible.sum(axis=1, keepdims=True))[:, None, :, None]
-    out = np.empty((grid.num_anchors, len(gt_joints)))
+    if out is None:
+        out = np.empty((grid.num_anchors, len(gt_joints)))
     start = col = row = 0
     for level in grid.levels:
         ey_level, ex_level = ey[..., row:row + level.rows], ex[..., col:col + level.cols]
@@ -192,9 +197,10 @@ def oks_lattice(grid, gt_joints, gt_visibility, gt_scales,
             # a one-row or one-column map takes BLAS's vector path, whose
             # summing order follows the vector's stride: keep it unit
             ey_level, ex_level = np.ascontiguousarray(ey_level), np.ascontiguousarray(ex_level)
-        scores = np.matmul(ey_level.transpose(0, 1, 3, 2), ex_level)          # (G, K, rows, cols)
-        out[start:start + level.num_anchors].reshape(
-            level.rows, level.cols, *scores.shape[1::-1])[...] = scores.transpose(2, 3, 1, 0)
+        level_out = out[start:start + level.num_anchors].reshape(
+            level.rows, level.cols, -1, len(gt_joints))
+        # the (G, K, rows, cols) maps, gone before the next level's are made
+        level_out[...] = np.matmul(ey_level.transpose(0, 1, 3, 2), ex_level).transpose(2, 3, 1, 0)
         start, col, row = start + level.num_anchors, col + level.cols, row + level.rows
     return out
 
@@ -210,7 +216,7 @@ def check_thresholds(hi: float, lo: float) -> None:
 
 
 def assign_arrays(similarity, hi: float, lo: float, force_nearest: bool = False,
-                  gt_class_ids=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  gt_class_ids=None, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assign labels from an (anchors, gts) similarity matrix: (labels, matched_gt, best).
 
     ``labels`` holds 0 for negative, -1 for ignore, else the positive class
@@ -222,7 +228,8 @@ def assign_arrays(similarity, hi: float, lo: float, force_nearest: bool = False,
     ``force_nearest`` each gt, in index order, claims its lowest-index
     argmax anchor even below ``hi``; and a contested anchor changes owner
     only on a strictly higher similarity. With no gts (an (A, 0) matrix)
-    every anchor is negative.
+    every anchor is negative. The three arrays are written into ``out``
+    when given, an (anchors,) int, intp and float array.
     """
     check_thresholds(hi, lo)
     sim = np.asarray(similarity, dtype=float)
@@ -241,19 +248,27 @@ def assign_arrays(similarity, hi: float, lo: float, force_nearest: bool = False,
             )
         if (gt_class_ids <= 0).any():
             raise PointSetError("gt class ids must be positive integers")
+    if out is None:
+        out = (np.empty(num_anchors, dtype=int), np.empty(num_anchors, dtype=np.intp),
+               np.empty(num_anchors))
+    elif any(a.shape != (num_anchors,) for a in out):
+        raise LengthMismatchError(f"out must hold three ({num_anchors},) arrays")
+    labels, matched, best = out
 
+    labels.fill(LABEL_NEGATIVE)
     if num_gts == 0:
-        return (np.zeros(num_anchors, dtype=int), np.full(num_anchors, -1),
-                np.zeros(num_anchors))
+        matched.fill(-1)
+        best.fill(0.0)
+        return labels, matched, best
 
     columns = sim.T
-    best = columns[0].copy()
-    best_gt = np.zeros(num_anchors, dtype=np.intp)
+    np.copyto(best, columns[0])
+    matched.fill(0)                      # the best gt, until it is cut at hi
     for g in range(1, num_gts):
         better = columns[g] > best
         np.copyto(best, columns[g], where=better)
-        best_gt[better] = g
-    matched = np.where(best >= hi, best_gt, -1)
+        matched[better] = g
+    np.putmask(matched, best < hi, -1)
     if force_nearest:
         for g in range(num_gts):
             a = int(columns[g].argmax())
@@ -261,10 +276,9 @@ def assign_arrays(similarity, hi: float, lo: float, force_nearest: bool = False,
                 matched[a] = g
                 best[a] = sim[a, g]
 
-    labels = np.zeros(num_anchors, dtype=int)
+    np.putmask(labels, best >= lo, LABEL_IGNORE)   # a claimed anchor's is overwritten next
     claimed = np.flatnonzero(matched >= 0)
     labels[claimed] = gt_class_ids[matched[claimed]]
-    labels[(matched < 0) & (best >= lo)] = LABEL_IGNORE
     return labels, matched, best
 
 

@@ -163,7 +163,8 @@ def _cmd_coverage(args) -> int:
     else:
         configs = [CoverageConfig("mask-anchors", _target_config(args).pyramid, TASK_MASK)]
     reports = coverage_report(result.records, configs, threshold=args.threshold)
-    Path(args.out).write_text(json.dumps(coverage_to_dict(reports), sort_keys=True) + "\n")
+    Path(args.out).write_text(
+        json.dumps(coverage_to_dict(reports), sort_keys=True, allow_nan=False) + "\n")
     print(render_coverage_table(reports), end="")
     return 0
 

@@ -121,8 +121,9 @@ def signed_area(contour) -> float:
     return _shoelace(arr)
 
 
-def box_iou_matrix(a, b) -> np.ndarray:
-    """Pairwise IoU between two (n, 4) arrays of (x_min, y_min, x_max, y_max)."""
+def box_iou_matrix(a, b, out=None) -> np.ndarray:
+    """Pairwise IoU between two (n, 4) arrays of (x_min, y_min, x_max, y_max),
+    written into ``out`` when given, an (n_a, n_b) array."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
@@ -131,7 +132,8 @@ def box_iou_matrix(a, b) -> np.ndarray:
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
     union = area_a[:, None] + area_b[None, :] - inter
-    out = np.zeros_like(inter)
+    out = np.empty_like(inter) if out is None else out
+    out.fill(0.0)
     np.divide(inter, union, out=out, where=union > 0.0)
     return out
 

@@ -32,7 +32,6 @@ from .anchors import (
 from .assignment import (
     DEFAULT_OKS_PARAMS,
     LABEL_IGNORE,
-    LABEL_NEGATIVE,
     SCALE_FROM_SEGMENT_AREA,
     SIMILARITY_IOU,
     SIMILARITY_OKS,
@@ -136,14 +135,15 @@ def _eligible(record: InstanceRecord, task: str) -> bool:
 
 
 def _image_similarity(grid: AnchorGrid, gts: list[InstanceRecord], task: str,
-                      oks_params: OksParams) -> np.ndarray:
+                      oks_params: OksParams, out=None) -> np.ndarray:
+    """The (anchors, gts) IoU or OKS matrix, written into ``out`` when given."""
     if task == TASK_MASK:
         gt_boxes = np.asarray([g.bbox.as_array() for g in gts])
-        return box_iou_matrix(grid.box_stack(), gt_boxes)
+        return box_iou_matrix(grid.box_stack(), gt_boxes, out)
     joints = np.asarray([g.keypoints[:, :2] for g in gts])
     vis = np.asarray([g.keypoints[:, 2] for g in gts])
     scales = np.asarray([_gt_scale(g, oks_params) for g in gts])
-    return oks_lattice(grid, joints, vis, scales, oks_params)
+    return oks_lattice(grid, joints, vis, scales, oks_params, out)
 
 
 def _grids(grouped, task: str, pyramid: PyramidConfig, canonical_poses) -> dict:
@@ -168,27 +168,36 @@ def _scored_images(grouped, grids, task: str, hi: float, lo: float, force_neares
     the count of records that are not gts of ``task``, the gts, the image
     size's grid, the (anchors, gts) IoU or OKS matrix (``(A, 0)`` with no gt,
     so every anchor is negative) and ``assign_arrays``' output, whose
-    positive labels are the gts' class ids when ``labelled``, else 1. A
-    consumer drops an image's arrays before it asks for the next image, so
-    no two images' arrays are alive at once.
+    positive labels are the gts' class ids when ``labelled``, else 1. The
+    four arrays are views of buffers made once per call, sized for its
+    largest image, and refilled for every image: they hold an image's
+    values only until the next image is asked for.
     """
-    for image_id, image_records in grouped.items():
-        gts = [r for r in image_records if _eligible(r, task)]
-        grid = grids[image_records[0].image_size]
+    images = [(image_id, [r for r in image_records if _eligible(r, task)], len(image_records),
+               grids[image_records[0].image_size]) for image_id, image_records in grouped.items()]
+    size = max((grid.num_anchors * len(gts) for _, gts, _, grid in images), default=0)
+    anchors = max((grid.num_anchors for grid in grids.values()), default=0)
+    # One allocation for all four. Once it is handed back, glibc keeps up to
+    # twice its size of freed heap mapped, so the scoring temporaries of the
+    # next call's images reuse their pages instead of faulting them back in.
+    sims, labels, matched, best = np.split(np.empty(size + 3 * anchors),
+                                           [size, size + anchors, size + 2 * anchors])
+    buffers = labels.view(int), matched.view(np.intp), best
+    for image_id, gts, count, grid in images:
+        rows = grid.num_anchors
+        sim = sims[:rows * len(gts)].reshape(rows, len(gts))
         if gts:
-            sim = _image_similarity(grid, gts, task, DEFAULT_OKS_PARAMS)
-        else:
-            sim = np.empty((grid.num_anchors, 0))
-        yield (image_id, len(image_records) - len(gts), gts, grid, sim, *assign_arrays(
-            sim, hi, lo, force_nearest, [g.class_id for g in gts] if labelled else None))
-        del sim
+            sim = _image_similarity(grid, gts, task, DEFAULT_OKS_PARAMS, sim)
+        yield (image_id, count - len(gts), gts, grid, sim, *assign_arrays(
+            sim, hi, lo, force_nearest, [g.class_id for g in gts] if labelled else None,
+            out=[buffer[:rows] for buffer in buffers]))
 
 
 def _label_counts(labels: np.ndarray) -> np.ndarray:
     """(anchors, positives, negatives, ignores) of an image's labels."""
-    return np.array([labels.size, np.count_nonzero(labels > 0),
-                     np.count_nonzero(labels == LABEL_NEGATIVE),
-                     np.count_nonzero(labels == LABEL_IGNORE)])
+    positives = np.count_nonzero(labels > 0)
+    ignores = np.count_nonzero(labels == LABEL_IGNORE)
+    return np.array([labels.size, positives, labels.size - positives - ignores, ignores])
 
 
 def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) -> dict:
@@ -247,7 +256,6 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
             for piece in _render_image(image_id, (*grid.index_columns(), labels, matched, best),
                                        pos, *_match_positives(grid, gts, pos, matched[pos], config)):
                 out.write(piece)
-            del sim, labels, matched, best, pos  # gone before the next image is scored
     anchors, positives, negatives, ignores = counts.tolist()
     return {"images": len(grouped), "anchors": anchors, "positives": positives,
             "negatives": negatives, "ignores": ignores, "skipped_records": skipped_records,
@@ -400,8 +408,8 @@ class CoverageReport:
     positive_count: int
     negative_count: int
     ignore_count: int
-    pos_neg_ratio: float
-    pos_neg_per_mille: float
+    pos_neg_ratio: float | None       # None when there is no negative
+    pos_neg_per_mille: float | None
     histogram: tuple[int, ...]   # best similarity per gt, 10 uniform bins on [0, 1]
 
 
@@ -425,24 +433,21 @@ def coverage_report(records, configs, threshold: float = 0.5) -> list[CoverageRe
     while ladder:
         # popped, so a configuration's grids and their cached arrays go once it is done
         config, grids = ladder.pop(0)
-        best_sims: list[float] = []
-        counts = np.zeros(4, dtype=np.int64)
-        # no class ids: coverage accepts any category_id, 0 included
-        for _, _, _, _, sim, labels, *rest in _scored_images(
-                grouped, grids, config.task, threshold, min(0.4, threshold),
-                force_nearest=True, labelled=False):
-            counts += _label_counts(labels)
-            best_sims.extend(sim.max(axis=0).tolist())
-            del sim, labels, rest  # gone before the next image is scored
-        if not best_sims:
+        # no class ids: coverage accepts any category_id, 0 included. The
+        # comprehension's names go with it, so nothing keeps this configuration's
+        # buffers or grids once the next one's are made.
+        scored = [(_label_counts(labels), sim.max(axis=0)) for _, _, _, _, sim, labels, _, _
+                  in _scored_images(grouped, grids, config.task, threshold, min(0.4, threshold),
+                                    force_nearest=True, labelled=False)]
+        best = np.concatenate([np.zeros(0)] + [image_best for _, image_best in scored])
+        if not best.size:
             raise NoApplicableRecordsError(
                 f"no records usable for coverage config {config.name!r}"
             )
-        anchor_count, positive, negative, ignore = counts.tolist()
-        best = np.asarray(best_sims)
+        anchor_count, positive, negative, ignore = sum(counts for counts, _ in scored).tolist()
         matched = int(np.count_nonzero(best >= threshold))
         hist = np.histogram(np.clip(best, 0.0, 1.0), bins=10, range=(0.0, 1.0))[0]
-        ratio = positive / negative if negative else float("inf")
+        ratio = positive / negative if negative else None
         reports.append(CoverageReport(
             name=config.name,
             similarity=config.similarity,
@@ -455,7 +460,7 @@ def coverage_report(records, configs, threshold: float = 0.5) -> list[CoverageRe
             negative_count=negative,
             ignore_count=ignore,
             pos_neg_ratio=ratio,
-            pos_neg_per_mille=ratio * 1000.0,
+            pos_neg_per_mille=None if ratio is None else ratio * 1000.0,
             histogram=tuple(int(c) for c in hist),
         ))
     return reports
@@ -467,7 +472,8 @@ def render_coverage_table(reports) -> str:
     rows = [headers] + [(
         r.name, str(r.gt_count), str(r.matched_gt_count), f"{100.0 * r.matched_gt_fraction:.1f}",
         str(r.positive_count), str(r.negative_count),
-        f"{r.pos_neg_ratio:.6f}", f"{r.pos_neg_per_mille:.3f}",
+        *(("inf", "inf") if r.pos_neg_ratio is None else
+          (f"{r.pos_neg_ratio:.6f}", f"{r.pos_neg_per_mille:.3f}")),
     ) for r in reports]
     widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]
     lines = ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
@@ -477,5 +483,5 @@ def render_coverage_table(reports) -> str:
 
 
 def coverage_to_dict(reports) -> dict:
-    """Machine-readable rendering of coverage reports."""
+    """Machine-readable rendering of coverage reports (a ratio with no negative is None)."""
     return {"reports": [asdict(r) for r in reports]}

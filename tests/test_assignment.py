@@ -256,6 +256,29 @@ class TestAssign:
             assert array.dtype == oracle.dtype
             assert array.tobytes() == oracle.tobytes()
 
+    @given(case=_assign_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_out_buffers_match_brute_force_oracle(self, case, seed):
+        # ``out`` views of larger buffers, holding garbage (NaN in best), are
+        # overwritten whole; the same arrays are returned
+        sim, hi, lo, force_nearest, class_ids = case
+        rng = np.random.default_rng(seed)
+        num_anchors = len(sim) + 3
+        out = (rng.integers(-9, 9, num_anchors)[:len(sim)],
+               rng.integers(-9, 9, num_anchors).astype(np.intp)[:len(sim)],
+               np.full(num_anchors, np.nan)[:len(sim)])
+        got = assign_arrays(sim, hi, lo, force_nearest, class_ids, out=out)
+        expected = brute_assign(sim, hi, lo, force_nearest,
+                                [1] * sim.shape[1] if class_ids is None else class_ids)
+        for array, buffer, oracle in zip(got, out, expected):
+            assert array is buffer
+            assert array.dtype == oracle.dtype
+            assert array.tobytes() == oracle.tobytes()
+
+    def test_out_of_another_length_rejected(self):
+        out = (np.empty(4, dtype=int), np.empty(4, dtype=np.intp), np.empty(3))
+        with pytest.raises(LengthMismatchError, match="out"):
+            assign_arrays(np.ones((4, 2)), 0.6, 0.4, out=out)
+
 
 class TestRefinePoses:
     def test_single_prediction(self, rng):

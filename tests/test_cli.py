@@ -486,6 +486,33 @@ class TestCoverage:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_no_negatives_writes_null_ratios(self, tmp_path, capsys):
+        # every anchor is claimed or ignored: pos/neg has no value, and the
+        # file stays strict JSON (no Infinity token)
+        ann = tmp_path / "poses.json"
+        assert main(["synth", "--kind", "poses", "--count", "2", "--seed", "1",
+                     "--out", str(ann)]) == 0
+        doc = json.loads(ann.read_text())
+        for annotation in doc["annotations"]:
+            annotation["bbox"] = [0, 0, 10000, 10000]
+        ann.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "coverage.json"
+        assert main(["coverage", "--annotations", str(ann), "--k", "2",
+                     "--threshold", "1e-300", "--out", str(out)]) == 0
+
+        def non_finite(token):
+            raise ValueError(f"non-finite token {token}")
+
+        reports = json.loads(out.read_text(), parse_constant=non_finite)["reports"]
+        assert len(reports) == 4
+        for report in reports:
+            assert report["negative_count"] == 0 < report["positive_count"]
+            assert report["pos_neg_ratio"] is None
+            assert report["pos_neg_per_mille"] is None
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split()[-2:] for row in rows] == [["inf", "inf"]] * 4
+
     def test_bad_threshold_exit_1(self, tmp_path, capsys):
         ann = _synth_poses(tmp_path, "poses.json")
         code = main(["coverage", "--annotations", str(ann),

@@ -125,6 +125,17 @@ class TestBoxIou:
             for j, b in enumerate(boxes_b):
                 assert mat[i, j] == brute_iou(a.as_array().tolist(), b.as_array().tolist())
 
+    def test_matrix_into_nan_buffer_matches_fresh(self, rng):
+        # ``out`` is overwritten whole, a zero-union pair's 0 included
+        from util import random_box
+
+        boxes_a = np.asarray([random_box(rng).as_array() for _ in range(5)] + [[1, 1, 1, 1]])
+        boxes_b = np.asarray([random_box(rng).as_array() for _ in range(3)] + [[1, 1, 1, 1]])
+        out = np.full((6, 4), np.nan)
+        assert box_iou_matrix(boxes_a, boxes_b, out) is out
+        assert out[-1, -1] == 0.0
+        assert out.tobytes() == box_iou_matrix(boxes_a, boxes_b).tobytes()
+
     @given(shift=st.floats(min_value=0.0, max_value=2.0, allow_nan=False))
     def test_iou_symmetric(self, shift):
         a = Box(0.0, 0.0, 2.0, 2.0)

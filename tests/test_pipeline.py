@@ -656,6 +656,105 @@ class TestBenchmarkSeams:
                    for r in reports)
 
 
+def _mixed_images(task):
+    """Records of five images in two sizes holding 1, 3, 0, 3 and 1 gts of
+    ``task``: images 1 and 2 share a grid, a small image follows a large one,
+    and image 3's only record is of the other task."""
+    own = _contour_corpus(count=8) if task == TASK_MASK else _pose_corpus(count=8)
+    other = _pose_corpus(count=1) if task == TASK_MASK else _contour_corpus(count=1)
+    large, small = (192, 192), (96, 64)
+    layout = [(large, own[0:1]), (large, own[1:4]), (small, other), (small, own[4:7]),
+              (large, own[7:8])]
+    return [dataclasses.replace(r, image_id=image_id, image_size=size)
+            for image_id, (size, records) in enumerate(layout, 1) for r in records]
+
+
+def _scored(task, labelled=False):
+    """``_scored_images`` over ``_mixed_images(task)`` on the small pyramid."""
+    records = _mixed_images(task)
+    modes = None if task == TASK_MASK else _modes([r for r in records if r.has_keypoints])
+    grouped = pipeline._group_by_image(records)
+    grids = pipeline._grids(grouped, task, SMALL_PYRAMID, modes)
+    return pipeline._scored_images(grouped, grids, task, 0.5, 0.3, True, labelled)
+
+
+class TestScoringBuffers:
+    """``_scored_images`` fills one set of buffers a call for every image."""
+
+    @pytest.mark.parametrize("labelled", [False, True])
+    @pytest.mark.parametrize("task", [TASK_MASK, TASK_POSE_TARGETS])
+    def test_each_image_matches_a_fresh_call(self, task, labelled):
+        gt_counts = []
+        for _, _, gts, grid, *arrays in _scored(task, labelled):
+            sim = (_image_similarity(grid, gts, task, DEFAULT_OKS_PARAMS) if gts
+                   else np.empty((grid.num_anchors, 0)))
+            fresh = (sim, *assign_arrays(sim, 0.5, 0.3, True,
+                                         [g.class_id for g in gts] if labelled else None))
+            for got, want in zip(arrays, fresh):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+            gt_counts.append(len(gts))
+        assert gt_counts == [1, 3, 0, 3, 1]
+
+    @pytest.mark.parametrize("task", [TASK_MASK, TASK_POSE_TARGETS])
+    def test_consecutive_images_of_one_grid_share_buffers(self, task):
+        scored = _scored(task)
+        first, second = next(scored), next(scored)
+        assert first[3] is second[3]              # images 1 and 2: one grid
+        for a, b in zip(first[4:], second[4:]):
+            assert np.shares_memory(a, b)
+
+    def test_out_buffers_holding_garbage_match_fresh_similarity(self):
+        for task in (TASK_MASK, TASK_POSE_TARGETS):
+            records = _mixed_images(task)[1:4]        # image 2's three gts
+            modes = None if task == TASK_MASK else _modes(records)
+            grid = generate_grid(SMALL_PYRAMID, records[0].image_size, task, modes)
+            fresh = _image_similarity(grid, records, task, DEFAULT_OKS_PARAMS)
+            for fill in (np.nan, -7.5):
+                out = np.full(fresh.shape, fill)
+                assert _image_similarity(grid, records, task, DEFAULT_OKS_PARAMS, out) is out
+                assert out.tobytes() == fresh.tobytes()
+
+    @given(case=_pose_grid_cases())
+    @example(case=_three_level_case(3))
+    def test_lattice_into_nan_buffer_matches_brute_force_oracle(self, case):
+        grid, records, anchor_joints = case
+        params = OksParams()
+        out = np.full((grid.num_anchors, len(records)), np.nan)
+        sim = _image_similarity(grid, records, TASK_POSE_TARGETS, params, out)
+        expected = brute_oks_grid(
+            anchor_joints,
+            [r.keypoints[:, :2] for r in records],
+            [r.keypoints[:, 2] for r in records],
+            [_gt_scale(r, params) for r in records],
+            params.kappas,
+            EXP_FLUSH,
+        )
+        assert sim is out
+        assert np.abs(sim - expected).max() <= 1e-12
+        assert np.array_equal(sim == 0.0, expected == 0.0)
+
+    def test_coverage_traced_peak_is_bounded(self):
+        # 12 poses on images of two sizes, two configurations on the default
+        # pyramid: the largest (anchors, gts) matrix is 24,552 x 2. One block
+        # of buffers a call peaks at 2.47 MB; a block per grid size read
+        # 2.93 MB and the fresh arrays of every image 1.95 MB.
+        records = [dataclasses.replace(r, image_size=(256, 256) if r.image_id % 2 else (192, 160))
+                   for r in _pose_corpus(count=12)]
+        modes = _modes(records)
+        configs = [CoverageConfig("one", PyramidConfig(), TASK_POSE_TARGETS, modes),
+                   CoverageConfig("two", PyramidConfig(), TASK_POSE_TARGETS,
+                                  np.concatenate([modes, 1.2 * modes]))]
+        coverage_report(records, configs)             # compiles and caches what it can
+        tracemalloc.start()
+        try:
+            coverage_report(records, configs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.7e6
+
+
 class TestCoverageReport:
     def test_mask_coverage_semantics(self):
         records = _contour_corpus(count=10)
