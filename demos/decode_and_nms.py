@@ -43,7 +43,7 @@ for gt_index, gt in enumerate(gts):
         offsets = point_offsets(points, targets[0], valid[0])
         noise = rng.normal(0.0, 0.5 + 2.0 * trial, size=offsets.shape)
         decoded, valid = decode_points(points, offsets + noise, valid[0])
-        shape = construct_mask(decoded, valid, "corner-projection")
+        shape = construct_mask(decoded, valid)
         score = float(np.clip(0.95 - 0.12 * trial + rng.normal(0, 0.02), 0.05, 1.0))
         candidates.append(Detection(score=score, class_id=1, shape=shape,
                                     anchor_ref=gt_index))

@@ -48,7 +48,7 @@ print(f"\n{'strategy':>18} {'valid':>5} {'mean |offset|':>13} {'round-trip IoU':
 for strategy in STRATEGIES:
     _, valid, offsets = match_one(strategy)
     decoded, flags = decode_points(points, offsets, valid)
-    recovered = construct_mask(decoded, flags, strategy)
+    recovered = construct_mask(decoded, flags)
     iou = rasterized_mask_iou(gt, recovered)
     norms = np.linalg.norm(offsets[valid], axis=1)
     print(f"{strategy:>18} {valid.sum():>3}/40 {norms.mean():>13.2f} {iou:>14.4f}")

@@ -8,8 +8,8 @@ expected value is known in closed form.
 import numpy as np
 
 from pointset_anchors import (
+    COCO_KAPPAS,
     LossInputs,
-    OksParams,
     balance_for_task,
     focal_loss,
     oks,
@@ -45,18 +45,17 @@ assert breakdown.loss_reg == 0.0
 
 # Displacing one joint by kappa * sqrt(2 * scale) costs exactly exp(-1) on
 # that joint; OKS averages over visible joints.
-params = OksParams()
 gt = np.zeros((17, 2))
 gt[:, 0] = np.arange(17) * 10.0
 visibility = np.ones(17)
 scale = 120.0 ** 2
 
 candidate = gt.copy()
-candidate[0, 0] += params.kappas[0] * np.sqrt(2.0 * scale)
-value = oks(candidate, gt, visibility, scale, params)
+candidate[0, 0] += COCO_KAPPAS[0] * np.sqrt(2.0 * scale)
+value = oks(candidate, gt, visibility, scale)
 expected = (16.0 + np.exp(-1.0)) / 17.0
 print(f"\nOKS with one joint at its kappa distance: {value:.6f} "
       f"(closed form {expected:.6f})")
 assert abs(value - expected) < 1e-12
-assert oks(gt, gt, visibility, scale, params) == 1.0
+assert oks(gt, gt, visibility, scale) == 1.0
 

@@ -15,8 +15,6 @@ part and a y part, and the lattice path is built on that split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .anchors import NUM_JOINTS, joint_array
@@ -36,9 +34,6 @@ COCO_SIGMAS = np.array([
 ])
 COCO_KAPPAS = 2.0 * COCO_SIGMAS
 COCO_KAPPAS.setflags(write=False)
-
-SCALE_FROM_BBOX_AREA = "gt-bbox-area"
-SCALE_FROM_SEGMENT_AREA = "gt-segment-area"
 
 SIMILARITY_IOU = "iou"
 SIMILARITY_OKS = "oks"
@@ -60,25 +55,6 @@ def threshold_preset(name: str) -> tuple[float, float]:
             f"unknown threshold preset {name!r}; expected one of {sorted(THRESHOLD_PRESETS)}"
         ) from None
 
-
-@dataclass(frozen=True)
-class OksParams:
-    """OKS configuration: per-joint kappas and where the gt scale comes from."""
-
-    kappas: np.ndarray = field(default_factory=lambda: COCO_KAPPAS)
-    scale_source: str = SCALE_FROM_BBOX_AREA
-
-    def __post_init__(self):
-        kappas = np.ascontiguousarray(joint_array(self.kappas, (NUM_JOINTS,), "kappas"))
-        if not (np.isfinite(kappas).all() and (kappas > 0).all()):
-            raise NonPositiveScaleError("kappas must be finite and > 0")
-        kappas.setflags(write=False)
-        object.__setattr__(self, "kappas", kappas)
-        if self.scale_source not in (SCALE_FROM_BBOX_AREA, SCALE_FROM_SEGMENT_AREA):
-            raise PointSetError(f"unknown scale_source {self.scale_source!r}")
-
-
-DEFAULT_OKS_PARAMS = OksParams()
 
 # Per-axis flush: an axis factor exp(-s/d) is exactly 0 once s/d > EXP_FLUSH
 # (exp(-40) < 5e-18, far below every stated tolerance). A cutoff on the summed
@@ -104,7 +80,7 @@ def _flushed_exp(delta, d):
     return z
 
 
-def _oks_widths(gt_scales, gt_visibility, params: OksParams):
+def _oks_widths(gt_scales, gt_visibility):
     """Per gt and joint the Gaussian width d = 2 * scale * kappa^2, plus visibility.
 
     Raises when a gt has no visible joint, or when a visible joint's width is
@@ -117,7 +93,7 @@ def _oks_widths(gt_scales, gt_visibility, params: OksParams):
     if not has_visible.all():
         raise NoVisibleJointsError(f"gt {np.argmin(has_visible)} has no visible joints")
     with np.errstate(over="ignore"):
-        widths = 2.0 * scales[:, None] * params.kappas ** 2
+        widths = 2.0 * scales[:, None] * COCO_KAPPAS ** 2
     valid = ((widths > 0.0) & (widths < np.inf)) | ~visible
     if not valid.all():
         g = np.argmin(valid.all(axis=1))
@@ -128,8 +104,7 @@ def _oks_widths(gt_scales, gt_visibility, params: OksParams):
     return widths, visible
 
 
-def oks(candidate, gt_joints, visibility, gt_scale: float,
-        params: OksParams = DEFAULT_OKS_PARAMS) -> float:
+def oks(candidate, gt_joints, visibility, gt_scale: float) -> float:
     """Object keypoint similarity of a candidate joint set against a gt pose.
 
     Mean over visible joints of exp(-d_i^2 / (2 * gt_scale * kappa_i^2)),
@@ -140,11 +115,10 @@ def oks(candidate, gt_joints, visibility, gt_scale: float,
     return float(oks_matrix(joint_array(candidate, (NUM_JOINTS, 2), "candidate"),
                             joint_array(gt_joints, (NUM_JOINTS, 2), "gt_joints"),
                             joint_array(visibility, (NUM_JOINTS,), "visibility"),
-                            [gt_scale], params)[0, 0])
+                            [gt_scale])[0, 0])
 
 
-def oks_matrix(candidates, gt_joints, gt_visibility, gt_scales,
-               params: OksParams = DEFAULT_OKS_PARAMS) -> np.ndarray:
+def oks_matrix(candidates, gt_joints, gt_visibility, gt_scales) -> np.ndarray:
     """Pairwise OKS between (A, 17, 2) candidates and (G, 17, 2) ground truths.
 
     The direct form, for candidates of any layout (such as the output of
@@ -152,7 +126,7 @@ def oks_matrix(candidates, gt_joints, gt_visibility, gt_scales,
     """
     candidates = np.asarray(candidates, dtype=float).reshape(-1, NUM_JOINTS, 2)
     gt_joints = np.asarray(gt_joints, dtype=float).reshape(-1, NUM_JOINTS, 2)
-    widths, visible = _oks_widths(gt_scales, gt_visibility, params)
+    widths, visible = _oks_widths(gt_scales, gt_visibility)
     out = np.empty((len(candidates), len(gt_joints)))
     for g in range(len(gt_joints)):
         v = visible[g]
@@ -162,8 +136,7 @@ def oks_matrix(candidates, gt_joints, gt_visibility, gt_scales,
     return out
 
 
-def oks_lattice(grid, gt_joints, gt_visibility, gt_scales,
-                params: OksParams = DEFAULT_OKS_PARAMS, out=None) -> np.ndarray:
+def oks_lattice(grid, gt_joints, gt_visibility, gt_scales, out=None) -> np.ndarray:
     """OKS of every anchor of a pose grid against every gt.
 
     Rows follow the grid's stacking order (level, row, col, slot). The anchor
@@ -179,7 +152,7 @@ def oks_lattice(grid, gt_joints, gt_visibility, gt_scales,
     The result is written into ``out`` when given, an (anchors, gts) array.
     """
     gt_joints = np.asarray(gt_joints, dtype=float).reshape(-1, NUM_JOINTS, 2)
-    widths, visible = _oks_widths(gt_scales, gt_visibility, params)
+    widths, visible = _oks_widths(gt_scales, gt_visibility)
     # Invisible joints get a harmless coordinate and width and a weight of 0,
     # so their arbitrary (possibly non-finite) input never reaches the matmul.
     gt = np.where(visible[..., None], gt_joints, 0.0)[:, None, :, :, None]   # (G, 1, 17, 2, 1)

@@ -66,12 +66,24 @@ def _normalized_poses(result: ParseResult):
         poses.append(normalize_pose(record.keypoints[:, :2], record.keypoints[:, 2], record.bbox))
     if skipped:
         _warn(f"warning: skipped {skipped} record(s) without usable keypoints")
+    visible = sum(pose.fully_visible for pose in poses)
+    if visible < len(poses):
+        _warn(f"warning: k-means clusters the {visible} fully visible of {len(poses)} pose(s)")
     return poses
 
 
+def _reject_flags(args, option: str, value: str, flags: dict) -> None:
+    """Reject, by name, a flag of another value of ``--option`` than ``value``.
+    ``flags`` maps each value to the names of its flags, whose parser defaults are None."""
+    for owner, names in flags.items():
+        given = [name for name in names if getattr(args, name) is not None]
+        if owner != value and given:
+            flag = given[0].replace("_", "-")
+            raise PointSetError(f"--{flag} applies only to --{option} {owner}")
+
+
 # synth's flags of each corpus kind and the generator parameter each sets.
-# The parser's defaults are None, so a flag of the other kind can be named;
-# a flag not given is not passed, and the generator's own default holds.
+# A flag not given is not passed, and the generator's own default holds.
 _SYNTH_FLAGS = {
     CORPUS_CONTOURS: {"convex": "convex", "vertex_range": "vertex_range"},
     CORPUS_POSES: {"jitter": "jitter", "dropout": "dropout", "truncation": "truncation",
@@ -83,10 +95,7 @@ def _cmd_synth(args) -> int:
     # only synth runs the generators; the other commands never compile them
     from .synthetic import generate_synthetic_corpus, save_corpus
 
-    for kind, flags in _SYNTH_FLAGS.items():
-        given = [name for name in flags if getattr(args, name) is not None]
-        if kind != args.kind and given:
-            raise PointSetError(f"--{given[0].replace('_', '-')} applies only to --kind {kind}")
+    _reject_flags(args, "kind", args.kind, _SYNTH_FLAGS)
     difficulty = {parameter: getattr(args, name)
                   for name, parameter in _SYNTH_FLAGS[args.kind].items()
                   if getattr(args, name) is not None}
@@ -124,6 +133,8 @@ def _cmd_targets(args) -> int:
     _report_parse_stats(result)
     config = _target_config(args, task=args.task, strategy=args.strategy, hi=args.hi,
                             lo=args.lo, force_nearest=args.force_nearest or None)
+    _reject_flags(args, "task", config.task,
+                  {TASK_MASK: ["strategy"], TASK_POSE_TARGETS: ["modes"]})
     canonical_poses = None
     if config.task == TASK_POSE_TARGETS:
         if not args.modes:
@@ -137,24 +148,25 @@ def _cmd_targets(args) -> int:
 def _coverage_ladder(args, poses) -> list[CoverageConfig]:
     # the scale and rotation variants stay on: single-variant grids are too
     # coarse for the degenerate baselines to register at all
-    if args.k < 1:
-        raise PointSetError(f"k must be >= 1, got {args.k}")
+    k = 3 if args.k is None else args.k
+    seed = 0 if args.seed is None else args.seed
+    if k < 1:
+        raise PointSetError(f"k must be >= 1, got {k}")
     pyramid = _target_config(args).pyramid
     configs = [
         CoverageConfig("center-point", pyramid, TASK_POSE_TARGETS, center_point_shape()[None]),
         CoverageConfig("rectangle", pyramid, TASK_POSE_TARGETS, rectangle_shape()[None]),
     ]
-    mean = kmeans_poses(poses, k=1, seed=args.seed)
+    mean = kmeans_poses(poses, k=1, seed=seed)
     configs.append(CoverageConfig("mean-pose", pyramid, TASK_POSE_TARGETS, mean.modes))
-    if args.k > 1:
-        clustered = kmeans_poses(poses, k=args.k, seed=args.seed)
-        configs.append(
-            CoverageConfig(f"kmeans-{args.k}", pyramid, TASK_POSE_TARGETS, clustered.modes)
-        )
+    if k > 1:
+        clustered = kmeans_poses(poses, k=k, seed=seed)
+        configs.append(CoverageConfig(f"kmeans-{k}", pyramid, TASK_POSE_TARGETS, clustered.modes))
     return configs
 
 
 def _cmd_coverage(args) -> int:
+    _reject_flags(args, "similarity", args.similarity, {SIMILARITY_OKS: ["k", "seed"]})
     result = parse_annotations(args.annotations)
     _report_parse_stats(result)
     if args.similarity == SIMILARITY_OKS:
@@ -226,9 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     coverage.add_argument("--similarity", choices=(SIMILARITY_OKS, SIMILARITY_IOU),
                           default=SIMILARITY_OKS)
     coverage.add_argument("--threshold", type=float, default=0.5)
-    coverage.add_argument("--k", type=int, default=3,
-                          help="pose ladder: add a k-means configuration with this k")
-    coverage.add_argument("--seed", type=int, default=0)
+    coverage.add_argument("--k", type=int, default=None,
+                          help="oks ladder: add a k-means configuration with this k (default 3)")
+    coverage.add_argument("--seed", type=int, default=None,
+                          help="oks ladder: the k-means seed (default 0)")
     coverage.add_argument("--out", required=True)
     coverage.set_defaults(func=_cmd_coverage)
     return parser

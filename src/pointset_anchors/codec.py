@@ -45,10 +45,9 @@ def decode_points(anchor_points, offsets, valid=None) -> tuple[np.ndarray, np.nd
     return decoded, flags.copy()
 
 
-def construct_mask(points, valid=None, strategy: str | None = None) -> Contour:
+def construct_mask(points, valid=None) -> Contour:
     """Connect the valid points, in anchor order, into a closed contour.
 
-    ``strategy`` is an optional provenance tag; it does not change the rule.
     Raises TooFewValidPointsError below 3 valid points.
     """
     pts, flags = _points_and_valid(points, valid)

@@ -89,8 +89,6 @@ class LossInputs:
     reg_targets: np.ndarray
     reg_valid: np.ndarray
     balance: float = LAMBDA_SEGMENTATION
-    focal_alpha: float = FOCAL_ALPHA
-    focal_gamma: float = FOCAL_GAMMA
 
     def __post_init__(self):
         probs = np.asarray(self.class_probs, dtype=float)
@@ -141,7 +139,7 @@ def total_loss(inputs: LossInputs) -> LossBreakdown:
     positive = np.zeros(probs.shape, dtype=bool)
     rows = np.nonzero(labels > 0)[0]
     positive[rows, labels[rows] - 1] = True
-    per_entry = _focal_terms(probs, positive, inputs.focal_alpha, inputs.focal_gamma)
+    per_entry = _focal_terms(probs, positive, FOCAL_ALPHA, FOCAL_GAMMA)
     denom = max(int(np.count_nonzero(targets > 0)), 1)
     loss_cls = float(per_entry.sum()) / denom
 

@@ -46,7 +46,7 @@ def _nearest_vertex(points, verts):
     return (dist[..., 0] + dist[..., 1]).argmin(axis=-1)     # .sum(-1)'s bits: no -0.0
 
 
-def _nearest_point(points, verts, sizes):
+def _nearest_point(points, verts, _sizes):
     targets = np.take_along_axis(verts, _nearest_vertex(points, verts)[..., None], axis=1)
     return targets, np.ones(points.shape[:2], dtype=bool)
 

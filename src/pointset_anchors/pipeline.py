@@ -30,12 +30,9 @@ from .anchors import (
     sample_box_perimeters,
 )
 from .assignment import (
-    DEFAULT_OKS_PARAMS,
     LABEL_IGNORE,
-    SCALE_FROM_SEGMENT_AREA,
     SIMILARITY_IOU,
     SIMILARITY_OKS,
-    OksParams,
     assign_arrays,
     check_thresholds,
     oks_lattice,
@@ -49,7 +46,7 @@ from .errors import (
     check_fields,
     is_numbers,
 )
-from .geometry import box_iou_matrix, signed_area
+from .geometry import box_iou_matrix
 
 TARGET_FORMAT = "point-set-targets"
 TARGET_VERSION = 1
@@ -122,12 +119,6 @@ def _group_by_image(records) -> dict[int, list[InstanceRecord]]:
     return dict(sorted(grouped.items()))
 
 
-def _gt_scale(record: InstanceRecord, params: OksParams) -> float:
-    if params.scale_source == SCALE_FROM_SEGMENT_AREA and record.contours:
-        return abs(signed_area(record.largest_contour()))
-    return record.bbox.area
-
-
 def _eligible(record: InstanceRecord, task: str) -> bool:
     """A gt of a task: a box of positive area plus contours, or visible joints."""
     annotated = record.contours if task == TASK_MASK else record.has_keypoints
@@ -135,15 +126,15 @@ def _eligible(record: InstanceRecord, task: str) -> bool:
 
 
 def _image_similarity(grid: AnchorGrid, gts: list[InstanceRecord], task: str,
-                      oks_params: OksParams, out=None) -> np.ndarray:
+                      out=None) -> np.ndarray:
     """The (anchors, gts) IoU or OKS matrix, written into ``out`` when given."""
     if task == TASK_MASK:
         gt_boxes = np.asarray([g.bbox.as_array() for g in gts])
         return box_iou_matrix(grid.box_stack(), gt_boxes, out)
     joints = np.asarray([g.keypoints[:, :2] for g in gts])
     vis = np.asarray([g.keypoints[:, 2] for g in gts])
-    scales = np.asarray([_gt_scale(g, oks_params) for g in gts])
-    return oks_lattice(grid, joints, vis, scales, oks_params, out)
+    scales = np.asarray([g.bbox.area for g in gts])
+    return oks_lattice(grid, joints, vis, scales, out)
 
 
 def _grids(grouped, task: str, pyramid: PyramidConfig, canonical_poses) -> dict:
@@ -187,7 +178,7 @@ def _scored_images(grouped, grids, task: str, hi: float, lo: float, force_neares
         rows = grid.num_anchors
         sim = sims[:rows * len(gts)].reshape(rows, len(gts))
         if gts:
-            sim = _image_similarity(grid, gts, task, DEFAULT_OKS_PARAMS, sim)
+            sim = _image_similarity(grid, gts, task, sim)
         yield (image_id, count - len(gts), gts, grid, sim, *assign_arrays(
             sim, hi, lo, force_nearest, [g.class_id for g in gts] if labelled else None,
             out=[buffer[:rows] for buffer in buffers]))

@@ -25,8 +25,7 @@ from pointset_anchors.anchors import (
     generate_grid,
 )
 from pointset_anchors.assignment import (
-    DEFAULT_OKS_PARAMS,
-    OksParams,
+    COCO_KAPPAS,
     oks,
     refine_pose_anchors,
 )
@@ -43,7 +42,6 @@ from pointset_anchors.losses import (
 from pointset_anchors.pipeline import (
     CoverageConfig,
     TASK_POSE_TARGETS,
-    _gt_scale,
     coverage_report,
 )
 from pointset_anchors.pose_modes import (
@@ -63,7 +61,7 @@ def _round_trip_iou(contour: Contour, strategy: str, n: int) -> float:
     targets, valid = matching.match_points(anchor[None], corners, contour.vertices, strategy)
     offsets = matching.point_offsets(anchor, targets[0], valid[0])
     points, valid = decode_points(anchor, offsets, valid[0])
-    rebuilt = construct_mask(points, valid, strategy=strategy)
+    rebuilt = construct_mask(points, valid)
     return rasterized_mask_iou(contour, rebuilt, resolution=512)
 
 
@@ -199,14 +197,12 @@ def test_07_coverage_ordering():
     # keep figures whose visible joints spread at least 2 kappa sqrt(2 scale):
     # below that a single well-placed point could sit within every joint's
     # OKS waist and the zero-coverage claim for center points would not hold
-    kappa_max = DEFAULT_OKS_PARAMS.kappas.max()
+    kappa_max = COCO_KAPPAS.max()
 
     def spread_ok(record):
         pts = record.keypoints[record.visible_mask(), :2]
         spread = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=2)).max()
-        return spread >= 2.0 * kappa_max * np.sqrt(
-            2.0 * _gt_scale(record, DEFAULT_OKS_PARAMS)
-        )
+        return spread >= 2.0 * kappa_max * np.sqrt(2.0 * record.bbox.area)
 
     records = [r for r in raw if spread_ok(r)][:2000]
     assert len(records) == 2000
@@ -240,7 +236,6 @@ def test_07_coverage_ordering():
 def test_08_oks_reference_values():
     """One joint displaced kappa sqrt(2 scale) scores exp(-1); identical scores 1."""
     start = time.perf_counter()
-    params = OksParams()
     scale = 120.0 ** 2
     gt = np.zeros((17, 2))
     gt[0] = (250.0, 250.0)
@@ -248,12 +243,12 @@ def test_08_oks_reference_values():
     visibility[0] = 2.0
 
     candidate = gt.copy()
-    candidate[0, 0] += params.kappas[0] * math.sqrt(2.0 * scale)
-    value = oks(candidate, gt, visibility, scale, params)
+    candidate[0, 0] += COCO_KAPPAS[0] * math.sqrt(2.0 * scale)
+    value = oks(candidate, gt, visibility, scale)
     assert value == pytest.approx(math.exp(-1.0), abs=1e-9)
 
-    assert oks(gt, gt, visibility, scale, params) == 1.0
-    assert oks(gt, gt, np.full(17, 2.0), scale, params) == 1.0
+    assert oks(gt, gt, visibility, scale) == 1.0
+    assert oks(gt, gt, np.full(17, 2.0), scale) == 1.0
     assert time.perf_counter() - start < 1.0
 
 
@@ -315,7 +310,7 @@ def test_11_refinement_coverage_gain():
     from pointset_anchors.pipeline import _image_similarity
 
     grid = generate_grid(PyramidConfig(), (256, 256), _pose_mode, modes)
-    sim = _image_similarity(grid, records, TASK_POSE_TARGETS, DEFAULT_OKS_PARAMS)
+    sim = _image_similarity(grid, records, TASK_POSE_TARGETS)
     stacked = grid.joint_stack()
 
     rng = np.random.default_rng(31)
@@ -328,8 +323,7 @@ def test_11_refinement_coverage_gain():
         assert np.linalg.norm(noise, axis=1).mean() < anchor_error
 
         [refined] = refine_pose_anchors((gt + noise)[None])
-        score = oks(refined, gt, record.keypoints[:, 2],
-                    _gt_scale(record, DEFAULT_OKS_PARAMS), DEFAULT_OKS_PARAMS)
+        score = oks(refined, gt, record.keypoints[:, 2], record.bbox.area)
         if score >= 0.99:
             matched += 1
 

@@ -14,7 +14,6 @@ from pointset_anchors.assignment import (
     EXP_FLUSH,
     LABEL_IGNORE,
     LABEL_NEGATIVE,
-    OksParams,
     assign_arrays,
     oks,
     oks_matrix,
@@ -142,14 +141,6 @@ class TestKappas:
     def test_kappas_are_twice_coco_sigmas(self):
         assert np.array_equal(COCO_KAPPAS, 2.0 * COCO_SIGMAS)
         assert len(COCO_KAPPAS) == NUM_JOINTS
-
-    def test_params_validation(self):
-        with pytest.raises(JointCountMismatchError):
-            OksParams(kappas=np.ones(5))
-        with pytest.raises(NonPositiveScaleError):
-            OksParams(kappas=np.zeros(NUM_JOINTS))
-        with pytest.raises(PointSetError):
-            OksParams(scale_source="gt-mask-area")
 
 
 class TestThresholdPresets:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pointset_anchors.anchors import MAX_IMAGE_ANCHORS
+from pointset_anchors.anchors import DEFAULT_LEVELS, MAX_IMAGE_ANCHORS
 from pointset_anchors.cli import build_parser, main
 from pointset_anchors.datasets import min_pose_image_side
 from pointset_anchors.pose_modes import load_pose_modes
@@ -210,6 +210,71 @@ class TestModes:
         code = main(["modes", "--annotations", str(ann), "--seed", "-1", "--out", str(out)])
         _assert_named_error(capsys, code, "seed must be >= 0, got -1")
         assert not out.exists()
+
+    def test_partly_visible_poses_left_out_are_counted(self, tmp_path, capsys):
+        # 3 of 40 poses are fully visible, and k-means clusters only those
+        ann = tmp_path / "poses.json"
+        assert main(["synth", "--kind", "poses", "--count", "40", "--seed", "3",
+                     "--truncation", "0.5", "--dropout", "0.1", "--out", str(ann)]) == 0
+        capsys.readouterr()
+        line = "warning: k-means clusters the 3 fully visible of 40 pose(s)\n"
+        assert main(["modes", "--annotations", str(ann), "--k", "3",
+                     "--out", str(tmp_path / "m.json")]) == 0
+        assert capsys.readouterr().err == line
+        assert main(["coverage", "--annotations", str(ann), "--k", "2",
+                     "--out", str(tmp_path / "c.json")]) == 0
+        assert capsys.readouterr().err == line
+        # a corpus of fully visible poses says nothing
+        assert main(["modes", "--annotations", str(_duplicate_poses(tmp_path)), "--k", "1",
+                     "--out", str(tmp_path / "m.json")]) == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestFlagsOfTheTaskThatRuns:
+    """A flag that the running task or similarity would not read exits 1 by name."""
+
+    CASES = {
+        "modes-on-mask": ("targets --annotations {contours} --modes {modes}",
+                          "--modes applies only to --task pose"),
+        "strategy-on-pose": ("targets --annotations {poses} --task pose"
+                             " --strategy nearest-line --modes {modes}",
+                             "--strategy applies only to --task mask"),
+        "strategy-on-pose-config": ("targets --annotations {poses} --config {pose_config}"
+                                    " --strategy nearest-point --modes {modes}",
+                                    "--strategy applies only to --task mask"),
+        "k-on-iou": ("coverage --annotations {contours} --similarity iou --k 0 --seed -5",
+                     "--k applies only to --similarity oks"),
+        "seed-on-iou": ("coverage --annotations {contours} --similarity iou --seed 0",
+                        "--seed applies only to --similarity oks"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_flag_is_named_and_nothing_is_written(self, tmp_path, capsys, case):
+        files = {"poses": _synth_poses(tmp_path, "poses.json"),
+                 "contours": _synth(tmp_path, "c.json"),
+                 "modes": tmp_path / "modes.json", "pose_config": tmp_path / "config.json"}
+        assert main(["modes", "--annotations", str(files["poses"]), "--k", "1",
+                     "--out", str(files["modes"])]) == 0
+        files["pose_config"].write_text(json.dumps({"task": "pose"}))
+        command, message = self.CASES[case]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([*(token.format(**files) for token in command.split()),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_a_config_document_serves_both_tasks(self, tmp_path):
+        # its keys are not checked per task: a pose run ignores its strategy
+        poses = _synth_poses(tmp_path, "poses.json")
+        modes, config = tmp_path / "modes.json", tmp_path / "config.json"
+        assert main(["modes", "--annotations", str(poses), "--k", "1", "--out", str(modes)]) == 0
+        config.write_text(json.dumps({**SMALL_CONFIG, "strategy": "nearest-line"}))
+        assert main(["targets", "--annotations", str(poses), "--config", str(config),
+                     "--task", "pose", "--modes", str(modes),
+                     "--out", str(tmp_path / "t.jsonl")]) == 0
+        assert main(["coverage", "--annotations", str(_synth(tmp_path, "c.json")), "--config",
+                     str(config), "--similarity", "iou", "--out", str(tmp_path / "cov.json")]) == 0
 
 
 class TestTargets:
@@ -637,10 +702,12 @@ class TestProcessEntry:
         done = _fresh_python(tmp_path, "-m", "pointset_anchors.cli", *args,
                              "--out", str(tmp_path / "run.out"))
         assert done.returncode == 0, done.stderr
-        # the oks ladder warns once about image 99's records, both ways
+        # the oks ladder warns once about image 99's records and once about
+        # the truncated poses k-means leaves out, both ways
         assert done.stderr == expected.err == ("" if case != "oks-ladder" else
                                                "warning: skipped 2 record(s) without usable"
-                                               " keypoints\n")
+                                               " keypoints\nwarning: k-means clusters the 6"
+                                               " fully visible of 10 pose(s)\n")
         assert done.stdout == expected.out
         written = (tmp_path / "run.out").read_bytes()
         assert written == (tmp_path / "main.out").read_bytes()
@@ -754,6 +821,66 @@ class TestPoseFrame:
             runs.append((code, out.read_bytes(), *capsys.readouterr()))
         assert runs[0] == runs[1]
         assert runs[0][0] == 0 and runs[0][3] == "", runs[0][3]
+
+
+def _doubled(document: dict) -> dict:
+    """The corpus document with every image side and every bbox, polygon and
+    keypoint coordinate doubled (and every area multiplied by 4)."""
+    for image in document["images"]:
+        image["width"], image["height"] = 2 * image["width"], 2 * image["height"]
+    for annotation in document["annotations"]:
+        annotation["bbox"] = [2 * v for v in annotation["bbox"]]
+        annotation["area"] *= 4
+        if "segmentation" in annotation:
+            annotation["segmentation"] = [[2 * v for v in polygon]
+                                          for polygon in annotation["segmentation"]]
+        if "keypoints" in annotation:
+            keypoints = annotation["keypoints"]
+            keypoints[0::3] = [2 * v for v in keypoints[0::3]]
+            keypoints[1::3] = [2 * v for v in keypoints[1::3]]
+    return document
+
+
+class TestScaleByTwo:
+    """Doubling the whole problem, corpus and every level's stride and base,
+    changes no targets line after the header: powers of two scale every
+    product and quotient exactly, IoU is a ratio of areas, the OKS scale is
+    the bbox area, and offsets are divided by their level's stride."""
+
+    # 6 contours, 2 an image, at 240 x 176, and 4 poses at 256 x 320
+    CORPORA = {CORPUS_CONTOURS: ["--count", "6", "--instances-per-image", "2",
+                                 "--image-size", "240", "176"],
+               CORPUS_POSES: ["--count", "4", "--image-size", "256", "320"]}
+    CASES = {"mask": (CORPUS_CONTOURS, {}),
+             "crowded": (CORPUS_CONTOURS, {"hi": 0.3, "lo": 0.2, "force_nearest": True}),
+             "pose-kmeans2": (CORPUS_POSES, {})}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_targets_lines_are_unchanged(self, tmp_path, case):
+        kind, settings = self.CASES[case]
+        corpus = tmp_path / "corpus.json"
+        assert main(["synth", "--kind", kind, *self.CORPORA[kind], "--seed", "7",
+                     "--out", str(corpus)]) == 0
+        lines = []
+        for scale in (1, 2):
+            document = json.loads(corpus.read_text())
+            ann, config = tmp_path / f"corpus-{scale}.json", tmp_path / f"config-{scale}.json"
+            ann.write_text(json.dumps(_doubled(document) if scale == 2 else document))
+            config.write_text(json.dumps({**settings, "pyramid": {
+                "levels": [[scale * stride, scale * base] for stride, base in DEFAULT_LEVELS]}}))
+            args = ["--annotations", str(ann), "--config", str(config)]
+            if kind == CORPUS_POSES:
+                modes = tmp_path / f"modes-{scale}.json"
+                assert main(["modes", *args[:2], "--k", "2", "--out", str(modes)]) == 0
+                args += ["--task", "pose", "--modes", str(modes)]
+            out = tmp_path / f"targets-{scale}.jsonl"
+            assert main(["targets", *args, "--out", str(out)]) == 0
+            lines.append(out.read_bytes().split(b"\n", 1))
+        (header, body), (doubled_header, doubled_body) = lines
+        assert header != doubled_header
+        assert body == doubled_body
+        assert body.count(b"\n") == {"pose-kmeans2": 122832}.get(case, 24003)
+        assert b'"label": 1' in body
 
 
 class TestSharedAssignment:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pointset_anchors.anchors import NUM_JOINTS, POSE_MODE, PyramidConfig, generate_grid
-from pointset_anchors.assignment import OksParams, oks, refine_pose_anchors
+from pointset_anchors.assignment import oks, refine_pose_anchors
 from pointset_anchors.errors import JointCountMismatchError
 from pointset_anchors.geometry import Box
 from pointset_anchors.matching import match_pose_points
@@ -33,7 +33,6 @@ def _modes_file(tmp_path):
 CASES = {
     "grid-joints": (lambda _: generate_grid(PyramidConfig(), (64, 64), POSE_MODE,
                                             np.zeros((1, 5, 2))), "canonical_poses"),
-    "kappas": (lambda _: OksParams(kappas=np.ones(5)), "kappas"),
     "oks-candidate": (lambda _: oks(np.zeros((5, 2)), POSE, VIS, 1.0), "candidate"),
     "oks-gt": (lambda _: oks(POSE, np.zeros((5, 2)), VIS, 1.0), "gt_joints"),
     "oks-visibility": (lambda _: oks(POSE, POSE, np.ones(5), 1.0), "visibility"),

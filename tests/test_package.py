@@ -46,6 +46,26 @@ def test_every_imported_name_is_used():
         assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
 
 
+def test_every_parameter_is_read():
+    # A parameter the body never reads changes nothing and goes. A name that
+    # starts with "_" marks one kept only to share a signature.
+    unread = []
+    for path in sorted(Path(pointset_anchors.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            arguments = node.args
+            parameters = [*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs,
+                          *filter(None, (arguments.vararg, arguments.kwarg))]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {name.id for statement in body for name in ast.walk(statement)
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+            unread += [f"{path.stem}.{getattr(node, 'name', 'lambda')}({parameter.arg})"
+                       for parameter in parameters
+                       if not parameter.arg.startswith("_") and parameter.arg not in read]
+    assert not unread, unread
+
+
 def test_no_string_constant_is_defined_twice():
     # A public name such as MASK_MODE is the one definition of its value;
     # another module binds that name, not a copy of the literal.

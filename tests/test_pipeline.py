@@ -23,9 +23,8 @@ from pointset_anchors.anchors import (
     generate_grid,
 )
 from pointset_anchors.assignment import (
-    DEFAULT_OKS_PARAMS,
+    COCO_KAPPAS,
     EXP_FLUSH,
-    OksParams,
     SIMILARITY_IOU,
     SIMILARITY_OKS,
     assign_arrays,
@@ -47,7 +46,6 @@ from pointset_anchors.pipeline import (
     TASK_MASK,
     TASK_POSE_TARGETS,
     TargetConfig,
-    _gt_scale,
     _image_similarity,
     _match_positives,
     _render_image,
@@ -169,7 +167,7 @@ def _pose_grid_cases(draw):
     size = (draw(st.integers(8, 72)), draw(st.integers(8, 72)))
     grid = generate_grid(config, size, POSE_MODE, modes)
     stacked = grid.joint_stack()
-    kappas = OksParams().kappas
+    kappas = COCO_KAPPAS
     records = []
     for _ in range(draw(st.integers(1, 3))):
         joints = draw(hnp.arrays(float, (NUM_JOINTS, 2), elements=st.floats(-20.0, 60.0)))
@@ -486,7 +484,7 @@ class TestEmitTargets:
         records = generate_synthetic_corpus(CORPUS_CONTOURS, 1, seed=4, image_size=(640, 640))
         config = TargetConfig()
         grid = generate_grid(config.pyramid, (640, 640), MASK_MODE)
-        sim = _image_similarity(grid, records, TASK_MASK, DEFAULT_OKS_PARAMS)
+        sim = _image_similarity(grid, records, TASK_MASK)
         labels, matched, best = assign_arrays(sim, config.hi, config.lo, False, [1])
         columns = (*grid.index_columns(), labels, matched, best)
         pos = np.flatnonzero(labels > 0)
@@ -517,15 +515,13 @@ class TestImageSimilarityRoutes:
         # with the direct per-pair form, and flush to zero at exactly the same spots
         records = _pose_corpus(count=10, seed=21, truncation=0.4, jitter=2.0)
         grid = generate_grid(SMALL_PYRAMID, (256, 256), POSE_MODE, _modes(records))
-        params = OksParams()
-        sim = _image_similarity(grid, records, TASK_POSE_TARGETS, params)
+        sim = _image_similarity(grid, records, TASK_POSE_TARGETS)
 
         direct = oks_matrix(
             grid.joint_stack(),
             np.asarray([r.keypoints[:, :2] for r in records]),
             np.asarray([r.keypoints[:, 2] for r in records]),
-            np.asarray([_gt_scale(r, params) for r in records]),
-            params,
+            np.asarray([r.bbox.area for r in records]),
         )
         assert sim.shape == direct.shape
         assert np.allclose(sim, direct, atol=1e-12)
@@ -536,14 +532,13 @@ class TestImageSimilarityRoutes:
     @example(case=_three_level_case(3))
     def test_pose_route_matches_brute_force_oracle(self, case):
         grid, records, anchor_joints = case
-        params = OksParams()
-        sim = _image_similarity(grid, records, TASK_POSE_TARGETS, params)
+        sim = _image_similarity(grid, records, TASK_POSE_TARGETS)
         expected = brute_oks_grid(
             anchor_joints,
             [r.keypoints[:, :2] for r in records],
             [r.keypoints[:, 2] for r in records],
-            [_gt_scale(r, params) for r in records],
-            params.kappas,
+            [r.bbox.area for r in records],
+            COCO_KAPPAS,
             EXP_FLUSH,
         )
         assert sim.shape == expected.shape
@@ -556,11 +551,11 @@ class TestImageSimilarityRoutes:
         # the levels share one exponential per axis, yet each level's rows,
         # a 1x1 or 1x2 top level's too, keep the bits of that level alone
         grid, records, _ = _three_level_case(num_gts, size)
-        sim = _image_similarity(grid, records, TASK_POSE_TARGETS, OksParams())
+        sim = _image_similarity(grid, records, TASK_POSE_TARGETS)
         start = 0
         for level in grid.levels:
             alone = dataclasses.replace(grid, levels=(level,))
-            rows = _image_similarity(alone, records, TASK_POSE_TARGETS, OksParams())
+            rows = _image_similarity(alone, records, TASK_POSE_TARGETS)
             assert rows.tobytes() == sim[start:start + level.num_anchors].tobytes()
             start += level.num_anchors
         assert start == len(sim)
@@ -571,9 +566,8 @@ class TestImageSimilarityRoutes:
         # exp(-60) / n_vis; the other two visible joints are flushed
         grid = _single_anchor_grid()
         anchor = grid.joint_stack()[0]
-        params = OksParams()
         scale = 100.0
-        offset = math.sqrt(30.0 * 2.0 * scale * params.kappas[0] ** 2)
+        offset = math.sqrt(30.0 * 2.0 * scale * COCO_KAPPAS[0] ** 2)
         gt = anchor.copy()
         gt[0] += offset
         gt[1:3] += 1e3
@@ -582,9 +576,9 @@ class TestImageSimilarityRoutes:
         record = _pose_record(gt, visibility, scale)
         expected = math.exp(-60.0) / 3
         values = (
-            oks(anchor, gt, visibility, scale, params),
-            oks_matrix(anchor[None], gt[None], visibility[None], [scale], params)[0, 0],
-            _image_similarity(grid, [record], TASK_POSE_TARGETS, params)[0, 0],
+            oks(anchor, gt, visibility, scale),
+            oks_matrix(anchor[None], gt[None], visibility[None], [scale])[0, 0],
+            _image_similarity(grid, [record], TASK_POSE_TARGETS)[0, 0],
         )
         for value in values:
             assert value > 0.0
@@ -596,7 +590,7 @@ class TestImageSimilarityRoutes:
         anchor = grid.joint_stack()[0]
         record = _pose_record(anchor, np.full(NUM_JOINTS, 2.0), 1e-323)
         with pytest.raises(NonPositiveScaleError):
-            _image_similarity(grid, [record], TASK_POSE_TARGETS, OksParams())
+            _image_similarity(grid, [record], TASK_POSE_TARGETS)
 
 
 class TestBenchmarkSeams:
@@ -686,7 +680,7 @@ class TestScoringBuffers:
     def test_each_image_matches_a_fresh_call(self, task, labelled):
         gt_counts = []
         for _, _, gts, grid, *arrays in _scored(task, labelled):
-            sim = (_image_similarity(grid, gts, task, DEFAULT_OKS_PARAMS) if gts
+            sim = (_image_similarity(grid, gts, task) if gts
                    else np.empty((grid.num_anchors, 0)))
             fresh = (sim, *assign_arrays(sim, 0.5, 0.3, True,
                                          [g.class_id for g in gts] if labelled else None))
@@ -709,25 +703,24 @@ class TestScoringBuffers:
             records = _mixed_images(task)[1:4]        # image 2's three gts
             modes = None if task == TASK_MASK else _modes(records)
             grid = generate_grid(SMALL_PYRAMID, records[0].image_size, task, modes)
-            fresh = _image_similarity(grid, records, task, DEFAULT_OKS_PARAMS)
+            fresh = _image_similarity(grid, records, task)
             for fill in (np.nan, -7.5):
                 out = np.full(fresh.shape, fill)
-                assert _image_similarity(grid, records, task, DEFAULT_OKS_PARAMS, out) is out
+                assert _image_similarity(grid, records, task, out) is out
                 assert out.tobytes() == fresh.tobytes()
 
     @given(case=_pose_grid_cases())
     @example(case=_three_level_case(3))
     def test_lattice_into_nan_buffer_matches_brute_force_oracle(self, case):
         grid, records, anchor_joints = case
-        params = OksParams()
         out = np.full((grid.num_anchors, len(records)), np.nan)
-        sim = _image_similarity(grid, records, TASK_POSE_TARGETS, params, out)
+        sim = _image_similarity(grid, records, TASK_POSE_TARGETS, out)
         expected = brute_oks_grid(
             anchor_joints,
             [r.keypoints[:, :2] for r in records],
             [r.keypoints[:, 2] for r in records],
-            [_gt_scale(r, params) for r in records],
-            params.kappas,
+            [r.bbox.area for r in records],
+            COCO_KAPPAS,
             EXP_FLUSH,
         )
         assert sim is out
