@@ -216,7 +216,6 @@ def _feature_shape(image_size, stride: float) -> tuple[int, int]:
 MAX_IMAGE_ANCHORS = 2 ** 22
 
 
-@dataclass(frozen=True, eq=False)
 class LevelGrid:
     """Anchors of one pyramid level, stacked in (row, col, slot) order.
 
@@ -226,11 +225,11 @@ class LevelGrid:
     corners (p = 2) or a pose anchor's joints (p = 17).
     """
 
-    level: int
-    stride: float
-    rows: int
-    cols: int
-    templates: np.ndarray
+    __slots__ = ("level", "stride", "rows", "cols", "templates")
+
+    def __init__(self, level: int, stride: float, rows: int, cols: int, templates: np.ndarray):
+        self.level, self.stride, self.rows, self.cols = level, stride, rows, cols
+        self.templates = templates
 
     @property
     def anchors_per_location(self) -> int:

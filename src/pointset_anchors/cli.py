@@ -31,14 +31,6 @@ from .pipeline import (
     emit_targets,
     render_coverage_table,
 )
-from .pose_modes import (
-    center_point_shape,
-    kmeans_poses,
-    load_pose_modes,
-    normalize_pose,
-    rectangle_shape,
-    save_pose_modes,
-)
 
 
 def _warn(message: str) -> None:
@@ -55,7 +47,16 @@ def _report_parse_stats(result: ParseResult) -> None:
             _warn("warning: " + text.format(count))
 
 
+def kmeans_poses(poses, k: int, seed: int = 0, max_iters: int = 100):
+    """``pose_modes.kmeans_poses``, through a name of this module that a tracer may wrap."""
+    from .pose_modes import kmeans_poses
+    return kmeans_poses(poses, k, seed=seed, max_iters=max_iters)
+
+
 def _normalized_poses(result: ParseResult):
+    # pose_modes is loaded where the pose commands start: mask targets never compile it
+    from .pose_modes import normalize_pose
+
     poses = []
     skipped = 0
     for record in result.records:
@@ -111,6 +112,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_modes(args) -> int:
+    from .pose_modes import save_pose_modes
+
     result = parse_annotations(args.annotations)
     _report_parse_stats(result)
     poses = _normalized_poses(result)
@@ -129,16 +132,19 @@ def _target_config(args, **flags) -> TargetConfig:
 
 
 def _cmd_targets(args) -> int:
-    result = parse_annotations(args.annotations)
-    _report_parse_stats(result)
+    # the settings are checked whole before the corpus is read
     config = _target_config(args, task=args.task, strategy=args.strategy, hi=args.hi,
                             lo=args.lo, force_nearest=args.force_nearest or None)
     _reject_flags(args, "task", config.task,
                   {TASK_MASK: ["strategy"], TASK_POSE_TARGETS: ["modes"]})
+    if config.task == TASK_POSE_TARGETS and not args.modes:
+        raise PointSetError("pose targets need --modes <modes.json>")
+    result = parse_annotations(args.annotations)
+    _report_parse_stats(result)
     canonical_poses = None
     if config.task == TASK_POSE_TARGETS:
-        if not args.modes:
-            raise PointSetError("pose targets need --modes <modes.json>")
+        from .pose_modes import load_pose_modes
+
         canonical_poses = load_pose_modes(args.modes).modes
     summary = emit_targets(result.records, config, args.out, canonical_poses)
     print(json.dumps(summary, sort_keys=True))
@@ -146,6 +152,8 @@ def _cmd_targets(args) -> int:
 
 
 def _coverage_ladder(args, poses) -> list[CoverageConfig]:
+    from .pose_modes import center_point_shape, rectangle_shape
+
     # the scale and rotation variants stay on: single-variant grids are too
     # coarse for the degenerate baselines to register at all
     k = 3 if args.k is None else args.k

@@ -11,7 +11,7 @@ flagged, never clamped.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,23 +70,25 @@ class InstanceRecord:
         return max(self.contours, key=lambda c: abs(signed_area(c)))
 
 
-@dataclass
 class ParseStats:
-    """Counters accumulated while parsing; diagnostics, not data output."""
+    """Counters accumulated while parsing, each from 0; diagnostics, not data output."""
 
-    images: int = 0
-    annotations: int = 0
-    records: int = 0
-    rejected_rle: int = 0
-    rejected_crowd: int = 0
-    dropped_polygons: int = 0
-    out_of_bounds: int = 0
+    __slots__ = ("images", "annotations", "records", "rejected_rle", "rejected_crowd",
+                 "dropped_polygons", "out_of_bounds")
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
 
-@dataclass
 class ParseResult:
-    records: list[InstanceRecord] = field(default_factory=list)
-    stats: ParseStats = field(default_factory=ParseStats)
+    """The parsed records, in document order, and the parse's counters."""
+
+    __slots__ = ("records", "stats")
+
+    def __init__(self):
+        self.records: list[InstanceRecord] = []
+        self.stats = ParseStats()
 
 
 def _require(condition: bool, context: str, message: str) -> None:

@@ -9,7 +9,6 @@ the right, y grows downward, and orientation is defined by the shoelace sign
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,21 +21,27 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class Box:
-    """Axis-aligned box given by its min and max corners."""
+    """Axis-aligned box given by its min and max corners; boxes of equal corners are equal."""
 
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
+    __slots__ = ("x_min", "y_min", "x_max", "y_max")
 
-    def __post_init__(self):
-        vals = (self.x_min, self.y_min, self.x_max, self.y_max)
+    def __init__(self, x_min: float, y_min: float, x_max: float, y_max: float):
+        vals = (x_min, y_min, x_max, y_max)
         if not all(math.isfinite(float(v)) for v in vals):
             raise DegenerateBoxError(f"box coordinates must be finite: {vals}")
-        if self.x_min > self.x_max or self.y_min > self.y_max:
+        if x_min > x_max or y_min > y_max:
             raise DegenerateBoxError(f"box min corner exceeds max corner: {vals}")
+        self.x_min, self.y_min, self.x_max, self.y_max = vals
+
+    def _key(self) -> tuple:
+        return self.x_min, self.y_min, self.x_max, self.y_max
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is Box else NotImplemented
+
+    def __repr__(self) -> str:
+        return "Box(x_min={!r}, y_min={!r}, x_max={!r}, y_max={!r})".format(*self._key())
 
     @property
     def width(self) -> float:

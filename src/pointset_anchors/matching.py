@@ -41,9 +41,11 @@ def point_offsets(points: np.ndarray, targets: np.ndarray, valid: np.ndarray) ->
 def _nearest_vertex(points, verts):
     """Index of each of P anchors' (P, n, 2) points' L1-nearest vertex of its
     anchor's own (P, w, 2) ones, the lowest index on ties. A kernel's anchors'
-    vertices are padded with +inf past their sizes, so padding never wins."""
-    dist = np.abs(points[:, :, None, :] - verts[:, None])
-    return (dist[..., 0] + dist[..., 1]).argmin(axis=-1)     # .sum(-1)'s bits: no -0.0
+    vertices are padded with +inf past their sizes, so padding never wins.
+    |dx| + |dy| is summed over separate x and y planes, not a length-2 axis."""
+    dist = np.abs(points[:, :, None, 0] - verts[:, None, :, 0])
+    dist += np.abs(points[:, :, None, 1] - verts[:, None, :, 1])
+    return dist.argmin(axis=-1)
 
 
 def _nearest_point(points, verts, _sizes):

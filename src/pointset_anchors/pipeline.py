@@ -12,7 +12,7 @@ force_nearest on.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,8 @@ TASK_POSE_TARGETS = POSE_MODE
 
 class _TaskConfig:
     """The task check and the task -> similarity rule of both configurations."""
+
+    __slots__ = ()
 
     def _check_task(self):
         if self.task not in (TASK_MASK, TASK_POSE_TARGETS):
@@ -370,38 +372,43 @@ def _header_dims(config: TargetConfig, canonical_poses) -> dict:
     return head_output_dims(POSE_MODE, pyramid.pose_anchors_per_location(len(canonical_poses)))
 
 
-@dataclass(frozen=True)
 class CoverageConfig(_TaskConfig):
-    """One named anchor configuration to measure coverage for."""
+    """One named anchor configuration to measure coverage for; ``pyramid``
+    defaults to ``PyramidConfig()``."""
 
-    name: str
-    pyramid: PyramidConfig = field(default_factory=PyramidConfig)
-    task: str = TASK_POSE_TARGETS
-    canonical_poses: np.ndarray | None = None
+    __slots__ = ("name", "pyramid", "task", "canonical_poses")
 
-    def __post_init__(self):
+    def __init__(self, name: str, pyramid: PyramidConfig | None = None,
+                 task: str = TASK_POSE_TARGETS, canonical_poses: np.ndarray | None = None):
+        self.name, self.task, self.canonical_poses = name, task, canonical_poses
+        self.pyramid = PyramidConfig() if pyramid is None else pyramid
         self._check_task()
-        if self.task == TASK_POSE_TARGETS and self.canonical_poses is None:
-            raise MissingCanonicalPosesError(f"config {self.name!r} needs canonical_poses")
+        if task == TASK_POSE_TARGETS and canonical_poses is None:
+            raise MissingCanonicalPosesError(f"config {name!r} needs canonical_poses")
 
 
-@dataclass(frozen=True)
 class CoverageReport:
-    """Coverage of one anchor configuration over one corpus."""
+    """Coverage of one anchor configuration over one corpus.
 
-    name: str
-    similarity: str
-    threshold: float
-    gt_count: int
-    matched_gt_count: int
-    matched_gt_fraction: float
-    anchor_count: int
-    positive_count: int
-    negative_count: int
-    ignore_count: int
-    pos_neg_ratio: float | None       # None when there is no negative
-    pos_neg_per_mille: float | None
-    histogram: tuple[int, ...]   # best similarity per gt, 10 uniform bins on [0, 1]
+    The two ratios are None when there is no negative; ``histogram`` counts the
+    best similarity per gt in 10 uniform bins on [0, 1].
+    """
+
+    __slots__ = ("name", "similarity", "threshold", "gt_count", "matched_gt_count",
+                 "matched_gt_fraction", "anchor_count", "positive_count", "negative_count",
+                 "ignore_count", "pos_neg_ratio", "pos_neg_per_mille", "histogram")
+
+    def __init__(self, name: str, similarity: str, threshold: float, gt_count: int,
+                 matched_gt_count: int, matched_gt_fraction: float, anchor_count: int,
+                 positive_count: int, negative_count: int, ignore_count: int,
+                 pos_neg_ratio: float | None, pos_neg_per_mille: float | None,
+                 histogram: tuple[int, ...]):
+        self.name, self.similarity, self.threshold = name, similarity, threshold
+        self.gt_count, self.matched_gt_count = gt_count, matched_gt_count
+        self.matched_gt_fraction, self.anchor_count = matched_gt_fraction, anchor_count
+        self.positive_count, self.negative_count = positive_count, negative_count
+        self.ignore_count, self.pos_neg_ratio = ignore_count, pos_neg_ratio
+        self.pos_neg_per_mille, self.histogram = pos_neg_per_mille, histogram
 
 
 def coverage_report(records, configs, threshold: float = 0.5) -> list[CoverageReport]:
@@ -475,4 +482,5 @@ def render_coverage_table(reports) -> str:
 
 def coverage_to_dict(reports) -> dict:
     """Machine-readable rendering of coverage reports (a ratio with no negative is None)."""
-    return {"reports": [asdict(r) for r in reports]}
+    return {"reports": [{name: getattr(r, name) for name in CoverageReport.__slots__}
+                        for r in reports]}

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,22 +28,20 @@ from .errors import (
 from .geometry import Box
 
 
-@dataclass(frozen=True)
 class NormalizedPose:
-    """Joints in the person-box frame plus per-joint validity."""
+    """Joints in the person-box frame plus per-joint validity, both read-only."""
 
-    joints: np.ndarray
-    valid_mask: np.ndarray
+    __slots__ = ("joints", "valid_mask")
 
-    def __post_init__(self):
-        joints = joint_array(self.joints, (NUM_JOINTS, 2), "joints")
-        valid = joint_array(self.valid_mask, (NUM_JOINTS,), "valid_mask", bool)
+    def __init__(self, joints: np.ndarray, valid_mask: np.ndarray):
+        joints = joint_array(joints, (NUM_JOINTS, 2), "joints")
+        valid = joint_array(valid_mask, (NUM_JOINTS,), "valid_mask", bool)
         if not np.isfinite(joints[valid]).all():
             raise PointSetError("valid joints must be finite")
         for name, value in (("joints", joints), ("valid_mask", valid)):
             value = np.ascontiguousarray(value)
             value.setflags(write=False)
-            object.__setattr__(self, name, value)
+            setattr(self, name, value)
 
     @property
     def fully_visible(self) -> bool:
@@ -74,21 +71,19 @@ def normalize_pose(joints, visibility, ref_box: Box) -> NormalizedPose:
     return NormalizedPose(out, valid)
 
 
-@dataclass(frozen=True)
 class PoseModes:
-    """K canonical poses from clustering, with the final inertia and seed."""
+    """K canonical poses from clustering (read-only), with the final inertia and seed."""
 
-    modes: np.ndarray
-    inertia: float
-    seed: int
-    inertia_history: tuple[float, ...] = ()
+    __slots__ = ("modes", "inertia", "seed", "inertia_history")
 
-    def __post_init__(self):
-        modes = np.ascontiguousarray(joint_array(self.modes, (None, NUM_JOINTS, 2), "modes"))
+    def __init__(self, modes: np.ndarray, inertia: float, seed: int,
+                 inertia_history: tuple[float, ...] = ()):
+        modes = np.ascontiguousarray(joint_array(modes, (None, NUM_JOINTS, 2), "modes"))
         if not len(modes):
             raise JointCountMismatchError("modes must hold k >= 1 poses")
         modes.setflags(write=False)
-        object.__setattr__(self, "modes", modes)
+        self.modes, self.inertia, self.seed = modes, inertia, seed
+        self.inertia_history = inertia_history
 
     @property
     def k(self) -> int:

@@ -1,4 +1,4 @@
-"""The package names the benchmark drives still resolve.
+"""The package names the benchmark drives still resolve, and stay on the call path.
 
 ``bench/setup_probe.py`` times set-up through the CLI's own helpers, and
 ``bench/tracing.py::install`` wraps package functions by name. Both run here
@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pointset_anchors.cli import main
@@ -52,3 +53,22 @@ def test_tracer_seams_resolve(tmp_path):
     assert proc.returncode == 0, proc.stderr
     missing = set(json.loads(proc.stdout.splitlines()[-1]))
     assert missing <= GONE_BEFORE, missing - GONE_BEFORE
+
+
+@pytest.mark.parametrize("argv, span, calls", [
+    (["coverage", "--k", "3"], "pose_modes.kmeans", 2),   # the mean pose and k-means 3
+    (["targets"], "pipeline.emit", 1),
+], ids=["coverage", "mask-targets"])
+def test_traced_run_records_the_seams_it_calls(tmp_path, argv, span, calls):
+    # a seam that resolves but sits off the command's call path records nothing
+    kind = "poses" if argv[0] == "coverage" else "contours"
+    corpus, spans = tmp_path / "corpus.json", tmp_path / "spans.npz"
+    assert main(["synth", "--kind", kind, "--count", "8", "--seed", "1",
+                 "--out", str(corpus)]) == 0
+    proc = _python([str(ROOT / "bench" / "tracing.py"), str(spans), "--", *argv,
+                    "--annotations", str(corpus), "--out", str(tmp_path / "out")], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    with np.load(spans) as data:
+        names = data["names"][data["kind"]].tolist()
+        assert set(data["missing"].tolist()) <= GONE_BEFORE
+    assert names.count(span) == calls, names

@@ -264,6 +264,22 @@ class TestFlagsOfTheTaskThatRuns:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_flag_is_named_before_the_corpus_is_read(self, tmp_path, capsys):
+        # the corpus's own warning would print if it were parsed first
+        contours = _synth(tmp_path, "c.json")
+        doc = json.loads(contours.read_text())
+        doc["annotations"][0]["segmentation"].append([1.0, 1.0, 5.0, 5.0])
+        contours.write_text(json.dumps(doc))
+        modes, out = tmp_path / "modes.json", tmp_path / "t.jsonl"
+        modes.write_text("{}")
+        assert main(["targets", "--annotations", str(contours), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "warning: dropped 1 degenerate polygon(s)\n"
+        out.unlink()
+        assert main(["targets", "--annotations", str(contours), "--modes", str(modes),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --modes applies only to --task pose\n"
+        assert not out.exists()
+
     def test_a_config_document_serves_both_tasks(self, tmp_path):
         # its keys are not checked per task: a pose run ignores its strategy
         poses = _synth_poses(tmp_path, "poses.json")
@@ -979,14 +995,19 @@ class TestLoadedModules:
         assert done.returncode == 0, done.stderr
         return set(done.stdout.splitlines()[-1].split())
 
+    @staticmethod
+    def _commands(tmp_path):
+        """Mask targets, coverage and modes, each on a small synth corpus."""
+        contours, poses = _synth(tmp_path, "c.json"), _synth_poses(tmp_path, "p.json")
+        return (["targets", "--annotations", str(contours), "--out", "t.jsonl"],
+                ["coverage", "--annotations", str(poses), "--k", "2", "--out", "c.out"],
+                ["modes", "--annotations", str(poses), "--k", "2", "--out", "m.json"])
+
     def test_package_import_loads_no_submodule(self, tmp_path):
         assert self._loaded(tmp_path, "import pointset_anchors") == {"pointset_anchors"}
 
     def test_commands_load_neither_codec_nor_synthetic(self, tmp_path):
-        contours, poses = _synth(tmp_path, "c.json"), _synth_poses(tmp_path, "p.json")
-        for argv in (["targets", "--annotations", str(contours), "--out", "t.jsonl"],
-                     ["coverage", "--annotations", str(poses), "--k", "2", "--out", "c.out"],
-                     ["modes", "--annotations", str(poses), "--k", "2", "--out", "m.json"]):
+        for argv in self._commands(tmp_path):
             loaded = self._loaded(tmp_path, "from pointset_anchors.cli import main\n"
                                             f"assert main({argv!r}) == 0")
             assert "pointset_anchors.cli" in loaded
@@ -995,6 +1016,23 @@ class TestLoadedModules:
             assert "pointset_anchors.losses" not in loaded, argv
             # the k-means stream is compiled only where modes are computed
             assert ("pointset_anchors.pcg64" in loaded) == (argv[0] != "targets"), argv
+            # and mask targets never compile pose_modes
+            assert ("pointset_anchors.pose_modes" in loaded) == (argv[0] != "targets"), argv
+
+    def test_dataclasses_are_the_records_that_tests_replace_or_introspect(self, tmp_path):
+        # any other record is a plain class: building a dataclass costs about 1 ms
+        for argv in self._commands(tmp_path):
+            script = ("import sys\nfrom pointset_anchors.cli import main\n"
+                      f"assert main({argv!r}) == 0\n"
+                      "print(' '.join(sorted(\n"
+                      "    value.__name__ for name, module in list(sys.modules.items())\n"
+                      "    if name.startswith('pointset_anchors') for value in vars(module).values()\n"
+                      "    if isinstance(value, type) and value.__module__ == name\n"
+                      "    and hasattr(value, '__dataclass_fields__'))))")
+            done = _fresh_python(tmp_path, "-c", script)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.splitlines()[-1].split() == [
+                "AnchorGrid", "InstanceRecord", "PyramidConfig", "TargetConfig"], argv
 
     def test_coverage_and_modes_do_not_import_numpy_random(self, tmp_path):
         # k-means++ draws from the package's own PCG64 stream; numpy.random's
