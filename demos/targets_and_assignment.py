@@ -21,7 +21,6 @@ from pointset_anchors import (
     emit_targets,
     generate_grid,
     generate_synthetic_corpus,
-    threshold_preset,
 )
 
 records = generate_synthetic_corpus("contours", count=6, seed=5,
@@ -32,7 +31,8 @@ print(f"corpus: {len(records)} contour instances on 256 x 256 images")
 pyramid = PyramidConfig(levels=((16.0, 64.0), (32.0, 128.0)))
 grid = generate_grid(pyramid, (256, 256), mode="mask")
 
-hi, lo = threshold_preset("detection")
+# the mask task's default thresholds
+hi, lo = TargetConfig().hi, TargetConfig().lo
 first = [r for r in records if r.image_id == records[0].image_id]
 # One row per anchor, one column per gt: the IoU of the anchor's implicit box.
 sim = box_iou_matrix(grid.box_stack(), np.asarray([r.bbox.as_array() for r in first]))

@@ -18,8 +18,7 @@ _EXPORTS = {
                " POSE_SCALES_FIVE TASK_SEGMENTATION AnchorGrid PyramidConfig generate_grid"
                " head_output_dims load_config_document sample_box_perimeters",
     "assignment": "COCO_KAPPAS COCO_SIGMAS LABEL_IGNORE LABEL_NEGATIVE SIMILARITY_IOU"
-                  " SIMILARITY_OKS THRESHOLD_PRESETS assign_arrays oks oks_lattice oks_matrix"
-                  " refine_pose_anchors threshold_preset",
+                  " SIMILARITY_OKS assign_arrays oks oks_lattice oks_matrix refine_pose_anchors",
     "codec": "DEFAULT_NMS_THRESHOLD Detection construct_mask decode_points nms",
     "datasets": "CORPUS_CONTOURS CORPUS_POSES InstanceRecord ParseResult ParseStats"
                 " parse_annotations",

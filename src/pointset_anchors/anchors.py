@@ -30,6 +30,7 @@ from .errors import (
     MissingCanonicalPosesError,
     NonPositiveScaleError,
     PointSetError,
+    check_at_least,
     check_fields,
     is_numbers,
 )
@@ -165,8 +166,7 @@ def head_output_dims(task: str, num_anchors: int, num_classes: int | None = None
     box regression (K, 4). Pose: classification (K, 2), shape regression
     (K, 34), no box branch.
     """
-    if num_anchors < 1:
-        raise PointSetError(f"num_anchors must be >= 1, got {num_anchors}")
+    check_at_least(("num_anchors", num_anchors, 1))
     if task == TASK_SEGMENTATION:
         if num_classes is None or num_points is None:
             raise PointSetError("segmentation dims need num_classes and num_points")
@@ -261,15 +261,13 @@ class AnchorGrid:
         return self.__dict__[name]
 
     def points(self, index=None) -> np.ndarray:
-        """Points of the stacked anchors at ``index`` (all when None), (len, p, 2).
-
-        Each is its location centre + templates[slot].
-        """
+        """Points of the stacked anchors at ``index`` (all when None), (len, p, 2),
+        gathered from ``axis_coordinates``: each is its location centre + templates[slot]."""
         level, row, col, slot = (column if index is None else column[index]
                                  for column in self.index_columns())
-        stride = np.asarray([lv.stride for lv in self.levels])[level]
-        centre = np.stack([(col + 0.5) * stride, (row + 0.5) * stride], axis=-1)
-        return centre[:, None, :] + np.stack([lv.templates for lv in self.levels])[level, slot]
+        x, y = self.axis_coordinates()
+        start = np.cumsum([(0, 0)] + [(lv.cols, lv.rows) for lv in self.levels], axis=0)[level]
+        return np.stack([x[slot, :, start[:, 0] + col], y[slot, :, start[:, 1] + row]], axis=-1)
 
     def box_stack(self) -> np.ndarray:
         """All implicit boxes, (num_anchors, 4), in (level, row, col, slot) order."""

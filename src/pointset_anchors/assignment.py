@@ -38,24 +38,6 @@ COCO_KAPPAS.setflags(write=False)
 SIMILARITY_IOU = "iou"
 SIMILARITY_OKS = "oks"
 
-THRESHOLD_PRESETS = {
-    "detection": (0.6, 0.4),
-    "segmentation": (0.6, 0.4),
-    "pose-stage1": (0.5, 0.4),
-    "pose-stage2": (0.99, 0.4),
-}
-
-
-def threshold_preset(name: str) -> tuple[float, float]:
-    """(hi, lo) assignment thresholds for a named task."""
-    try:
-        return THRESHOLD_PRESETS[name]
-    except KeyError:
-        raise PointSetError(
-            f"unknown threshold preset {name!r}; expected one of {sorted(THRESHOLD_PRESETS)}"
-        ) from None
-
-
 # Per-axis flush: an axis factor exp(-s/d) is exactly 0 once s/d > EXP_FLUSH
 # (exp(-40) < 5e-18, far below every stated tolerance). A cutoff on the summed
 # square dx^2 + dy^2 cannot be split into an x part and a y part; this one
@@ -146,9 +128,9 @@ def oks_lattice(grid, gt_joints, gt_visibility, gt_scales, out=None) -> np.ndarr
     all levels' coordinates side by side (``grid.axis_coordinates``), an
     image costs one exponential per axis; each level's score maps of all
     (gt, slot) pairs come from one batched matmul of (ey * weight)^T @ ex on
-    its own columns, written into one output. Coordinates are centre +
-    template, exactly as ``generate_grid`` forms them, so every factor, and
-    every flush, is bit-identical to ``oks_matrix`` on the stacked joints.
+    its own columns, written into one output. ``grid.points`` gathers the
+    stacked joints from these same coordinates, so every factor, and every
+    flush, is bit-identical to ``oks_matrix`` on them by construction.
     The result is written into ``out`` when given, an (anchors, gts) array.
     """
     gt_joints = np.asarray(gt_joints, dtype=float).reshape(-1, NUM_JOINTS, 2)

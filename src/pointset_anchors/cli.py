@@ -26,6 +26,7 @@ from .pipeline import (
     TASK_POSE_TARGETS,
     CoverageConfig,
     TargetConfig,
+    check_coverage_threshold,
     coverage_report,
     coverage_to_dict,
     emit_targets,
@@ -125,7 +126,7 @@ def _cmd_modes(args) -> int:
 
 def _target_config(args, **flags) -> TargetConfig:
     """The --config document with the ``flags`` that are not None put over it, read
-    as one config, so the hi/lo presets follow the final task."""
+    as one config, so the hi/lo defaults follow the final task."""
     document = load_config_document(args.config) if args.config else {}
     document.update((key, value) for key, value in flags.items() if value is not None)
     return TargetConfig.from_dict(document)
@@ -151,37 +152,40 @@ def _cmd_targets(args) -> int:
     return 0
 
 
+def _coverage_settings(args):
+    """The pyramid, k and seed of a coverage run, each setting checked as the library does."""
+    k = 3 if args.k is None else args.k
+    seed = 0 if args.seed is None else args.seed
+    if args.similarity == SIMILARITY_OKS:
+        from .pose_modes import check_kmeans_settings
+        check_kmeans_settings(k, seed)
+    check_coverage_threshold(args.threshold)
+    return _target_config(args).pyramid, k, seed
+
+
 def _coverage_ladder(args, poses) -> list[CoverageConfig]:
     from .pose_modes import center_point_shape, rectangle_shape
 
     # the scale and rotation variants stay on: single-variant grids are too
     # coarse for the degenerate baselines to register at all
-    k = 3 if args.k is None else args.k
-    seed = 0 if args.seed is None else args.seed
-    if k < 1:
-        raise PointSetError(f"k must be >= 1, got {k}")
-    pyramid = _target_config(args).pyramid
-    configs = [
-        CoverageConfig("center-point", pyramid, TASK_POSE_TARGETS, center_point_shape()[None]),
-        CoverageConfig("rectangle", pyramid, TASK_POSE_TARGETS, rectangle_shape()[None]),
-    ]
-    mean = kmeans_poses(poses, k=1, seed=seed)
-    configs.append(CoverageConfig("mean-pose", pyramid, TASK_POSE_TARGETS, mean.modes))
+    pyramid, k, seed = _coverage_settings(args)
+    shapes = [("center-point", center_point_shape()[None]), ("rectangle", rectangle_shape()[None]),
+              ("mean-pose", kmeans_poses(poses, k=1, seed=seed).modes)]
     if k > 1:
-        clustered = kmeans_poses(poses, k=k, seed=seed)
-        configs.append(CoverageConfig(f"kmeans-{k}", pyramid, TASK_POSE_TARGETS, clustered.modes))
-    return configs
+        shapes.append((f"kmeans-{k}", kmeans_poses(poses, k=k, seed=seed).modes))
+    return [CoverageConfig(name, pyramid, TASK_POSE_TARGETS, modes) for name, modes in shapes]
 
 
 def _cmd_coverage(args) -> int:
     _reject_flags(args, "similarity", args.similarity, {SIMILARITY_OKS: ["k", "seed"]})
+    # the settings are checked whole before the corpus is read
+    pyramid = _coverage_settings(args)[0]
     result = parse_annotations(args.annotations)
     _report_parse_stats(result)
     if args.similarity == SIMILARITY_OKS:
-        poses = _normalized_poses(result)
-        configs = _coverage_ladder(args, poses)
+        configs = _coverage_ladder(args, _normalized_poses(result))
     else:
-        configs = [CoverageConfig("mask-anchors", _target_config(args).pyramid, TASK_MASK)]
+        configs = [CoverageConfig("mask-anchors", pyramid, TASK_MASK)]
     reports = coverage_report(result.records, configs, threshold=args.threshold)
     Path(args.out).write_text(
         json.dumps(coverage_to_dict(reports), sort_keys=True, allow_nan=False) + "\n")

@@ -1,4 +1,4 @@
-"""Exception types, and the field checks of input documents that raise them."""
+"""Exception types, and the checks of input documents and settings that raise them."""
 
 
 class PointSetError(ValueError):
@@ -76,11 +76,23 @@ def is_numbers(value, length=None) -> bool:
             and all(type(v) in (int, float) for v in value))
 
 
+def check_at_least(*settings) -> None:
+    """Name the first (name, value, least) setting whose value is below its least."""
+    for name, value, least in settings:
+        if value < least:
+            raise PointSetError(f"{name} must be >= {least}, got {value}")
+
+
 def check_fields(data: dict, fields: dict, context: str) -> None:
-    """Reject keys not in ``fields``, then name the first value failing its (predicate, kind)."""
+    """Reject keys not in ``fields``, then name the first value failing its (predicate, kind);
+    a value its predicate cannot read (a ragged list, an int too large for a float) fails it."""
     unknown = set(data) - set(fields)
     if unknown:
         raise MalformedDocumentError(f"{context}: unknown config keys: {sorted(unknown)}")
     for key, (check, kind) in fields.items():
-        if key in data and not check(data[key]):
+        try:
+            ok = key not in data or check(data[key])
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
             raise MalformedDocumentError(f"{context}: {key!r} must be {kind}, got {data[key]!r}")

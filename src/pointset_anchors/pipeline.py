@@ -36,13 +36,13 @@ from .assignment import (
     assign_arrays,
     check_thresholds,
     oks_lattice,
-    threshold_preset,
 )
 from .datasets import InstanceRecord
 from .errors import (
     MissingCanonicalPosesError,
     NoApplicableRecordsError,
     PointSetError,
+    check_at_least,
     check_fields,
     is_numbers,
 )
@@ -73,7 +73,8 @@ class _TaskConfig:
 @dataclass(frozen=True)
 class TargetConfig(_TaskConfig):
     """Everything emit_targets needs besides the records themselves: ``to_dict``
-    holds every field, and the targets header states it whole."""
+    holds every field, and the targets header states it whole. ``hi`` and
+    ``lo`` default to (0.6, 0.4) on mask IoU and (0.5, 0.4) on pose OKS."""
 
     pyramid: PyramidConfig = field(default_factory=PyramidConfig)
     task: str = TASK_MASK
@@ -87,13 +88,11 @@ class TargetConfig(_TaskConfig):
         self._check_task()
         if self.task == TASK_MASK and self.strategy not in matching.STRATEGIES:
             raise PointSetError(f"unknown strategy {self.strategy!r}")
-        if self.num_classes < 1:
-            raise PointSetError(f"num_classes must be >= 1, got {self.num_classes}")
-        preset = threshold_preset("detection" if self.task == TASK_MASK else "pose-stage1")
+        check_at_least(("num_classes", self.num_classes, 1))
         if self.hi is None:
-            object.__setattr__(self, "hi", preset[0])
+            object.__setattr__(self, "hi", 0.6 if self.task == TASK_MASK else 0.5)
         if self.lo is None:
-            object.__setattr__(self, "lo", preset[1])
+            object.__setattr__(self, "lo", 0.4)
         check_thresholds(self.hi, self.lo)
 
     def to_dict(self) -> dict:
@@ -411,6 +410,12 @@ class CoverageReport:
         self.pos_neg_per_mille, self.histogram = pos_neg_per_mille, histogram
 
 
+def check_coverage_threshold(threshold: float) -> None:
+    """Reject a coverage threshold outside (0, 1] (so NaN too)."""
+    if not 0.0 < threshold <= 1.0:
+        raise PointSetError(f"threshold must be in (0, 1], got {threshold}")
+
+
 def coverage_report(records, configs, threshold: float = 0.5) -> list[CoverageReport]:
     """Measure gt coverage of each anchor configuration over a corpus.
 
@@ -422,8 +427,7 @@ def coverage_report(records, configs, threshold: float = 0.5) -> list[CoverageRe
     scored, so an image whose grid would hold more than ``MAX_IMAGE_ANCHORS``
     anchors is rejected, naming it, first.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise PointSetError(f"threshold must be in (0, 1], got {threshold}")
+    check_coverage_threshold(threshold)
     grouped = _group_by_image(records)
     ladder = [(config, _grids(grouped, config.task, config.pyramid, config.canonical_poses))
               for config in configs]

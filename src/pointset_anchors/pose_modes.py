@@ -19,10 +19,11 @@ from .anchors import NUM_JOINTS, joint_array, load_config_document
 from .errors import (
     DegenerateBoxError,
     JointCountMismatchError,
-    MalformedDocumentError,
     PointSetError,
     TooFewPosesError,
     TooFewVisibleJointsError,
+    check_at_least,
+    check_fields,
     is_numbers,
 )
 from .geometry import Box
@@ -126,6 +127,11 @@ def _kmeans_pp_init(x: np.ndarray, k: int, seed: int) -> np.ndarray:
     return centroids
 
 
+def check_kmeans_settings(k: int, seed: int, max_iters: int = 1) -> None:
+    """Name the first of a k or max_iters below 1 and a negative seed."""
+    check_at_least(("k", k, 1), ("max_iters", max_iters, 1), ("seed", seed, 0))
+
+
 def kmeans_poses(poses, k: int, seed: int = 0, max_iters: int = 100) -> PoseModes:
     """Lloyd k-means over 34-vectors of fully visible normalized poses.
 
@@ -139,12 +145,7 @@ def kmeans_poses(poses, k: int, seed: int = 0, max_iters: int = 100) -> PoseMode
     recorded inertia history is non-increasing. Fewer than k distinct poses
     would leave a cluster empty, so they raise TooFewPosesError.
     """
-    if k < 1:
-        raise PointSetError(f"k must be >= 1, got {k}")
-    if max_iters < 1:
-        raise PointSetError(f"max_iters must be >= 1, got {max_iters}")
-    if seed < 0:
-        raise PointSetError(f"seed must be >= 0, got {seed}")
+    check_kmeans_settings(k, seed, max_iters)
     x = _admissible_matrix(poses)
     if not np.isfinite(x).all():
         raise PointSetError("poses must be finite")
@@ -203,14 +204,9 @@ def rectangle_shape() -> np.ndarray:
     pts = np.empty((NUM_JOINTS, 2))
     for i, s in enumerate(arc):
         side, t = int(s), s - int(s)
-        if side == 0:
-            pts[_RECTANGLE_WALK[i]] = (-0.5 + t, -0.5)
-        elif side == 1:
-            pts[_RECTANGLE_WALK[i]] = (0.5, -0.5 + t)
-        elif side == 2:
-            pts[_RECTANGLE_WALK[i]] = (0.5 - t, 0.5)
-        else:
-            pts[_RECTANGLE_WALK[i]] = (-0.5, 0.5 - t)
+        # the top, right, bottom and left edges, each walked clockwise
+        pts[_RECTANGLE_WALK[i]] = ((-0.5 + t, -0.5), (0.5, -0.5 + t), (0.5 - t, 0.5),
+                                   (-0.5, 0.5 - t))[side]
     return pts
 
 
@@ -226,20 +222,14 @@ def save_pose_modes(modes: PoseModes, path) -> None:
 
 
 def load_pose_modes(path) -> PoseModes:
-    """Read modes written by ``save_pose_modes``; MalformedDocumentError names a bad key."""
-    doc = load_config_document(path)
-    try:
-        modes = np.asarray(doc["modes"], dtype=float)
-        k, inertia, seed = doc["k"], doc["inertia"], doc["seed"]
-    except (KeyError, TypeError, ValueError) as err:
-        raise MalformedDocumentError(f"{path}: not a pose modes document ({err!r})") from err
-    for key, ok, kind in (("k", type(k) is int, "an integer"),
-                          ("seed", type(seed) is int, "an integer"),
-                          ("inertia", is_numbers([inertia]) and math.isfinite(inertia),
-                           "a finite number")):
-        if not ok:
-            raise MalformedDocumentError(f"{path}: {key!r} must be {kind}, got {doc[key]!r}")
-    if not np.isfinite(modes).all():
-        raise MalformedDocumentError(f"{path}: 'modes' must be finite numbers")
-    modes = joint_array(modes, (k, NUM_JOINTS, 2), f"{path}: 'modes' of k={k}")
-    return PoseModes(modes=modes, inertia=float(inertia), seed=seed)
+    """Read modes written by ``save_pose_modes``; MalformedDocumentError names a bad or
+    unknown key, and a missing one reads as null."""
+    doc = {**dict.fromkeys(("modes", "k", "seed", "inertia")), **load_config_document(path)}
+    integer = (lambda v: type(v) is int, "an integer")
+    finite = (lambda v: np.isfinite(np.asarray(v, float)).all(), "finite numbers")
+    check_fields(doc, {"modes": finite, "k": integer, "seed": integer,
+                       "inertia": (lambda v: is_numbers([v]) and math.isfinite(v),
+                                   "a finite number")}, str(path))
+    k = doc["k"]
+    modes = joint_array(doc["modes"], (k, NUM_JOINTS, 2), f"{path}: 'modes' of k={k}")
+    return PoseModes(modes=modes, inertia=float(doc["inertia"]), seed=doc["seed"])

@@ -19,7 +19,7 @@ import numpy as np
 from .anchors import NUM_JOINTS
 from .datasets import (CORPUS_CONTOURS, CORPUS_POSES, POSE_SCALE_RANGE, InstanceRecord,
                        min_pose_image_side)
-from .errors import PointSetError
+from .errors import PointSetError, check_at_least
 from .geometry import Box, Contour, transform_points
 
 KEYPOINT_NAMES = (
@@ -82,14 +82,17 @@ POSE_PROTOTYPES = np.stack([
 ])
 POSE_PROTOTYPES.setflags(write=False)
 
+ASPECT_RANGE = (0.6, 1.6)         # a contour's rx / ry, drawn uniformly
+ROTATION_RANGE = (-25.0, 25.0)    # a figure's rotation in degrees, drawn uniformly
+MIN_VISIBLE_JOINTS = 3            # dropout re-draws until at least this many stay visible
+
 
 def _ellipse_polygon(rng: np.random.Generator, n_vertices: int, center, radii,
                      spikiness: float | None = None) -> np.ndarray:
     """Vertices at sorted angles on an axis-aligned ellipse, each radius scaled by a
     draw from [1 - spikiness, 1 + spikiness] unless ``spikiness`` is None. Angles
     are re-drawn until no gap collapses, so no three are collinear in practice."""
-    if n_vertices < 3:
-        raise PointSetError(f"polygons need >= 3 vertices, got {n_vertices}")
+    check_at_least(("n_vertices", n_vertices, 3))
     rx, ry = float(radii[0]), float(radii[1])
     cx, cy = float(center[0]), float(center[1])
     while True:
@@ -121,8 +124,7 @@ def random_star_polygon(rng: np.random.Generator, n_vertices: int, center,
 
 
 def _contour_records(count: int, rng: np.random.Generator, image_size,
-                     instances_per_image: int, vertex_range=(6, 28),
-                     radius_range=(18.0, 80.0), aspect_range=(0.6, 1.6),
+                     instances_per_image: int, vertex_range=(6, 28), radius_range=(18.0, 80.0),
                      spikiness: float = 0.45, convex=None) -> list[InstanceRecord]:
     lo, hi = vertex_range
     if not 3 <= lo <= hi:
@@ -130,7 +132,7 @@ def _contour_records(count: int, rng: np.random.Generator, image_size,
     width, height = image_size
     # largest radius whose worst-case reach still fits inside the image;
     # both wide (rx = r sqrt(a)) and tall (ry = r / sqrt(a)) shapes count
-    stretch = max(np.sqrt(aspect_range[1]), 1.0 / np.sqrt(aspect_range[0]))
+    stretch = max(np.sqrt(ASPECT_RANGE[1]), 1.0 / np.sqrt(ASPECT_RANGE[0]))
     spread = (1.0 + spikiness) * stretch
     r_cap = (min(width, height) / 2.0 - 1.0) / spread
     if r_cap < radius_range[0]:
@@ -141,7 +143,7 @@ def _contour_records(count: int, rng: np.random.Generator, image_size,
     for i in range(count):
         n = int(rng.integers(lo, hi + 1))
         r = min(rng.uniform(*radius_range), r_cap)
-        aspect = rng.uniform(*aspect_range)
+        aspect = rng.uniform(*ASPECT_RANGE)
         rx, ry = r * np.sqrt(aspect), r / np.sqrt(aspect)
         reach = max(rx, ry) * (1.0 + spikiness)
         cx = rng.uniform(reach, width - reach)
@@ -175,10 +177,9 @@ _TRUNCATION_PATTERNS = (
 
 
 def _pose_records(count: int, rng: np.random.Generator, image_size,
-                  instances_per_image: int, scale_range=POSE_SCALE_RANGE,
-                  rotation_range=(-25.0, 25.0), jitter: float = 0.0,
+                  instances_per_image: int, scale_range=POSE_SCALE_RANGE, jitter: float = 0.0,
                   dropout: float = 0.0, truncation: float = 0.0,
-                  n_prototypes: int = 1, min_visible: int = 3) -> list[InstanceRecord]:
+                  n_prototypes: int = 1) -> list[InstanceRecord]:
     width, height = image_size
     if not 1 <= n_prototypes <= len(POSE_PROTOTYPES):
         raise PointSetError(
@@ -198,7 +199,7 @@ def _pose_records(count: int, rng: np.random.Generator, image_size,
     for i in range(count):
         proto = POSE_PROTOTYPES[int(rng.integers(n_prototypes))]
         size = rng.uniform(*scale_range)
-        angle = rng.uniform(*rotation_range)
+        angle = rng.uniform(*ROTATION_RANGE)
         reach = 0.75 * size
         cx = rng.uniform(reach, width - reach)
         cy = rng.uniform(reach, height - reach)
@@ -214,7 +215,7 @@ def _pose_records(count: int, rng: np.random.Generator, image_size,
             while True:
                 drop = rng.random(NUM_JOINTS) < dropout
                 keep = (visibility > 0) & ~drop
-                if np.count_nonzero(keep) >= min_visible:
+                if np.count_nonzero(keep) >= MIN_VISIBLE_JOINTS:
                     break
             visibility[drop] = 0
         visible = visibility > 0
@@ -241,18 +242,13 @@ def generate_synthetic_corpus(kind: str, count: int, seed: int = 0,
                               **difficulty) -> list[InstanceRecord]:
     """Generate ``count`` instance records of the given kind.
 
-    kind "contours" accepts vertex_range, radius_range, aspect_range,
-    spikiness and convex (True/False/None for a mix); kind "poses" accepts
-    scale_range, rotation_range, jitter, dropout, truncation and
-    n_prototypes. The same (kind, count, seed, parameters) always yields the
-    same records.
+    kind "contours" accepts vertex_range, radius_range, spikiness and convex
+    (True/False/None for a mix); kind "poses" accepts scale_range, jitter,
+    dropout, truncation and n_prototypes. The same (kind, count, seed,
+    parameters) always yields the same records.
     """
-    if count < 1:
-        raise PointSetError(f"count must be >= 1, got {count}")
-    if instances_per_image < 1:
-        raise PointSetError(f"instances_per_image must be >= 1, got {instances_per_image}")
-    if seed < 0:
-        raise PointSetError(f"seed must be >= 0, got {seed}")
+    check_at_least(("count", count, 1), ("instances_per_image", instances_per_image, 1),
+                   ("seed", seed, 0))
     rng = np.random.default_rng(seed)
     if kind == CORPUS_CONTOURS:
         return _contour_records(count, rng, image_size, instances_per_image, **difficulty)

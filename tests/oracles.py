@@ -3,7 +3,8 @@
 Everything here is deliberately naive: explicit loops, one candidate at a
 time, the same tie-break rules the library documents (lowest vertex index,
 lowest segment index, input order for equal scores). Keep it slow and
-obvious.
+obvious; only ``brute_nms`` broadcasts its pairwise IoU, so that the
+acceptance test timing NMS spends its time in the code it checks.
 """
 
 from __future__ import annotations
@@ -92,23 +93,24 @@ def brute_nms(boxes, scores, classes, iou_threshold: float,
 
     Visits candidates by score descending (ties by input index) and keeps one
     iff its IoU with every kept box of the same class is <= the threshold.
-    Inputs are converted to Python scalars once, so the loops do plain float
-    arithmetic instead of indexing numpy arrays element by element.
+    Every pair's IoU is ``_iou``'s arithmetic, broadcast over all pairs at
+    once; each candidate is then checked against the whole kept list.
     """
-    boxes = np.asarray(boxes, dtype=float).tolist()
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
     scores = np.asarray(scores, dtype=float).tolist()
-    classes = np.asarray(classes, dtype=int).tolist()
-    order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
+    classes = np.asarray(classes, dtype=int)
+    (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = boxes.T[:, :, None], boxes.T[:, None, :]
+    iw = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
+    ih = np.minimum(ay1, by1) - np.maximum(ay0, by0)
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        overlaps = np.where(union > 0.0, inter / union, 0.0) > iou_threshold
+    if class_aware:
+        overlaps &= classes[:, None] == classes[None, :]
     kept: list[int] = []
-    for i in order:
-        ok = True
-        for j in kept:
-            if class_aware and classes[i] != classes[j]:
-                continue
-            if _iou(boxes[i], boxes[j]) > iou_threshold:
-                ok = False
-                break
-        if ok:
+    for i in sorted(range(len(boxes)), key=lambda i: (-scores[i], i)):
+        if not overlaps[i, kept].any():
             kept.append(i)
     return kept
 

@@ -18,7 +18,6 @@ from pointset_anchors.assignment import (
     oks,
     oks_matrix,
     refine_pose_anchors,
-    threshold_preset,
 )
 from pointset_anchors.errors import (
     BadThresholdsError,
@@ -141,18 +140,6 @@ class TestKappas:
     def test_kappas_are_twice_coco_sigmas(self):
         assert np.array_equal(COCO_KAPPAS, 2.0 * COCO_SIGMAS)
         assert len(COCO_KAPPAS) == NUM_JOINTS
-
-
-class TestThresholdPresets:
-    def test_values(self):
-        assert threshold_preset("detection") == (0.6, 0.4)
-        assert threshold_preset("segmentation") == (0.6, 0.4)
-        assert threshold_preset("pose-stage1") == (0.5, 0.4)
-        assert threshold_preset("pose-stage2") == (0.99, 0.4)
-
-    def test_unknown_name(self):
-        with pytest.raises(PointSetError):
-            threshold_preset("pose")
 
 
 # Quarter steps make ties common; -0.0 ties 0.0 but keeps its sign bit.

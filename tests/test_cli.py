@@ -169,6 +169,26 @@ class TestSynth:
         polygons = [a["segmentation"][0] for a in json.loads(out.read_text())["annotations"]]
         assert {len(polygon) for polygon in polygons} == {6}
 
+    # sha256 of a 12-record corpus of each kind (seed 11, 2 an image), with no
+    # difficulty flag and with every one: pins the generators' draw order
+    PINNED_DIGESTS = {
+        "contours": ([], "f9a801d305387490bd790afdcb388e8c7a6994f91e21d4988342b8974ed2b6bf"),
+        "contours-every-flag": (["--convex", "--vertex-range", "5", "9"],
+                                "4288e659cb1f7ac1027bca27b65773c3841b3d50544ba403bfc4295d336ea49a"),
+        "poses": ([], "734f3c0bfc9ba7f0981bac3378f6b4efe9c455051279fece77e3fe020f482e2e"),
+        "poses-every-flag": (["--jitter", "1.5", "--dropout", "0.3", "--truncation", "0.4",
+                              "--prototypes", "5"],
+                             "75126489de71df19287aabe5bf9b93e1ae2ad6afc2fea4904f9e256766529231"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED_DIGESTS))
+    def test_pinned_bytes(self, tmp_path, case):
+        flags, digest = self.PINNED_DIGESTS[case]
+        out = tmp_path / "corpus.json"
+        assert main(["synth", "--kind", case.split("-")[0], *flags, "--count", "12", "--seed",
+                     "11", "--instances-per-image", "2", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("kind", [CORPUS_CONTOURS, CORPUS_POSES])
     def test_no_difficulty_flag_leaves_the_generators_defaults(self, tmp_path, kind):
         out, expected = tmp_path / "cli.json", tmp_path / "library.json"
@@ -280,6 +300,37 @@ class TestFlagsOfTheTaskThatRuns:
         assert capsys.readouterr().err == "error: --modes applies only to --task pose\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--threshold", "2"], "threshold must be in (0, 1], got 2.0"),
+        (["--k", "0"], "k must be >= 1, got 0"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--config", "{config}"], "thresholds must satisfy 0 <= lo <= hi <= 1, got lo=0.4 hi=2"),
+        (["--similarity", "iou", "--threshold", "0"], "threshold must be in (0, 1], got 0.0"),
+        (["--similarity", "iou", "--config", "{config}"],
+         "thresholds must satisfy 0 <= lo <= hi <= 1, got lo=0.4 hi=2"),
+    ], ids=["threshold", "k", "seed", "config", "iou-threshold", "iou-config"])
+    def test_coverage_setting_is_named_before_the_corpus_is_read(self, tmp_path, capsys,
+                                                                 flags, message):
+        # the corpus's own warnings would print if it were parsed first
+        poses = tmp_path / "poses.json"
+        assert main(["synth", "--kind", "poses", "--count", "40", "--seed", "3",
+                     "--truncation", "0.5", "--dropout", "0.1", "--out", str(poses)]) == 0
+        doc = json.loads(poses.read_text())
+        doc["annotations"][0]["segmentation"] = [[1.0, 1.0, 5.0, 5.0]]
+        poses.write_text(json.dumps(doc))
+        config, out = tmp_path / "config.json", tmp_path / "c.json"
+        config.write_text('{"hi": 2}')
+        capsys.readouterr()
+        assert main(["coverage", "--annotations", str(poses), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ("warning: dropped 1 degenerate polygon(s)\n"
+                                           "warning: k-means clusters the 3 fully visible"
+                                           " of 40 pose(s)\n")
+        out.unlink()
+        assert main(["coverage", "--annotations", str(poses), "--out", str(out),
+                     *(flag.format(config=config) for flag in flags)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_a_config_document_serves_both_tasks(self, tmp_path):
         # its keys are not checked per task: a pose run ignores its strategy
         poses = _synth_poses(tmp_path, "poses.json")
@@ -317,7 +368,7 @@ class TestTargets:
         header = json.loads(out.read_text().splitlines()[0])
         assert header["strategy"] == "nearest-point"
         assert header["hi"] == 0.7
-        assert header["lo"] == 0.4    # preset fills what flags leave unset
+        assert header["lo"] == 0.4    # the default fills what flags leave unset
 
     def test_pose_targets_need_modes_flag(self, tmp_path, capsys):
         ann = _synth_poses(tmp_path, "poses.json")
@@ -516,8 +567,9 @@ class TestDocumentErrors:
         ({"seed": True}, "'seed' must be an integer, got True"),
         ({"inertia": "1"}, "'inertia' must be a finite number, got '1'"),
         ({"inertia": float("nan")}, "'inertia' must be a finite number, got nan"),
+        ({"extra": 1}, "unknown config keys: ['extra']"),
     ], ids=["no-modes", "k-str", "nan-mode", "k-bool", "k-float", "seed-float", "seed-bool",
-            "inertia-str", "inertia-nan"])
+            "inertia-str", "inertia-nan", "unknown-key"])
     def test_bad_modes_file(self, tmp_path, capsys, doc, name):
         ann = _synth_poses(tmp_path, "poses.json")
         modes = tmp_path / "modes.json"

@@ -6,7 +6,7 @@ from pointset_anchors.errors import LengthMismatchError, PointSetError, TooFewVa
 from pointset_anchors.geometry import Box, Contour, box_iou_matrix
 from pointset_anchors.matching import STRATEGIES, match_points, point_offsets
 
-from oracles import brute_nms
+from oracles import _iou, brute_nms
 from util import anchor_from_box, random_box, random_polygon
 
 
@@ -114,6 +114,23 @@ class TestNms:
             expected = brute_nms(boxes, [d.score for d in detections],
                                  [d.class_id for d in detections], threshold)
             assert kept == expected
+
+    def test_reference_equals_one_pair_at_a_time(self, rng):
+        # brute_nms broadcasts its IoU; checking each candidate against each kept
+        # box through the scalar _iou keeps the same list, ties and empty boxes too
+        for trial in range(200):
+            n = int(rng.integers(0, 30))
+            xy = rng.integers(0, 20, (n, 2)) if trial % 2 else rng.uniform(0.0, 80.0, (n, 2))
+            boxes = np.column_stack([xy, xy + rng.integers(0, 8, (n, 2))]).astype(float)
+            scores, classes = (rng.integers(0, 4, n) / 4).tolist(), rng.integers(0, 3, n).tolist()
+            threshold = float(rng.choice([0.0, 0.3, 0.5, 1.0]))
+            for class_aware in (True, False):
+                kept = []
+                for i in sorted(range(n), key=lambda i: (-scores[i], i)):
+                    if all(_iou(boxes[i].tolist(), boxes[j].tolist()) <= threshold for j in kept
+                           if not class_aware or classes[i] == classes[j]):
+                        kept.append(i)
+                assert brute_nms(boxes, scores, classes, threshold, class_aware) == kept
 
     def test_permutation_invariant_kept_set(self, rng):
         n = 30

@@ -7,6 +7,7 @@ from pointset_anchors.geometry import signed_area
 from pointset_anchors.synthetic import (
     CORPUS_CONTOURS,
     CORPUS_POSES,
+    MIN_VISIBLE_JOINTS,
     POSE_PROTOTYPES,
     generate_synthetic_corpus,
     random_convex_polygon,
@@ -113,11 +114,10 @@ class TestPoseCorpus:
             assert np.abs(record.keypoints[hidden, :2]).max() == 0.0
 
     def test_dropout_keeps_min_visible(self):
-        records = generate_synthetic_corpus(
-            CORPUS_POSES, 200, seed=6, dropout=0.85, min_visible=3
-        )
+        records = generate_synthetic_corpus(CORPUS_POSES, 200, seed=6, dropout=0.85)
+        assert MIN_VISIBLE_JOINTS == 3
         for record in records:
-            assert record.visible_mask().sum() >= 3
+            assert record.visible_mask().sum() >= MIN_VISIBLE_JOINTS
 
     def test_bbox_spans_all_joints_even_hidden(self):
         records = generate_synthetic_corpus(
