@@ -21,19 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    MAX_MAGNITUDE,
-    BadPointCountError,
-    DegenerateBoxError,
-    JointCountMismatchError,
-    MalformedDocumentError,
-    MissingCanonicalPosesError,
-    NonPositiveScaleError,
-    PointSetError,
-    check_at_least,
-    check_fields,
-    is_numbers,
-)
+from .errors import (MAX_MAGNITUDE, MalformedDocumentError, PointSetError, check_at_least,
+                     check_fields, is_numbers)
 from .geometry import transform_points
 
 NUM_JOINTS = 17
@@ -43,12 +32,11 @@ def joint_array(value, shape, what: str, dtype=float) -> np.ndarray:
     """``value`` as a ``dtype`` array of ``shape``, where a None axis matches any length.
 
     The one shape check of every joint array (modes, templates, kappas, OKS
-    and matching inputs): a mismatch raises JointCountMismatchError naming
-    ``what``.
+    and matching inputs): a mismatch raises PointSetError naming ``what``.
     """
     array = np.asarray(value, dtype)
     if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
-        raise JointCountMismatchError(f"{what} must have shape {shape}, got {array.shape}")
+        raise PointSetError(f"{what} must have shape {shape}, got {array.shape}")
     return array
 
 DEFAULT_LEVELS = ((8.0, 32.0), (16.0, 64.0), (32.0, 128.0), (64.0, 256.0), (128.0, 512.0))
@@ -79,10 +67,10 @@ def sample_box_perimeters(boxes, n: int) -> tuple[np.ndarray, tuple[int, int, in
         and the four corner positions within each row.
     """
     if n < 4 or n % 4 != 0:
-        raise BadPointCountError(f"point count must be a positive multiple of 4, got {n}")
+        raise PointSetError(f"point count must be a positive multiple of 4, got {n}")
     x0, y0, x1, y1 = (boxes[:, i, None] for i in range(4))
     if not ((x1 > x0) & (y1 > y0)).all():
-        raise DegenerateBoxError("cannot sample the perimeter of a box without positive extent")
+        raise PointSetError("cannot sample the perimeter of a box without positive extent")
     per_side = n // 4
     t = np.arange(per_side, dtype=float) / per_side
     run_x, run_y = t * (x1 - x0), t * (y1 - y0)
@@ -113,13 +101,13 @@ class PyramidConfig:
             raise PointSetError("config needs at least one pyramid level")
         strides = [s for s, _ in levels]
         if not all(math.isfinite(v) and v > 0 for level in levels for v in level):
-            raise NonPositiveScaleError("levels: strides and base scales must be finite and > 0")
+            raise PointSetError("levels: strides and base scales must be finite and > 0")
         if any(b <= a for a, b in zip(strides, strides[1:])):
             raise PointSetError(f"strides must be strictly increasing, got {strides}")
         for name in ("octave_scales", "aspect_ratios", "pose_scales"):
             vals = tuple(float(v) for v in getattr(self, name))
             if not (vals and all(math.isfinite(v) and v > 0 for v in vals)):
-                raise NonPositiveScaleError(f"{name} must be non-empty, finite and > 0")
+                raise PointSetError(f"{name} must be non-empty, finite and > 0")
             object.__setattr__(self, name, vals)
         rotations = tuple(float(r) for r in self.pose_rotations)
         if not (rotations and all(map(math.isfinite, rotations))):
@@ -127,7 +115,7 @@ class PyramidConfig:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "pose_rotations", rotations)
         if self.num_points < 4 or self.num_points % 4:
-            raise BadPointCountError(f"num_points must be a multiple of 4, got {self.num_points}")
+            raise PointSetError(f"num_points must be a multiple of 4, got {self.num_points}")
 
     @property
     def mask_anchors_per_location(self) -> int:
@@ -205,7 +193,7 @@ def load_config_document(path) -> dict:
 def _feature_shape(image_size, stride: float) -> tuple[int, int]:
     width, height = int(image_size[0]), int(image_size[1])
     if width <= 0 or height <= 0:
-        raise DegenerateBoxError(f"image size must be positive, got {image_size}")
+        raise PointSetError(f"image size must be positive, got {image_size}")
     return math.ceil(height / stride), math.ceil(width / stride)
 
 
@@ -336,7 +324,7 @@ def generate_grid(config: PyramidConfig, image_size, mode: str = MASK_MODE,
         templates = [_box_templates(config, base_scale) for _, base_scale in config.levels]
     elif mode == POSE_MODE:
         if canonical_poses is None:
-            raise MissingCanonicalPosesError("pose grids need canonical_poses")
+            raise PointSetError("pose grids need canonical_poses")
         modes = joint_array(canonical_poses, (None, NUM_JOINTS, 2), "canonical_poses")
         if not (len(modes) and np.isfinite(modes).all()):
             raise PointSetError("canonical_poses must be k >= 1 finite poses")

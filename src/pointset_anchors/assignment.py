@@ -18,13 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .anchors import NUM_JOINTS, joint_array
-from .errors import (
-    BadThresholdsError,
-    LengthMismatchError,
-    NonPositiveScaleError,
-    NoVisibleJointsError,
-    PointSetError,
-)
+from .errors import PointSetError
 
 # Per-joint falloff widths kappa, index-aligned with the canonical 17-joint
 # order (nose, eyes, ears, shoulders, elbows, wrists, hips, knees, ankles).
@@ -73,13 +67,13 @@ def _oks_widths(gt_scales, gt_visibility):
     scales = np.asarray(gt_scales, dtype=float).reshape(len(visible))
     has_visible = visible.any(axis=1)
     if not has_visible.all():
-        raise NoVisibleJointsError(f"gt {np.argmin(has_visible)} has no visible joints")
+        raise PointSetError(f"gt {np.argmin(has_visible)} has no visible joints")
     with np.errstate(over="ignore"):
         widths = 2.0 * scales[:, None] * COCO_KAPPAS ** 2
     valid = ((widths > 0.0) & (widths < np.inf)) | ~visible
     if not valid.all():
         g = np.argmin(valid.all(axis=1))
-        raise NonPositiveScaleError(
+        raise PointSetError(
             f"gt {g} has scale {scales[g]}; OKS needs 2 * scale * kappa^2 "
             "finite and > 0 for every visible joint"
         )
@@ -167,7 +161,7 @@ LABEL_NEGATIVE = 0
 def check_thresholds(hi: float, lo: float) -> None:
     """Reject assignment thresholds unless 0 <= lo <= hi <= 1 (so NaN too)."""
     if not (0.0 <= lo <= hi <= 1.0):
-        raise BadThresholdsError(f"thresholds must satisfy 0 <= lo <= hi <= 1, got lo={lo} hi={hi}")
+        raise PointSetError(f"thresholds must satisfy 0 <= lo <= hi <= 1, got lo={lo} hi={hi}")
 
 
 def assign_arrays(similarity, hi: float, lo: float, force_nearest: bool = False,
@@ -189,7 +183,7 @@ def assign_arrays(similarity, hi: float, lo: float, force_nearest: bool = False,
     check_thresholds(hi, lo)
     sim = np.asarray(similarity, dtype=float)
     if sim.ndim != 2:
-        raise LengthMismatchError(f"similarity must be 2-D, got shape {sim.shape}")
+        raise PointSetError(f"similarity must be 2-D, got shape {sim.shape}")
     if not np.isfinite(sim).all():
         raise PointSetError("similarity must be finite (no NaN or inf)")
     num_anchors, num_gts = sim.shape
@@ -198,7 +192,7 @@ def assign_arrays(similarity, hi: float, lo: float, force_nearest: bool = False,
     else:
         gt_class_ids = np.asarray(gt_class_ids, dtype=int)
         if gt_class_ids.shape != (num_gts,):
-            raise LengthMismatchError(
+            raise PointSetError(
                 f"gt_class_ids must have shape ({num_gts},), got {gt_class_ids.shape}"
             )
         if (gt_class_ids <= 0).any():
@@ -207,7 +201,7 @@ def assign_arrays(similarity, hi: float, lo: float, force_nearest: bool = False,
         out = (np.empty(num_anchors, dtype=int), np.empty(num_anchors, dtype=np.intp),
                np.empty(num_anchors))
     elif any(a.shape != (num_anchors,) for a in out):
-        raise LengthMismatchError(f"out must hold three ({num_anchors},) arrays")
+        raise PointSetError(f"out must hold three ({num_anchors},) arrays")
     labels, matched, best = out
 
     labels.fill(LABEL_NEGATIVE)

@@ -34,6 +34,10 @@ from .pipeline import (
 )
 
 
+# k-means' k and seed where --k / --seed are not given: modes and the coverage ladder
+KMEANS_K, KMEANS_SEED = 3, 0
+
+
 def _warn(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -113,8 +117,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_modes(args) -> int:
-    from .pose_modes import save_pose_modes
+    from .pose_modes import check_kmeans_settings, save_pose_modes
 
+    check_kmeans_settings(args.k, args.seed, args.max_iters)   # before the corpus is read
     result = parse_annotations(args.annotations)
     _report_parse_stats(result)
     poses = _normalized_poses(result)
@@ -154,8 +159,8 @@ def _cmd_targets(args) -> int:
 
 def _coverage_settings(args):
     """The pyramid, k and seed of a coverage run, each setting checked as the library does."""
-    k = 3 if args.k is None else args.k
-    seed = 0 if args.seed is None else args.seed
+    k = KMEANS_K if args.k is None else args.k
+    seed = KMEANS_SEED if args.seed is None else args.seed
     if args.similarity == SIMILARITY_OKS:
         from .pose_modes import check_kmeans_settings
         check_kmeans_settings(k, seed)
@@ -226,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     modes = sub.add_parser("modes", help="cluster corpus poses into canonical modes")
     modes.add_argument("--annotations", required=True)
-    modes.add_argument("--k", type=int, default=3)
-    modes.add_argument("--seed", type=int, default=0)
+    modes.add_argument("--k", type=int, default=KMEANS_K)
+    modes.add_argument("--seed", type=int, default=KMEANS_SEED)
     modes.add_argument("--max-iters", type=int, default=100)
     modes.add_argument("--out", required=True)
     modes.set_defaults(func=_cmd_modes)
@@ -251,9 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
                           default=SIMILARITY_OKS)
     coverage.add_argument("--threshold", type=float, default=0.5)
     coverage.add_argument("--k", type=int, default=None,
-                          help="oks ladder: add a k-means configuration with this k (default 3)")
+                          help=f"oks ladder: add a k-means configuration with this k "
+                               f"(default {KMEANS_K})")
     coverage.add_argument("--seed", type=int, default=None,
-                          help="oks ladder: the k-means seed (default 0)")
+                          help=f"oks ladder: the k-means seed (default {KMEANS_SEED})")
     coverage.add_argument("--out", required=True)
     coverage.set_defaults(func=_cmd_coverage)
     return parser

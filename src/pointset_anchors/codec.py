@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LengthMismatchError, PointSetError, TooFewValidPointsError
+from .errors import PointSetError
 from .geometry import Box, Contour, box_iou_matrix
 
 DEFAULT_NMS_THRESHOLD = 0.5
@@ -17,15 +17,13 @@ DEFAULT_NMS_THRESHOLD = 0.5
 def _points_and_valid(points, valid) -> tuple[np.ndarray, np.ndarray]:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
-        raise LengthMismatchError(f"expected an (n, 2) point array, got shape {pts.shape}")
+        raise PointSetError(f"expected an (n, 2) point array, got shape {pts.shape}")
     if valid is None:
         flags = np.ones(len(pts), dtype=bool)
     else:
         flags = np.asarray(valid, dtype=bool)
         if flags.shape != (len(pts),):
-            raise LengthMismatchError(
-                f"valid flags must have shape ({len(pts)},), got {flags.shape}"
-            )
+            raise PointSetError(f"valid flags must have shape ({len(pts)},), got {flags.shape}")
     return pts, flags
 
 
@@ -38,7 +36,7 @@ def decode_points(anchor_points, offsets, valid=None) -> tuple[np.ndarray, np.nd
     anchor_points, flags = _points_and_valid(anchor_points, valid)
     offsets = np.asarray(offsets, dtype=float)
     if offsets.shape != anchor_points.shape:
-        raise LengthMismatchError(
+        raise PointSetError(
             f"offsets shape {offsets.shape} != anchor points shape {anchor_points.shape}"
         )
     decoded = np.where(flags[:, None], anchor_points + offsets, anchor_points)
@@ -48,14 +46,12 @@ def decode_points(anchor_points, offsets, valid=None) -> tuple[np.ndarray, np.nd
 def construct_mask(points, valid=None) -> Contour:
     """Connect the valid points, in anchor order, into a closed contour.
 
-    Raises TooFewValidPointsError below 3 valid points.
+    Raises PointSetError below 3 valid points.
     """
     pts, flags = _points_and_valid(points, valid)
     kept = pts[flags]
     if len(kept) < 3:
-        raise TooFewValidPointsError(
-            f"mask construction needs >= 3 valid points, got {len(kept)}"
-        )
+        raise PointSetError(f"mask construction needs >= 3 valid points, got {len(kept)}")
     return Contour(kept)
 
 

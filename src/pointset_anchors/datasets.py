@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .anchors import NUM_JOINTS
-from .errors import (MAX_MAGNITUDE, DegenerateContourError, MalformedDocumentError,
-                     TooFewVerticesError, is_numbers)
+from .errors import MAX_MAGNITUDE, MalformedDocumentError, PointSetError, is_numbers
 from .geometry import Box, Contour, signed_area
 
 # The synthetic corpus kinds and pose figure heights (px), stated here and not
@@ -126,7 +125,7 @@ def _parse_polygons(segmentation, context: str, stats: ParseStats) -> tuple[Cont
             continue
         try:
             contours.append(Contour(vertices))
-        except (TooFewVerticesError, DegenerateContourError):
+        except PointSetError:
             stats.dropped_polygons += 1
     return tuple(contours)
 

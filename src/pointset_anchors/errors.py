@@ -2,72 +2,19 @@
 
 
 class PointSetError(ValueError):
-    """Base class for all errors raised by this library."""
-
-
-class DegenerateBoxError(PointSetError):
-    """Box is malformed (non-finite, min > max) or has no usable extent."""
-
-
-class TooFewVerticesError(PointSetError):
-    """A polygon needs at least 3 vertices."""
-
-
-class DegenerateContourError(PointSetError):
-    """Contour has zero signed area."""
-
-
-class NonPositiveScaleError(PointSetError):
-    """Scale factors must be strictly positive."""
-
-
-class BadPointCountError(PointSetError):
-    """Anchor point count must be a positive multiple of 4."""
-
-
-class MissingCanonicalPosesError(PointSetError):
-    """Pose grid generation needs canonical poses."""
-
-
-class JointCountMismatchError(PointSetError):
-    """Pose arrays must carry exactly NUM_JOINTS joints."""
-
-
-class NoVisibleJointsError(PointSetError):
-    """OKS is undefined for a ground truth with no visible joints."""
-
-
-class BadThresholdsError(PointSetError):
-    """Assignment thresholds must satisfy 0 <= lo <= hi <= 1."""
-
-
-class LengthMismatchError(PointSetError):
-    """Parallel arrays disagree in length."""
-
-
-class TooFewValidPointsError(PointSetError):
-    """Mask construction needs at least 3 valid points."""
-
-
-class TooFewVisibleJointsError(PointSetError):
-    """Pose normalization needs at least 2 visible joints."""
-
-
-class TooFewPosesError(PointSetError):
-    """Clustering needs at least k admissible poses."""
+    """The error of any input or setting this library rejects; the message names which."""
 
 
 class MalformedDocumentError(PointSetError):
     """An input document (annotations, config, pose modes) is invalid; message names the field."""
 
 
-class NoApplicableRecordsError(PointSetError):
-    """No input record carries the annotations the operation needs."""
-
-
 # The largest magnitude of an input number or anchor coordinate: sums and differences
 # of a few stay below 2**503, so squares, areas and sums of squares stay finite.
 MAX_MAGNITUDE = 2.0 ** 500
+
+# The longest value text a field error quotes; a longer one is cut to end in "...".
+MAX_VALUE_TEXT = 60
 
 
 def is_numbers(value, length=None) -> bool:
@@ -95,4 +42,6 @@ def check_fields(data: dict, fields: dict, context: str) -> None:
         except (TypeError, ValueError, OverflowError):
             ok = False
         if not ok:
-            raise MalformedDocumentError(f"{context}: {key!r} must be {kind}, got {data[key]!r}")
+            text = repr(data[key])
+            text = text if len(text) <= MAX_VALUE_TEXT else text[:MAX_VALUE_TEXT - 3] + "..."
+            raise MalformedDocumentError(f"{context}: {key!r} must be {kind}, got {text}")

@@ -12,13 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DegenerateBoxError,
-    DegenerateContourError,
-    NonPositiveScaleError,
-    PointSetError,
-    TooFewVerticesError,
-)
+from .errors import PointSetError, check_at_least
 
 
 class Box:
@@ -29,9 +23,9 @@ class Box:
     def __init__(self, x_min: float, y_min: float, x_max: float, y_max: float):
         vals = (x_min, y_min, x_max, y_max)
         if not all(math.isfinite(float(v)) for v in vals):
-            raise DegenerateBoxError(f"box coordinates must be finite: {vals}")
+            raise PointSetError(f"box coordinates must be finite: {vals}")
         if x_min > x_max or y_min > y_max:
-            raise DegenerateBoxError(f"box min corner exceeds max corner: {vals}")
+            raise PointSetError(f"box min corner exceeds max corner: {vals}")
         self.x_min, self.y_min, self.x_max, self.y_max = vals
 
     def _key(self) -> tuple:
@@ -77,16 +71,14 @@ class Contour:
     def __init__(self, vertices):
         arr = np.asarray(vertices, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2:
-            raise TooFewVerticesError(
-                f"expected an (n, 2) vertex array, got shape {arr.shape}"
-            )
+            raise PointSetError(f"expected an (n, 2) vertex array, got shape {arr.shape}")
         if arr.shape[0] < 3:
-            raise TooFewVerticesError(f"contour needs >= 3 vertices, got {arr.shape[0]}")
+            raise PointSetError(f"contour needs >= 3 vertices, got {arr.shape[0]}")
         if not np.isfinite(arr).all():
-            raise TooFewVerticesError("contour vertices must be finite")
+            raise PointSetError("contour vertices must be finite")
         area = _shoelace(arr)
         if area == 0.0:
-            raise DegenerateContourError("contour has zero signed area")
+            raise PointSetError("contour has zero signed area")
         if area < 0.0:
             arr = np.concatenate([arr[:1], arr[:0:-1]], axis=0)
         arr = np.ascontiguousarray(arr)
@@ -122,7 +114,7 @@ def signed_area(contour) -> float:
         return _shoelace(contour.vertices)
     arr = np.asarray(contour, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
-        raise TooFewVerticesError(f"expected an (n >= 3, 2) vertex array, got shape {arr.shape}")
+        raise PointSetError(f"expected an (n >= 3, 2) vertex array, got shape {arr.shape}")
     return _shoelace(arr)
 
 
@@ -176,8 +168,7 @@ def rasterized_mask_iou(a: Contour, b: Contour, resolution: int = 512) -> float:
     boolean masks is returned. Intended as a measurement/test oracle, not a
     training-path operation.
     """
-    if resolution < 16:
-        raise NonPositiveScaleError(f"resolution must be >= 16, got {resolution}")
+    check_at_least(("resolution", resolution, 16))
     ba, bb = a.bounds(), b.bounds()
     x_min, y_min = min(ba.x_min, bb.x_min), min(ba.y_min, bb.y_min)
     x_max, y_max = max(ba.x_max, bb.x_max), max(ba.y_max, bb.y_max)
@@ -204,7 +195,7 @@ def transform_points(points, center, angle_degrees, scale) -> np.ndarray:
     """
     angles, scales = np.asarray(angle_degrees, dtype=float), np.asarray(scale, dtype=float)
     if not (np.isfinite(scales) & (scales > 0.0)).all():
-        raise NonPositiveScaleError(f"scale must be finite and > 0, got {scale}")
+        raise PointSetError(f"scale must be finite and > 0, got {scale}")
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1:] != (2,):
         raise PointSetError(f"points must be (x, y) pairs, got shape {pts.shape}")

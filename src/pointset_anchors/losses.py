@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import anchors
-from .errors import LengthMismatchError, NonPositiveScaleError, PointSetError
+from .errors import PointSetError
 
 FOCAL_ALPHA = 0.25
 FOCAL_GAMMA = 2.0
@@ -97,28 +97,26 @@ class LossInputs:
         reg_targets = np.asarray(self.reg_targets, dtype=float)
         valid = np.asarray(self.reg_valid, dtype=bool)
         if probs.ndim != 2:
-            raise LengthMismatchError(f"class_probs must be (A, C), got {probs.shape}")
+            raise PointSetError(f"class_probs must be (A, C), got {probs.shape}")
         a, c = probs.shape
         if targets.shape != (a,):
-            raise LengthMismatchError(f"class_targets must be ({a},), got {targets.shape}")
+            raise PointSetError(f"class_targets must be ({a},), got {targets.shape}")
         if targets.max(initial=0) > c:
             raise PointSetError(f"class target exceeds {c} classes")
         if targets.min(initial=0) < -1:
             raise PointSetError("class targets are 0, -1 or positive class ids")
         if preds.ndim != 3 or preds.shape[0] != a or preds.shape[2] != 2:
-            raise LengthMismatchError(f"reg_preds must be ({a}, P, 2), got {preds.shape}")
+            raise PointSetError(f"reg_preds must be ({a}, P, 2), got {preds.shape}")
         if reg_targets.shape != preds.shape:
-            raise LengthMismatchError(
+            raise PointSetError(
                 f"reg_targets shape {reg_targets.shape} != reg_preds shape {preds.shape}"
             )
         if valid.shape != preds.shape[:2]:
-            raise LengthMismatchError(
-                f"reg_valid must be {preds.shape[:2]}, got {valid.shape}"
-            )
+            raise PointSetError(f"reg_valid must be {preds.shape[:2]}, got {valid.shape}")
         if not (np.isfinite(probs).all() and (probs >= 0).all() and (probs <= 1).all()):
             raise PointSetError("class_probs must be probabilities in [0, 1]")
         if not self.balance > 0.0:
-            raise NonPositiveScaleError(f"balance must be > 0, got {self.balance}")
+            raise PointSetError(f"balance must be > 0, got {self.balance}")
         for name, value in (("class_probs", probs), ("class_targets", targets),
                             ("reg_preds", preds), ("reg_targets", reg_targets),
                             ("reg_valid", valid)):

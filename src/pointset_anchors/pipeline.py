@@ -38,14 +38,7 @@ from .assignment import (
     oks_lattice,
 )
 from .datasets import InstanceRecord
-from .errors import (
-    MissingCanonicalPosesError,
-    NoApplicableRecordsError,
-    PointSetError,
-    check_at_least,
-    check_fields,
-    is_numbers,
-)
+from .errors import PointSetError, check_at_least, check_fields, is_numbers
 from .geometry import box_iou_matrix
 
 TARGET_FORMAT = "point-set-targets"
@@ -218,7 +211,7 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
     Returns a summary dict with anchor/label counts.
     """
     if config.task == TASK_POSE_TARGETS and canonical_poses is None:
-        raise MissingCanonicalPosesError("pose target emission needs canonical_poses")
+        raise PointSetError("pose target emission needs canonical_poses")
     records = list(records)
     for record in records:
         if not 1 <= record.class_id <= config.num_classes and _eligible(record, config.task):
@@ -383,7 +376,7 @@ class CoverageConfig(_TaskConfig):
         self.pyramid = PyramidConfig() if pyramid is None else pyramid
         self._check_task()
         if task == TASK_POSE_TARGETS and canonical_poses is None:
-            raise MissingCanonicalPosesError(f"config {name!r} needs canonical_poses")
+            raise PointSetError(f"config {name!r} needs canonical_poses")
 
 
 class CoverageReport:
@@ -443,9 +436,7 @@ def coverage_report(records, configs, threshold: float = 0.5) -> list[CoverageRe
                                     force_nearest=True, labelled=False)]
         best = np.concatenate([np.zeros(0)] + [image_best for _, image_best in scored])
         if not best.size:
-            raise NoApplicableRecordsError(
-                f"no records usable for coverage config {config.name!r}"
-            )
+            raise PointSetError(f"no records usable for coverage config {config.name!r}")
         anchor_count, positive, negative, ignore = sum(counts for counts, _ in scored).tolist()
         matched = int(np.count_nonzero(best >= threshold))
         hist = np.histogram(np.clip(best, 0.0, 1.0), bins=10, range=(0.0, 1.0))[0]

@@ -16,16 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .anchors import NUM_JOINTS, joint_array, load_config_document
-from .errors import (
-    DegenerateBoxError,
-    JointCountMismatchError,
-    PointSetError,
-    TooFewPosesError,
-    TooFewVisibleJointsError,
-    check_at_least,
-    check_fields,
-    is_numbers,
-)
+from .errors import PointSetError, check_at_least, check_fields, is_numbers
 from .geometry import Box
 
 
@@ -60,12 +51,12 @@ def normalize_pose(joints, visibility, ref_box: Box) -> NormalizedPose:
     joints = joint_array(joints, (NUM_JOINTS, 2), "joints")
     valid = joint_array(visibility, (NUM_JOINTS,), "visibility") > 0
     if np.count_nonzero(valid) < 2:
-        raise TooFewVisibleJointsError(
+        raise PointSetError(
             f"normalization needs >= 2 visible joints, got {np.count_nonzero(valid)}"
         )
     scale = max(ref_box.width, ref_box.height)
     if scale <= 0.0:
-        raise DegenerateBoxError(f"reference box has no extent: {ref_box}")
+        raise PointSetError(f"reference box has no extent: {ref_box}")
     cx, cy = ref_box.center
     out = (joints - (cx, cy)) / scale
     out[~valid] = 0.0
@@ -81,7 +72,7 @@ class PoseModes:
                  inertia_history: tuple[float, ...] = ()):
         modes = np.ascontiguousarray(joint_array(modes, (None, NUM_JOINTS, 2), "modes"))
         if not len(modes):
-            raise JointCountMismatchError("modes must hold k >= 1 poses")
+            raise PointSetError("modes must hold k >= 1 poses")
         modes.setflags(write=False)
         self.modes, self.inertia, self.seed = modes, inertia, seed
         self.inertia_history = inertia_history
@@ -143,7 +134,7 @@ def kmeans_poses(poses, k: int, seed: int = 0, max_iters: int = 100) -> PoseMode
     0 tie every point) keeps its centroid.
     Iteration stops at an assignment fixed point or ``max_iters``; the
     recorded inertia history is non-increasing. Fewer than k distinct poses
-    would leave a cluster empty, so they raise TooFewPosesError.
+    would leave a cluster empty, so they raise PointSetError.
     """
     check_kmeans_settings(k, seed, max_iters)
     x = _admissible_matrix(poses)
@@ -151,7 +142,7 @@ def kmeans_poses(poses, k: int, seed: int = 0, max_iters: int = 100) -> PoseMode
         raise PointSetError("poses must be finite")
     distinct = len({row.tobytes() for row in x + 0.0})   # + 0.0 turns -0.0 into 0.0
     if distinct < k:
-        raise TooFewPosesError(f"need >= {k} distinct fully visible poses, got {distinct}")
+        raise PointSetError(f"need >= {k} distinct fully visible poses, got {distinct}")
 
     centroids = _kmeans_pp_init(x, k, operator.index(seed))
     labels = np.full(len(x), -1)

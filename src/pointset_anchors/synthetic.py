@@ -85,6 +85,7 @@ POSE_PROTOTYPES.setflags(write=False)
 ASPECT_RANGE = (0.6, 1.6)         # a contour's rx / ry, drawn uniformly
 ROTATION_RANGE = (-25.0, 25.0)    # a figure's rotation in degrees, drawn uniformly
 MIN_VISIBLE_JOINTS = 3            # dropout re-draws until at least this many stay visible
+SPIKINESS = 0.45                  # a star contour's radius multipliers lie in 1 +- this
 
 
 def _ellipse_polygon(rng: np.random.Generator, n_vertices: int, center, radii,
@@ -111,7 +112,7 @@ def random_convex_polygon(rng: np.random.Generator, n_vertices: int, center,
 
 
 def random_star_polygon(rng: np.random.Generator, n_vertices: int, center,
-                        radii, spikiness: float = 0.45) -> np.ndarray:
+                        radii, spikiness: float = SPIKINESS) -> np.ndarray:
     """Star-shaped (generally concave) polygon around ``center``.
 
     Vertices sit at sorted angles with per-vertex radius multipliers in
@@ -125,7 +126,7 @@ def random_star_polygon(rng: np.random.Generator, n_vertices: int, center,
 
 def _contour_records(count: int, rng: np.random.Generator, image_size,
                      instances_per_image: int, vertex_range=(6, 28), radius_range=(18.0, 80.0),
-                     spikiness: float = 0.45, convex=None) -> list[InstanceRecord]:
+                     convex=None) -> list[InstanceRecord]:
     lo, hi = vertex_range
     if not 3 <= lo <= hi:
         raise PointSetError(f"vertex_range must satisfy 3 <= lo <= hi, got {tuple(vertex_range)}")
@@ -133,7 +134,7 @@ def _contour_records(count: int, rng: np.random.Generator, image_size,
     # largest radius whose worst-case reach still fits inside the image;
     # both wide (rx = r sqrt(a)) and tall (ry = r / sqrt(a)) shapes count
     stretch = max(np.sqrt(ASPECT_RANGE[1]), 1.0 / np.sqrt(ASPECT_RANGE[0]))
-    spread = (1.0 + spikiness) * stretch
+    spread = (1.0 + SPIKINESS) * stretch
     r_cap = (min(width, height) / 2.0 - 1.0) / spread
     if r_cap < radius_range[0]:
         side = math.ceil(2.0 * (radius_range[0] * spread + 1.0))
@@ -145,14 +146,14 @@ def _contour_records(count: int, rng: np.random.Generator, image_size,
         r = min(rng.uniform(*radius_range), r_cap)
         aspect = rng.uniform(*ASPECT_RANGE)
         rx, ry = r * np.sqrt(aspect), r / np.sqrt(aspect)
-        reach = max(rx, ry) * (1.0 + spikiness)
+        reach = max(rx, ry) * (1.0 + SPIKINESS)
         cx = rng.uniform(reach, width - reach)
         cy = rng.uniform(reach, height - reach)
         make_convex = bool(rng.integers(2)) if convex is None else bool(convex)
         if make_convex:
             vertices = random_convex_polygon(rng, n, (cx, cy), (rx, ry))
         else:
-            vertices = random_star_polygon(rng, n, (cx, cy), (rx, ry), spikiness)
+            vertices = random_star_polygon(rng, n, (cx, cy), (rx, ry))
         contour = Contour(vertices)
         records.append(InstanceRecord(
             image_id=i // instances_per_image + 1,
@@ -242,7 +243,7 @@ def generate_synthetic_corpus(kind: str, count: int, seed: int = 0,
                               **difficulty) -> list[InstanceRecord]:
     """Generate ``count`` instance records of the given kind.
 
-    kind "contours" accepts vertex_range, radius_range, spikiness and convex
+    kind "contours" accepts vertex_range, radius_range and convex
     (True/False/None for a mix); kind "poses" accepts scale_range, jitter,
     dropout, truncation and n_prototypes. The same (kind, count, seed,
     parameters) always yields the same records.

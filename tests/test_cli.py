@@ -311,6 +311,19 @@ class TestFlagsOfTheTaskThatRuns:
     ], ids=["threshold", "k", "seed", "config", "iou-threshold", "iou-config"])
     def test_coverage_setting_is_named_before_the_corpus_is_read(self, tmp_path, capsys,
                                                                  flags, message):
+        self._assert_named_before_the_corpus(tmp_path, capsys, "coverage", flags, message)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "0"], "k must be >= 1, got 0"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--max-iters", "0"], "max_iters must be >= 1, got 0"),
+    ], ids=["k", "seed", "max-iters"])
+    def test_modes_setting_is_named_before_the_corpus_is_read(self, tmp_path, capsys,
+                                                              flags, message):
+        self._assert_named_before_the_corpus(tmp_path, capsys, "modes", flags, message)
+
+    @staticmethod
+    def _assert_named_before_the_corpus(tmp_path, capsys, command, flags, message):
         # the corpus's own warnings would print if it were parsed first
         poses = tmp_path / "poses.json"
         assert main(["synth", "--kind", "poses", "--count", "40", "--seed", "3",
@@ -318,15 +331,15 @@ class TestFlagsOfTheTaskThatRuns:
         doc = json.loads(poses.read_text())
         doc["annotations"][0]["segmentation"] = [[1.0, 1.0, 5.0, 5.0]]
         poses.write_text(json.dumps(doc))
-        config, out = tmp_path / "config.json", tmp_path / "c.json"
+        config, out = tmp_path / "config.json", tmp_path / "out.json"
         config.write_text('{"hi": 2}')
         capsys.readouterr()
-        assert main(["coverage", "--annotations", str(poses), "--out", str(out)]) == 0
+        assert main([command, "--annotations", str(poses), "--out", str(out)]) == 0
         assert capsys.readouterr().err == ("warning: dropped 1 degenerate polygon(s)\n"
                                            "warning: k-means clusters the 3 fully visible"
                                            " of 40 pose(s)\n")
         out.unlink()
-        assert main(["coverage", "--annotations", str(poses), "--out", str(out),
+        assert main([command, "--annotations", str(poses), "--out", str(out),
                      *(flag.format(config=config) for flag in flags)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
@@ -568,8 +581,13 @@ class TestDocumentErrors:
         ({"inertia": "1"}, "'inertia' must be a finite number, got '1'"),
         ({"inertia": float("nan")}, "'inertia' must be a finite number, got nan"),
         ({"extra": 1}, "unknown config keys: ['extra']"),
+        # a long value's text is cut at errors.MAX_VALUE_TEXT characters
+        ({"modes": [[[0.25, 0.5]] * 16 + [[float("nan"), 0.5]]]},
+         "'modes' must be finite numbers, got [[[0.25, 0.5], [0.25, 0.5], [0.25, 0.5],"
+         " [0.25, 0.5], [0....\n"),
+        ({"inertia": 10 ** 400}, f"'inertia' must be a finite number, got 1{'0' * 56}...\n"),
     ], ids=["no-modes", "k-str", "nan-mode", "k-bool", "k-float", "seed-float", "seed-bool",
-            "inertia-str", "inertia-nan", "unknown-key"])
+            "inertia-str", "inertia-nan", "unknown-key", "long-modes", "huge-inertia"])
     def test_bad_modes_file(self, tmp_path, capsys, doc, name):
         ann = _synth_poses(tmp_path, "poses.json")
         modes = tmp_path / "modes.json"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pointset_anchors.codec import Detection, construct_mask, decode_points, nms
-from pointset_anchors.errors import LengthMismatchError, PointSetError, TooFewValidPointsError
+from pointset_anchors.errors import PointSetError
 from pointset_anchors.geometry import Box, Contour, box_iou_matrix
 from pointset_anchors.matching import STRATEGIES, match_points, point_offsets
 
@@ -35,7 +35,7 @@ class TestDecodePoints:
             assert np.array_equal(decoded[flags], targets[0][flags]), strategy
 
     def test_shape_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(PointSetError, match=r"offsets shape \(4, 2\) != anchor points shape"):
             decode_points(np.zeros((3, 2)), np.zeros((4, 2)))
 
 
@@ -48,7 +48,7 @@ class TestConstructMask:
 
     def test_too_few_valid(self):
         points = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-        with pytest.raises(TooFewValidPointsError):
+        with pytest.raises(PointSetError, match="mask construction needs >= 3 valid points"):
             construct_mask(points, np.array([True, True, False]))
 
 

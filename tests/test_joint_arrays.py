@@ -8,7 +8,7 @@ import pytest
 
 from pointset_anchors.anchors import NUM_JOINTS, POSE_MODE, PyramidConfig, generate_grid
 from pointset_anchors.assignment import oks, refine_pose_anchors
-from pointset_anchors.errors import JointCountMismatchError
+from pointset_anchors.errors import PointSetError
 from pointset_anchors.geometry import Box
 from pointset_anchors.matching import match_pose_points
 from pointset_anchors.pose_modes import (
@@ -60,5 +60,5 @@ CASES = {
 
 @pytest.mark.parametrize("call, name", list(CASES.values()), ids=list(CASES))
 def test_wrong_joint_count_or_batch_length_is_named(tmp_path, call, name):
-    with pytest.raises(JointCountMismatchError, match=re.escape(name)):
+    with pytest.raises(PointSetError, match=re.escape(f"{name} must have shape")):
         call(tmp_path)

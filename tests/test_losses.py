@@ -3,11 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pointset_anchors.errors import (
-    LengthMismatchError,
-    NonPositiveScaleError,
-    PointSetError,
-)
+from pointset_anchors.errors import PointSetError
 from pointset_anchors.losses import (
     FOCAL_ALPHA,
     FOCAL_GAMMA,
@@ -152,13 +148,13 @@ class TestTotalLoss:
         assert total_loss(inputs).loss_cls == pytest.approx(expected, abs=1e-12)
 
     def test_validation(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(PointSetError, match=r"class_targets must be \(1,\), got \(2,\)"):
             _inputs([[0.5]], [0, 0], np.zeros((1, 1, 2)), np.zeros((1, 1, 2)),
                     np.ones((1, 1)))
         with pytest.raises(PointSetError):
             _inputs([[1.5]], [0], np.zeros((1, 1, 2)), np.zeros((1, 1, 2)),
                     np.ones((1, 1)))
-        with pytest.raises(NonPositiveScaleError):
+        with pytest.raises(PointSetError, match="balance must be > 0"):
             _inputs([[0.5]], [0], np.zeros((1, 1, 2)), np.zeros((1, 1, 2)),
                     np.ones((1, 1)), balance=0.0)
 

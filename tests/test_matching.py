@@ -6,7 +6,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from pointset_anchors.anchors import sample_box_perimeters
-from pointset_anchors.errors import JointCountMismatchError, PointSetError
+from pointset_anchors.errors import PointSetError
 from pointset_anchors.geometry import Box, Contour
 from pointset_anchors import matching
 from pointset_anchors.matching import (
@@ -407,6 +407,7 @@ class TestMatchPose:
             (np.zeros((2, 17, 2)), np.zeros((2, 17, 2)), np.zeros((3, 17))),
             (np.zeros((2, 17, 2)), np.zeros((17, 2)), np.zeros(17)),        # one gt for all
         ):
-            with pytest.raises(JointCountMismatchError):
+            with pytest.raises(PointSetError,
+                               match="^(joints|gt_joints|visibility) must have shape"):
                 match_pose_points(joints, gt, visibility)
 

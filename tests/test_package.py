@@ -1,4 +1,5 @@
 import ast
+import builtins
 import types
 from pathlib import Path
 
@@ -81,3 +82,24 @@ def test_no_string_constant_is_defined_twice():
     repeated = {value: sorted(names) for value, names in homes.items()
                 if len({name.split(".")[0] for name in names}) > 1}
     assert not repeated, repeated
+
+
+
+def test_only_two_exception_classes():
+    # Callers tell failures apart by message, not by class: a bad outside
+    # document raises MalformedDocumentError, and every other failure PointSetError.
+    exceptions = {name for name, value in vars(builtins).items()
+                  if isinstance(value, type) and issubclass(value, BaseException)}
+    classes = [(f"{path.stem}.{node.name}", node)
+               for path in sorted(Path(pointset_anchors.__file__).parent.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)]
+    found: set[str] = set()
+    while True:   # a class is an exception once one of its bases is
+        new = {name for name, node in classes if name not in found
+               and any(getattr(base, "id", getattr(base, "attr", None)) in exceptions
+                       for base in node.bases)}
+        if not new:
+            break
+        found |= new
+        exceptions |= {name.split(".")[1] for name in new}
+    assert sorted(found) == ["errors.MalformedDocumentError", "errors.PointSetError"]

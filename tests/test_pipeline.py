@@ -32,12 +32,7 @@ from pointset_anchors.assignment import (
     oks_matrix,
 )
 from pointset_anchors.datasets import InstanceRecord
-from pointset_anchors.errors import (
-    MissingCanonicalPosesError,
-    NoApplicableRecordsError,
-    NonPositiveScaleError,
-    PointSetError,
-)
+from pointset_anchors.errors import PointSetError
 from pointset_anchors.geometry import Box
 from pointset_anchors import anchors, matching, pipeline
 from pointset_anchors.matching import NEAREST_LINE, NEAREST_POINT
@@ -370,7 +365,7 @@ class TestEmitTargets:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_pose_requires_canonical_poses(self, tmp_path):
-        with pytest.raises(MissingCanonicalPosesError):
+        with pytest.raises(PointSetError, match="pose target emission needs canonical_poses"):
             emit_targets(_pose_corpus(), TargetConfig(task=TASK_POSE_TARGETS),
                          tmp_path / "t.jsonl")
 
@@ -589,7 +584,7 @@ class TestImageSimilarityRoutes:
         grid = _single_anchor_grid()
         anchor = grid.joint_stack()[0]
         record = _pose_record(anchor, np.full(NUM_JOINTS, 2.0), 1e-323)
-        with pytest.raises(NonPositiveScaleError):
+        with pytest.raises(PointSetError, match=r"OKS needs 2 \* scale \* kappa\^2"):
             _image_similarity(grid, [record], TASK_POSE_TARGETS)
 
 
@@ -770,7 +765,7 @@ class TestCoverageReport:
         assert report.matched_gt_fraction >= 0.9
 
     def test_pose_config_requires_modes(self):
-        with pytest.raises(MissingCanonicalPosesError):
+        with pytest.raises(PointSetError, match="config 'pose' needs canonical_poses"):
             CoverageConfig(name="pose", task=TASK_POSE_TARGETS)
 
     def test_report_similarity_follows_task(self):
@@ -793,7 +788,7 @@ class TestCoverageReport:
     def test_no_usable_records(self):
         records = _pose_corpus(count=3)   # no contours
         config = CoverageConfig(name="m", pyramid=SMALL_PYRAMID, task=TASK_MASK)
-        with pytest.raises(NoApplicableRecordsError):
+        with pytest.raises(PointSetError, match="no records usable for coverage config 'm'"):
             coverage_report(records, [config])
 
     def test_report_order_follows_configs(self):
