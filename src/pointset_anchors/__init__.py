@@ -13,10 +13,11 @@ from importlib import import_module as _import_module
 
 # Each exported name by its home module, in export order.
 _EXPORTS = {
-    "anchors": "DEFAULT_ASPECT_RATIOS DEFAULT_LEVELS DEFAULT_OCTAVE_SCALES DEFAULT_POSE_ROTATIONS"
-               " DEFAULT_POSE_SCALES MASK_MODE NUM_JOINTS POSE_MODE POSE_ROTATIONS_FIVE"
-               " POSE_SCALES_FIVE TASK_SEGMENTATION AnchorGrid PyramidConfig generate_grid"
-               " head_output_dims load_config_document sample_box_perimeters",
+    "anchors": "CORNER_PROJECTION DEFAULT_ASPECT_RATIOS DEFAULT_LEVELS DEFAULT_OCTAVE_SCALES"
+               " DEFAULT_POSE_ROTATIONS DEFAULT_POSE_SCALES MASK_MODE NEAREST_LINE NEAREST_POINT"
+               " NUM_JOINTS POSE_MODE POSE_ROTATIONS_FIVE POSE_SCALES_FIVE STRATEGIES"
+               " TASK_SEGMENTATION AnchorGrid PyramidConfig generate_grid head_output_dims"
+               " load_config_document sample_box_perimeters",
     "assignment": "COCO_KAPPAS COCO_SIGMAS LABEL_IGNORE LABEL_NEGATIVE SIMILARITY_IOU"
                   " SIMILARITY_OKS assign_arrays oks oks_lattice oks_matrix refine_pose_anchors",
     "codec": "DEFAULT_NMS_THRESHOLD Detection construct_mask decode_points nms",
@@ -27,8 +28,7 @@ _EXPORTS = {
                 " transform_points",
     "losses": "FOCAL_ALPHA FOCAL_GAMMA LAMBDA_POSE LAMBDA_SEGMENTATION TASK_POSE"
               " LossBreakdown LossInputs balance_for_task focal_loss total_loss",
-    "matching": "CORNER_PROJECTION NEAREST_LINE NEAREST_POINT STRATEGIES match_points"
-                " match_pose_points point_offsets",
+    "matching": "match_points match_pose_points point_offsets",
     "pipeline": "TASK_MASK TASK_POSE_TARGETS CoverageConfig CoverageReport TargetConfig"
                 " coverage_report coverage_to_dict emit_targets render_coverage_table",
     "pose_modes": "NormalizedPose PoseModes center_point_shape kmeans_poses load_pose_modes"

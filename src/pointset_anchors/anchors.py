@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +46,12 @@ POSE_SCALES_FIVE = (0.6, 0.8, 1.0, 1.2, 1.4)
 POSE_ROTATIONS_FIVE = (-20.0, -10.0, 0.0, 10.0, 20.0)
 DEFAULT_POSE_SCALES = POSE_SCALES_FIVE[1:4]
 DEFAULT_POSE_ROTATIONS = POSE_ROTATIONS_FIVE[1:4]
+
+# The mask matching strategies, named here so that the CLI and TargetConfig need not load matching
+NEAREST_POINT = "nearest-point"
+NEAREST_LINE = "nearest-line"
+CORNER_PROJECTION = "corner-projection"
+STRATEGIES = (NEAREST_POINT, NEAREST_LINE, CORNER_PROJECTION)
 
 MASK_MODE = "mask"
 POSE_MODE = "pose"
@@ -79,8 +84,25 @@ def sample_box_perimeters(boxes, n: int) -> tuple[np.ndarray, tuple[int, int, in
     return np.stack([x, y], axis=-1), (0, per_side, 2 * per_side, 3 * per_side)
 
 
-@dataclass(frozen=True)
-class PyramidConfig:
+class Frozen:
+    """Slots set once, by ``_set`` in ``__init__``, then read-only; equal by class and slots."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+
+class PyramidConfig(Frozen):
     """Feature-pyramid tiling: (stride, base_scale) per level plus variants.
 
     Defaults give 3 octaves x 3 aspects = 9 mask anchors per location and
@@ -88,15 +110,13 @@ class PyramidConfig:
     anchor sample count n.
     """
 
-    levels: tuple[tuple[float, float], ...] = DEFAULT_LEVELS
-    octave_scales: tuple[float, ...] = DEFAULT_OCTAVE_SCALES
-    aspect_ratios: tuple[float, ...] = DEFAULT_ASPECT_RATIOS
-    pose_scales: tuple[float, ...] = DEFAULT_POSE_SCALES
-    pose_rotations: tuple[float, ...] = DEFAULT_POSE_ROTATIONS
-    num_points: int = 36
+    __slots__ = ("levels", "octave_scales", "aspect_ratios", "pose_scales", "pose_rotations",
+                 "num_points")
 
-    def __post_init__(self):
-        levels = tuple((float(s), float(b)) for s, b in self.levels)
+    def __init__(self, levels=DEFAULT_LEVELS, octave_scales=DEFAULT_OCTAVE_SCALES,
+                 aspect_ratios=DEFAULT_ASPECT_RATIOS, pose_scales=DEFAULT_POSE_SCALES,
+                 pose_rotations=DEFAULT_POSE_ROTATIONS, num_points: int = 36):
+        levels = tuple((float(s), float(b)) for s, b in levels)
         if not levels:
             raise PointSetError("config needs at least one pyramid level")
         strides = [s for s, _ in levels]
@@ -104,18 +124,17 @@ class PyramidConfig:
             raise PointSetError("levels: strides and base scales must be finite and > 0")
         if any(b <= a for a, b in zip(strides, strides[1:])):
             raise PointSetError(f"strides must be strictly increasing, got {strides}")
-        for name in ("octave_scales", "aspect_ratios", "pose_scales"):
-            vals = tuple(float(v) for v in getattr(self, name))
-            if not (vals and all(math.isfinite(v) and v > 0 for v in vals)):
+        positive = []
+        for name, values in zip(self.__slots__[1:4], (octave_scales, aspect_ratios, pose_scales)):
+            positive.append(tuple(float(v) for v in values))
+            if not (positive[-1] and all(math.isfinite(v) and v > 0 for v in positive[-1])):
                 raise PointSetError(f"{name} must be non-empty, finite and > 0")
-            object.__setattr__(self, name, vals)
-        rotations = tuple(float(r) for r in self.pose_rotations)
+        rotations = tuple(float(r) for r in pose_rotations)
         if not (rotations and all(map(math.isfinite, rotations))):
             raise PointSetError("pose_rotations must be non-empty and finite")
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "pose_rotations", rotations)
-        if self.num_points < 4 or self.num_points % 4:
-            raise PointSetError(f"num_points must be a multiple of 4, got {self.num_points}")
+        if num_points < 4 or num_points % 4:
+            raise PointSetError(f"num_points must be a multiple of 4, got {num_points}")
+        self._set(levels, *positive, rotations, num_points)
 
     @property
     def mask_anchors_per_location(self) -> int:
@@ -125,14 +144,8 @@ class PyramidConfig:
         return modes * len(self.pose_scales) * len(self.pose_rotations)
 
     def to_dict(self) -> dict:
-        return {
-            "levels": [[s, b] for s, b in self.levels],
-            "octave_scales": list(self.octave_scales),
-            "aspect_ratios": list(self.aspect_ratios),
-            "pose_scales": list(self.pose_scales),
-            "pose_rotations": list(self.pose_rotations),
-            "num_points": self.num_points,
-        }
+        lists = {name: list(getattr(self, name)) for name in self.__slots__[1:5]}
+        return {"levels": [[s, b] for s, b in self.levels], **lists, "num_points": self.num_points}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PyramidConfig":
@@ -178,7 +191,7 @@ def load_config_document(path) -> dict:
     if path.suffix.lower() in (".yaml", ".yml"):
         import yaml
 
-        load, malformed = yaml.safe_load, yaml.YAMLError
+        load, malformed = yaml.safe_load, (yaml.YAMLError, ValueError)  # ValueError: > 4300 digits
     else:
         load, malformed = json.loads, ValueError
     try:
@@ -228,12 +241,13 @@ class LevelGrid:
         return self.rows * self.cols * self.anchors_per_location
 
 
-@dataclass(frozen=True)
 class AnchorGrid:
     """All anchors of one image: one LevelGrid per pyramid level."""
 
-    mode: str
-    levels: tuple[LevelGrid, ...]
+    __slots__ = ("mode", "levels", "_cache")
+
+    def __init__(self, mode: str, levels: tuple[LevelGrid, ...]):
+        self.mode, self.levels, self._cache = mode, levels, {}
 
     @property
     def num_anchors(self) -> int:
@@ -241,12 +255,12 @@ class AnchorGrid:
 
     def _cached(self, name: str, build):
         """``build()``'s array or arrays, made read-only on the first call and kept on the grid."""
-        if name not in self.__dict__:
+        if name not in self._cache:
             value = build()
             for array in value if isinstance(value, tuple) else (value,):
                 array.setflags(write=False)
-            self.__dict__[name] = value
-        return self.__dict__[name]
+            self._cache[name] = value
+        return self._cache[name]
 
     def points(self, index=None) -> np.ndarray:
         """Points of the stacked anchors at ``index`` (all when None), (len, p, 2),

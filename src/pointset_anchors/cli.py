@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import matching
-from .anchors import load_config_document
+from .anchors import STRATEGIES, load_config_document
 from .assignment import SIMILARITY_IOU, SIMILARITY_OKS
 from .datasets import (CORPUS_CONTOURS, CORPUS_POSES, ParseResult, min_pose_image_side,
                        parse_annotations)
@@ -129,22 +128,25 @@ def _cmd_modes(args) -> int:
     return 0
 
 
-def _target_config(args, **flags) -> TargetConfig:
-    """The --config document with the ``flags`` that are not None put over it, read
+def _target_config(document: dict, **flags) -> TargetConfig:
+    """The --config ``document`` with the ``flags`` that are not None put over it, read
     as one config, so the hi/lo defaults follow the final task."""
-    document = load_config_document(args.config) if args.config else {}
-    document.update((key, value) for key, value in flags.items() if value is not None)
-    return TargetConfig.from_dict(document)
+    return TargetConfig.from_dict(
+        {**document, **{key: value for key, value in flags.items() if value is not None}})
 
 
 def _cmd_targets(args) -> int:
     # the settings are checked whole before the corpus is read
-    config = _target_config(args, task=args.task, strategy=args.strategy, hi=args.hi,
+    document = load_config_document(args.config) if args.config else {}
+    config = _target_config(document, task=args.task, strategy=args.strategy, hi=args.hi,
                             lo=args.lo, force_nearest=args.force_nearest or None)
     _reject_flags(args, "task", config.task,
                   {TASK_MASK: ["strategy"], TASK_POSE_TARGETS: ["modes"]})
-    if config.task == TASK_POSE_TARGETS and not args.modes:
-        raise PointSetError("pose targets need --modes <modes.json>")
+    if config.task == TASK_POSE_TARGETS:
+        if "strategy" in document:   # as --strategy is: pose targets match no contour
+            raise PointSetError(f"config: 'strategy' applies only to --task {TASK_MASK}")
+        if not args.modes:
+            raise PointSetError("pose targets need --modes <modes.json>")
     result = parse_annotations(args.annotations)
     _report_parse_stats(result)
     canonical_poses = None
@@ -165,7 +167,12 @@ def _coverage_settings(args):
         from .pose_modes import check_kmeans_settings
         check_kmeans_settings(k, seed)
     check_coverage_threshold(args.threshold)
-    return _target_config(args).pyramid, k, seed
+    document = load_config_document(args.config) if args.config else {}
+    pyramid = TargetConfig.from_dict(document).pyramid
+    for key in document:
+        if key != "pyramid":   # a valid key but pyramid is a setting of targets alone
+            raise PointSetError(f"config: {key!r} applies only to targets")
+    return pyramid, k, seed
 
 
 def _coverage_ladder(args, poses) -> list[CoverageConfig]:
@@ -241,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     targets.add_argument("--annotations", required=True)
     targets.add_argument("--config", default=None, help="TargetConfig JSON/YAML document")
     targets.add_argument("--task", choices=(TASK_MASK, TASK_POSE_TARGETS), default=None)
-    targets.add_argument("--strategy", choices=matching.STRATEGIES, default=None)
+    targets.add_argument("--strategy", choices=STRATEGIES, default=None)
     targets.add_argument("--modes", default=None, help="pose modes JSON (pose task)")
     targets.add_argument("--hi", type=float, default=None)
     targets.add_argument("--lo", type=float, default=None)

@@ -11,7 +11,6 @@ flagged, never clamped.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,17 +40,19 @@ def min_pose_image_side(scale_range=POSE_SCALE_RANGE) -> int:
     return int(1.5 * scale_range[1]) + 1
 
 
-@dataclass
 class InstanceRecord:
     """One object instance: class, box, optional contours and keypoints."""
 
-    image_id: int
-    image_size: tuple[int, int]          # (width, height) in pixels
-    class_id: int
-    bbox: Box
-    contours: tuple[Contour, ...] = ()
-    keypoints: np.ndarray | None = None  # (17, 3) rows of (x, y, visibility)
-    out_of_bounds: bool = False
+    __slots__ = ("image_id", "image_size", "class_id", "bbox", "contours", "keypoints",
+                 "out_of_bounds")
+
+    def __init__(self, image_id: int, image_size: tuple[int, int], class_id: int, bbox: Box,
+                 contours: tuple[Contour, ...] = (), keypoints: np.ndarray | None = None,
+                 out_of_bounds: bool = False):
+        self.image_id, self.class_id, self.bbox = image_id, class_id, bbox
+        self.image_size = image_size          # (width, height) in pixels
+        self.contours, self.out_of_bounds = contours, out_of_bounds
+        self.keypoints = keypoints            # (17, 3) rows of (x, y, visibility)
 
     @property
     def has_keypoints(self) -> bool:
@@ -119,12 +120,8 @@ def _parse_polygons(segmentation, context: str, stats: ParseStats) -> tuple[Cont
                  f"'segmentation' polygon {poly_idx} must be finite numbers of size <= 2**500")
         _require(len(flat) % 2 == 0, context, f"polygon {poly_idx} has an odd value count")
         vertices = np.asarray(flat, dtype=float).reshape(-1, 2)
-        vertices = _dedup_consecutive(vertices)
-        if len(vertices) < 3:
-            stats.dropped_polygons += 1
-            continue
-        try:
-            contours.append(Contour(vertices))
+        try:   # fewer than 3 distinct vertices, or zero area
+            contours.append(Contour(_dedup_consecutive(vertices)))
         except PointSetError:
             stats.dropped_polygons += 1
     return tuple(contours)

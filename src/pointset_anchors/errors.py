@@ -13,7 +13,7 @@ class MalformedDocumentError(PointSetError):
 # of a few stay below 2**503, so squares, areas and sums of squares stay finite.
 MAX_MAGNITUDE = 2.0 ** 500
 
-# The longest value text a field error quotes; a longer one is cut to end in "...".
+# The longest value or key list text a field error quotes; a longer is cut to end in "...".
 MAX_VALUE_TEXT = 60
 
 
@@ -33,15 +33,20 @@ def check_at_least(*settings) -> None:
 def check_fields(data: dict, fields: dict, context: str) -> None:
     """Reject keys not in ``fields``, then name the first value failing its (predicate, kind);
     a value its predicate cannot read (a ragged list, an int too large for a float) fails it."""
-    unknown = set(data) - set(fields)
+    unknown = sorted(set(data) - set(fields), key=str)   # a YAML key may be a number
     if unknown:
-        raise MalformedDocumentError(f"{context}: unknown config keys: {sorted(unknown)}")
+        raise MalformedDocumentError(f"{context}: unknown config keys: {_cut(unknown)}")
     for key, (check, kind) in fields.items():
         try:
             ok = key not in data or check(data[key])
         except (TypeError, ValueError, OverflowError):
             ok = False
         if not ok:
-            text = repr(data[key])
-            text = text if len(text) <= MAX_VALUE_TEXT else text[:MAX_VALUE_TEXT - 3] + "..."
-            raise MalformedDocumentError(f"{context}: {key!r} must be {kind}, got {text}")
+            raise MalformedDocumentError(
+                f"{context}: {key!r} must be {kind}, got {_cut(data[key])}")
+
+
+def _cut(value) -> str:
+    """``repr(value)``, cut to ``MAX_VALUE_TEXT`` characters ending in "..." when longer."""
+    text = repr(value)
+    return text if len(text) <= MAX_VALUE_TEXT else text[:MAX_VALUE_TEXT - 3] + "..."

@@ -19,13 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .anchors import NUM_JOINTS, joint_array
+from .anchors import (CORNER_PROJECTION, NEAREST_LINE, NEAREST_POINT, NUM_JOINTS, STRATEGIES,
+                      joint_array)
 from .errors import PointSetError
-
-NEAREST_POINT = "nearest-point"
-NEAREST_LINE = "nearest-line"
-CORNER_PROJECTION = "corner-projection"
-STRATEGIES = (NEAREST_POINT, NEAREST_LINE, CORNER_PROJECTION)
 
 # The most array elements one kernel call works on. A larger batch is matched
 # in slices of anchors, each sized by its kernel's working set, so memory
@@ -192,7 +188,7 @@ def match_points(points, corner_indices, vertices, strategy: str,
     sizes, m = sizes[owner], table.shape[1]
     targets, valid = np.empty(points.shape), np.empty((count, n), dtype=bool)
     if strategy != CORNER_PROJECTION:
-        kernel = _nearest_point if strategy == NEAREST_POINT else _nearest_line
+        kernel = {NEAREST_POINT: _nearest_point, NEAREST_LINE: _nearest_line}[strategy]
         for s in _slices(count, 4 * n * m):
             targets[s], valid[s] = kernel(points[s], table[owner[s]], sizes[s])
         return targets, valid

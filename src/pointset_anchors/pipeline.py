@@ -12,18 +12,19 @@ force_nearest on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import matching
 from .anchors import (
+    CORNER_PROJECTION,
     MASK_MODE,
     NUM_JOINTS,
     POSE_MODE,
+    STRATEGIES,
     TASK_SEGMENTATION,
     AnchorGrid,
+    Frozen,
     PyramidConfig,
     generate_grid,
     head_output_dims,
@@ -54,42 +55,39 @@ class _TaskConfig:
 
     __slots__ = ()
 
-    def _check_task(self):
-        if self.task not in (TASK_MASK, TASK_POSE_TARGETS):
-            raise PointSetError(f"unknown task {self.task!r}")
+    @staticmethod
+    def _check_task(task: str):
+        if task not in (TASK_MASK, TASK_POSE_TARGETS):
+            raise PointSetError(f"unknown task {task!r}")
 
     @property
     def similarity(self) -> str:
         return SIMILARITY_IOU if self.task == TASK_MASK else SIMILARITY_OKS
 
 
-@dataclass(frozen=True)
-class TargetConfig(_TaskConfig):
+class TargetConfig(_TaskConfig, Frozen):
     """Everything emit_targets needs besides the records themselves: ``to_dict``
     holds every field, and the targets header states it whole. ``hi`` and
-    ``lo`` default to (0.6, 0.4) on mask IoU and (0.5, 0.4) on pose OKS."""
+    ``lo`` default to (0.6, 0.4) on mask IoU and (0.5, 0.4) on pose OKS;
+    ``pyramid`` defaults to ``PyramidConfig()``."""
 
-    pyramid: PyramidConfig = field(default_factory=PyramidConfig)
-    task: str = TASK_MASK
-    strategy: str = matching.CORNER_PROJECTION
-    hi: float | None = None
-    lo: float | None = None
-    force_nearest: bool = False
-    num_classes: int = 1
+    __slots__ = ("pyramid", "task", "strategy", "hi", "lo", "force_nearest", "num_classes")
 
-    def __post_init__(self):
-        self._check_task()
-        if self.task == TASK_MASK and self.strategy not in matching.STRATEGIES:
-            raise PointSetError(f"unknown strategy {self.strategy!r}")
-        check_at_least(("num_classes", self.num_classes, 1))
-        if self.hi is None:
-            object.__setattr__(self, "hi", 0.6 if self.task == TASK_MASK else 0.5)
-        if self.lo is None:
-            object.__setattr__(self, "lo", 0.4)
-        check_thresholds(self.hi, self.lo)
+    def __init__(self, pyramid: PyramidConfig | None = None, task: str = TASK_MASK,
+                 strategy: str = CORNER_PROJECTION, hi: float | None = None,
+                 lo: float | None = None, force_nearest: bool = False, num_classes: int = 1):
+        self._check_task(task)
+        if task == TASK_MASK and strategy not in STRATEGIES:
+            raise PointSetError(f"unknown strategy {strategy!r}")
+        check_at_least(("num_classes", num_classes, 1))
+        hi = (0.6 if task == TASK_MASK else 0.5) if hi is None else hi
+        lo = 0.4 if lo is None else lo
+        check_thresholds(hi, lo)
+        self._set(PyramidConfig() if pyramid is None else pyramid, task, strategy, hi, lo,
+                  force_nearest, num_classes)
 
     def to_dict(self) -> dict:
-        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+        return {**{name: getattr(self, name) for name in self.__slots__},
                 "pyramid": self.pyramid.to_dict()}
 
     @classmethod
@@ -250,17 +248,19 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
 def _match_positives(grid: AnchorGrid, gts, pos, owner, config: TargetConfig):
     """The offsets, divided by their level's stride, (P, n, 2) and the valid
     flags (P, n) of an image's positives ``pos``, each matched against its gt
-    ``gts[owner]``, all in one call."""
+    ``gts[owner]``, all in one call. Only targets compiles ``matching``."""
+    from .matching import match_points, match_pose_points, point_offsets
+
     if config.task == TASK_MASK:
         points, corners = sample_box_perimeters(grid.box_stack()[pos], config.pyramid.num_points)
-        targets, valid = matching.match_points(
+        targets, valid = match_points(
             points, corners, [g.largest_contour().vertices for g in gts], config.strategy, owner)
     else:
         points = grid.joint_stack(pos)
         keypoints = np.reshape([g.keypoints for g in gts], (-1, NUM_JOINTS, 3))[owner]
-        targets, valid = matching.match_pose_points(points, keypoints[..., :2], keypoints[..., 2])
+        targets, valid = match_pose_points(points, keypoints[..., :2], keypoints[..., 2])
     stride = np.asarray([lv.stride for lv in grid.levels])[grid.index_columns()[0][pos], None, None]
-    return matching.point_offsets(points, targets, valid) / stride, valid
+    return point_offsets(points, targets, valid) / stride, valid
 
 
 # The most lines one rendering step holds, and the most positives whose
@@ -374,7 +374,7 @@ class CoverageConfig(_TaskConfig):
                  task: str = TASK_POSE_TARGETS, canonical_poses: np.ndarray | None = None):
         self.name, self.task, self.canonical_poses = name, task, canonical_poses
         self.pyramid = PyramidConfig() if pyramid is None else pyramid
-        self._check_task()
+        self._check_task(task)
         if task == TASK_POSE_TARGETS and canonical_poses is None:
             raise PointSetError(f"config {name!r} needs canonical_poses")
 

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import json
@@ -20,6 +19,7 @@ from pointset_anchors.synthetic import (
     generate_synthetic_corpus,
     save_corpus,
 )
+from util import replace
 
 SMALL_CONFIG = {
     "pyramid": {
@@ -344,17 +344,33 @@ class TestFlagsOfTheTaskThatRuns:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_a_config_document_serves_both_tasks(self, tmp_path):
-        # its keys are not checked per task: a pose run ignores its strategy
-        poses = _synth_poses(tmp_path, "poses.json")
+    def test_a_config_key_that_changes_nothing_is_rejected(self, tmp_path, capsys):
+        # a pose run has no strategy, and coverage reads only the pyramid: such a
+        # key is named, as such a flag is, before the (here missing) corpus is read
+        contours, missing = _synth(tmp_path, "c.json"), str(tmp_path / "missing.json")
         modes, config = tmp_path / "modes.json", tmp_path / "config.json"
-        assert main(["modes", "--annotations", str(poses), "--k", "1", "--out", str(modes)]) == 0
-        config.write_text(json.dumps({**SMALL_CONFIG, "strategy": "nearest-line"}))
-        assert main(["targets", "--annotations", str(poses), "--config", str(config),
-                     "--task", "pose", "--modes", str(modes),
-                     "--out", str(tmp_path / "t.jsonl")]) == 0
-        assert main(["coverage", "--annotations", str(_synth(tmp_path, "c.json")), "--config",
-                     str(config), "--similarity", "iou", "--out", str(tmp_path / "cov.json")]) == 0
+        assert main(["modes", "--annotations", str(_synth_poses(tmp_path, "poses.json")),
+                     "--k", "1", "--out", str(modes)]) == 0
+        runs = [({"strategy": "nearest-line"}, ["targets", "--task", "pose", "--modes", str(modes)],
+                 "'strategy' applies only to --task mask")]
+        runs += [({key: value}, ["coverage", "--similarity", similarity],
+                  f"{key!r} applies only to targets")
+                 for key, value in (("hi", 0.9), ("strategy", "nearest-line"), ("num_classes", 2))
+                 for similarity in ("oks", "iou")]
+        for doc, argv, message in runs:
+            config.write_text(json.dumps({**SMALL_CONFIG, **doc}))
+            capsys.readouterr()
+            out = tmp_path / "out"
+            assert main([*argv, "--annotations", missing, "--config", str(config),
+                         "--out", str(out)]) == 1, argv
+            assert capsys.readouterr().err == f"error: config: {message}\n", argv
+            assert not out.exists()
+            # the same document serves mask targets
+            assert main(["targets", "--annotations", str(contours), "--config", str(config),
+                         "--out", str(tmp_path / "t.jsonl")]) == 0, argv
+        config.write_text(json.dumps(SMALL_CONFIG))
+        assert main(["coverage", "--annotations", str(contours), "--config", str(config),
+                     "--similarity", "iou", "--out", str(tmp_path / "cov.json")]) == 0
 
 
 class TestTargets:
@@ -406,7 +422,7 @@ class TestTargets:
 
     def test_category_zero_rejected_before_out_is_opened(self, tmp_path, capsys):
         records = generate_synthetic_corpus(CORPUS_CONTOURS, 6, seed=3, image_size=(192, 192))
-        records[4] = dataclasses.replace(records[4], class_id=0)
+        records[4] = replace(records[4], class_id=0)
         ann = tmp_path / "corpus.json"
         save_corpus(records, ann)
         out = tmp_path / "targets.jsonl"
@@ -419,7 +435,7 @@ class TestTargets:
         # the header's classification head has num_classes (1) columns, so
         # label 7 would name a column that does not exist
         records = generate_synthetic_corpus(CORPUS_CONTOURS, 6, seed=3, image_size=(192, 192))
-        records[2] = dataclasses.replace(records[2], class_id=7)
+        records[2] = replace(records[2], class_id=7)
         ann = tmp_path / "corpus.json"
         save_corpus(records, ann)
         out = tmp_path / "targets.jsonl"
@@ -523,6 +539,9 @@ class TestDocumentErrors:
     BAD_CONFIGS = {
         "invalid-json": ("config.json", '{"pyramid": ', ["config.json", "not a valid document"]),
         "invalid-yaml": ("config.yaml", "pyramid: [1, 2", ["config.yaml", "not a valid document"]),
+        # python converts no int of over 4,300 digits, and the YAML loader raises ValueError
+        "huge-int-yaml": ("config.yaml", f"hi: {'9' * 4301}",
+                          ["config.yaml", "not a valid document"]),
         "level-pair": ("config.json", '{"pyramid": {"levels": [[8]]}}', ["'levels'"]),
         "num-points-str": ("config.json", '{"pyramid": {"num_points": "36"}}', ["'num_points'"]),
         "hi-str": ("config.json", '{"hi": "0.5"}', ["'hi'"]),
@@ -586,8 +605,12 @@ class TestDocumentErrors:
          "'modes' must be finite numbers, got [[[0.25, 0.5], [0.25, 0.5], [0.25, 0.5],"
          " [0.25, 0.5], [0....\n"),
         ({"inertia": 10 ** 400}, f"'inertia' must be a finite number, got 1{'0' * 56}...\n"),
+        # and so is a long list of unknown keys, still naming the first
+        (dict.fromkeys(f"key{i:03d}" for i in range(200)), "unknown config keys: ['key000',"
+         " 'key001', 'key002', 'key003', 'key004', 'key00...\n"),
     ], ids=["no-modes", "k-str", "nan-mode", "k-bool", "k-float", "seed-float", "seed-bool",
-            "inertia-str", "inertia-nan", "unknown-key", "long-modes", "huge-inertia"])
+            "inertia-str", "inertia-nan", "unknown-key", "long-modes", "huge-inertia",
+            "many-unknown-keys"])
     def test_bad_modes_file(self, tmp_path, capsys, doc, name):
         ann = _synth_poses(tmp_path, "poses.json")
         modes = tmp_path / "modes.json"
@@ -726,12 +749,12 @@ class TestCoverage:
                                              image_size=(192, 192))
         if case == "iou":
             # category 0: coverage uses no class ids, so the record still counts
-            contours[0] = dataclasses.replace(contours[0], class_id=0)
+            contours[0] = replace(contours[0], class_id=0)
             records, other, flags = contours, poses, ["--similarity", "iou"]
         else:
             records, other, flags = poses, contours, ["--k", "2"]
         # Image 99 holds records of the other kind: no gt of it is eligible.
-        records = records + [dataclasses.replace(r, image_id=99) for r in other[:2]]
+        records = records + [replace(r, image_id=99) for r in other[:2]]
         ann = tmp_path / "corpus.json"
         save_corpus(records, ann)
         return ["coverage", "--annotations", str(ann), *flags]
@@ -1088,21 +1111,18 @@ class TestLoadedModules:
             assert ("pointset_anchors.pcg64" in loaded) == (argv[0] != "targets"), argv
             # and mask targets never compile pose_modes
             assert ("pointset_anchors.pose_modes" in loaded) == (argv[0] != "targets"), argv
+            # only targets matches anchors to shapes
+            assert ("pointset_anchors.matching" in loaded) == (argv[0] == "targets"), argv
 
-    def test_dataclasses_are_the_records_that_tests_replace_or_introspect(self, tmp_path):
-        # any other record is a plain class: building a dataclass costs about 1 ms
+    def test_no_command_loads_dataclasses(self, tmp_path):
+        # every record is a plain slots class: building a dataclass costs about 1 ms
         for argv in self._commands(tmp_path):
             script = ("import sys\nfrom pointset_anchors.cli import main\n"
                       f"assert main({argv!r}) == 0\n"
-                      "print(' '.join(sorted(\n"
-                      "    value.__name__ for name, module in list(sys.modules.items())\n"
-                      "    if name.startswith('pointset_anchors') for value in vars(module).values()\n"
-                      "    if isinstance(value, type) and value.__module__ == name\n"
-                      "    and hasattr(value, '__dataclass_fields__'))))")
+                      "print('dataclasses' in sys.modules)")
             done = _fresh_python(tmp_path, "-c", script)
             assert done.returncode == 0, done.stderr
-            assert done.stdout.splitlines()[-1].split() == [
-                "AnchorGrid", "InstanceRecord", "PyramidConfig", "TargetConfig"], argv
+            assert done.stdout.splitlines()[-1] == "False", argv
 
     def test_coverage_and_modes_do_not_import_numpy_random(self, tmp_path):
         # k-means++ draws from the package's own PCG64 stream; numpy.random's
@@ -1127,6 +1147,19 @@ class TestLoadedModules:
         loaded = self._loaded(tmp_path, "import pointset_anchors\n"
                                         "pointset_anchors.head_output_dims")
         assert "pointset_anchors.anchors" in loaded and "pointset_anchors.losses" not in loaded
+
+    def test_strategies_are_one_object_homed_in_anchors(self, tmp_path):
+        import pointset_anchors
+        from pointset_anchors import anchors, matching
+
+        for name in ("STRATEGIES", "NEAREST_POINT", "NEAREST_LINE", "CORNER_PROJECTION"):
+            assert getattr(pointset_anchors, name) is getattr(matching, name), name
+            assert getattr(matching, name) is getattr(anchors, name), name
+        assert anchors.STRATEGIES == (anchors.NEAREST_POINT, anchors.NEAREST_LINE,
+                                      anchors.CORNER_PROJECTION)
+        loaded = self._loaded(tmp_path, "import pointset_anchors\n"
+                                        "pointset_anchors.STRATEGIES")
+        assert "pointset_anchors.anchors" in loaded and "pointset_anchors.matching" not in loaded
 
     def test_synth_loads_synthetic(self, tmp_path):
         argv = ["synth", "--kind", "poses", "--count", "2", "--out", "p.json"]

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import hashlib
 import json
 import math
@@ -55,6 +54,7 @@ from pointset_anchors.synthetic import (
     CORPUS_POSES,
     generate_synthetic_corpus,
 )
+from util import replace
 
 SMALL_PYRAMID = PyramidConfig(
     levels=((16.0, 64.0), (32.0, 128.0)),
@@ -108,7 +108,7 @@ def _pinned_case(name):
         return records, TargetConfig(pyramid=SMALL_PYRAMID, strategy=NEAREST_POINT), None
     if name == "mask-image-without-gt":
         # Image 99 holds keypoint-only records: no gt is eligible for masks.
-        records = records + [dataclasses.replace(r, image_id=99) for r in _pose_corpus(count=2)]
+        records = records + [replace(r, image_id=99) for r in _pose_corpus(count=2)]
     return records, TargetConfig(pyramid=SMALL_PYRAMID), None
 
 def _single_anchor_grid():
@@ -298,21 +298,30 @@ class TestTargetConfig:
         with pytest.raises(PointSetError, match="unknown config keys"):
             TargetConfig.from_dict({"task": TASK_MASK, "ankor": 1})
 
+    def test_configs_are_read_only_and_equal_by_fields(self):
+        for config in (SMALL_PYRAMID, TargetConfig(pyramid=SMALL_PYRAMID, task=TASK_POSE_TARGETS)):
+            for name in type(config).__slots__:
+                with pytest.raises(AttributeError, match=repr(name)):
+                    setattr(config, name, getattr(config, name))
+            assert replace(config) == config and replace(config) is not config
+        assert TargetConfig(hi=0.7) != TargetConfig()
+        assert PyramidConfig(num_points=16) != PyramidConfig()
+        assert PyramidConfig() != TargetConfig()
+
     @pytest.mark.parametrize("task", [TASK_MASK, TASK_POSE_TARGETS])
     def test_header_states_every_setting(self, tmp_path, task):
         # a field the header left out would be a setting no file records
-        pyramid = dataclasses.replace(SMALL_PYRAMID, octave_scales=(1.0, 1.5),
-                                      pose_rotations=(-5.0, 5.0))
+        pyramid = replace(SMALL_PYRAMID, octave_scales=(1.0, 1.5), pose_rotations=(-5.0, 5.0))
         config = TargetConfig(pyramid=pyramid, task=task, hi=0.7, lo=0.2, force_nearest=True)
         records = _contour_corpus(count=2) if task == TASK_MASK else _pose_corpus(count=2)
         out = tmp_path / "targets.jsonl"
         emit_targets(records, config, out, None if task == TASK_MASK else _modes(records))
         header = json.loads(out.read_text().splitlines()[0])
         for kind, value in ((TargetConfig, config), (PyramidConfig, pyramid)):
-            names = {f.name for f in dataclasses.fields(kind)}
+            names = set(kind.__slots__)
             assert set(value.to_dict()) == names
             assert kind.from_dict(value.to_dict()) == value
-        assert {f.name for f in dataclasses.fields(TargetConfig)} <= set(header)
+        assert set(TargetConfig.__slots__) <= set(header)
         assert header["pyramid"] == pyramid.to_dict()
 
 
@@ -382,7 +391,7 @@ class TestEmitTargets:
 
     def test_ineligible_record_class_id_not_checked(self, tmp_path):
         # a keypoint-only record is no mask gt, so its class id is never a label
-        pose = dataclasses.replace(_pose_corpus(count=1)[0], image_id=99, class_id=0)
+        pose = replace(_pose_corpus(count=1)[0], image_id=99, class_id=0)
         out = tmp_path / "t.jsonl"
         summary = emit_targets(_contour_corpus(count=4) + [pose],
                                TargetConfig(pyramid=SMALL_PYRAMID), out)
@@ -549,7 +558,7 @@ class TestImageSimilarityRoutes:
         sim = _image_similarity(grid, records, TASK_POSE_TARGETS)
         start = 0
         for level in grid.levels:
-            alone = dataclasses.replace(grid, levels=(level,))
+            alone = replace(grid, levels=(level,))
             rows = _image_similarity(alone, records, TASK_POSE_TARGETS)
             assert rows.tobytes() == sim[start:start + level.num_anchors].tobytes()
             start += level.num_anchors
@@ -628,7 +637,7 @@ class TestBenchmarkSeams:
 
     def test_coverage_assigns_each_image_once_a_configuration(self, monkeypatch):
         # pose images, plus image 99 whose two records are contours only
-        records = _pose_corpus(count=4) + [dataclasses.replace(r, image_id=99)
+        records = _pose_corpus(count=4) + [replace(r, image_id=99)
                                            for r in _contour_corpus(count=2)]
         poses = [r for r in records if r.has_keypoints]
         configs = [CoverageConfig("pose", SMALL_PYRAMID, TASK_POSE_TARGETS, _modes(poses)),
@@ -654,7 +663,7 @@ def _mixed_images(task):
     large, small = (192, 192), (96, 64)
     layout = [(large, own[0:1]), (large, own[1:4]), (small, other), (small, own[4:7]),
               (large, own[7:8])]
-    return [dataclasses.replace(r, image_id=image_id, image_size=size)
+    return [replace(r, image_id=image_id, image_size=size)
             for image_id, (size, records) in enumerate(layout, 1) for r in records]
 
 
@@ -727,7 +736,7 @@ class TestScoringBuffers:
         # pyramid: the largest (anchors, gts) matrix is 24,552 x 2. One block
         # of buffers a call peaks at 2.47 MB; a block per grid size read
         # 2.93 MB and the fresh arrays of every image 1.95 MB.
-        records = [dataclasses.replace(r, image_size=(256, 256) if r.image_id % 2 else (192, 160))
+        records = [replace(r, image_size=(256, 256) if r.image_id % 2 else (192, 160))
                    for r in _pose_corpus(count=12)]
         modes = _modes(records)
         configs = [CoverageConfig("one", PyramidConfig(), TASK_POSE_TARGETS, modes),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from pointset_anchors.anchors import sample_box_perimeters
@@ -13,6 +15,12 @@ def anchor_from_box(box: Box, n: int) -> tuple[np.ndarray, tuple[int, int, int, 
     """(points, corner indices) of the mask anchor whose implicit box is ``box``: a batch of one."""
     points, corners = sample_box_perimeters(box.as_array()[None], n)
     return points[0], corners
+
+
+def replace(record, **changes):
+    """A copy of ``record`` with ``changes``: its class called on each ``__init__`` parameter."""
+    names = inspect.signature(type(record)).parameters
+    return type(record)(**{name: getattr(record, name) for name in names} | changes)
 
 
 def random_box(rng: np.random.Generator, span: float = 100.0,
