@@ -195,11 +195,12 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
     positives are matched: all in one call, each against its own gt, giving
     their offsets and flags as arrays. ``_render_image`` renders the lines
     as bytes from the arrays, into a file opened in binary mode: a line is
-    four lookups into small tables of texts, and each step of at most
-    ``RENDER_LINES`` lines is one join and one write. Every float is json's
-    text of its value, so the bytes equal one ``json.dumps(line,
-    sort_keys=True)`` per anchor, and a fixed corpus and config reproduce
-    the file byte for byte.
+    three lookups into small tables of texts and its sim's text, and each
+    step of at most ``RENDER_LINES`` lines is one join and one write. Floats
+    are written by orjson, whose shortest round-trip digits are json's, and
+    by json itself where json writes an exponent (0 < |v| < 1e-4 or |v| >=
+    1e16), so the bytes equal one ``json.dumps(line, sort_keys=True)`` per
+    anchor, and a fixed corpus and config reproduce the file byte for byte.
 
     A gt's class id is its label, so an eligible gt with a ``category_id``
     outside 1 .. ``config.num_classes`` is rejected, naming its image, before
@@ -270,32 +271,38 @@ RENDER_LINES = 1024
 RENDER_POSITIVES = 128
 
 
-def _float_texts(values: np.ndarray) -> tuple[list[bytes], np.ndarray]:
-    """json's text of each distinct bit pattern of a float array, and each value's index into them.
+def _float_texts(values: np.ndarray) -> list[bytes]:
+    """json's text of each value of a finite float64 array, in C order: one
+    ``orjson.dumps``, whose shortest round-trip digits are json's, then one
+    ``json.dumps`` of the values json writes with an exponent, 0 < |v| < 1e-4
+    or |v| >= 1e16, which orjson spells differently. Only targets imports orjson."""
+    import orjson
 
-    Keyed by bits, not value, so -0.0 keeps its sign. ``index`` has the
-    shape of ``values``.
-    """
-    bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    texts = json.dumps(bits.view(np.float64).tolist())[1:-1].encode().split(b", ")
-    return texts, index.reshape(values.shape)
+    flat = np.ravel(values)  # C-contiguous, as orjson needs
+    texts = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+    exponent = np.flatnonzero((flat != 0) & (np.abs(flat) < 1e-4) | (np.abs(flat) >= 1e16))
+    for at, text in zip(exponent.tolist(),
+                        json.dumps(flat[exponent].tolist())[1:-1].encode().split(b", ")):
+        texts[at] = text
+    return texts if flat.size else []
 
 
 def _render_image(image_id, columns, pos, scaled, valid):
     """Yield one image's lines as bytes pieces, rendered from its per-anchor columns.
 
     ``columns`` holds (level, row, col, slot, label, matched gt, best sim)
-    arrays. Keys are in json.dumps(sort_keys=True) order, and a line is four
-    lookups into small tables of texts: the gt (-1 reads null) and label with
-    the image id, the level and row, the sim (json's text once per distinct
-    bit pattern), and a join, the line's slot tail with the next line's col
-    head. The first line's col head leads the image and the last line's
-    join is its slot tail alone. Each step of at most ``RENDER_LINES`` lines
-    is one list of pieces, joined. ``pos`` holds the positives' line
-    indices, ascending, ``scaled`` their offsets over the stride (P, n, 2)
-    and ``valid`` their flags (P, n), made into texts ``RENDER_POSITIVES`` at
-    a time. A positive's offsets text replaces the null of its level/row
-    piece, and its valid text the first null of its join.
+    arrays. Keys are in json.dumps(sort_keys=True) order, and a line is three
+    lookups into small tables of texts, the gt (-1 reads null) and label with
+    the image id, the level and row, and a join, the line's slot tail with the
+    next line's col head, plus its sim's text. The first line's col head leads
+    the image and the last line's join is its slot tail alone. Each step of at
+    most ``RENDER_LINES`` lines is one list of pieces, joined, its sims written
+    by orjson, or by json where it writes an exponent (0 < |v| < 1e-4 or |v| >=
+    1e16). ``pos`` holds the positives' line indices, ascending, ``scaled``
+    their offsets over the stride (P, n, 2) and ``valid`` their flags (P, n),
+    made into texts ``RENDER_POSITIVES`` at a time. A positive's offsets text
+    replaces the null of its level/row piece, and its valid text the first
+    null of its join.
     """
     offset_texts, valid_texts = [], []
     for i in range(0, len(pos), RENDER_POSITIVES):
@@ -310,7 +317,6 @@ def _render_image(image_id, columns, pos, scaled, valid):
     gt_texts = [b"null"] + [b"%d" % v for v in range(matched.max(initial=-1) + 1)]
     label_range = range(-1, labels.max(initial=0) + 1)
     row_range = range(rows.max(initial=0) + 1)
-    sims, sim_index = _float_texts(best)
     tables = (
         (np.array([b'%s, "image": %s, "label": %d, "level": ' % (gt, image, label)
                    for gt in gt_texts for label in label_range], dtype=object),
@@ -318,7 +324,6 @@ def _render_image(image_id, columns, pos, scaled, valid):
         (np.array([b'%d, "offsets": null, "row": %d, "sim": ' % (level, row)
                    for level in range(levels.max(initial=0) + 1) for row in row_range],
                   dtype=object), levels * len(row_range) + rows),
-        (np.array(sims, dtype=object), sim_index),
         (np.array([tail + head for tail in tails for head in heads + [b""]], dtype=object),
          slots * (len(heads) + 1) + np.append(cols[1:], len(heads))),
     )
@@ -326,8 +331,9 @@ def _render_image(image_id, columns, pos, scaled, valid):
     for start in range(0, len(best), RENDER_LINES):
         stop = min(start + RENDER_LINES, len(best))
         parts = [lead] * (4 * (stop - start) + 1)
-        for at, (table, index) in enumerate(tables, 1):
+        for at, (table, index) in zip((1, 2, 4), tables):
             parts[at::4] = table[index[start:stop]].tolist()
+        parts[3::4] = _float_texts(best[start:stop])
         for k in range(*np.searchsorted(pos, (start, stop))):
             at = 4 * (pos[k] - start)
             parts[at + 2] = parts[at + 2].replace(b"null", offset_texts[k], 1)
@@ -340,13 +346,11 @@ def _positive_texts(scaled: np.ndarray, valid: np.ndarray) -> tuple[list[bytes],
     """The offsets and valid texts of a batch of positives, as ``json.dumps``
     writes their lists: [[dx, dy], ...] and [1, 0, ...].
 
-    Each distinct offset is rendered once, and each text is one ``%``
+    The offsets are one ``_float_texts`` call, and each text is one ``%``
     template a positive, filled for the whole batch at once.
     """
     count, n = valid.shape
-    texts, index = _float_texts(scaled)
-    offsets = _fill(b"[" + b", ".join([b"[%s, %s]"] * n) + b"]\n", count,
-                    np.array(texts, dtype=object)[index.ravel()])
+    offsets = _fill(b"[" + b", ".join([b"[%s, %s]"] * n) + b"]\n", count, _float_texts(scaled))
     flags = np.array([b"0", b"1"], dtype=object)[valid.ravel().view(np.uint8)]
     return offsets, _fill(b"[" + b", ".join([b"%s"] * n) + b"]\n", count, flags)
 

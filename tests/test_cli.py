@@ -1124,6 +1124,18 @@ class TestLoadedModules:
             assert done.returncode == 0, done.stderr
             assert done.stdout.splitlines()[-1] == "False", argv
 
+    def test_only_targets_imports_orjson(self, tmp_path):
+        # orjson writes the targets' float text; its import (5-10 ms after numpy,
+        # as it pulls in datetime, zoneinfo and uuid) is paid by no other command
+        synth = ["synth", "--kind", "poses", "--count", "2", "--seed", "1", "--out", "s.json"]
+        for argv in (*self._commands(tmp_path), synth):
+            script = ("import sys\nfrom pointset_anchors.cli import main\n"
+                      f"assert main({argv!r}) == 0\n"
+                      "print('orjson' in sys.modules)")
+            done = _fresh_python(tmp_path, "-c", script)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.splitlines()[-1] == str(argv[0] == "targets"), argv
+
     def test_coverage_and_modes_do_not_import_numpy_random(self, tmp_path):
         # k-means++ draws from the package's own PCG64 stream; numpy.random's
         # lazy import would also load secrets, hmac and OpenSSL's _hashlib

@@ -1,7 +1,11 @@
 import ast
 import builtins
+import re
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import pointset_anchors
 
@@ -45,6 +49,25 @@ def test_every_imported_name_is_used():
                 imported |= {alias.asname or alias.name for alias in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
+
+
+def test_third_party_imports_are_declared():
+    # Every module the package imports from outside the standard library is a
+    # dependency in pyproject.toml, and every dependency is imported.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = {re.match(r"[A-Za-z0-9_.-]+", entry).group().lower() for entry in
+                tomllib.loads(pyproject.read_text())["project"]["dependencies"]}
+    imported = set()
+    for path in sorted(Path(pointset_anchors.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"pointset_anchors"}
+    distributions = {"yaml": "pyyaml"}
+    assert {distributions.get(name, name) for name in third_party} == declared
 
 
 def test_every_parameter_is_read():

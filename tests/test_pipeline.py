@@ -325,6 +325,27 @@ class TestTargetConfig:
         assert header["pyramid"] == pyramid.to_dict()
 
 
+class TestFloatTexts:
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(np.array([np.nextafter(1e-4, 0)]))  # the largest with a small exponent
+    @example(np.array([1e-4]))
+    @example(np.array([np.nextafter(1e16, 0)]))  # the largest without an exponent
+    @example(np.array([1e16]))
+    @example(np.array([-0.0]))
+    @example(np.array([5e-324]))  # the least subnormal
+    @example(np.array([2.0 ** 53]))
+    @example(np.array([1.7976931348623157e308]))
+    @example((np.arange(-12.0, 12.0).reshape(4, 6) * 3e-5)[::-2, 1::2])  # a strided 2-D view
+    def test_texts_are_json_texts(self, values):
+        """One text a value, in C order, each json's own, for finite values only:
+        orjson writes null for NaN or inf where json writes NaN. Targets' floats
+        are finite, since ``assign_arrays`` rejects a non-finite sim and
+        ``MAX_MAGNITUDE`` bounds the coordinates the offsets come from."""
+        expected = [json.dumps(v).encode() for v in values.ravel().tolist()]
+        assert pipeline._float_texts(values) == expected
+
+
 class TestEmitTargets:
     def test_mask_file_structure(self, tmp_path):
         records = _contour_corpus()
