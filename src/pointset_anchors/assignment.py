@@ -3,8 +3,9 @@
 Similarity is box IoU for mask anchors (their implicit boxes vs gt boxes) or
 object keypoint similarity (OKS) for pose anchors. An anchor is positive when
 its best similarity reaches ``hi`` (matched to its argmax gt), negative when
-it stays below ``lo``, and ignored in between. With ``force_nearest`` every gt
-additionally claims its single best anchor regardless of threshold.
+it stays below ``lo``, and ignored in between. With ``force_nearest`` each gt
+also claims its best anchor even below ``hi``; a contested anchor changes owner
+only on a strictly higher similarity, so a gt can end with no positive at all.
 
 OKS has one term function and three entry points: ``oks`` for one pair,
 ``oks_matrix`` for arbitrary candidates and ``oks_lattice`` for grids. A

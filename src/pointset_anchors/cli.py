@@ -142,18 +142,17 @@ def _cmd_targets(args) -> int:
                             lo=args.lo, force_nearest=args.force_nearest or None)
     _reject_flags(args, "task", config.task,
                   {TASK_MASK: ["strategy"], TASK_POSE_TARGETS: ["modes"]})
-    if config.task == TASK_POSE_TARGETS:
-        if "strategy" in document:   # as --strategy is: pose targets match no contour
-            raise PointSetError(f"config: 'strategy' applies only to --task {TASK_MASK}")
-        if not args.modes:
-            raise PointSetError("pose targets need --modes <modes.json>")
-    result = parse_annotations(args.annotations)
-    _report_parse_stats(result)
     canonical_poses = None
     if config.task == TASK_POSE_TARGETS:
         from .pose_modes import load_pose_modes
 
+        if "strategy" in document:   # as --strategy is: pose targets match no contour
+            raise PointSetError(f"config: 'strategy' applies only to --task {TASK_MASK}")
+        if not args.modes:
+            raise PointSetError("pose targets need --modes <modes.json>")
         canonical_poses = load_pose_modes(args.modes).modes
+    result = parse_annotations(args.annotations)
+    _report_parse_stats(result)
     summary = emit_targets(result.records, config, args.out, canonical_poses)
     print(json.dumps(summary, sort_keys=True))
     return 0
@@ -277,7 +276,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PointSetError, FileNotFoundError, OSError) as err:
+    except (PointSetError, OSError) as err:
         _warn(f"error: {err}")
         return 1
 

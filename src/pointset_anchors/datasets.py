@@ -17,7 +17,7 @@ import numpy as np
 
 from .anchors import NUM_JOINTS
 from .errors import MAX_MAGNITUDE, MalformedDocumentError, PointSetError, is_numbers
-from .geometry import Box, Contour, signed_area
+from .geometry import Box, Contour
 
 # The synthetic corpus kinds and pose figure heights (px), stated here and not
 # in synthetic so that building the CLI's parser loads no generator.
@@ -43,15 +43,12 @@ def min_pose_image_side(scale_range=POSE_SCALE_RANGE) -> int:
 class InstanceRecord:
     """One object instance: class, box, optional contours and keypoints."""
 
-    __slots__ = ("image_id", "image_size", "class_id", "bbox", "contours", "keypoints",
-                 "out_of_bounds")
+    __slots__ = ("image_id", "image_size", "class_id", "bbox", "contours", "keypoints")
 
     def __init__(self, image_id: int, image_size: tuple[int, int], class_id: int, bbox: Box,
-                 contours: tuple[Contour, ...] = (), keypoints: np.ndarray | None = None,
-                 out_of_bounds: bool = False):
-        self.image_id, self.class_id, self.bbox = image_id, class_id, bbox
+                 contours: tuple[Contour, ...] = (), keypoints: np.ndarray | None = None):
+        self.image_id, self.class_id, self.bbox, self.contours = image_id, class_id, bbox, contours
         self.image_size = image_size          # (width, height) in pixels
-        self.contours, self.out_of_bounds = contours, out_of_bounds
         self.keypoints = keypoints            # (17, 3) rows of (x, y, visibility)
 
     @property
@@ -63,11 +60,21 @@ class InstanceRecord:
             return np.zeros(NUM_JOINTS, dtype=bool)
         return self.keypoints[:, 2] > 0
 
+    @property
+    def out_of_bounds(self) -> bool:
+        """Whether a box corner, contour vertex or visible joint lies outside the image."""
+        points = [np.reshape(self.bbox.as_array(), (2, 2))]
+        points += [contour.vertices for contour in self.contours]
+        if self.keypoints is not None:
+            points.append(self.keypoints[self.visible_mask(), :2])
+        points = np.concatenate(points)
+        return bool(((points < 0) | (points > self.image_size)).any())
+
     def largest_contour(self) -> Contour | None:
         """The matching contour of a multi-part instance: largest by area."""
         if not self.contours:
             return None
-        return max(self.contours, key=lambda c: abs(signed_area(c)))
+        return max(self.contours, key=lambda c: c.area)
 
 
 class ParseStats:
@@ -125,16 +132,6 @@ def _parse_polygons(segmentation, context: str, stats: ParseStats) -> tuple[Cont
         except PointSetError:
             stats.dropped_polygons += 1
     return tuple(contours)
-
-
-def _record_out_of_bounds(record: InstanceRecord) -> bool:
-    """Whether a box corner, contour vertex or visible joint lies outside the image."""
-    points = [np.reshape(record.bbox.as_array(), (2, 2))]
-    points += [contour.vertices for contour in record.contours]
-    if record.keypoints is not None:
-        points.append(record.keypoints[record.visible_mask(), :2])
-    points = np.concatenate(points)
-    return bool(((points < 0) | (points > record.image_size)).any())
 
 
 def parse_annotations(path) -> ParseResult:
@@ -227,7 +224,6 @@ def parse_annotations(path) -> ParseResult:
             contours=contours,
             keypoints=keypoints,
         )
-        record.out_of_bounds = _record_out_of_bounds(record)
         if record.out_of_bounds:
             result.stats.out_of_bounds += 1
         result.records.append(record)

@@ -63,10 +63,10 @@ class Contour:
     Construction normalizes orientation: a negatively oriented vertex list is
     reversed in place (the first vertex stays first). Fewer than 3 vertices or
     zero signed area are construction errors. Vertices are stored as a
-    read-only float64 array of shape (n, 2).
+    read-only float64 array of shape (n, 2), and their shoelace once as ``area``.
     """
 
-    __slots__ = ("_vertices",)
+    __slots__ = ("_vertices", "area")
 
     def __init__(self, vertices):
         arr = np.asarray(vertices, dtype=float)
@@ -79,11 +79,12 @@ class Contour:
         area = _shoelace(arr)
         if area == 0.0:
             raise PointSetError("contour has zero signed area")
-        if area < 0.0:
+        if area < 0.0:   # re-summed, not negated: the reversed order can round differently
             arr = np.concatenate([arr[:1], arr[:0:-1]], axis=0)
+            area = _shoelace(arr)
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
-        self._vertices = arr
+        self._vertices, self.area = arr, area
 
     @property
     def vertices(self) -> np.ndarray:
@@ -95,7 +96,7 @@ class Contour:
         return Box(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
 
     def __repr__(self) -> str:
-        return f"Contour({len(self._vertices)} vertices, area={_shoelace(self._vertices):.3f})"
+        return f"Contour({len(self._vertices)} vertices, area={self.area:.3f})"
 
 
 def _shoelace(vertices: np.ndarray) -> float:
@@ -111,7 +112,7 @@ def signed_area(contour) -> float:
     oriented; the sign flips when the traversal is reversed).
     """
     if isinstance(contour, Contour):
-        return _shoelace(contour.vertices)
+        return contour.area
     arr = np.asarray(contour, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
         raise PointSetError(f"expected an (n >= 3, 2) vertex array, got shape {arr.shape}")

@@ -384,27 +384,31 @@ class CoverageConfig(_TaskConfig):
 
 
 class CoverageReport:
-    """Coverage of one anchor configuration over one corpus.
+    """Coverage of one anchor configuration over one corpus, derived from each
+    gt's best similarity ``best`` and the summed (anchors, positives, negatives,
+    ignores) ``label_counts``.
 
-    The two ratios are None when there is no negative; ``histogram`` counts the
-    best similarity per gt in 10 uniform bins on [0, 1].
+    A gt is matched when its best similarity reaches ``threshold``. The two
+    ratios are None when there is no negative; ``histogram`` counts the best
+    similarity per gt in 10 uniform bins on [0, 1].
     """
 
     __slots__ = ("name", "similarity", "threshold", "gt_count", "matched_gt_count",
                  "matched_gt_fraction", "anchor_count", "positive_count", "negative_count",
                  "ignore_count", "pos_neg_ratio", "pos_neg_per_mille", "histogram")
 
-    def __init__(self, name: str, similarity: str, threshold: float, gt_count: int,
-                 matched_gt_count: int, matched_gt_fraction: float, anchor_count: int,
-                 positive_count: int, negative_count: int, ignore_count: int,
-                 pos_neg_ratio: float | None, pos_neg_per_mille: float | None,
-                 histogram: tuple[int, ...]):
+    def __init__(self, name: str, similarity: str, threshold: float, best: np.ndarray,
+                 label_counts: np.ndarray):
         self.name, self.similarity, self.threshold = name, similarity, threshold
-        self.gt_count, self.matched_gt_count = gt_count, matched_gt_count
-        self.matched_gt_fraction, self.anchor_count = matched_gt_fraction, anchor_count
-        self.positive_count, self.negative_count = positive_count, negative_count
-        self.ignore_count, self.pos_neg_ratio = ignore_count, pos_neg_ratio
-        self.pos_neg_per_mille, self.histogram = pos_neg_per_mille, histogram
+        self.gt_count = len(best)
+        self.matched_gt_count = int(np.count_nonzero(best >= threshold))
+        self.matched_gt_fraction = self.matched_gt_count / self.gt_count
+        (self.anchor_count, self.positive_count, self.negative_count,
+         self.ignore_count) = label_counts.tolist()
+        ratio = self.positive_count / self.negative_count if self.negative_count else None
+        self.pos_neg_ratio, self.pos_neg_per_mille = ratio, None if ratio is None else ratio * 1e3
+        hist = np.histogram(np.clip(best, 0.0, 1.0), bins=10, range=(0.0, 1.0))[0]
+        self.histogram = tuple(int(c) for c in hist)
 
 
 def check_coverage_threshold(threshold: float) -> None:
@@ -419,8 +423,9 @@ def coverage_report(records, configs, threshold: float = 0.5) -> list[CoverageRe
     A gt counts as matched when its best anchor similarity (IoU for a mask
     configuration, OKS for a pose one) reaches ``threshold``.
     Positive/negative counts come from the assigner with hi=threshold,
-    lo=min(0.4, threshold) and force_nearest on (every gt claims its best
-    anchor). Every configuration's grids are made before any image is
+    lo=min(0.4, threshold) and force_nearest on: each gt claims its best anchor
+    unless another gt holds it at an equal or higher similarity, and may then
+    have no positive. Every configuration's grids are made before any image is
     scored, so an image whose grid would hold more than ``MAX_IMAGE_ANCHORS``
     anchors is rejected, naming it, first.
     """
@@ -441,25 +446,8 @@ def coverage_report(records, configs, threshold: float = 0.5) -> list[CoverageRe
         best = np.concatenate([np.zeros(0)] + [image_best for _, image_best in scored])
         if not best.size:
             raise PointSetError(f"no records usable for coverage config {config.name!r}")
-        anchor_count, positive, negative, ignore = sum(counts for counts, _ in scored).tolist()
-        matched = int(np.count_nonzero(best >= threshold))
-        hist = np.histogram(np.clip(best, 0.0, 1.0), bins=10, range=(0.0, 1.0))[0]
-        ratio = positive / negative if negative else None
-        reports.append(CoverageReport(
-            name=config.name,
-            similarity=config.similarity,
-            threshold=threshold,
-            gt_count=len(best),
-            matched_gt_count=matched,
-            matched_gt_fraction=matched / len(best),
-            anchor_count=anchor_count,
-            positive_count=positive,
-            negative_count=negative,
-            ignore_count=ignore,
-            pos_neg_ratio=ratio,
-            pos_neg_per_mille=None if ratio is None else ratio * 1000.0,
-            histogram=tuple(int(c) for c in hist),
-        ))
+        reports.append(CoverageReport(config.name, config.similarity, threshold, best,
+                                      sum(counts for counts, _ in scored)))
     return reports
 
 

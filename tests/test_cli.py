@@ -19,18 +19,7 @@ from pointset_anchors.synthetic import (
     generate_synthetic_corpus,
     save_corpus,
 )
-from util import replace
-
-SMALL_CONFIG = {
-    "pyramid": {
-        "levels": [[16.0, 64.0], [32.0, 128.0]],
-        "octave_scales": [1.0],
-        "aspect_ratios": [1.0],
-        "pose_scales": [1.0],
-        "pose_rotations": [0.0],
-        "num_points": 16,
-    }
-}
+from util import SMALL_CONFIG, replace
 
 
 def _synth(tmp_path, name, *extra):
@@ -298,6 +287,21 @@ class TestFlagsOfTheTaskThatRuns:
         assert main(["targets", "--annotations", str(contours), "--modes", str(modes),
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: --modes applies only to --task pose\n"
+        assert not out.exists()
+
+    def test_modes_file_is_read_before_the_corpus(self, tmp_path, capsys):
+        # the corpus's crowd warning would print if it were parsed first
+        poses = _synth_poses(tmp_path, "poses.json")
+        doc = json.loads(poses.read_text())
+        doc["annotations"][0]["iscrowd"] = 1
+        poses.write_text(json.dumps(doc))
+        modes, out = tmp_path / "modes.json", tmp_path / "t.jsonl"
+        modes.write_text('{"k": true}')
+        capsys.readouterr()
+        assert main(["targets", "--annotations", str(poses), "--task", "pose",
+                     "--modes", str(modes), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {modes}: ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [

@@ -234,6 +234,33 @@ class TestInstanceRecordHelpers:
         )
         assert record.largest_contour() is big
 
+    def test_largest_contour_of_reversed_polygons_listed_first(self):
+        # both given negatively oriented: each stores the positive area it was turned to
+        big = Contour([(0.0, 0.0), (0.0, 5.0), (5.0, 5.0), (5.0, 0.0)])
+        small = Contour([(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)])
+        record = InstanceRecord(
+            image_id=1, image_size=(10, 10), class_id=1,
+            bbox=Box(0.0, 0.0, 5.0, 5.0), contours=(big, small),
+        )
+        assert record.largest_contour() is big
+
+    @pytest.mark.parametrize("case, expected", [
+        ("inside", False), ("box", True), ("contour", True), ("visible-joint", True),
+        ("invisible-joint", False),
+    ])
+    def test_out_of_bounds_from_its_own_coordinates(self, case, expected):
+        # a record built directly, not by the parser, still reads its bounds
+        keypoints = np.tile([5.0, 5.0, 2.0], (17, 1))
+        if case.endswith("joint"):
+            keypoints[3] = (12.0, 5.0, 2.0 if case == "visible-joint" else 0.0)
+        contour = [(1.0, 1.0), (9.0, 1.0), (9.0 + 2.0 * (case == "contour"), 9.0)]
+        record = InstanceRecord(
+            image_id=1, image_size=(10, 10), class_id=1,
+            bbox=Box(1.0, 1.0, 11.0 if case == "box" else 9.0, 9.0),
+            contours=(Contour(contour),), keypoints=keypoints,
+        )
+        assert record.out_of_bounds is expected
+
     def test_largest_contour_none_without_parts(self):
         record = InstanceRecord(
             image_id=1, image_size=(10, 10), class_id=1,

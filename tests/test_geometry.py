@@ -58,6 +58,14 @@ class TestContour:
         assert signed_area(contour) > 0.0
         assert tuple(contour.vertices[0]) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("orientation", [1, -1], ids=["positive", "reversed"])
+    def test_area_is_the_shoelace_of_the_stored_vertices(self, rng, orientation):
+        # bit for bit: a reversed list's area is summed again, not negated
+        for _ in range(50):
+            verts = random_polygon(rng, int(rng.integers(3, 30)), convex=False).vertices
+            contour = Contour(verts[::orientation])
+            assert contour.area == signed_area(contour.vertices) == signed_area(contour) > 0.0
+
     def test_vertices_read_only(self):
         contour = Contour([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
         with pytest.raises(ValueError):

@@ -10,6 +10,18 @@ from pointset_anchors.anchors import sample_box_perimeters
 from pointset_anchors.geometry import Box, Contour
 from pointset_anchors.synthetic import random_convex_polygon, random_star_polygon
 
+# a two-level, one-variant pyramid: a --config document that keeps CLI runs small
+SMALL_CONFIG = {
+    "pyramid": {
+        "levels": [[16.0, 64.0], [32.0, 128.0]],
+        "octave_scales": [1.0],
+        "aspect_ratios": [1.0],
+        "pose_scales": [1.0],
+        "pose_rotations": [0.0],
+        "num_points": 16,
+    }
+}
+
 
 def anchor_from_box(box: Box, n: int) -> tuple[np.ndarray, tuple[int, int, int, int]]:
     """(points, corner indices) of the mask anchor whose implicit box is ``box``: a batch of one."""
