@@ -24,8 +24,7 @@ _EXPORTS = {
     "datasets": "CORPUS_CONTOURS CORPUS_POSES InstanceRecord ParseResult ParseStats"
                 " parse_annotations",
     "errors": "PointSetError",
-    "geometry": "Box Contour box_iou_matrix points_in_polygon rasterized_mask_iou signed_area"
-                " transform_points",
+    "geometry": "Box Contour box_iou_matrix points_in_polygon rasterized_mask_iou transform_points",
     "losses": "FOCAL_ALPHA FOCAL_GAMMA LAMBDA_POSE LAMBDA_SEGMENTATION TASK_POSE"
               " LossBreakdown LossInputs balance_for_task focal_loss total_loss",
     "matching": "match_points match_pose_points point_offsets",

@@ -332,7 +332,9 @@ def generate_grid(config: PyramidConfig, image_size, mode: str = MASK_MODE,
             centroid.
 
     A grid over ``MAX_IMAGE_ANCHORS`` anchors, or whose anchor points would
-    lie beyond ``MAX_MAGNITUDE``, is rejected before any per-anchor array exists.
+    lie beyond ``MAX_MAGNITUDE``, is rejected before any per-anchor array exists;
+    so is a mask grid whose ``axis_coordinates`` give a box no positive extent
+    (a small half-width added to a large centre rounds back to the centre).
     """
     if mode == MASK_MODE:
         templates = [_box_templates(config, base_scale) for _, base_scale in config.levels]
@@ -356,4 +358,6 @@ def generate_grid(config: PyramidConfig, image_size, mode: str = MASK_MODE,
     if not reach <= MAX_MAGNITUDE:
         what = "the pyramid" if mode == MASK_MODE else "the pyramid and pose modes"
         raise PointSetError(f"{what} put anchor points {reach:.3g} px out, beyond 2**500")
+    if mode == MASK_MODE and not all((c[:, 1] > c[:, 0]).all() for c in grid.axis_coordinates()):
+        raise PointSetError("the pyramid's anchor boxes round to no positive extent")
     return grid

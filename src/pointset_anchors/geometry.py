@@ -105,20 +105,6 @@ def _shoelace(vertices: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def signed_area(contour) -> float:
-    """Shoelace signed area; positive for the stored counter-clockwise form.
-
-    Accepts a Contour or a raw (n, 2) vertex array (which may be negatively
-    oriented; the sign flips when the traversal is reversed).
-    """
-    if isinstance(contour, Contour):
-        return contour.area
-    arr = np.asarray(contour, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
-        raise PointSetError(f"expected an (n >= 3, 2) vertex array, got shape {arr.shape}")
-    return _shoelace(arr)
-
-
 def box_iou_matrix(a, b, out=None) -> np.ndarray:
     """Pairwise IoU between two (n, 4) arrays of (x_min, y_min, x_max, y_max),
     written into ``out`` when given, an (n_a, n_b) array."""

@@ -34,6 +34,7 @@ from .assignment import (
     LABEL_IGNORE,
     SIMILARITY_IOU,
     SIMILARITY_OKS,
+    _oks_widths,
     assign_arrays,
     check_thresholds,
     oks_lattice,
@@ -204,8 +205,8 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
 
     A gt's class id is its label, so an eligible gt with a ``category_id``
     outside 1 .. ``config.num_classes`` is rejected, naming its image, before
-    ``out_path`` is opened. So is an image whose grid would hold more than
-    ``MAX_IMAGE_ANCHORS`` anchors.
+    ``out_path`` is opened. So is a pose gt whose OKS widths are not finite
+    and > 0, and an image whose grid ``generate_grid`` rejects.
 
     Returns a summary dict with anchor/label counts.
     """
@@ -218,6 +219,13 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
                                 f" target labels need ids in 1..{config.num_classes}")
 
     grouped = _group_by_image(records)
+    if config.task == TASK_POSE_TARGETS:   # the widths each image's OKS will divide by
+        for image_id, image_records in grouped.items():
+            gts = [r for r in image_records if _eligible(r, config.task)]
+            try:
+                _oks_widths([g.bbox.area for g in gts], [g.keypoints[:, 2] for g in gts])
+            except PointSetError as err:
+                raise PointSetError(f"image {image_id}: {err}") from err
     grids = _grids(grouped, config.task, config.pyramid, canonical_poses)
     counts, skipped_records = np.zeros(4, dtype=np.int64), 0
     with Path(out_path).open("wb") as out:

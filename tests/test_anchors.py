@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,26 @@ def _slot_box(base_scale, octave=1.0, aspect=1.0):
     config = PyramidConfig(levels=((8.0, base_scale),), octave_scales=(octave,),
                            aspect_ratios=(aspect,))
     return Box(*generate_grid(config, (8, 8), MASK_MODE).box_stack()[0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PyramidConfig(levels=()), "config needs at least one pyramid level"),
+    (lambda: PyramidConfig(num_points=10), "num_points must be a multiple of 4, got 10"),
+    (lambda: generate_grid(PyramidConfig(), (0, 8)), "image size must be positive, got (0, 8)"),
+    (lambda: generate_grid(PyramidConfig(), (8, 8), POSE_MODE, np.zeros((0, NUM_JOINTS, 2))),
+     "canonical_poses must be k >= 1 finite poses"),
+    (lambda: generate_grid(PyramidConfig(), (8, 8), POSE_MODE,
+                           np.full((1, NUM_JOINTS, 2), np.inf)),
+     "canonical_poses must be k >= 1 finite poses"),
+    (lambda: generate_grid(PyramidConfig(), (8, 8), "box"), "unknown grid mode: 'box'"),
+    # a 2**54 px centre plus or minus 0.5 px rounds to the centre
+    (lambda: generate_grid(PyramidConfig(levels=((2.0 ** 55, 1.0),)), (8, 8)),
+     "the pyramid's anchor boxes round to no positive extent"),
+], ids=["no-level", "num-points", "image-size", "no-poses", "non-finite-poses", "mode",
+        "box-extent"])
+def test_rejections_are_named(call, message):
+    with pytest.raises(PointSetError, match=re.escape(message)):
+        call()
 
 
 class TestSampleBoxPerimeter:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,15 @@ from pointset_anchors.assignment import (
     refine_pose_anchors,
 )
 from pointset_anchors.errors import PointSetError
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: assign_arrays(np.zeros((3, 2)), 0.5, 0.4, gt_class_ids=[1]),
+     "gt_class_ids must have shape (2,), got (1,)"),
+], ids=["class-ids"])
+def test_rejections_are_named(call, message):
+    with pytest.raises(PointSetError, match=re.escape(message)):
+        call()
 
 
 def _single_joint_case(scale: float = 100.0):

@@ -878,6 +878,50 @@ class TestMagnitudeBound:
         assert not out.exists()
 
 
+class TestUnscorable:
+    """Anchors or gts that no kernel can score are rejected by name before --out is opened."""
+
+    @pytest.mark.parametrize("command", [["targets", "--force-nearest"],
+                                         ["coverage", "--similarity", "iou"]],
+                             ids=["targets", "coverage"])
+    def test_mask_boxes_of_no_extent(self, tmp_path, capsys, command):
+        # The one location's centre is 2**54 px out, where doubles are 4 px
+        # apart, so each box's corners at +-0.5 px round to the centre.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"pyramid": {
+            "levels": [[2.0 ** 55, 1.0]], "octave_scales": [1.0], "aspect_ratios": [1.0],
+            "num_points": 4}}))
+        out = tmp_path / "out"
+        argv = [*command, "--annotations", str(_synth(tmp_path, "c.json")),
+                "--config", str(config), "--out", str(out)]
+        capsys.readouterr()
+        code = main(argv)
+        assert (code, capsys.readouterr().err) == (
+            1, "error: image 1: the pyramid's anchor boxes round to no positive extent\n")
+        assert not out.exists()
+
+    def test_pose_gt_whose_oks_width_underflows(self, tmp_path, capsys):
+        # The bbox's area, 2.27e-322, is a positive subnormal, so the gt is
+        # eligible; 2 * area * kappa^2 underflows to 0 for every joint.
+        ann, modes = tmp_path / "poses.json", tmp_path / "modes.json"
+        assert main(["synth", "--kind", "poses", "--count", "6", "--seed", "3",
+                     "--out", str(ann)]) == 0
+        assert main(["modes", "--annotations", str(ann), "--k", "2", "--out", str(modes)]) == 0
+        doc = json.loads(ann.read_text())
+        first = doc["annotations"][0]
+        first["bbox"] = [0, 0, 1.5e-161, 1.5e-161]
+        first["keypoints"] = [7.5e-162, 7.5e-162, 2] * 17
+        ann.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = main(["targets", "--task", "pose", "--modes", str(modes),
+                     "--annotations", str(ann), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert (code, err.count("\n")) == (1, 1), err
+        assert err.startswith(f"error: image {first['image_id']}: gt 0 has scale 2.27e-322;"), err
+        assert not out.exists()
+
+
 class TestPoseFrame:
     """A pose gt whose visible joints lie far outside its bbox is rejected by name.
 

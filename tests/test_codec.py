@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,17 @@ from pointset_anchors.matching import STRATEGIES, match_points, point_offsets
 
 from oracles import _iou, brute_nms
 from util import anchor_from_box, random_box, random_polygon
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: decode_points(np.zeros((3, 3)), np.zeros((3, 3))),
+     "expected an (n, 2) point array, got shape (3, 3)"),
+    (lambda: construct_mask(np.zeros((3, 2)), [True, True]),
+     "valid flags must have shape (3,), got (2,)"),
+], ids=["points", "valid"])
+def test_rejections_are_named(call, message):
+    with pytest.raises(PointSetError, match=re.escape(message)):
+        call()
 
 
 def _box_det(box: Box, score: float, class_id: int = 1) -> Detection:

@@ -98,6 +98,12 @@ class TestParse:
         assert len(result.records[0].contours) == 1
         assert result.stats.dropped_polygons == 1
 
+    def test_polygon_of_one_vertex_dropped(self, tmp_path):
+        ann = {"image_id": 1, "bbox": [10, 10, 30, 30], "segmentation": [SQUARE, [5.0, 5.0]]}
+        result = parse_annotations(_write(tmp_path, _doc([ann])))
+        assert len(result.records[0].contours) == 1
+        assert result.stats.dropped_polygons == 1
+
     def test_duplicate_and_closing_vertices_removed(self, tmp_path):
         closed = SQUARE + [10.0, 10.0]
         ann = {"image_id": 1, "bbox": [10, 10, 30, 30], "segmentation": [closed]}

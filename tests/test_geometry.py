@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from pointset_anchors import geometry
 from pointset_anchors.errors import PointSetError
 from pointset_anchors.geometry import (
     Box,
@@ -14,12 +16,20 @@ from pointset_anchors.geometry import (
     box_iou_matrix,
     points_in_polygon,
     rasterized_mask_iou,
-    signed_area,
     transform_points,
 )
 
 from oracles import _iou as brute_iou
 from util import random_polygon
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Contour(np.zeros((3, 3))), "expected an (n, 2) vertex array, got shape (3, 3)"),
+    (lambda: Contour([(0.0, 0.0), (1.0, 0.0), (np.nan, 1.0)]), "contour vertices must be finite"),
+], ids=["shape", "non-finite"])
+def test_rejections_are_named(call, message):
+    with pytest.raises(PointSetError, match=re.escape(message)):
+        call()
 
 
 class TestBox:
@@ -51,11 +61,12 @@ class TestContour:
         verts = [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]
         contour = Contour(verts)
         assert np.array_equal(contour.vertices, np.asarray(verts))
+        assert contour.area == 4.0
 
     def test_negative_orientation_reversed_first_vertex_stays(self):
         verts = [(0.0, 0.0), (0.0, 2.0), (2.0, 2.0), (2.0, 0.0)]
         contour = Contour(verts)
-        assert signed_area(contour) > 0.0
+        assert contour.area == 4.0
         assert tuple(contour.vertices[0]) == (0.0, 0.0)
 
     @pytest.mark.parametrize("orientation", [1, -1], ids=["positive", "reversed"])
@@ -64,7 +75,7 @@ class TestContour:
         for _ in range(50):
             verts = random_polygon(rng, int(rng.integers(3, 30)), convex=False).vertices
             contour = Contour(verts[::orientation])
-            assert contour.area == signed_area(contour.vertices) == signed_area(contour) > 0.0
+            assert contour.area == geometry._shoelace(contour.vertices) > 0.0
 
     def test_vertices_read_only(self):
         contour = Contour([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
@@ -83,17 +94,9 @@ class TestContour:
         contour = Contour([(1.0, 2.0), (5.0, 3.0), (2.0, 7.0)])
         assert contour.bounds() == Box(1.0, 2.0, 5.0, 7.0)
 
-
-class TestSignedArea:
-    def test_triangle_reference_value(self):
-        # (0,0) -> (4,0) -> (0,3) has shoelace area +6 in image coordinates
-        assert signed_area(np.array([(0.0, 0.0), (4.0, 0.0), (0.0, 3.0)])) == 6.0
-        assert signed_area(np.array([(0.0, 0.0), (0.0, 3.0), (4.0, 0.0)])) == -6.0
-
-    def test_reversal_flips_sign(self, rng):
-        contour = random_polygon(rng, 12, convex=False)
-        verts = contour.vertices
-        assert signed_area(verts[::-1]) == -signed_area(verts)
+    def test_repr(self):
+        contour = Contour([(0.0, 0.0), (4.0, 0.0), (0.0, 3.0)])
+        assert repr(contour) == "Contour(3 vertices, area=6.000)"
 
 
 def _iou(a: Box, b: Box) -> float:
@@ -175,6 +178,13 @@ class TestRasterizedMaskIou:
         a = Contour([(0.0, 0.0), (0.0, 2.0), (2.0, 2.0), (2.0, 0.0)])
         b = Contour([(1.0, 0.0), (1.0, 2.0), (3.0, 2.0), (3.0, 0.0)])
         assert rasterized_mask_iou(a, b, resolution=256) == pytest.approx(1.0 / 3.0, abs=0.01)
+
+    def test_no_cell_inside_either_is_zero(self):
+        # A contour against itself reads 1 unless no cell centre is inside it. A
+        # sliver along the raster's diagonal holds none: the centres on the
+        # diagonal lie on its edge, and the crossing test leaves them out.
+        sliver = Contour([(0.0, 0.0), (1.0, 1.0), (1.0 - 1e-6, 1.0)])
+        assert rasterized_mask_iou(sliver, sliver) == 0.0
 
     def test_resolution_floor(self):
         contour = Contour([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,27 @@ def _inputs(class_probs, class_targets, reg_preds, reg_targets, reg_valid,
         reg_valid=np.asarray(reg_valid, dtype=bool),
         **kwargs,
     )
+
+
+def _one_anchor(**changes) -> dict:
+    """Valid LossInputs fields of one anchor, one class and two points, with ``changes``."""
+    return {"class_probs": [[0.5]], "class_targets": [1], "reg_preds": np.zeros((1, 2, 2)),
+            "reg_targets": np.zeros((1, 2, 2)), "reg_valid": np.ones((1, 2)), **changes}
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"class_probs": [0.5]}, "class_probs must be (A, C), got (1,)"),
+    ({"class_targets": [2]}, "class target exceeds 1 classes"),
+    ({"class_targets": [-2]}, "class targets are 0, -1 or positive class ids"),
+    ({"reg_preds": np.zeros((1, 2))}, "reg_preds must be (1, P, 2), got (1, 2)"),
+    ({"reg_targets": np.zeros((1, 3, 2))},
+     "reg_targets shape (1, 3, 2) != reg_preds shape (1, 2, 2)"),
+    ({"reg_valid": np.ones((1, 3))}, "reg_valid must be (1, 2), got (1, 3)"),
+], ids=["probs", "target-class", "target-value", "preds", "targets", "valid"])
+def test_rejections_are_named(changes, message):
+    _inputs(**_one_anchor())     # without the change the fields are valid
+    with pytest.raises(PointSetError, match=re.escape(message)):
+        _inputs(**_one_anchor(**changes))
 
 
 class TestTotalLoss:

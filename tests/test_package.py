@@ -90,6 +90,42 @@ def test_every_parameter_is_read():
     assert not unread, unread
 
 
+def test_every_public_name_has_a_caller():
+    # A public name nothing calls goes: each module-level function, class and
+    # constant, and each method of a public class, is read somewhere in the
+    # package (outside __init__'s re-exports) or imported by the hard-gate
+    # tests. The two process entries are called by the interpreter.
+    package = Path(pointset_anchors.__file__).parent
+    read, public = set(), []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read |= {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+                 if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name)]
+            else:
+                continue
+            public += [(f"{path.stem}.{name}", name) for name in names]
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                public += [(f"{path.stem}.{node.name}.{method.name}", method.name)
+                           for method in node.body if isinstance(method, ast.FunctionDef)]
+    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    read |= {alias.name for node in ast.walk(acceptance)
+             if isinstance(node, ast.ImportFrom) and node.module.startswith("pointset_anchors")
+             for alias in node.names}
+    uncalled = [qualified for qualified, name in public
+                if not name.startswith("_") and name not in read
+                and qualified not in ("cli.main", "cli.run")]
+    assert not uncalled, uncalled
+
+
 def test_no_string_constant_is_defined_twice():
     # A public name such as MASK_MODE is the one definition of its value;
     # another module binds that name, not a copy of the literal.

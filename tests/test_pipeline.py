@@ -48,7 +48,8 @@ from pointset_anchors.pipeline import (
     emit_targets,
     render_coverage_table,
 )
-from pointset_anchors.pose_modes import kmeans_poses, normalize_pose
+from pointset_anchors.pose_modes import (center_point_shape, kmeans_poses, normalize_pose,
+                                         rectangle_shape)
 from pointset_anchors.synthetic import (
     CORPUS_CONTOURS,
     CORPUS_POSES,
@@ -829,6 +830,88 @@ class TestCoverageReport:
         ]
         reports = coverage_report(records, configs)
         assert [r.name for r in reports] == ["a", "b"]
+
+
+# Per variant field, the values a configuration draws its list from.
+_VARIANT_POOLS = {
+    "octave_scales": (1.0, 2.0 ** (1.0 / 3.0), 2.0 ** (2.0 / 3.0), 1.5),
+    "aspect_ratios": (0.5, 1.0, 2.0, 0.75),
+    "pose_scales": POSE_SCALES_FIVE,
+    "pose_rotations": POSE_ROTATIONS_FIVE,
+}
+
+
+@st.composite
+def _growing_anchor_sets(draw):
+    """(records, task, threshold, A, B) on non-square images, A and B each a
+    (pyramid, canonical poses) pair. B holds A's anchors and more: it adds mask
+    octaves or aspects, pose scales or rotations, or appends a pose mode."""
+    task = draw(st.sampled_from([TASK_MASK, TASK_POSE_TARGETS]))
+    seed, count = draw(st.integers(0, 2 ** 16)), draw(st.integers(1, 3))
+    if task == TASK_MASK:
+        size = draw(st.sampled_from([(160, 96), (96, 144)]))
+        records = generate_synthetic_corpus(CORPUS_CONTOURS, 2, seed=seed, image_size=size,
+                                            instances_per_image=count, radius_range=(10.0, 40.0))
+        grown = draw(st.sampled_from(["octave_scales", "aspect_ratios"]))
+    else:
+        size = draw(st.sampled_from([(288, 256), (256, 320)]))
+        records = generate_synthetic_corpus(CORPUS_POSES, 2, seed=seed, image_size=size,
+                                            instances_per_image=count, jitter=4.0,
+                                            truncation=0.5)
+        grown = draw(st.sampled_from(["pose_scales", "pose_rotations", "modes"]))
+    shared = {"levels": draw(st.sampled_from([((16.0, 48.0),), ((8.0, 24.0), (32.0, 96.0))])),
+              "num_points": 16, **{name: pool[1:2] for name, pool in _VARIANT_POOLS.items()}}
+    mean = _modes(records)[0] if task == TASK_POSE_TARGETS else None
+    pool = ((center_point_shape(), rectangle_shape(), mean, 1.2 * mean) if grown == "modes"
+            else _VARIANT_POOLS[grown])
+    values = draw(st.permutations(range(len(pool))))
+    kept = draw(st.integers(1, len(pool) - 1))
+    if grown == "modes":   # one mode appended
+        a, b = values[:kept], values[:kept + 1]
+    else:                  # more values, anywhere in the list
+        a = values[:kept]
+        b = draw(st.permutations(values[:draw(st.integers(kept + 1, len(pool)))]))
+    configs = []
+    for chosen in (a, b):
+        picked = [pool[i] for i in chosen]
+        if grown == "modes":
+            configs.append((PyramidConfig(**shared), np.stack(picked)))
+        else:
+            modes = None if mean is None else mean[None]
+            configs.append((PyramidConfig(**{**shared, grown: picked}), modes))
+    return records, task, draw(st.sampled_from([0.3, 0.5, 0.7])), *configs
+
+
+def _best_per_gt(records, task, pyramid, modes):
+    """Each gt's best similarity, in image order, from ``_scored_images``."""
+    grouped = pipeline._group_by_image(records)
+    grids = pipeline._grids(grouped, task, pyramid, modes)
+    return np.concatenate([sim.max(axis=0) for _, _, _, _, sim, _, _, _ in
+                           pipeline._scored_images(grouped, grids, task, 0.5, 0.4, True, False)])
+
+
+class TestCoverageGrowsWithAnchors:
+    """The paper adds scale, aspect and rotation variants, and pose modes, as
+    further point-set candidates: a superset of anchors never lowers a gt's
+    best similarity, so it never matches fewer gts."""
+
+    @given(case=_growing_anchor_sets())
+    def test_a_superset_never_covers_less(self, case):
+        records, task, threshold, (pyramid_a, modes_a), (pyramid_b, modes_b) = case
+        size = records[0].image_size
+        anchors_a, anchors_b = ({anchor.tobytes() for anchor in
+                                 generate_grid(pyramid, size, task, modes).points()}
+                                for pyramid, modes in ((pyramid_a, modes_a), (pyramid_b, modes_b)))
+        missing = anchors_a - anchors_b
+        assert not missing, f"{len(missing)} of A's {len(anchors_a)} anchors are not B's"
+        assert len(anchors_b) > len(anchors_a)
+        best_a = _best_per_gt(records, task, pyramid_a, modes_a)
+        best_b = _best_per_gt(records, task, pyramid_b, modes_b)
+        assert (best_b >= best_a).all(), (best_a, best_b)
+        report_a, report_b = coverage_report(
+            records, [CoverageConfig("a", pyramid_a, task, modes_a),
+                      CoverageConfig("b", pyramid_b, task, modes_b)], threshold)
+        assert report_b.matched_gt_count >= report_a.matched_gt_count
 
 
 class TestAnchorBudget:

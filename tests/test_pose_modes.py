@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -27,6 +28,15 @@ from oracles import numpy_kmeans_pp_init
 def _pose_cloud(rng, count: int, spread: float = 0.1) -> np.ndarray:
     base = rng.uniform(-0.4, 0.4, (NUM_JOINTS, 2))
     return base[None] + rng.normal(0.0, spread, (count, NUM_JOINTS, 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: NormalizedPose(np.full((NUM_JOINTS, 2), np.nan), np.ones(NUM_JOINTS, dtype=bool)),
+     "valid joints must be finite"),
+], ids=["non-finite-joints"])
+def test_rejections_are_named(call, message):
+    with pytest.raises(PointSetError, match=re.escape(message)):
+        call()
 
 
 class TestNormalizePose:

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from pointset_anchors.datasets import parse_annotations
 from pointset_anchors.errors import PointSetError
-from pointset_anchors.geometry import signed_area
+from pointset_anchors.geometry import Contour
 from pointset_anchors.synthetic import (
     CORPUS_CONTOURS,
     CORPUS_POSES,
@@ -20,6 +22,19 @@ def _cross_signs(vertices: np.ndarray) -> np.ndarray:
     a = np.roll(vertices, -1, axis=0) - vertices
     b = np.roll(a, -1, axis=0)
     return np.sign(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: random_star_polygon(np.random.default_rng(0), 8, (0.0, 0.0), (1.0, 1.0), 1.0),
+     "spikiness must be in [0, 1), got 1.0"),
+    (lambda: generate_synthetic_corpus(CORPUS_POSES, 1, dropout=1.0),
+     "dropout must be in [0, 1), got 1.0"),
+    (lambda: generate_synthetic_corpus(CORPUS_POSES, 1, truncation=1.5),
+     "truncation must be in [0, 1], got 1.5"),
+], ids=["spikiness", "dropout", "truncation"])
+def test_rejections_are_named(call, message):
+    with pytest.raises(PointSetError, match=re.escape(message)):
+        call()
 
 
 class TestPolygonGenerators:
@@ -44,7 +59,7 @@ class TestPolygonGenerators:
         for n in (3, 5, 12):
             for maker in (random_convex_polygon, random_star_polygon):
                 vertices = maker(rng, n, (40.0, 40.0), (15.0, 15.0))
-                assert abs(signed_area(vertices)) > 0.0
+                assert Contour(vertices).area > 0.0
 
 
 class TestContourCorpus:
