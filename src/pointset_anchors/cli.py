@@ -8,8 +8,10 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import gc
+import atexit
+import contextlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -284,15 +286,22 @@ def main(argv=None) -> int:
 def run() -> None:
     """The process entry of ``python -m pointset_anchors.cli`` and the console script.
 
-    Runs ``main`` and exits with its status. ``main`` has closed every file it
-    wrote, so the heap is frozen first: interpreter shutdown then skips the
-    collections over the objects that importing numpy and the package left
-    tracked (about 20 ms a process). ``main`` itself never touches ``gc``, so
-    calling it in-process leaves the host's collector as it was.
+    Runs ``main``, which has closed every file it wrote, then the ``atexit``
+    callbacks, flushes stdout and stderr and ends the process with main's
+    status, skipping the interpreter's teardown (4-7 ms on 2 cores). A
+    stream that cannot be flushed (a closed pipe) gives one ``error:`` line
+    and status 120, as the interpreter's would. What ``main`` raises passes.
     """
     status = main()
-    gc.freeze()
-    sys.exit(status)
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as err:
+        status = 120
+        with contextlib.suppress(OSError):
+            _warn(f"error: {err}")
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -171,7 +171,10 @@ def _scored_images(grouped, grids, task: str, hi: float, lo: float, force_neares
         rows = grid.num_anchors
         sim = sims[:rows * len(gts)].reshape(rows, len(gts))
         if gts:
-            sim = _image_similarity(grid, gts, task, sim)
+            try:
+                sim = _image_similarity(grid, gts, task, sim)
+            except PointSetError as err:
+                raise type(err)(f"image {image_id}: {err}") from err
         yield (image_id, count - len(gts), gts, grid, sim, *assign_arrays(
             sim, hi, lo, force_nearest, [g.class_id for g in gts] if labelled else None,
             out=[buffer[:rows] for buffer in buffers]))

@@ -59,13 +59,15 @@ def _config_file(tmp_path):
     return path
 
 
-def _fresh_python(tmp_path, *args):
-    """``python ARGS`` in a fresh interpreter that imports the package from this checkout."""
+def _fresh_python(tmp_path, *args, stdout=subprocess.PIPE):
+    """``python ARGS`` in a fresh interpreter that imports the package from this
+    checkout, with stdout block-buffered as on any pipe (PYTHONUNBUFFERED unset)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          cwd=tmp_path, env=env)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, cwd=tmp_path, env=env)
 
 
 class TestSynth:
@@ -771,7 +773,12 @@ class TestCoverage:
 
 
 class TestProcessEntry:
-    """The process entry, ``cli.run``, freezes the heap after ``main``; ``main`` never touches gc."""
+    """The process entry, ``cli.run``, runs ``main``, then the atexit callbacks,
+    flushes stdout and stderr and ends the process with main's status; ``main``
+    itself never ends the process or touches gc."""
+
+    ENTRY = ["-m", "pointset_anchors.cli"]
+    SYNTH = ["synth", "--kind", "poses", "--out", "p.json"]
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
     def test_main_leaves_the_collector_as_it_was(self, tmp_path, enabled):
@@ -788,19 +795,44 @@ class TestProcessEntry:
         finally:
             (gc.enable if was_enabled else gc.disable)()
 
-    def test_import_freezes_nothing_and_run_exits_with_mains_status(self, tmp_path):
-        script = ("import gc, sys\n"
+    @pytest.mark.parametrize("count, status, out, err", [
+        ("2", 0, "wrote 2 poses record(s) to p.json\n", ""),
+        ("0", 1, "", "error: count must be >= 1, got 0\n")], ids=["ok", "error"])
+    def test_run_exits_with_mains_status(self, tmp_path, count, status, out, err):
+        done = _fresh_python(tmp_path, *self.ENTRY, *self.SYNTH, "--count", count)
+        assert (done.returncode, done.stdout, done.stderr) == (status, out, err)
+
+    def test_atexit_callbacks_run_before_the_final_flush(self, tmp_path):
+        script = ("import atexit, sys\n"
                   "import pointset_anchors.cli as cli\n"
-                  "print(gc.get_freeze_count())\n"
-                  "sys.argv = ['pointset-anchors', 'synth', '--kind', 'poses', '--count', '0',"
-                  " '--out', 'unused.json']\n"
-                  "try:\n"
-                  "    cli.run()\n"
-                  "except SystemExit as exit:\n"
-                  "    print(exit.code, gc.get_freeze_count() > 0)\n")
-        done = _fresh_python(tmp_path, "-c", script)
-        assert done.stdout.split() == ["0", "1", "True"], done.stderr
-        assert done.stderr.startswith("error: count must be >= 1")
+                  "atexit.register(print, 'atexit ran')\n"
+                  "sys.argv = ['pointset-anchors', *sys.argv[1:]]\n"
+                  "cli.run()\n"
+                  "print('run returned')\n")
+        done = _fresh_python(tmp_path, "-c", script, *self.SYNTH, "--count", "2")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, "wrote 2 poses record(s) to p.json\natexit ran\n", "")
+
+    @pytest.mark.parametrize("argv, status, stream", [
+        (["--help"], 0, "stdout"), (["synth", "--kind", "bogus"], 2, "stderr")],
+        ids=["help", "usage-error"])
+    def test_argparse_exits_leave_run_as_before(self, tmp_path, argv, status, stream):
+        done = _fresh_python(tmp_path, *self.ENTRY, *argv)
+        assert done.returncode == status, done.stderr
+        assert getattr(done, stream).startswith("usage: pointset-anchors")
+        assert "Traceback" not in done.stderr
+
+    def test_closed_stdout_pipe_is_one_error_line(self, tmp_path):
+        # The summary line waits in stdout's buffer until run flushes it;
+        # with the pipe's read end closed that flush fails.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = _fresh_python(tmp_path, *self.ENTRY, *self.SYNTH, "--count", "2",
+                                 stdout=write)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (120, "error: [Errno 32] Broken pipe\n")
 
     @pytest.mark.parametrize("case", ["targets", *sorted(TestCoverage.PINNED_DIGESTS)])
     def test_module_run_writes_what_main_writes(self, case, tmp_path, capsys):
@@ -900,25 +932,47 @@ class TestUnscorable:
             1, "error: image 1: the pyramid's anchor boxes round to no positive extent\n")
         assert not out.exists()
 
-    def test_pose_gt_whose_oks_width_underflows(self, tmp_path, capsys):
-        # The bbox's area, 2.27e-322, is a positive subnormal, so the gt is
-        # eligible; 2 * area * kappa^2 underflows to 0 for every joint.
-        ann, modes = tmp_path / "poses.json", tmp_path / "modes.json"
+    @staticmethod
+    def _underflowing_pose(tmp_path, index):
+        """A 6-image pose corpus whose gt ``index`` has a subnormal bbox area.
+
+        The area, 2.27e-322, is positive, so the gt is eligible; 2 * area *
+        kappa^2 underflows to 0 for every joint. Returns the corpus and the
+        gt's image id.
+        """
+        ann = tmp_path / "poses.json"
         assert main(["synth", "--kind", "poses", "--count", "6", "--seed", "3",
                      "--out", str(ann)]) == 0
-        assert main(["modes", "--annotations", str(ann), "--k", "2", "--out", str(modes)]) == 0
         doc = json.loads(ann.read_text())
-        first = doc["annotations"][0]
-        first["bbox"] = [0, 0, 1.5e-161, 1.5e-161]
-        first["keypoints"] = [7.5e-162, 7.5e-162, 2] * 17
+        gt = doc["annotations"][index]
+        gt["bbox"] = [0, 0, 1.5e-161, 1.5e-161]
+        gt["keypoints"] = [7.5e-162, 7.5e-162, 2] * 17
         ann.write_text(json.dumps(doc))
+        return ann, gt["image_id"]
+
+    def test_pose_gt_whose_oks_width_underflows(self, tmp_path, capsys):
+        modes = tmp_path / "modes.json"
+        ann = _synth_poses(tmp_path, "modes-corpus.json")
+        assert main(["modes", "--annotations", str(ann), "--k", "2", "--out", str(modes)]) == 0
+        ann, image_id = self._underflowing_pose(tmp_path, 0)
         out = tmp_path / "out"
         capsys.readouterr()
         code = main(["targets", "--task", "pose", "--modes", str(modes),
                      "--annotations", str(ann), "--out", str(out)])
         err = capsys.readouterr().err
         assert (code, err.count("\n")) == (1, 1), err
-        assert err.startswith(f"error: image {first['image_id']}: gt 0 has scale 2.27e-322;"), err
+        assert err.startswith(f"error: image {image_id}: gt 0 has scale 2.27e-322;"), err
+        assert not out.exists()
+
+    def test_coverage_names_the_image_of_a_pose_gt_whose_oks_width_underflows(self, tmp_path,
+                                                                               capsys):
+        ann, image_id = self._underflowing_pose(tmp_path, 3)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = main(["coverage", "--annotations", str(ann), "--k", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert (code, err.count("\n")) == (1, 1), err
+        assert err.startswith(f"error: image {image_id}: gt 0 has scale 2.27e-322;"), err
         assert not out.exists()
 
 

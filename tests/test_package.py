@@ -126,6 +126,31 @@ def test_every_public_name_has_a_caller():
     assert not uncalled, uncalled
 
 
+def test_only_run_ends_the_process():
+    # main([...]) is safe to call in-process: no function but cli.run calls
+    # os._exit, sys.exit, exit or quit, or raises SystemExit.
+    enders = []
+    for path in sorted(Path(pointset_anchors.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        entry = {id(node) for function in tree.body
+                 if path.name == "cli.py" and getattr(function, "name", None) == "run"
+                 for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (f"{getattr(func.value, 'id', '')}.{func.attr}"
+                        if isinstance(func, ast.Attribute) else getattr(func, "id", ""))
+                ends = name in ("os._exit", "sys.exit", "exit", "quit")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                ends = getattr(exc, "id", None) == "SystemExit"
+            else:
+                continue
+            if ends and id(node) not in entry:
+                enders.append(f"{path.stem} line {node.lineno}")
+    assert not enders, enders
+
+
 def test_no_string_constant_is_defined_twice():
     # A public name such as MASK_MODE is the one definition of its value;
     # another module binds that name, not a copy of the literal.

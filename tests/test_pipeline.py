@@ -32,7 +32,7 @@ from pointset_anchors.assignment import (
 )
 from pointset_anchors.datasets import InstanceRecord
 from pointset_anchors.errors import PointSetError
-from pointset_anchors.geometry import Box
+from pointset_anchors.geometry import Box, Contour
 from pointset_anchors import anchors, matching, pipeline
 from pointset_anchors.matching import NEAREST_LINE, NEAREST_POINT
 from pointset_anchors.pipeline import (
@@ -912,6 +912,66 @@ class TestCoverageGrowsWithAnchors:
             records, [CoverageConfig("a", pyramid_a, task, modes_a),
                       CoverageConfig("b", pyramid_b, task, modes_b)], threshold)
         assert report_b.matched_gt_count >= report_a.matched_gt_count
+
+
+@st.composite
+def _translated_problems(draw):
+    """(gts, task, pyramid, canonical poses, size, (dx, dy)) on a non-square image;
+    dx and dy are multiples of every level's stride."""
+    task = draw(st.sampled_from([TASK_MASK, TASK_POSE_TARGETS]))
+    seed, count = draw(st.integers(0, 2 ** 16)), draw(st.integers(1, 3))
+    if task == TASK_MASK:
+        size = draw(st.sampled_from([(160, 96), (96, 144)]))
+        records = generate_synthetic_corpus(CORPUS_CONTOURS, 1, seed=seed, image_size=size,
+                                            instances_per_image=count, radius_range=(10.0, 40.0))
+        modes = None
+    else:
+        size = draw(st.sampled_from([(288, 256), (256, 320)]))
+        records = generate_synthetic_corpus(CORPUS_POSES, 1, seed=seed, image_size=size,
+                                            instances_per_image=count, jitter=4.0,
+                                            truncation=0.5)
+        modes = np.concatenate([_modes(records), rectangle_shape()[None]])
+    levels = draw(st.sampled_from([((16.0, 48.0),), ((8.0, 24.0), (32.0, 96.0))]))
+    pyramid = PyramidConfig(levels=levels, octave_scales=(1.0, 1.5), aspect_ratios=(0.5, 2.0),
+                            pose_scales=(0.8, 1.2), pose_rotations=(-10.0, 10.0), num_points=16)
+    step = max(stride for stride, _ in levels)   # the strides are powers of two
+    shift = (step * draw(st.integers(0, 3)), step * draw(st.integers(0, 3)))
+    gts = [r for r in records if pipeline._eligible(r, task)]
+    return gts, task, pyramid, modes, size, shift
+
+
+def _translated(record, dx, dy):
+    box = record.bbox
+    return replace(record, bbox=Box(box.x_min + dx, box.y_min + dy, box.x_max + dx,
+                                    box.y_max + dy),
+                   contours=tuple(Contour(c.vertices + (dx, dy)) for c in record.contours),
+                   keypoints=None if record.keypoints is None else record.keypoints + (dx, dy, 0))
+
+
+class TestTranslation:
+    """The paper tiles anchors at every stride step: moving every gt by a
+    multiple of every stride, on an image grown by the same amount, moves each
+    level's IoU or OKS map by whole rows and columns. Centre + template rounds
+    at a different exponent once moved, so cells agree within 1e-12."""
+
+    @given(case=_translated_problems())
+    def test_a_whole_stride_shift_moves_each_level_map(self, case):
+        gts, task, pyramid, modes, (width, height), (dx, dy) = case
+        mode = MASK_MODE if task == TASK_MASK else POSE_MODE
+        grid = generate_grid(pyramid, (width, height), mode, modes)
+        moved_grid = generate_grid(pyramid, (width + dx, height + dy), mode, modes)
+        sim = _image_similarity(grid, gts, task)
+        moved = _image_similarity(moved_grid, [_translated(g, dx, dy) for g in gts], task)
+        assert sim.any()
+        start = moved_start = 0
+        for level, moved_level in zip(grid.levels, moved_grid.levels):
+            rows, cols = int(dy // level.stride), int(dx // level.stride)
+            assert (moved_level.rows, moved_level.cols) == (level.rows + rows, level.cols + cols)
+            maps = sim[start:start + level.num_anchors].reshape(level.rows, level.cols, -1)
+            moved_maps = moved[moved_start:moved_start + moved_level.num_anchors].reshape(
+                moved_level.rows, moved_level.cols, -1)
+            np.testing.assert_allclose(moved_maps[rows:, cols:], maps, rtol=0, atol=1e-12)
+            start, moved_start = start + level.num_anchors, moved_start + moved_level.num_anchors
 
 
 class TestAnchorBudget:
