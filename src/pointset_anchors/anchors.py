@@ -191,12 +191,12 @@ def load_config_document(path) -> dict:
     if path.suffix.lower() in (".yaml", ".yml"):
         import yaml
 
-        load, malformed = yaml.safe_load, (yaml.YAMLError, ValueError)  # ValueError: > 4300 digits
+        load, malformed = yaml.safe_load, yaml.YAMLError
     else:
-        load, malformed = json.loads, ValueError
+        load, malformed = json.loads, json.JSONDecodeError
     try:
         data = load(path.read_text())
-    except malformed as err:
+    except (malformed, ValueError, RecursionError) as err:  # ValueError: not UTF-8, > 4300 digits
         raise MalformedDocumentError(f"{path}: not a valid document ({err})") from err
     if not isinstance(data, dict):
         raise MalformedDocumentError(f"{path}: must be a mapping, got {type(data).__name__}")

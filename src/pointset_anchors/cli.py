@@ -98,7 +98,7 @@ _SYNTH_FLAGS = {
 }
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> str:
     # only synth runs the generators; the other commands never compile them
     from .synthetic import generate_synthetic_corpus, save_corpus
 
@@ -113,11 +113,10 @@ def _cmd_synth(args) -> int:
         **difficulty,
     )
     save_corpus(records, args.out)
-    print(f"wrote {len(records)} {args.kind} record(s) to {args.out}")
-    return 0
+    return f"wrote {len(records)} {args.kind} record(s) to {args.out}\n"
 
 
-def _cmd_modes(args) -> int:
+def _cmd_modes(args) -> str:
     from .pose_modes import check_kmeans_settings, save_pose_modes
 
     check_kmeans_settings(args.k, args.seed, args.max_iters)   # before the corpus is read
@@ -126,8 +125,7 @@ def _cmd_modes(args) -> int:
     poses = _normalized_poses(result)
     modes = kmeans_poses(poses, k=args.k, seed=args.seed, max_iters=args.max_iters)
     save_pose_modes(modes, args.out)
-    print(f"wrote {modes.k} mode(s) to {args.out} (inertia {modes.inertia:.6f})")
-    return 0
+    return f"wrote {modes.k} mode(s) to {args.out} (inertia {modes.inertia:.6f})\n"
 
 
 def _target_config(document: dict, **flags) -> TargetConfig:
@@ -137,7 +135,7 @@ def _target_config(document: dict, **flags) -> TargetConfig:
         {**document, **{key: value for key, value in flags.items() if value is not None}})
 
 
-def _cmd_targets(args) -> int:
+def _cmd_targets(args) -> str:
     # the settings are checked whole before the corpus is read
     document = load_config_document(args.config) if args.config else {}
     config = _target_config(document, task=args.task, strategy=args.strategy, hi=args.hi,
@@ -156,8 +154,7 @@ def _cmd_targets(args) -> int:
     result = parse_annotations(args.annotations)
     _report_parse_stats(result)
     summary = emit_targets(result.records, config, args.out, canonical_poses)
-    print(json.dumps(summary, sort_keys=True))
-    return 0
+    return json.dumps(summary, sort_keys=True) + "\n"
 
 
 def _coverage_settings(args):
@@ -189,7 +186,7 @@ def _coverage_ladder(args, poses) -> list[CoverageConfig]:
     return [CoverageConfig(name, pyramid, TASK_POSE_TARGETS, modes) for name, modes in shapes]
 
 
-def _cmd_coverage(args) -> int:
+def _cmd_coverage(args) -> str:
     _reject_flags(args, "similarity", args.similarity, {SIMILARITY_OKS: ["k", "seed"]})
     # the settings are checked whole before the corpus is read
     pyramid = _coverage_settings(args)[0]
@@ -202,8 +199,7 @@ def _cmd_coverage(args) -> int:
     reports = coverage_report(result.records, configs, threshold=args.threshold)
     Path(args.out).write_text(
         json.dumps(coverage_to_dict(reports), sort_keys=True, allow_nan=False) + "\n")
-    print(render_coverage_table(reports), end="")
-    return 0
+    return render_coverage_table(reports)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,11 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    status = 1
     try:
-        return args.func(args)
+        text = args.func(args)
+        status = 120   # stdout refuses the text (a closed pipe): run's status for a failed flush
+        sys.stdout.write(text)
     except (PointSetError, OSError) as err:
         _warn(f"error: {err}")
-        return 1
+        return status
+    return 0
 
 
 def run() -> None:

@@ -146,7 +146,7 @@ def parse_annotations(path) -> ParseResult:
         raise FileNotFoundError(f"annotation document not found: {path}")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:   # ValueError: also a byte that is not UTF-8
         raise MalformedDocumentError(f"{path}: not valid JSON ({err})") from err
 
     _require(isinstance(doc, dict), str(path), "top level must be an object")

@@ -78,7 +78,7 @@ class TargetConfig(_TaskConfig, Frozen):
                  strategy: str = CORNER_PROJECTION, hi: float | None = None,
                  lo: float | None = None, force_nearest: bool = False, num_classes: int = 1):
         self._check_task(task)
-        if task == TASK_MASK and strategy not in STRATEGIES:
+        if strategy not in STRATEGIES:
             raise PointSetError(f"unknown strategy {strategy!r}")
         check_at_least(("num_classes", num_classes, 1))
         hi = (0.6 if task == TASK_MASK else 0.5) if hi is None else hi
@@ -105,17 +105,26 @@ class TargetConfig(_TaskConfig, Frozen):
         return cls(**kwargs)
 
 
-def _group_by_image(records) -> dict[int, list[InstanceRecord]]:
+def _images(records, task: str) -> list:
+    """The one pass over a corpus's images before any is scored: ``(image_id,
+    size, gts, skipped)`` for each image, in image-id order. ``gts`` are its
+    records that are gts of ``task``, a box of positive area plus contours, or
+    visible joints, and ``skipped`` counts the rest. A pose gt whose OKS widths
+    are not finite and > 0 is rejected here, naming its image."""
     grouped: dict[int, list[InstanceRecord]] = {}
     for record in records:
         grouped.setdefault(record.image_id, []).append(record)
-    return dict(sorted(grouped.items()))
-
-
-def _eligible(record: InstanceRecord, task: str) -> bool:
-    """A gt of a task: a box of positive area plus contours, or visible joints."""
-    annotated = record.contours if task == TASK_MASK else record.has_keypoints
-    return bool(annotated) and record.bbox.area > 0.0
+    images = []
+    for image_id, image_records in sorted(grouped.items()):
+        gts = [r for r in image_records
+               if (r.contours if task == TASK_MASK else r.has_keypoints) and r.bbox.area > 0.0]
+        if task == TASK_POSE_TARGETS and gts:   # the widths the image's OKS will divide by
+            try:
+                _oks_widths([g.bbox.area for g in gts], [g.keypoints[:, 2] for g in gts])
+            except PointSetError as err:
+                raise PointSetError(f"image {image_id}: {err}") from err
+        images.append((image_id, image_records[0].image_size, gts, len(image_records) - len(gts)))
+    return images
 
 
 def _image_similarity(grid: AnchorGrid, gts: list[InstanceRecord], task: str,
@@ -130,12 +139,11 @@ def _image_similarity(grid: AnchorGrid, gts: list[InstanceRecord], task: str,
     return oks_lattice(grid, joints, vis, scales, out)
 
 
-def _grids(grouped, task: str, pyramid: PyramidConfig, canonical_poses) -> dict:
+def _grids(images, task: str, pyramid: PyramidConfig, canonical_poses) -> dict:
     """One grid per distinct image size, keyed by size. An error of ``generate_grid``
     (a grid over ``MAX_IMAGE_ANCHORS`` anchors) names the first image of that size."""
     grids: dict[tuple[int, int], AnchorGrid] = {}
-    for image_id, image_records in grouped.items():
-        size = image_records[0].image_size
+    for image_id, size, _, _ in images:
         if size not in grids:
             try:
                 grids[size] = generate_grid(pyramid, size, task, canonical_poses)
@@ -144,9 +152,9 @@ def _grids(grouped, task: str, pyramid: PyramidConfig, canonical_poses) -> dict:
     return grids
 
 
-def _scored_images(grouped, grids, task: str, hi: float, lo: float, force_nearest: bool,
+def _scored_images(images, grids, task: str, hi: float, lo: float, force_nearest: bool,
                    labelled: bool):
-    """Score and assign each image's anchors against its eligible gts, in image-id order.
+    """Score and assign each image of ``_images``' list, whose gts all score, in id order.
 
     Yields ``(image_id, skipped, gts, grid, sim, labels, matched, best)``:
     the count of records that are not gts of ``task``, the gts, the image
@@ -157,25 +165,21 @@ def _scored_images(grouped, grids, task: str, hi: float, lo: float, force_neares
     largest image, and refilled for every image: they hold an image's
     values only until the next image is asked for.
     """
-    images = [(image_id, [r for r in image_records if _eligible(r, task)], len(image_records),
-               grids[image_records[0].image_size]) for image_id, image_records in grouped.items()]
-    size = max((grid.num_anchors * len(gts) for _, gts, _, grid in images), default=0)
+    cells = max((grids[size].num_anchors * len(gts) for _, size, gts, _ in images), default=0)
     anchors = max((grid.num_anchors for grid in grids.values()), default=0)
     # One allocation for all four. Once it is handed back, glibc keeps up to
     # twice its size of freed heap mapped, so the scoring temporaries of the
     # next call's images reuse their pages instead of faulting them back in.
-    sims, labels, matched, best = np.split(np.empty(size + 3 * anchors),
-                                           [size, size + anchors, size + 2 * anchors])
+    sims, labels, matched, best = np.split(np.empty(cells + 3 * anchors),
+                                           [cells, cells + anchors, cells + 2 * anchors])
     buffers = labels.view(int), matched.view(np.intp), best
-    for image_id, gts, count, grid in images:
+    for image_id, size, gts, skipped in images:
+        grid = grids[size]
         rows = grid.num_anchors
         sim = sims[:rows * len(gts)].reshape(rows, len(gts))
         if gts:
-            try:
-                sim = _image_similarity(grid, gts, task, sim)
-            except PointSetError as err:
-                raise type(err)(f"image {image_id}: {err}") from err
-        yield (image_id, count - len(gts), gts, grid, sim, *assign_arrays(
+            sim = _image_similarity(grid, gts, task, sim)
+        yield (image_id, skipped, gts, grid, sim, *assign_arrays(
             sim, hi, lo, force_nearest, [g.class_id for g in gts] if labelled else None,
             out=[buffer[:rows] for buffer in buffers]))
 
@@ -206,30 +210,22 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
     1e16), so the bytes equal one ``json.dumps(line, sort_keys=True)`` per
     anchor, and a fixed corpus and config reproduce the file byte for byte.
 
-    A gt's class id is its label, so an eligible gt with a ``category_id``
-    outside 1 .. ``config.num_classes`` is rejected, naming its image, before
-    ``out_path`` is opened. So is a pose gt whose OKS widths are not finite
-    and > 0, and an image whose grid ``generate_grid`` rejects.
+    Before ``out_path`` is opened, ``_images``' pass rejects a pose gt whose OKS
+    widths are not finite and > 0, then a gt whose ``category_id``, its label,
+    is outside 1 .. ``config.num_classes``, then an image whose grid
+    ``generate_grid`` rejects, each naming the first such image in id order.
 
     Returns a summary dict with anchor/label counts.
     """
     if config.task == TASK_POSE_TARGETS and canonical_poses is None:
         raise PointSetError("pose target emission needs canonical_poses")
-    records = list(records)
-    for record in records:
-        if not 1 <= record.class_id <= config.num_classes and _eligible(record, config.task):
-            raise PointSetError(f"image {record.image_id}: a gt has category_id {record.class_id};"
-                                f" target labels need ids in 1..{config.num_classes}")
-
-    grouped = _group_by_image(records)
-    if config.task == TASK_POSE_TARGETS:   # the widths each image's OKS will divide by
-        for image_id, image_records in grouped.items():
-            gts = [r for r in image_records if _eligible(r, config.task)]
-            try:
-                _oks_widths([g.bbox.area for g in gts], [g.keypoints[:, 2] for g in gts])
-            except PointSetError as err:
-                raise PointSetError(f"image {image_id}: {err}") from err
-    grids = _grids(grouped, config.task, config.pyramid, canonical_poses)
+    images = _images(records, config.task)
+    for image_id, _, gts, _ in images:
+        for gt in gts:
+            if not 1 <= gt.class_id <= config.num_classes:
+                raise PointSetError(f"image {image_id}: a gt has category_id {gt.class_id};"
+                                    f" target labels need ids in 1..{config.num_classes}")
+    grids = _grids(images, config.task, config.pyramid, canonical_poses)
     counts, skipped_records = np.zeros(4, dtype=np.int64), 0
     with Path(out_path).open("wb") as out:
         header = {
@@ -239,11 +235,11 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
             "strategy": config.strategy if config.task == TASK_MASK else "pose",
             "similarity": config.similarity,
             "head_dims": _header_dims(config, canonical_poses),
-            "images": sorted(grouped),
+            "images": [image_id for image_id, _, _, _ in images],
         }
         out.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         for image_id, skipped, gts, grid, sim, labels, matched, best in _scored_images(
-                grouped, grids, config.task, config.hi, config.lo, config.force_nearest,
+                images, grids, config.task, config.hi, config.lo, config.force_nearest,
                 labelled=True):
             counts += _label_counts(labels)
             skipped_records += skipped
@@ -252,7 +248,7 @@ def emit_targets(records, config: TargetConfig, out_path, canonical_poses=None) 
                                        pos, *_match_positives(grid, gts, pos, matched[pos], config)):
                 out.write(piece)
     anchors, positives, negatives, ignores = counts.tolist()
-    return {"images": len(grouped), "anchors": anchors, "positives": positives,
+    return {"images": len(images), "anchors": anchors, "positives": positives,
             "negatives": negatives, "ignores": ignores, "skipped_records": skipped_records,
             "lines": anchors + 1}
 
@@ -436,14 +432,17 @@ def coverage_report(records, configs, threshold: float = 0.5) -> list[CoverageRe
     Positive/negative counts come from the assigner with hi=threshold,
     lo=min(0.4, threshold) and force_nearest on: each gt claims its best anchor
     unless another gt holds it at an equal or higher similarity, and may then
-    have no positive. Every configuration's grids are made before any image is
-    scored, so an image whose grid would hold more than ``MAX_IMAGE_ANCHORS``
-    anchors is rejected, naming it, first.
+    have no positive. ``_images``' pass, made once a task for all its
+    configurations, and then every configuration's grids come before any
+    image is scored: a pose gt whose OKS widths are not finite and > 0, then
+    an image whose grid would hold more than ``MAX_IMAGE_ANCHORS`` anchors, is
+    rejected, naming its image, first.
     """
     check_coverage_threshold(threshold)
-    grouped = _group_by_image(records)
-    ladder = [(config, _grids(grouped, config.task, config.pyramid, config.canonical_poses))
-              for config in configs]
+    records = list(records)
+    passes = {task: _images(records, task) for task in dict.fromkeys(c.task for c in configs)}
+    ladder = [(config, _grids(passes[config.task], config.task, config.pyramid,
+                              config.canonical_poses)) for config in configs]
     reports = []
     while ladder:
         # popped, so a configuration's grids and their cached arrays go once it is done
@@ -452,8 +451,8 @@ def coverage_report(records, configs, threshold: float = 0.5) -> list[CoverageRe
         # comprehension's names go with it, so nothing keeps this configuration's
         # buffers or grids once the next one's are made.
         scored = [(_label_counts(labels), sim.max(axis=0)) for _, _, _, _, sim, labels, _, _
-                  in _scored_images(grouped, grids, config.task, threshold, min(0.4, threshold),
-                                    force_nearest=True, labelled=False)]
+                  in _scored_images(passes[config.task], grids, config.task, threshold,
+                                    min(0.4, threshold), force_nearest=True, labelled=False)]
         best = np.concatenate([np.zeros(0)] + [image_best for _, image_best in scored])
         if not best.size:
             raise PointSetError(f"no records usable for coverage config {config.name!r}")

@@ -630,6 +630,27 @@ class TestDocumentErrors:
         _assert_named_error(capsys, code, "modes.json", name)
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", [b"\xff", b"[" * 5000 + b"]" * 5000, b"9" * 4301],
+                             ids=["byte-ff", "deep-array", "huge-int"])
+    @pytest.mark.parametrize("option, name", [
+        ("--annotations", "bad.json"), ("--config", "bad.json"), ("--config", "bad.yaml"),
+        ("--modes", "bad.json")], ids=["annotations", "config-json", "config-yaml", "modes"])
+    def test_undecodable_or_too_deep_document(self, tmp_path, content, option, name):
+        # a byte that is not UTF-8, nesting deeper than the readers recurse, or
+        # an integer of over 4,300 digits, which python will not convert
+        poses = _synth_poses(tmp_path, "poses.json")
+        assert main(["modes", "--annotations", str(poses), "--k", "1",
+                     "--out", str(tmp_path / "modes.json")]) == 0
+        (tmp_path / name).write_bytes(content)
+        args = {"--annotations": "poses.json", "--task": "pose", "--modes": "modes.json",
+                option: name}
+        done = _fresh_python(tmp_path, "-m", "pointset_anchors.cli", "targets",
+                             *(text for pair in args.items() for text in pair), "--out", "out")
+        assert (done.returncode, done.stdout, done.stderr.count("\n")) == (1, "", 1), done.stderr
+        assert done.stderr.startswith(f"error: {name}: not "), done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "out").exists()
+
 
 class TestCoverage:
     def test_iou_coverage(self, tmp_path, capsys):
@@ -822,17 +843,25 @@ class TestProcessEntry:
         assert getattr(done, stream).startswith("usage: pointset-anchors")
         assert "Traceback" not in done.stderr
 
-    def test_closed_stdout_pipe_is_one_error_line(self, tmp_path):
-        # The summary line waits in stdout's buffer until run flushes it;
-        # with the pipe's read end closed that flush fails.
+    def _into_closed_pipe(self, tmp_path, *flags):
+        """(status, stderr) of synth with a stdout pipe whose read end is closed."""
         read, write = os.pipe()
         os.close(read)
         try:
-            done = _fresh_python(tmp_path, *self.ENTRY, *self.SYNTH, "--count", "2",
+            done = _fresh_python(tmp_path, *flags, *self.ENTRY, *self.SYNTH, "--count", "2",
                                  stdout=write)
         finally:
             os.close(write)
-        assert (done.returncode, done.stderr) == (120, "error: [Errno 32] Broken pipe\n")
+        return done.returncode, done.stderr
+
+    def test_closed_stdout_pipe_is_one_error_line(self, tmp_path):
+        # The summary line waits in stdout's buffer until run flushes it;
+        # with the pipe's read end closed that flush fails.
+        assert self._into_closed_pipe(tmp_path) == (120, "error: [Errno 32] Broken pipe\n")
+
+    def test_closed_unbuffered_stdout_pipe_is_the_same_error_line(self, tmp_path):
+        # -u, as PYTHONUNBUFFERED=1: main's own write of the summary line fails
+        assert self._into_closed_pipe(tmp_path, "-u") == (120, "error: [Errno 32] Broken pipe\n")
 
     @pytest.mark.parametrize("case", ["targets", *sorted(TestCoverage.PINNED_DIGESTS)])
     def test_module_run_writes_what_main_writes(self, case, tmp_path, capsys):

@@ -288,6 +288,11 @@ class TestTargetConfig:
             TargetConfig(task="detection3d")
         with pytest.raises(PointSetError, match="unknown strategy"):
             TargetConfig(strategy="iterative-closest-point")
+        for task in (TASK_MASK, TASK_POSE_TARGETS):   # the pose header writes "pose" anyway
+            with pytest.raises(PointSetError, match="unknown strategy 'banana'"):
+                TargetConfig(task=task, strategy="banana")
+            with pytest.raises(PointSetError, match="unknown strategy 'banana'"):
+                TargetConfig.from_dict({"task": task, "strategy": "banana"})
 
     def test_dict_round_trip(self):
         config = TargetConfig(pyramid=SMALL_PYRAMID, strategy=NEAREST_POINT,
@@ -693,9 +698,9 @@ def _scored(task, labelled=False):
     """``_scored_images`` over ``_mixed_images(task)`` on the small pyramid."""
     records = _mixed_images(task)
     modes = None if task == TASK_MASK else _modes([r for r in records if r.has_keypoints])
-    grouped = pipeline._group_by_image(records)
-    grids = pipeline._grids(grouped, task, SMALL_PYRAMID, modes)
-    return pipeline._scored_images(grouped, grids, task, 0.5, 0.3, True, labelled)
+    images = pipeline._images(records, task)
+    grids = pipeline._grids(images, task, SMALL_PYRAMID, modes)
+    return pipeline._scored_images(images, grids, task, 0.5, 0.3, True, labelled)
 
 
 class TestScoringBuffers:
@@ -822,6 +827,21 @@ class TestCoverageReport:
         with pytest.raises(PointSetError, match="no records usable for coverage config 'm'"):
             coverage_report(records, [config])
 
+    def test_an_unscorable_pose_gt_is_named_before_any_image_is_scored(self, monkeypatch):
+        # one gt an image; image 4's bbox area, a subnormal 2.27e-322, is positive,
+        # so the gt is a gt of the pose task, but 2 * area * kappa^2 underflows to 0
+        records = generate_synthetic_corpus(CORPUS_POSES, 6, seed=3, image_size=(256, 256))
+        config = CoverageConfig("mean", SMALL_PYRAMID, TASK_POSE_TARGETS, _modes(records))
+        assert [r.image_id for r in records] == [1, 2, 3, 4, 5, 6]
+        records[3] = replace(records[3], bbox=Box(0.0, 0.0, 1.5e-161, 1.5e-161),
+                             keypoints=np.tile([7.5e-162, 7.5e-162, 2.0], (17, 1)))
+        calls, score = [], pipeline._image_similarity
+        monkeypatch.setattr(pipeline, "_image_similarity",
+                            lambda *args: calls.append(args) or score(*args))
+        with pytest.raises(PointSetError, match=r"^image 4: gt 0 has scale 2.27e-322;"):
+            coverage_report(records, [config, replace(config, name="again")])
+        assert len(calls) == 0
+
     def test_report_order_follows_configs(self):
         records = _contour_corpus(count=6)
         configs = [
@@ -884,10 +904,10 @@ def _growing_anchor_sets(draw):
 
 def _best_per_gt(records, task, pyramid, modes):
     """Each gt's best similarity, in image order, from ``_scored_images``."""
-    grouped = pipeline._group_by_image(records)
-    grids = pipeline._grids(grouped, task, pyramid, modes)
+    images = pipeline._images(records, task)
+    grids = pipeline._grids(images, task, pyramid, modes)
     return np.concatenate([sim.max(axis=0) for _, _, _, _, sim, _, _, _ in
-                           pipeline._scored_images(grouped, grids, task, 0.5, 0.4, True, False)])
+                           pipeline._scored_images(images, grids, task, 0.5, 0.4, True, False)])
 
 
 class TestCoverageGrowsWithAnchors:
@@ -936,7 +956,7 @@ def _translated_problems(draw):
                             pose_scales=(0.8, 1.2), pose_rotations=(-10.0, 10.0), num_points=16)
     step = max(stride for stride, _ in levels)   # the strides are powers of two
     shift = (step * draw(st.integers(0, 3)), step * draw(st.integers(0, 3)))
-    gts = [r for r in records if pipeline._eligible(r, task)]
+    gts = pipeline._images(records, task)[0][2]   # the one image's gts
     return gts, task, pyramid, modes, size, shift
 
 
